@@ -5,7 +5,7 @@ Usage: python3 scripts/nerve_survey.py
 """
 
 from thrcalc.dihedral import dihedral_nerve_piece, fixed_subset, pi0, sd_sigma
-from thrcalc.homology import normalized_chains, simplicial_homology
+from thrcalc.homology import homology, normalized_chains
 from thrcalc.involutive_algebra import (
     monoid_int_sigma,
     monoid_nat,
@@ -23,11 +23,11 @@ def group_str(g):
 
 
 def homology_str(piece, q_max):
-    hi = normalized_chains(piece).valid_hi
-    hi = q_max if hi is None else hi
+    chains = normalized_chains(piece)
+    hi = q_max if chains.valid_hi is None else chains.valid_hi
     cells = []
     for q in range(hi + 1):
-        h = simplicial_homology(piece, q)
+        h = homology(chains.complex, q)
         if not h.is_trivial():
             cells.append(f"H{q}={group_str(h)}")
     return ", ".join(cells) if cells else "acyclic"

@@ -53,7 +53,7 @@ from .dihedral import (
     validate_structure,
 )
 from .errors import CertificateError, InfeasibleError, SpecError
-from .homology import normalized_chains, simplicial_homology
+from .homology import homology, normalized_chains
 from .involutive_algebra import (
     load_description,
     monoid_from_description,
@@ -297,7 +297,7 @@ def cmd_nerve(config):
         hi = chains.valid_hi if chains.valid_hi is not None else q_max
         table = {}
         for q in range(hi + 1):
-            h = simplicial_homology(piece, q)
+            h = homology(chains.complex, q)
             if not h.is_trivial():
                 table[q] = h
         payload["homology"] = _encode_homology(table)

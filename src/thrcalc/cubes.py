@@ -854,14 +854,11 @@ def origin_cube(n):
                 continue
             src_b = bases[eps]
             dst_b = bases[_bump(eps, j)]
-            rows = []
-            for i in range(src_b.rows):
-                coeffs = solve_left(dst_b, src_b.row(i))
-                if coeffs is None:
-                    raise CertificateError(
-                        "unit lattice does not include into its neighbour"
-                    )
-                rows.append(coeffs)
+            rows = solve_left(dst_b, src_b.data)
+            if None in rows:
+                raise CertificateError(
+                    "unit lattice does not include into its neighbour"
+                )
             a = Mat(rows, cols=dst_b.rows)
             tm = torus_map(a, reduced=True)
             edges[(eps, j)] = ChainMap(

@@ -10,6 +10,8 @@ Conventions
   sends x to x @ F, and row i of F is the image of generator i.
 * Group equality compares invariant factors and free rank only; two
   presentations of isomorphic groups compare equal.
+* Each integer matrix is factored once per question: ``solve_left`` takes
+  every right-hand side at once and runs one ``snf`` for all of them.
 """
 
 from __future__ import annotations
@@ -238,7 +240,6 @@ def snf(m):
                 for row in arr:
                     row[bj], row[t] = row[t], row[bj]
         while True:
-            dirty = False
             for i in range(r):
                 if i != t and a[i][t]:
                     p, q = a[t][t], a[i][t]
@@ -247,7 +248,6 @@ def snf(m):
                     else:
                         g, x, y = _xgcd(p, q)
                         row_combine(t, i, x, y, -(q // g), p // g)
-                    dirty = True
             if any(a[i][t] for i in range(r) if i != t):
                 continue
             for j in range(c):
@@ -258,7 +258,6 @@ def snf(m):
                     else:
                         g, x, y = _xgcd(p, q)
                         col_combine(t, j, x, y, -(q // g), p // g)
-                    dirty = True
             if any(a[t][j] for j in range(c) if j != t) or any(a[i][t] for i in range(r) if i != t):
                 continue
             # Divisibility sweep: the pivot must divide the rest of the block.
@@ -271,11 +270,9 @@ def snf(m):
                         break
                 if offender is not None:
                     break
-            if offender is not None:
-                row_add(t, offender, 1)
-                continue
-            if not dirty or True:
+            if offender is None:
                 break
+            row_add(t, offender, 1)
         t += 1
     for i in range(min(r, c)):
         if a[i][i] < 0:
@@ -297,35 +294,40 @@ def row_kernel(m):
     return Mat([u.data[i] for i in range(rank, m.rows)], cols=m.rows)
 
 
-def solve_left(m, y):
-    """One integer solution x of x @ m == y, or None.
+def solve_left(m, ys):
+    """Integer solutions x of x @ m == y, one for each row y of ys.
 
-    >>> solve_left(Mat([[2, 0], [0, 3]]), (4, 6))
-    (2, 2)
-    >>> solve_left(Mat([[2]]), (3,)) is None
-    True
+    ``m`` is factored by a single ``snf`` call shared by all the rows (none
+    when ys is empty).  The result lists, in the order of ys, one solution
+    tuple per row, or None for a row outside the row lattice of m.
+
+    >>> solve_left(Mat([[2, 0], [0, 3]]), [(4, 6), (1, 0), (0, -3)])
+    [(2, 2), None, (0, -1)]
+    >>> solve_left(Mat([[2]]), [(3,)])
+    [None]
+    >>> solve_left(Mat([[2]]), [])
+    []
     """
+    ys = list(ys)
+    if not ys:
+        return []
     s, u, v = snf(m)
-    z = Mat.row_vector(y) @ v
-    z = z.data[0]
-    w = [0] * m.rows
     k = min(m.rows, m.cols)
-    for i in range(m.cols):
-        d = s.data[i][i] if i < k else 0
-        if d:
-            if z[i] % d:
-                return None
-            w[i] = z[i] // d
+    diag = [s.data[i][i] for i in range(k)] + [0] * (m.cols - k)
+    pad = [0] * (m.rows - k)
+    ws = []
+    for z in (Mat(ys, cols=m.cols) @ v).data:
+        if any(zi % d if d else zi for d, zi in zip(diag, z)):
+            ws.append(None)
         else:
-            if z[i]:
-                return None
-    x = Mat.row_vector(w) @ u
-    return x.data[0]
+            ws.append([z[i] // diag[i] if diag[i] else 0 for i in range(k)] + pad)
+    xs = iter((Mat([w for w in ws if w is not None], cols=m.rows) @ u).data)
+    return [None if w is None else next(xs) for w in ws]
 
 
 def lattice_contains(m, y):
     """Whether y lies in the row lattice of m."""
-    return solve_left(m, y) is not None
+    return solve_left(m, [y])[0] is not None
 
 
 class FgAbGroup:
@@ -357,7 +359,7 @@ class FgAbGroup:
         diag = [s.data[i][i] if i < k else 0 for i in range(n_gens)]
         self._diag = tuple(diag)
         self._v = v
-        self._vinv = _unimodular_inverse(v)
+        self._vinv = None  # inverse of _v, built by the first elements()
         self.invariant_factors = tuple(d for d in diag if d >= 2)
         self.free_rank = sum(1 for d in diag if d == 0)
 
@@ -402,6 +404,8 @@ class FgAbGroup:
         """
         if not self.is_finite():
             raise ValueError("infinite group")
+        if self._vinv is None:
+            self._vinv = _unimodular_inverse(self._v)
         ranges = [range(d if d > 1 else 1) for d in self._diag]
         seen = {}
         for y in itertools.product(*ranges):
@@ -631,7 +635,7 @@ def is_exact(seq):
     """Exactness of a composable sequence of GroupHoms at every inner joint.
 
     Image and kernel at each joint are compared by lattice membership in
-    both directions.
+    both directions, each direction with one ``solve_left`` over all rows.
 
     >>> z = free_group(1); z2 = group(1, [[2]])
     >>> bool(is_exact([hom(z, z, [[2]]), hom(z, z2, [[1]])]))
@@ -648,12 +652,12 @@ def is_exact(seq):
             return ExactnessReport(False, "composite is nonzero")
         ker_rows = _kernel_lattice(b)
         im_rows = vstack(a.matrix, mid.relations) if mid.relations.rows else a.matrix
-        for row in ker_rows.data:
-            if solve_left(im_rows, row) is None:
+        for row, sol in zip(ker_rows.data, solve_left(im_rows, ker_rows.data)):
+            if sol is None:
                 return ExactnessReport(
                     False, f"kernel element {tuple(row)} is not in the image")
-        for row in im_rows.data:
-            if solve_left(ker_rows, row) is None:
+        for row, sol in zip(im_rows.data, solve_left(ker_rows, im_rows.data)):
+            if sol is None:
                 return ExactnessReport(
                     False, f"image element {tuple(row)} is not in the kernel")
     return ExactnessReport(True, "exact at every joint")
@@ -670,13 +674,10 @@ def inverse(f):
     """
     src, tgt = f.source, f.target
     stacked = vstack(f.matrix, tgt.relations) if tgt.relations.rows else f.matrix
-    rows = []
-    for j in range(tgt.n_gens):
-        e = tuple(int(i == j) for i in range(tgt.n_gens))
-        sol = solve_left(stacked, e)
-        if sol is None:
-            return None
-        rows.append(sol[:src.n_gens])
+    sols = solve_left(stacked, Mat.identity(tgt.n_gens).data)
+    if None in sols:
+        return None
+    rows = [sol[:src.n_gens] for sol in sols]
     mat = Mat(rows, cols=src.n_gens) if rows else Mat([], cols=src.n_gens)
     try:
         g = GroupHom(tgt, src, mat)
@@ -704,12 +705,10 @@ def lift_through(incl, h):
     """
     k, m = incl.source, incl.target
     stacked = vstack(incl.matrix, m.relations) if m.relations.rows else incl.matrix
-    rows = []
-    for row in h.matrix.data:
-        sol = solve_left(stacked, row)
-        if sol is None:
-            raise ValueError("map does not factor through the inclusion")
-        rows.append(sol[:k.n_gens])
+    sols = solve_left(stacked, h.matrix.data)
+    if None in sols:
+        raise ValueError("map does not factor through the inclusion")
+    rows = [sol[:k.n_gens] for sol in sols]
     mat = Mat(rows, cols=k.n_gens) if rows else Mat([], cols=k.n_gens)
     g = GroupHom(h.source, k, mat)
     if not g.then(incl).equal(h):

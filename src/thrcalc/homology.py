@@ -119,15 +119,13 @@ def _homology_data(c, q):
         cycles = row_kernel(c.diff(q))
     else:
         cycles = Mat.identity(n)
-    rels = []
-    if c.rank(q + 1):
-        for row in c.diff(q + 1).data:
-            coeffs = solve_left(cycles, row)
-            if coeffs is None:  # impossible once d d = 0 holds
-                raise SpecError(
-                    f"boundary {tuple(row)} is not a cycle in degree {q}"
-                )
-            rels.append(coeffs)
+    boundaries = c.diff(q + 1).data
+    rels = solve_left(cycles, boundaries)
+    for row, coeffs in zip(boundaries, rels):
+        if coeffs is None:  # impossible once d d = 0 holds
+            raise SpecError(
+                f"boundary {tuple(row)} is not a cycle in degree {q}"
+            )
     return group(cycles.rows, Mat(rels, cols=cycles.rows)), cycles
 
 
@@ -212,18 +210,13 @@ def induced_hom(f, q):
     """The homomorphism on degree-``q`` homology induced by a chain map."""
     hs, cycles_s = _homology_data(f.source, q)
     ht, cycles_t = _homology_data(f.target, q)
-    rows = []
-    for row in cycles_s.data:
-        image = (Mat.row_vector(row) @ f.map(q)).row(0)
-        if cycles_t.rows:
-            coeffs = solve_left(cycles_t, image)
-            if coeffs is None:
-                raise SpecError(
-                    f"chain map image {image} is not a cycle in degree {q}"
-                )
-        else:
-            coeffs = ()
-        rows.append(coeffs)
+    images = (cycles_s @ f.map(q)).data
+    rows = solve_left(cycles_t, images) if cycles_t.rows else [()] * len(images)
+    for image, coeffs in zip(images, rows):
+        if coeffs is None:
+            raise SpecError(
+                f"chain map image {image} is not a cycle in degree {q}"
+            )
     return hom(hs, ht, Mat(rows, cols=cycles_t.rows))
 
 
@@ -335,14 +328,11 @@ def connecting_hom(f, fiber, q):
     homology of the fiber sequence exact."""
     ht, cycles_t = _homology_data(f.target, q + 1)
     hf, cycles_f = _homology_data(fiber.complex, q)
-    rows = []
-    pad = f.source.rank(q)
-    for row in cycles_t.data:
-        vec = tuple([0] * pad) + tuple(row)
-        coeffs = solve_left(cycles_f, vec) if cycles_f.rows else ()
-        if coeffs is None:
-            raise SpecError(f"(0, z) is not a cycle in fiber degree {q}")
-        rows.append(coeffs)
+    pad = (0,) * f.source.rank(q)
+    vecs = [pad + row for row in cycles_t.data]
+    rows = solve_left(cycles_f, vecs) if cycles_f.rows else [()] * len(vecs)
+    if None in rows:
+        raise SpecError(f"(0, z) is not a cycle in fiber degree {q}")
     return hom(ht, hf, Mat(rows, cols=cycles_f.rows))
 
 

@@ -613,7 +613,7 @@ def _enumerate_fiber(gens, weight, v, limit=None):
         cur_w = (Mat.row_vector(current) @ weight).row(0)
         z = tuple(a - b for a, b in zip(v, cur_w))
         if unit_rows:
-            coeffs = solve_left(bw, z)
+            coeffs = solve_left(bw, [z])[0]
             if coeffs is None:
                 return
         else:

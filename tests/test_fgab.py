@@ -195,6 +195,72 @@ def test_is_exact():
     assert "not in the image" in is_exact(bad).detail
 
 
+def test_is_exact_names_the_first_failing_row():
+    zero = group(0, Mat([], cols=0))
+    z, z2 = free_group(1), group(1, [[2]])
+    three = free_group(3)
+    cases = [
+        ([hom(three, three, [[1, 0, 0], [0, 2, 0], [0, 0, 3]]),
+          zero_hom(three, zero)], "kernel element (0, 1, 0) is not in the image"),
+        ([hom(three, three, [[1, 0, 0], [0, 1, 0], [0, 0, 3]]),
+          zero_hom(three, zero)], "kernel element (0, 0, 1) is not in the image"),
+        # exact at the first two joints, not at the third
+        ([zero_hom(zero, z), hom(z, z, [[2]]), hom(z, z2, [[1]]),
+          hom(z2, z2, [[0]]), zero_hom(z2, zero)],
+         "kernel element (1,) is not in the image"),
+    ]
+    for seq, detail in cases:
+        report = is_exact(seq)
+        assert not report.ok
+        assert report.detail == detail
+
+
+def _in_row_lattice(m, y):
+    """Independent membership test by determinantal divisors: y is in the
+    row lattice of m iff stacking y on m keeps the rank and the gcd of the
+    maximal nonzero minors."""
+    def rank_and_divisor(diag):
+        nonzero = [d for d in diag if d]
+        product = 1
+        for d in nonzero:
+            product *= d
+        return len(nonzero), product
+    stacked = vstack(m, Mat([y], cols=m.cols))
+    return (rank_and_divisor(minor_gcd_invariants(stacked))
+            == rank_and_divisor(minor_gcd_invariants(m)))
+
+
+@st.composite
+def lattices_and_rows(draw):
+    """A matrix up to 4 x 4 with entries in [-9, 9], and rows of its width,
+    some drawn at random and some drawn from its row lattice."""
+    r, c = draw(st.integers(0, 4)), draw(st.integers(1, 4))
+    entries = st.integers(-9, 9)
+    m = Mat(draw(st.lists(st.lists(entries, min_size=c, max_size=c),
+                          min_size=r, max_size=r)), cols=c)
+    ys = []
+    for _ in range(draw(st.integers(1, 4))):
+        if r and draw(st.booleans()):
+            x = draw(st.lists(st.integers(-3, 3), min_size=r, max_size=r))
+            ys.append((Mat([x], cols=r) @ m).data[0])
+        else:
+            ys.append(tuple(draw(st.lists(entries, min_size=c, max_size=c))))
+    return m, ys
+
+
+@settings(max_examples=150, deadline=None)
+@given(lattices_and_rows())
+def test_batch_solve_left_against_determinantal_divisors(case):
+    m, ys = case
+    sols = solve_left(m, ys)
+    assert len(sols) == len(ys)
+    for y, x in zip(ys, sols):
+        assert (x is not None) == _in_row_lattice(m, y)
+        if x is not None:
+            assert (Mat([x], cols=m.rows) @ m).data[0] == tuple(y)
+    assert solve_left(m, []) == []
+
+
 def test_inverse_and_iso():
     z4 = group(1, [[4]])
     f = hom(z4, z4, [[3]])
