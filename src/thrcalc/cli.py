@@ -42,7 +42,6 @@ import argparse
 import json
 import os
 import sys
-from dataclasses import dataclass, field
 
 from .cubes import p1_report, pn_report, psigma_report
 from .dihedral import (
@@ -59,41 +58,12 @@ from .involutive_algebra import (
     monoid_from_description,
     pointedness_functional,
     ring_from_description,
-    ring_hom,
+    ring_map_from_description,
 )
 from .selftest import run_all
 from .thr_pi0 import alpha_report, pi0_thr, ses_check, verify_base_change
 
 SCHEMA_VERSION = 1
-
-
-@dataclass(frozen=True)
-class RunConfig:
-    """One parsed invocation.
-
-    Paths must exist and windows/truncations must be positive; violations
-    are input errors (exit 2), not crashes.
-    """
-
-    subcommand: str
-    paths: tuple = ()
-    weight: tuple = None
-    window: int = None
-    q_max: int = None
-    fmt: str = "table"
-    flags: tuple = ()
-    variant: str = None
-
-    def __post_init__(self):
-        if self.fmt not in ("table", "structured"):
-            raise SpecError(f"unknown output format {self.fmt!r}")
-        if self.window is not None and self.window < 1:
-            raise SpecError("window must be a positive integer")
-        if self.q_max is not None and self.q_max < 1:
-            raise SpecError("truncation degree must be a positive integer")
-        for path in self.paths:
-            if not os.path.exists(path):
-                raise SpecError(f"input path does not exist: {path}")
 
 
 def _progress(message):
@@ -129,14 +99,6 @@ def _encode_group(g):
     return {"free_rank": g.free_rank, "torsion": list(g.invariant_factors)}
 
 
-def _group_str(g):
-    parts = []
-    if g.free_rank:
-        parts.append(f"Z^{g.free_rank}" if g.free_rank > 1 else "Z")
-    parts.extend(f"Z/{d}" for d in g.invariant_factors)
-    return " + ".join(parts) if parts else "0"
-
-
 def _encode_homology(table):
     return {str(q): _encode_group(h) for q, h in sorted(table.items())}
 
@@ -144,7 +106,7 @@ def _encode_homology(table):
 def _homology_str(table):
     if not table:
         return "0 in every degree"
-    return ", ".join(f"H{q} = {_group_str(h)}" for q, h in sorted(table.items()))
+    return ", ".join(f"H{q} = {h}" for q, h in sorted(table.items()))
 
 
 def _matrix_rows(m):
@@ -156,8 +118,8 @@ def _matrix_rows(m):
 # ---------------------------------------------------------------------------
 
 
-def cmd_pi0thr(config):
-    path = config.paths[0]
+def cmd_pi0thr(args):
+    path = args.ring
     ring = ring_from_description(_load(path), where=path)
     result = pi0_thr(ring)
     alpha = alpha_report(result)
@@ -178,8 +140,8 @@ def cmd_pi0thr(config):
     lines = [
         f"ring: {path} ({len(ring.names)} additive generators: "
         + ", ".join(ring.names) + ")",
-        f"underlying level: {_group_str(mk.e)}",
-        f"fixed level:      {_group_str(mk.g)}",
+        f"underlying level: {mk.e}",
+        f"fixed level:      {mk.g}",
         f"restriction matrix (fixed -> underlying): {_matrix_rows(mk.res.matrix)}",
         f"transfer matrix (underlying -> fixed):    {_matrix_rows(mk.tran.matrix)}",
         "unit comparison a -> 1 (x) a: "
@@ -192,33 +154,11 @@ def cmd_pi0thr(config):
     return payload, lines, True
 
 
-def cmd_basechange(config):
-    src_path, tgt_path, map_path = config.paths
+def cmd_basechange(args):
+    src_path, tgt_path, map_path = args.source, args.target, args.ring_map
     source = ring_from_description(_load(src_path), where=src_path)
     target = ring_from_description(_load(tgt_path), where=tgt_path)
-    desc = _load(map_path)
-    if "map" not in desc:
-        raise SpecError(f"{map_path}: missing key 'map'")
-    rows = []
-    for index, entry in enumerate(desc["map"]):
-        if isinstance(entry, str):
-            if entry not in target.names:
-                raise SpecError(
-                    f"{map_path}: unknown target generator {entry!r}"
-                )
-            k = target.names.index(entry)
-            rows.append(tuple(1 if i == k else 0 for i in range(target.n_gens)))
-        else:
-            vec = tuple(entry)
-            if len(vec) != target.n_gens or any(
-                not isinstance(c, int) for c in vec
-            ):
-                raise SpecError(
-                    f"{map_path}: row {index} is not a coefficient vector "
-                    f"of length {target.n_gens}"
-                )
-            rows.append(vec)
-    f = ring_hom(source, target, rows, where=map_path)
+    f = ring_map_from_description(_load(map_path), source, target, where=map_path)
     report = verify_base_change(f)
     payload = {
         "schema_version": SCHEMA_VERSION,
@@ -239,10 +179,10 @@ def cmd_basechange(config):
     lines = [
         f"base change along {map_path}: "
         + ("isomorphism" if report.is_iso else "NOT an isomorphism"),
-        f"extended functor levels: ({_group_str(report.source_levels[0])}, "
-        f"{_group_str(report.source_levels[1])})",
-        f"direct computation:      ({_group_str(report.target_levels[0])}, "
-        f"{_group_str(report.target_levels[1])})",
+        f"extended functor levels: ({report.source_levels[0]}, "
+        f"{report.source_levels[1]})",
+        f"direct computation:      ({report.target_levels[0]}, "
+        f"{report.target_levels[1]})",
     ]
     if not report.is_iso:
         lines.append("obstruction: " + report.obstruction())
@@ -261,19 +201,19 @@ def _default_q_max(monoid, weight):
     return bound
 
 
-def cmd_nerve(config):
-    path = config.paths[0]
+def cmd_nerve(args):
+    path = args.monoid
+    weight = _parse_weight(args.weight)
     monoid = _load_monoid(path)
-    weight = config.weight
     if len(weight) != monoid.rank:
         raise SpecError(
             f"weight has {len(weight)} coordinates but the monoid lives in "
             f"rank {monoid.rank}"
         )
-    q_max = config.q_max
+    q_max = args.q_max
     if q_max is None:
         q_max = _default_q_max(monoid, weight)
-    piece = dihedral_nerve_piece(monoid, (weight,), q_max, window=config.window)
+    piece = dihedral_nerve_piece(monoid, (weight,), q_max, window=args.window)
     counts = [piece.count(q) for q in range(q_max + 1)]
     nondeg = list(piece.nondegenerate_counts())
     payload = {
@@ -282,17 +222,17 @@ def cmd_nerve(config):
         "input": path,
         "weight": list(weight),
         "q_max": q_max,
-        "window": config.window,
+        "window": args.window,
         "counts": counts,
         "nondegenerate_counts": nondeg,
     }
     lines = [
         f"monoid: {path}, weight {list(weight)}, truncation depth {q_max}"
-        + (f", window {config.window}" if config.window is not None else ""),
+        + (f", window {args.window}" if args.window is not None else ""),
         f"simplices by degree:    {counts}",
         f"nondegenerate by degree: {nondeg}",
     ]
-    if "homology" in config.flags:
+    if args.homology:
         chains = normalized_chains(piece)
         hi = chains.valid_hi if chains.valid_hi is not None else q_max
         table = {}
@@ -308,13 +248,13 @@ def cmd_nerve(config):
             + ("" if chains.valid_hi is None else " (truncation-limited)")
             + f": {_homology_str(table)}"
         )
-    if "fixed-pi0" in config.flags:
+    if args.fixed_pi0:
         depth = max(q_max, 3)
         deep = (
             piece
             if depth == q_max
             else dihedral_nerve_piece(
-                monoid, (weight,), depth, window=config.window
+                monoid, (weight,), depth, window=args.window
             )
         )
         components = pi0(fixed_subset(sd_sigma(deep))).count
@@ -322,7 +262,7 @@ def cmd_nerve(config):
         lines.append(
             f"components of the reflection-fixed subdivision: {components}"
         )
-    if "validate" in config.flags:
+    if args.validate:
         report = validate_structure(piece)
         payload["validation"] = {"ok": report.ok, "detail": report.detail}
         lines.append(f"structure identities: {report.detail}")
@@ -341,9 +281,9 @@ def _weight_entry_payload(entry):
     }
 
 
-def cmd_projective(config):
-    n = config.variant
-    window = config.window if config.window is not None else 3
+def cmd_projective(args):
+    n = args.n
+    window = args.window if args.window is not None else 3
     if n == "sigma":
         report = psigma_report()
         ok = report.cartesian and report.mutation_breaks
@@ -440,7 +380,7 @@ def cmd_projective(config):
     return payload, lines, report.ok
 
 
-def cmd_selftest(config):
+def cmd_selftest(args):
     outcomes = run_all(progress=_progress)
     ok = all(o.ok for o in outcomes)
     payload = {
@@ -533,41 +473,18 @@ def build_parser():
     return parser
 
 
-def _config_from_args(args):
-    sub = args.subcommand
-    if sub == "pi0thr":
-        return RunConfig(sub, paths=(args.ring,), fmt=args.format)
-    if sub == "basechange":
-        return RunConfig(
-            sub, paths=(args.source, args.target, args.ring_map), fmt=args.format
-        )
-    if sub == "nerve":
-        flags = []
-        if args.homology:
-            flags.append("homology")
-        if args.fixed_pi0:
-            flags.append("fixed-pi0")
-        if args.validate:
-            flags.append("validate")
-        return RunConfig(
-            sub,
-            paths=(args.monoid,),
-            weight=_parse_weight(args.weight),
-            window=args.window,
-            q_max=args.q_max,
-            fmt=args.format,
-            flags=tuple(flags),
-        )
-    if sub == "projective":
-        return RunConfig(sub, window=args.window, fmt=args.format, variant=args.n)
-    return RunConfig(sub, fmt=args.format)
-
-
 def main(argv=None):
     args = build_parser().parse_args(argv)
+    opts = vars(args)
     try:
-        config = _config_from_args(args)
-        payload, lines, ok = _DISPATCH[config.subcommand](config)
+        if opts.get("window") is not None and opts["window"] < 1:
+            raise SpecError("window must be a positive integer")
+        if opts.get("q_max") is not None and opts["q_max"] < 1:
+            raise SpecError("truncation degree must be a positive integer")
+        for key in ("ring", "source", "target", "ring_map", "monoid"):
+            if key in opts and not os.path.exists(opts[key]):
+                raise SpecError(f"input path does not exist: {opts[key]}")
+        payload, lines, ok = _DISPATCH[args.subcommand](args)
     except SpecError as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 2
@@ -577,7 +494,7 @@ def main(argv=None):
     except CertificateError as exc:
         print(f"certificate failure: {exc}", file=sys.stderr)
         return 4
-    if config.fmt == "structured":
+    if args.format == "structured":
         sys.stdout.write(
             json.dumps(payload, sort_keys=True, separators=(",", ":")) + "\n"
         )

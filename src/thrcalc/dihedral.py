@@ -158,10 +158,6 @@ class TruncDihedralSet:
         return f"TruncDihedralSet({self.flag}, q_max={self.q_max}, counts=[{counts}])"
 
 
-#: A truncated real simplicial set is the same container with no rotation.
-TruncRealSimplicialSet = TruncDihedralSet
-
-
 # ---------------------------------------------------------------------------
 # structure validation
 # ---------------------------------------------------------------------------

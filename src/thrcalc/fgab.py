@@ -89,9 +89,6 @@ class Mat:
     def col(self, j):
         return tuple(row[j] for row in self.data)
 
-    def transpose(self):
-        return Mat([self.col(j) for j in range(self.cols)], cols=self.rows)
-
     def is_zero(self):
         return all(x == 0 for row in self.data for x in row)
 
@@ -344,6 +341,12 @@ class FgAbGroup:
     True
     >>> g.order()
     6
+
+    ``str`` puts the free part first, ``repr`` the torsion first:
+
+    >>> h = group(3, [[2, 0, 0], [0, 0, 0]])
+    >>> str(h), repr(h)
+    ('Z^2 + Z/2', 'Z/2 + Z^2')
     """
 
     __slots__ = ("n_gens", "relations", "invariant_factors", "free_rank",
@@ -421,15 +424,17 @@ class FgAbGroup:
     def __hash__(self):
         return hash((self.invariant_factors, self.free_rank))
 
+    def __str__(self):
+        parts = [f"Z/{d}" for d in self.invariant_factors]
+        if self.free_rank:
+            parts.insert(0, f"Z^{self.free_rank}" if self.free_rank > 1 else "Z")
+        return " + ".join(parts) if parts else "0"
+
     def __repr__(self):
         parts = [f"Z/{d}" for d in self.invariant_factors]
         if self.free_rank:
             parts.append(f"Z^{self.free_rank}" if self.free_rank > 1 else "Z")
         return " + ".join(parts) if parts else "0"
-
-    def describe(self):
-        """Stable short description, e.g. 'Z/2 + Z/2 + Z'."""
-        return repr(self)
 
 
 def _unimodular_inverse(v):

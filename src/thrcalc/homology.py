@@ -85,9 +85,6 @@ class ChainComplex:
     def hi(self):
         return max(self._ranks) if self._ranks else 0
 
-    def total_rank(self):
-        return sum(self._ranks.values())
-
     def euler_characteristic(self):
         return sum((-1) ** q * r for q, r in self._ranks.items())
 

@@ -828,6 +828,36 @@ def product_monoid(monoid, length):
 # ---------------------------------------------------------------------------
 
 
+def _listed(desc, key, where):
+    """The value under ``key`` of a description, which must be a list."""
+    value = desc[key]
+    if not isinstance(value, (list, tuple)):
+        raise SpecError(f"{where}: {key} must be a list, got {value!r}")
+    return value
+
+
+def _int_vector(entry, where, n=None):
+    """``entry`` as a tuple of integers, of length ``n`` if given."""
+    if (
+        not isinstance(entry, (list, tuple))
+        or any(not isinstance(c, int) for c in entry)
+        or (n is not None and len(entry) != n)
+    ):
+        size = "" if n is None else f"{n} "
+        raise SpecError(f"{where}: expected a list of {size}integers, got {entry!r}")
+    return tuple(entry)
+
+
+def _coefficients(entry, names, where):
+    """A generator name or a coefficient vector, as a coefficient vector
+    over the generators ``names``."""
+    if isinstance(entry, str):
+        if entry not in names:
+            raise SpecError(f"{where}: unknown generator name {entry!r}")
+        return _unit_vec(len(names), names.index(entry))
+    return _int_vector(entry, where, len(names))
+
+
 def ring_from_description(desc, where="ring description"):
     """Build a ring from a plain dictionary.
 
@@ -841,11 +871,13 @@ def ring_from_description(desc, where="ring description"):
     for key in ("generators", "orders", "unit", "table"):
         if key not in desc:
             raise SpecError(f"{where}: missing key {key!r}")
-    names = list(desc["generators"])
+    names = _listed(desc, "generators", where)
     n = len(names)
+    if any(not isinstance(name, str) for name in names):
+        raise SpecError(f"{where}: generators must be names")
     if len(set(names)) != n:
         raise SpecError(f"{where}: duplicate generator names")
-    orders = list(desc["orders"])
+    orders = _listed(desc, "orders", where)
     if len(orders) != n or any(not isinstance(o, int) or o < 0 for o in orders):
         raise SpecError(f"{where}: orders must be {n} nonnegative integers")
     relations = [
@@ -864,19 +896,12 @@ def ring_from_description(desc, where="ring description"):
             return entry
         raise SpecError(f"{where}: bad generator reference {entry!r}")
 
-    def coeffs(entry):
-        if isinstance(entry, str):
-            return _unit_vec(n, resolve(entry))
-        vec = tuple(entry)
-        if len(vec) != n or any(not isinstance(c, int) for c in vec):
-            raise SpecError(f"{where}: bad coefficient vector {entry!r}")
-        return vec
-
     table = [[None] * n for _ in range(n)]
-    for item in desc["table"]:
-        if len(item) != 3:
+    for item in _listed(desc, "table", where):
+        if not isinstance(item, (list, tuple)) or len(item) != 3:
             raise SpecError(f"{where}: table entries are [i, j, coeffs], got {item!r}")
-        i, j, val = resolve(item[0]), resolve(item[1]), coeffs(item[2])
+        i, j = resolve(item[0]), resolve(item[1])
+        val = _coefficients(item[2], names, f"{where}: table")
         table[i][j] = val
         table[j][i] = val
     for i in range(n):
@@ -886,10 +911,27 @@ def ring_from_description(desc, where="ring description"):
                     f"{where}: missing product ({names[i]}, {names[j]})"
                 )
 
-    inv = desc.get("involution")
-    if inv is not None:
-        inv = [coeffs(row) for row in inv]
-    return make_ring(add, table, coeffs(desc["unit"]), inv, names=names, where=where)
+    inv = None
+    if desc.get("involution") is not None:
+        inv = [
+            _coefficients(row, names, f"{where}: involution")
+            for row in _listed(desc, "involution", where)
+        ]
+    one = _coefficients(desc["unit"], names, f"{where}: unit")
+    return make_ring(add, table, one, inv, names=names, where=where)
+
+
+def ring_map_from_description(desc, source, target, where="ring map description"):
+    """Build a :class:`RingHom` from ``{"map": [...]}``: one entry per
+    source generator, each a target generator name or a coefficient
+    vector in the target."""
+    if "map" not in desc:
+        raise SpecError(f"{where}: missing key 'map'")
+    rows = [
+        _coefficients(entry, target.names, f"{where}: map")
+        for entry in _listed(desc, "map", where)
+    ]
+    return ring_hom(source, target, rows, where=where)
 
 
 def monoid_from_description(desc, where="monoid description"):
@@ -898,13 +940,19 @@ def monoid_from_description(desc, where="monoid description"):
         raise SpecError(f"{where}: expected a mapping, got {type(desc).__name__}")
     if "generators" not in desc:
         raise SpecError(f"{where}: missing key 'generators'")
-    gens = [tuple(g) for g in desc["generators"]]
+    gens = [
+        _int_vector(g, f"{where}: generators")
+        for g in _listed(desc, "generators", where)
+    ]
     if not gens:
         raise SpecError(f"{where}: at least one generator required")
-    for g in gens:
-        if any(not isinstance(c, int) for c in g):
-            raise SpecError(f"{where}: non-integer generator {g!r}")
-    return AffineMonoid(gens, w=desc.get("involution"))
+    w = None
+    if desc.get("involution") is not None:
+        w = [
+            _int_vector(row, f"{where}: involution", len(gens[0]))
+            for row in _listed(desc, "involution", where)
+        ]
+    return AffineMonoid(gens, w=w)
 
 
 def load_description(path):

@@ -161,14 +161,6 @@ def mackey_hom(source, target, f_e, f_g, where="mackey map"):
     return MackeyHom(source, target, f_e, f_g)
 
 
-def mackey_identity(m):
-    return MackeyHom(m, m, identity_hom(m.e), identity_hom(m.g))
-
-
-def mackey_compose(f, g):
-    return MackeyHom(f.source, g.target, f.f_e.then(g.f_e), f.f_g.then(g.f_g))
-
-
 def is_mackey_iso(h):
     """Whether both levels of a Mackey morphism are isomorphisms."""
     return inverse(h.f_e) is not None and inverse(h.f_g) is not None

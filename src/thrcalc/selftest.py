@@ -98,14 +98,6 @@ class CriterionOutcome:
         return f"{status} criterion {self.number:2d} ({timing}): {self.name} — {self.detail}"
 
 
-def _group_str(g):
-    parts = []
-    if g.free_rank:
-        parts.append(f"Z^{g.free_rank}" if g.free_rank > 1 else "Z")
-    parts.extend(f"Z/{d}" for d in g.invariant_factors)
-    return " + ".join(parts) if parts else "0"
-
-
 # ---------------------------------------------------------------------------
 # criteria 1-3: Mackey presentations and base change
 # ---------------------------------------------------------------------------
@@ -124,7 +116,7 @@ def _criterion_integers():
         alpha.is_iso,
     )
     detail = (
-        f"levels ({_group_str(mk.e)}, {_group_str(mk.g)}), "
+        f"levels ({mk.e}, {mk.g}), "
         f"res {mk.res.matrix.data}, tran {mk.tran.matrix.data}, "
         f"constant-functor comparison {'iso' if checks[4] else 'NOT iso'}"
     )
@@ -143,7 +135,7 @@ def _criterion_dual_numbers():
         bool(ses),
     )
     detail = (
-        f"fixed level {_group_str(g)}, alpha {'iso' if alpha.is_iso else 'not iso'}, "
+        f"fixed level {g}, alpha {'iso' if alpha.is_iso else 'not iso'}, "
         f"frobenius {'surjective' if alpha.frobenius_surjective else 'not surjective'}, "
         f"sequence exact"
     )
@@ -165,7 +157,7 @@ def _criterion_base_change():
     detail = (
         f"F2->F4 {'iso' if good.is_iso else 'NOT iso'}; F2->F2[t]/(t^2) "
         f"{'iso' if bad.is_iso else 'not iso'} with obstruction "
-        f"{_group_str(bad.source_levels[1])} vs {_group_str(bad.target_levels[1])}"
+        f"{bad.source_levels[1]} vs {bad.target_levels[1]}"
     )
     return all(checks), detail
 
@@ -250,7 +242,7 @@ def _criterion_line_weights():
     )
     return all(checks), (
         f"weights -5..5: nonzero acyclic, weight 0 H0 = "
-        f"{_group_str(zero.homology[0])}"
+        f"{zero.homology[0]}"
     )
 
 

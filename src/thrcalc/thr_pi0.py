@@ -44,6 +44,7 @@ from .fgab import (
 )
 from .involutive_algebra import (
     InvolutiveRing,
+    _unit_vec,
     frobenius,
     is_surjective_on_finite,
     mod2,
@@ -58,10 +59,6 @@ from .mackey import (
     make_mackey,
     module_structure,
 )
-
-
-def _unit_vec(n, i):
-    return tuple(1 if k == i else 0 for k in range(n))
 
 
 def t_span_rows(ring):

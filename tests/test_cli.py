@@ -1,6 +1,8 @@
 """End-to-end tests of the command-line interface, run in-process."""
 
 import json
+import shlex
+from pathlib import Path
 
 import pytest
 
@@ -79,6 +81,51 @@ def test_pi0thr_unparseable_yaml_exits_2(capsys, tmp_path):
     code, _, err = run(capsys, "pi0thr", str(bad))
     assert code == 2
     assert "cannot parse" in err
+
+
+RING_F2 = {
+    "generators": "[e]",
+    "orders": "[2]",
+    "unit": "e",
+    "table": "[[e, e, e]]",
+}
+
+
+def _ring_body(**changes):
+    keys = dict(RING_F2, **changes)
+    return "".join(f"{key}: {value}\n" for key, value in keys.items())
+
+
+@pytest.mark.parametrize(
+    "kind, body, key",
+    [
+        ("monoid", "generators: 5\n", "generators"),
+        ("monoid", "generators: [[1]]\ninvolution: 3\n", "involution"),
+        ("ring", _ring_body(generators="[[1]]"), "generators"),
+        ("ring", _ring_body(orders="2"), "orders"),
+        ("ring", _ring_body(table="3"), "table"),
+        ("ring", _ring_body(table="[5]"), "table"),
+        ("ring", _ring_body(unit="0"), "unit"),
+        ("ring", _ring_body(involution="[5]"), "involution"),
+        ("map", "map: 5\n", "map"),
+    ],
+    ids=["monoid-generators", "monoid-involution", "ring-generators",
+         "ring-orders", "ring-table", "ring-table-entry", "ring-unit",
+         "ring-involution", "map"],
+)
+def test_malformed_description_exits_2(capsys, tmp_path, kind, body, key):
+    path = tmp_path / f"{kind}.yaml"
+    path.write_text(body)
+    argv = {
+        "monoid": ("nerve", str(path), "--weight", "1"),
+        "ring": ("pi0thr", str(path)),
+        "map": ("basechange", f"{DATA}/ring_f2.yaml", f"{DATA}/ring_f4.yaml",
+                str(path)),
+    }[kind]
+    code, out, err = run(capsys, *argv)
+    assert code == 2
+    assert out == ""
+    assert str(path) in err and key in err
 
 
 # ---------------------------------------------------------------------------
@@ -398,3 +445,24 @@ def test_structured_outputs_byte_identical(capsys):
     _, out1, _ = run(capsys, *argv)
     _, out2, _ = run(capsys, *argv)
     assert out1 == out2
+
+
+def _readme_commands():
+    """Every ``thrcalc`` line of README's *Command-line usage* section but
+    ``selftest``, with backslash continuations joined."""
+    readme = Path(__file__).resolve().parent.parent / "README.md"
+    section = readme.read_text().split("## Command-line usage")[1].split("\n## ")[0]
+    commands = [
+        " ".join(line.split())
+        for line in section.replace("\\\n", " ").splitlines()
+        if line.startswith("thrcalc ") and line.split()[1] != "selftest"
+    ]
+    assert commands, "no thrcalc commands found in README"
+    return commands
+
+
+@pytest.mark.parametrize("command", _readme_commands())
+def test_readme_command_exits_0(capsys, command):
+    code, out, _ = run(capsys, *shlex.split(command)[1:])
+    assert code == 0
+    assert out
