@@ -37,7 +37,9 @@ tuples instead.
 
 from __future__ import annotations
 
+from collections.abc import Sequence
 from dataclasses import dataclass
+from math import comb
 
 from .errors import CertificateError, InfeasibleError, SpecError
 from .involutive_algebra import (
@@ -52,6 +54,30 @@ from .involutive_algebra import (
 # ---------------------------------------------------------------------------
 
 
+class SimplexLevels(Sequence):
+    """The simplex levels of a truncation, each built by ``build(q)`` when
+    it is first read and kept from then on."""
+
+    __slots__ = ("_build", "_levels")
+
+    def __init__(self, n, build):
+        self._build = build
+        self._levels = [None] * n
+
+    def __len__(self):
+        return len(self._levels)
+
+    def __getitem__(self, q):
+        level = self._levels[q]
+        if level is None:
+            level = self._levels[q] = self._build(range(len(self))[q])
+        return level
+
+    def built(self):
+        """The degrees whose level has been built so far."""
+        return tuple(q for q, level in enumerate(self._levels) if level is not None)
+
+
 class TruncDihedralSet:
     """A degreewise-finite truncation of a simplicial set with optional
     rotation and reflection.
@@ -63,6 +89,15 @@ class TruncDihedralSet:
     edgewise subdivisions).  ``certificate`` optionally records a proven
     degree bound above which every simplex is degenerate, making the
     truncation lossless for nondegenerate data.
+
+    ``simplices`` is either the list of levels or a function ``q -> level``;
+    a function's levels are built on first read.  Either way each level is
+    stored sorted and without repeats.  An object may also bring its own
+    ``nondegenerate_levels(q)`` and ``level_count(q)``.  Then ``count(q)`` is
+    ``level_count(q)``, checked against the nondegenerate simplices by the
+    Eilenberg-Zilber decomposition ``count(q) = sum_p C(q, p) * #nondeg(p)``
+    and, whenever level ``q`` is built, against its length; a disagreement
+    raises :class:`CertificateError`.
     """
 
     __slots__ = (
@@ -75,6 +110,9 @@ class TruncDihedralSet:
         "flag",
         "cyclic_order",
         "certificate",
+        "_nondegenerate_levels",
+        "_nondegenerate",
+        "_level_count",
     )
 
     def __init__(
@@ -88,15 +126,23 @@ class TruncDihedralSet:
         flag="simplicial",
         cyclic_order=None,
         certificate=None,
+        nondegenerate_levels=None,
+        level_count=None,
     ):
         if q_max < 0:
             raise SpecError("truncation depth must be nonnegative")
-        if len(simplices) != q_max + 1:
-            raise SpecError(
-                f"expected {q_max + 1} simplex levels, got {len(simplices)}"
-            )
         self.q_max = q_max
-        self.simplices = tuple(tuple(sorted(set(level))) for level in simplices)
+        self._level_count = level_count
+        if callable(simplices):
+            self.simplices = SimplexLevels(
+                q_max + 1, lambda q: self._built_level(q, simplices(q))
+            )
+        else:
+            if len(simplices) != q_max + 1:
+                raise SpecError(
+                    f"expected {q_max + 1} simplex levels, got {len(simplices)}"
+                )
+            self.simplices = tuple(tuple(sorted(set(level))) for level in simplices)
         self._face = face
         self._degeneracy = degeneracy
         self._rotate = rotate
@@ -104,6 +150,17 @@ class TruncDihedralSet:
         self.flag = flag
         self.cyclic_order = cyclic_order
         self.certificate = certificate
+        self._nondegenerate_levels = nondegenerate_levels
+        self._nondegenerate = [None] * (q_max + 1)
+
+    def _built_level(self, q, level):
+        level = tuple(sorted(set(level)))
+        if self._level_count is not None and len(level) != self._level_count(q):
+            raise CertificateError(
+                f"degree {q}: {len(level)} simplices built but "
+                f"{self._level_count(q)} counted"
+            )
+        return level
 
     # -- structure maps ----------------------------------------------------
 
@@ -136,7 +193,16 @@ class TruncDihedralSet:
         return self._invol is not None
 
     def count(self, q):
-        return len(self.simplices[q])
+        if self._level_count is None:
+            return len(self.simplices[q])
+        n = self._level_count(q)
+        split = sum(comb(q, p) * len(self.nondegenerate(p)) for p in range(q + 1))
+        if n != split:
+            raise CertificateError(
+                f"degree {q}: {n} simplices counted but the nondegenerate "
+                f"simplices of degrees 0..{q} give {split} (Eilenberg-Zilber)"
+            )
+        return n
 
     def is_degenerate(self, q, x):
         """Whether ``x`` is in the image of some degeneracy (tested via the
@@ -148,7 +214,14 @@ class TruncDihedralSet:
         )
 
     def nondegenerate(self, q):
-        return tuple(x for x in self.simplices[q] if not self.is_degenerate(q, x))
+        if self._nondegenerate_levels is None:
+            return tuple(x for x in self.simplices[q] if not self.is_degenerate(q, x))
+        level = self._nondegenerate[q]
+        if level is None:
+            level = self._nondegenerate[q] = tuple(
+                sorted(set(self._nondegenerate_levels(q)))
+            )
+        return level
 
     def nondegenerate_counts(self):
         return tuple(len(self.nondegenerate(q)) for q in range(self.q_max + 1))
@@ -341,31 +414,73 @@ def _l1(v):
     return sum(abs(c) for c in v)
 
 
-def _compositions(total, slots, cache):
-    """All tuples of ``slots`` cached unit vectors summing to ``total``."""
-    if slots == 0:
-        if total == 0:
-            yield ()
-        return
-    if slots == 1:
-        yield (cache[total],)
-        return
-    for first in range(total + 1):
-        head = cache[first]
-        for rest in _compositions(total - first, slots - 1, cache):
-            yield (head,) + rest
+def _total(x):
+    t = x[0]
+    for e in x[1:]:
+        t = _vec_add(t, e)
+    return t
 
 
-def _tuples_of_weight(monoid, v, slots):
-    """Tuples of monoid elements summing to ``v``; fast path for the
-    nonnegative integers, generic weight fibers otherwise."""
-    if monoid.rank == 1 and monoid.generators == ((1,),):
-        total = v[0]
-        if total < 0:
-            return []
-        cache = [(c,) for c in range(total + 1)]
-        return list(_compositions(total, slots, cache))
-    return weight_tuples(monoid, None, v, slots)
+def _vec_sub(a, b):
+    return tuple(x - y for x, y in zip(a, b))
+
+
+class _DivisorFibers:
+    """The tuples of monoid elements summing to a weight of one orbit,
+    built from the divisor sets ``D(v) = {x in M : v - x in M}``.
+
+    Every entry and every partial sum of such a tuple lies in ``D(v)``, so
+    the splittings ``parts[d]`` of each ``d`` in ``D(v)`` into two monoid
+    elements generate the tuples and count them.  ``D(v)`` is the fiber of
+    pairs summing to ``v``; it raises :class:`InfeasibleError` when that
+    fiber is infinite, as the level of 1-simplices would.
+    """
+
+    def __init__(self, monoid, orbit):
+        self.zero = (0,) * monoid.rank
+        self.weights = []
+        self.parts = {}
+        for v in orbit:
+            divisors = [x for x, _ in weight_tuples(monoid, None, v, 2)]
+            if divisors:  # otherwise v is not in the monoid
+                self.weights.append(v)
+            known = set(divisors)
+            for d in divisors:
+                if d not in self.parts:
+                    splits = ((x, _vec_sub(d, x)) for x in divisors)
+                    self.parts[d] = tuple(p for p in splits if p[1] in known)
+        # _counts[k][d]: the number of (k+1)-tuples summing to d
+        self._counts = [dict.fromkeys(self.parts, 1)]
+
+    def count(self, length):
+        """The number of ``length``-tuples, ``length >= 1``."""
+        counts = self._counts
+        while len(counts) < length:
+            last = counts[-1]
+            counts.append({
+                d: sum(last[rest] for _, rest in parts)
+                for d, parts in self.parts.items()
+            })
+        return sum(counts[length - 1][v] for v in self.weights)
+
+    def tuples(self, length, nondegenerate=False):
+        """The ``length``-tuples, ``length >= 1``, in lexicographic order
+        for each weight.  With ``nondegenerate``, only those whose entries
+        after the first are nonzero: the degeneracies insert exactly those
+        zeros."""
+        zero = self.zero
+        rows = [((), v) for v in self.weights]
+        for pos in range(length - 1):
+            skip_zero = nondegenerate and pos > 0
+            rows = [
+                (prefix + (x,), rest)
+                for prefix, left in rows
+                for x, rest in self.parts[left]
+                if not (skip_zero and x == zero)
+            ]
+        skip_zero = nondegenerate and length > 1
+        return [prefix + (left,) for prefix, left in rows
+                if not (skip_zero and left == zero)]
 
 
 def _signed_permutation_sigma(monoid):
@@ -429,6 +544,12 @@ def dihedral_nerve_piece(monoid, orbit, q_max, window=None):
             when the weight fibers are infinite (the maps preserve the
             window, so the truncation is an honest subobject).
 
+    Without a window (and ``q_max >= 1``) the levels come from the divisor
+    sets of the orbit weights: a level is built only when first read, the
+    nondegenerate simplices (entries after the first nonzero) are generated
+    directly, and ``count(q)`` is a dynamic program over the divisor sets,
+    cross-checked as :class:`TruncDihedralSet` describes.
+
     Raises:
         InfeasibleError: if a fiber is infinite and no window is given.
     """
@@ -438,21 +559,27 @@ def dihedral_nerve_piece(monoid, orbit, q_max, window=None):
         if window is not None
         else monoid.apply_w
     )
-    levels = []
-    orbit_set = set(orbit)
-    for q in range(q_max + 1):
-        found = set()
-        if window is None:
-            for v in orbit:
-                found.update(_tuples_of_weight(monoid, v, q + 1))
-        else:
-            for tup in windowed_simplex_tuples(monoid, q + 1, window):
-                total = tup[0]
-                for entry in tup[1:]:
-                    total = _vec_add(total, entry)
-                if total in orbit_set:
-                    found.add(tup)
-        levels.append(found)
+    generated = {}
+    if window is not None:
+        orbit_set = set(orbit)
+        levels = [
+            [tup for tup in windowed_simplex_tuples(monoid, q + 1, window)
+             if _total(tup) in orbit_set]
+            for q in range(q_max + 1)
+        ]
+    elif q_max == 0:
+        # The vertices alone: their fiber is finite even where D(v) is not.
+        levels = [[t for v in orbit for t in weight_tuples(monoid, None, v, 1)]]
+    else:
+        fibers = _DivisorFibers(monoid, orbit)
+
+        def levels(q):
+            return fibers.tuples(q + 1)
+
+        generated = dict(
+            nondegenerate_levels=lambda q: fibers.tuples(q + 1, nondegenerate=True),
+            level_count=lambda q: fibers.count(q + 1),
+        )
 
     zero = tuple([0] * monoid.rank)
 
@@ -495,6 +622,7 @@ def dihedral_nerve_piece(monoid, orbit, q_max, window=None):
         invol=invol,
         flag="dihedral",
         certificate=certificate,
+        **generated,
     )
 
 
@@ -654,7 +782,9 @@ def sd_sigma(x, q_out=None):
         raise SpecError(
             f"insufficient truncation depth {x.q_max} for output depth {q_out}"
         )
-    levels = [x.simplices[2 * q + 1] for q in range(q_out + 1)]
+
+    def levels(q):
+        return x.simplices[2 * q + 1]
 
     def face(q, i, s):
         return apply_monotone(x, 2 * q + 1, _d_sigma(_delta(q, i), q), s)
@@ -692,7 +822,9 @@ def sd_r(x, r, q_out=None):
         raise SpecError(
             f"insufficient truncation depth {x.q_max} for output depth {q_out}"
         )
-    levels = [x.simplices[r * (q + 1) - 1] for q in range(q_out + 1)]
+
+    def levels(q):
+        return x.simplices[r * (q + 1) - 1]
 
     def face(q, i, s):
         return apply_monotone(x, r * (q + 1) - 1, _d_r(_delta(q, i), q, r), s)
@@ -900,12 +1032,6 @@ def shuffle_iso_check(m, l, pair, q_max, window=None):
             tuple(e[rank_m:] for e in x),
         )
 
-    def total(x):
-        t = x[0]
-        for e in x[1:]:
-            t = _vec_add(t, e)
-        return t
-
     counts = []
     for q in range(q_max + 1):
         image = {split(x) for x in lhs.simplices[q]}
@@ -914,8 +1040,8 @@ def shuffle_iso_check(m, l, pair, q_max, window=None):
                 False, tuple(counts), f"shuffle not injective at degree {q}"
             )
         expected = set()
-        with_m = [(a, total(a), sum(_l1(e) for e in a)) for a in piece_m.simplices[q]]
-        with_l = [(b, total(b), sum(_l1(e) for e in b)) for b in piece_l.simplices[q]]
+        with_m = [(a, _total(a), sum(_l1(e) for e in a)) for a in piece_m.simplices[q]]
+        with_l = [(b, _total(b), sum(_l1(e) for e in b)) for b in piece_l.simplices[q]]
         for a, ta, na in with_m:
             for b, tb, nb in with_l:
                 if ta + tb not in orbit:
@@ -981,14 +1107,8 @@ def sign_splitting_check(monoid, j, q_max, window):
     rep = orbit[1]  # the positive representative
     sigma = _signed_permutation_sigma(monoid)
 
-    def total(x):
-        t = x[0]
-        for e in x[1:]:
-            t = _vec_add(t, e)
-        return t
-
     def to_pair(x):
-        return (0 if total(x) == rep else 1, x[1:])
+        return (0 if _total(x) == rep else 1, x[1:])
 
     counts = []
     for q in range(q_max + 1):
@@ -1054,12 +1174,28 @@ class PowerMapWitness:
         return self.ok
 
 
+def _periodic_tuples(monoid, total, r, period):
+    """The tuples of ``r * period`` monoid elements summing to ``total``
+    that repeat with period ``period``: the r-fold repeats of the blocks
+    summing to ``total / r``, so none unless ``r`` divides ``total``."""
+    if any(c % r for c in total):
+        return []
+    block = tuple(c // r for c in total)
+    return [b * r for b in weight_tuples(monoid, None, block, period)]
+
+
 def power_map_fixed_iso_check(j, r, q_max):
     """Verify that r-fold concatenation identifies the weight-``j`` nerve
     piece of the nonnegative integers with the ``C_r``-fixed simplices of
     the r-fold subdivision of the weight-``rj`` piece, compatibly with all
     structure maps — and that the fixed simplices are empty for the
     weights strictly between multiples of ``r``.
+
+    A simplex of ``sd_r`` is fixed by its rotation exactly when its entries
+    repeat with period ``q + 1``, so the fixed simplices are enumerated as
+    r-fold repeats of weight-fiber blocks; each is checked for length,
+    weight and ``sub.rotate(q, s) == s`` before the comparison with the
+    image of the power map.
     """
     from .involutive_algebra import monoid_nat
 
@@ -1076,7 +1212,18 @@ def power_map_fixed_iso_check(j, r, q_max):
 
     counts = []
     for q in range(q_max + 1):
-        fixed = {s for s in sub.simplices[q] if sub.rotate(q, s) == s}
+        fixed = set()
+        for s in _periodic_tuples(nat, (r * j,), r, q + 1):
+            if (len(s) != r * (q + 1) or _total(s) != (r * j,)
+                    or sub.rotate(q, s) != s):
+                return PowerMapWitness(
+                    False,
+                    tuple(counts),
+                    (),
+                    f"{s} is not a C_{r}-fixed simplex of weight {r * j} "
+                    f"at degree {q}",
+                )
+            fixed.add(s)
         image = {power(x) for x in small.simplices[q]}
         if image != fixed:
             return PowerMapWitness(
@@ -1120,18 +1267,15 @@ def power_map_fixed_iso_check(j, r, q_max):
     empties = []
     if r > 1:
         for weight in range(r * j + 1, r * j + r):
-            cache = [(c,) for c in range(weight + 1)]
             for q in range(q_max + 1):
-                level = r * (q + 1) - 1
-                period = q + 1
-                for tup in _compositions(weight, level + 1, cache):
-                    if tup[:period] * r == tup:
-                        return PowerMapWitness(
-                            False,
-                            tuple(counts),
-                            tuple(empties),
-                            f"unexpected fixed simplex of weight {weight} "
-                            f"at degree {q}: {tup}",
-                        )
+                found = _periodic_tuples(nat, (weight,), r, q + 1)
+                if found:
+                    return PowerMapWitness(
+                        False,
+                        tuple(counts),
+                        tuple(empties),
+                        f"unexpected fixed simplex of weight {weight} "
+                        f"at degree {q}: {found[0]}",
+                    )
             empties.append(weight)
     return PowerMapWitness(True, tuple(counts), tuple(empties))

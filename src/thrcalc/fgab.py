@@ -17,7 +17,6 @@ Conventions
 from __future__ import annotations
 
 import itertools
-from math import gcd
 
 
 def _xgcd(a, b):

@@ -205,8 +205,12 @@ def identity_chain_map(c):
 
 def induced_hom(f, q):
     """The homomorphism on degree-``q`` homology induced by a chain map."""
-    hs, cycles_s = _homology_data(f.source, q)
-    ht, cycles_t = _homology_data(f.target, q)
+    return _induced_hom(f, q, _homology_data)
+
+
+def _induced_hom(f, q, data):
+    hs, cycles_s = data(f.source, q)
+    ht, cycles_t = data(f.target, q)
     images = (cycles_s @ f.map(q)).data
     rows = solve_left(cycles_t, images) if cycles_t.rows else [()] * len(images)
     for image, coeffs in zip(images, rows):
@@ -323,8 +327,12 @@ def connecting_hom(f, fiber, q):
     """The map ``H_{q+1}(target) -> H_q(fiber)`` sending a cycle ``z`` to
     ``(0, z)``; with the projection and the map itself this makes the
     homology of the fiber sequence exact."""
-    ht, cycles_t = _homology_data(f.target, q + 1)
-    hf, cycles_f = _homology_data(fiber.complex, q)
+    return _connecting_hom(f, fiber, q, _homology_data)
+
+
+def _connecting_hom(f, fiber, q, data):
+    ht, cycles_t = data(f.target, q + 1)
+    hf, cycles_f = data(fiber.complex, q)
     pad = (0,) * f.source.rank(q)
     vecs = [pad + row for row in cycles_t.data]
     rows = solve_left(cycles_f, vecs) if cycles_f.rows else [()] * len(vecs)
@@ -342,11 +350,20 @@ def fiber_les_report(f, lo=None, hi=None):
         lo = fib.complex.lo - 1
     if hi is None:
         hi = fib.complex.hi + 1
+    known = {}
+
+    def data(c, q):
+        # each group of the sequence meets two maps: compute it once
+        key = (id(c), q)
+        if key not in known:
+            known[key] = _homology_data(c, q)
+        return known[key]
+
     seq = []
     for q in range(hi, lo - 1, -1):
-        seq.append(connecting_hom(f, fib, q))
-        seq.append(induced_hom(fib.proj, q))
-        seq.append(induced_hom(f, q))
+        seq.append(_connecting_hom(f, fib, q, data))
+        seq.append(_induced_hom(fib.proj, q, data))
+        seq.append(_induced_hom(f, q, data))
     return is_exact(seq)
 
 

@@ -25,7 +25,6 @@ from fractions import Fraction
 
 from .errors import InfeasibleError, SpecError
 from .fgab import (
-    FgAbGroup,
     GroupHom,
     Mat,
     group,
@@ -377,7 +376,7 @@ class AffineMonoid:
     generator).
     """
 
-    __slots__ = ("rank", "generators", "w", "_weight_cache")
+    __slots__ = ("rank", "generators", "w", "_w_cols")
 
     def __init__(self, generators, w=None, rank=None):
         generators = tuple(tuple(g) for g in generators)
@@ -403,7 +402,7 @@ class AffineMonoid:
         self.rank = rank
         self.generators = generators
         self.w = w
-        self._weight_cache = {}
+        self._w_cols = tuple(zip(*w.data))
         for g in generators:
             img = self.apply_w(g)
             if self.contains(img) is None:
@@ -413,7 +412,14 @@ class AffineMonoid:
                 )
 
     def apply_w(self, v):
-        return (Mat.row_vector(v) @ self.w).row(0)
+        """The row vector ``v`` times ``w``."""
+        if len(v) != self.rank:
+            raise ValueError(
+                f"shape mismatch 1x{len(v)} @ {self.rank}x{self.rank}"
+            )
+        return tuple(
+            sum(x * c for x, c in zip(v, col)) for col in self._w_cols
+        )
 
     def contains(self, v):
         """A membership certificate for ``v``, or None."""

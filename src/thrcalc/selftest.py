@@ -37,7 +37,7 @@ from .dihedral import (
     trivial_monoid,
     validate_structure,
 )
-from .fgab import Mat, free_group, group, hom, inverse, snf
+from .fgab import Mat, free_group, group, hom, snf
 from .homology import (
     chain_complex,
     chain_map,

@@ -343,6 +343,23 @@ def test_product_monoid():
     assert pm.contains((5, -5)) is not None
 
 
+@settings(max_examples=60, deadline=None)
+@given(st.data())
+def test_apply_w_is_the_row_vector_times_the_involution(data):
+    monoid = data.draw(st.sampled_from([
+        monoid_int_sigma(),
+        monoid_nat_square_swap(),
+        product_monoid(monoid_nat_square_swap(), 2),
+        AffineMonoid([(1, 0), (2, 1), (4, -1)], w=[[1, 0], [2, -1]]),
+    ]))
+    v = tuple(data.draw(st.lists(
+        st.integers(-50, 50), min_size=monoid.rank, max_size=monoid.rank
+    )))
+    assert monoid.apply_w(v) == (Mat.row_vector(v) @ monoid.w).row(0)
+    with pytest.raises(ValueError):
+        monoid.apply_w(v + (0,))
+
+
 # ---------------------------------------------------------------------------
 # descriptions
 # ---------------------------------------------------------------------------
