@@ -48,6 +48,7 @@ from .dihedral import (
     dihedral_nerve_piece,
     fixed_subset,
     pi0,
+    pointedness_bound,
     sd_sigma,
     validate_structure,
 )
@@ -56,7 +57,6 @@ from .homology import homology, normalized_chains
 from .involutive_algebra import (
     load_description,
     monoid_from_description,
-    pointedness_functional,
     ring_from_description,
     ring_map_from_description,
 )
@@ -192,13 +192,9 @@ def cmd_basechange(args):
 
 def _default_q_max(monoid, weight):
     try:
-        lam = pointedness_functional(monoid)
+        return max(1, pointedness_bound(monoid, (weight, monoid.apply_w(weight))))
     except InfeasibleError:
         return 3
-    bound = 1
-    for v in (weight, monoid.apply_w(weight)):
-        bound = max(bound, int(sum(l * x for l, x in zip(lam, v))))
-    return bound
 
 
 def cmd_nerve(args):

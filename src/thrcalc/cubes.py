@@ -16,12 +16,12 @@ entry that used it (the ``substitutions`` field).
 """
 
 from dataclasses import dataclass
-from fractions import Fraction
 from itertools import combinations, product
+from math import comb
 
-from .dihedral import circle_model, dihedral_nerve_piece
+from .dihedral import circle_model, dihedral_nerve_piece, pointedness_bound
 from .errors import CertificateError, SpecError
-from .fgab import Mat, free_group, row_kernel, solve_left
+from .fgab import Mat, blocks, free_group, kron, row_kernel, solve_left
 from .homology import (
     ChainComplex,
     ChainMap,
@@ -39,7 +39,7 @@ from .homology import (
     tensor_complex,
     zero_complex,
 )
-from .involutive_algebra import AffineMonoid, pointedness_functional
+from .involutive_algebra import AffineMonoid
 
 # names for the logged finite-model replacements
 SUB_POSITIVE_CONE = "positive_cone"
@@ -201,10 +201,16 @@ def tensor_cube(maps):
 # ---------------------------------------------------------------------------
 
 
-def _punctured_layout(q_cube):
-    comps = [eps for eps in _vertices(q_cube.dimension) if any(eps)]
-    comps.sort()
-    return comps
+def _limit_summands(q_cube, q):
+    """Summands of degree ``q`` of the punctured limit: the vertices
+    ``eps != 0`` in lexicographic order, each with the rank of its entry in
+    degree ``q + |eps| - 1``; vertices of rank zero are left out."""
+    out = []
+    for eps in _vertices(q_cube.dimension)[1:]:
+        r = q_cube.entry(eps).rank(q + sum(eps) - 1)
+        if r:
+            out.append((eps, r))
+    return out
 
 
 def punctured_limit(q_cube):
@@ -213,79 +219,47 @@ def punctured_limit(q_cube):
     The component at a vertex ``eps`` sits with a shift: degree ``q`` of the
     limit collects degree ``q + |eps| - 1`` of the entry there.
     """
-    comps = _punctured_layout(q_cube)
-    weights = {eps: sum(eps) for eps in comps}
-
-    degrees = set()
-    for eps in comps:
-        for p in q_cube.entry(eps).support:
-            degrees.add(p - weights[eps] + 1)
-    ranks = {}
-    offsets = {}
-    for q in sorted(degrees):
-        total = 0
-        for eps in comps:
-            offsets[(q, eps)] = total
-            total += q_cube.entry(eps).rank(q + weights[eps] - 1)
-        ranks[q] = total
-
+    degrees = sorted({
+        p - sum(eps) + 1
+        for eps in _vertices(q_cube.dimension)[1:]
+        for p in q_cube.entry(eps).support
+    })
+    summands = {q: _limit_summands(q_cube, q) for q in degrees}
     diffs = {}
-    for q in sorted(degrees):
-        if q - 1 not in ranks or not ranks[q] or not ranks.get(q - 1):
+    for q, layout in summands.items():
+        below = summands.get(q - 1)
+        if below is None:
             continue
-        cols = ranks[q - 1]
-        rows = [[0] * cols for _ in range(ranks[q])]
-        for eps in comps:
-            p = q + weights[eps] - 1
-            c = q_cube.entry(eps)
-            r = c.rank(p)
-            if not r:
-                continue
-            base = offsets[(q, eps)]
-            sign_int = -1 if (weights[eps] - 1) % 2 else 1
-            d = c.diff(p)
-            if c.rank(p - 1):
-                tbase = offsets[(q - 1, eps)]
-                for i in range(r):
-                    for k in range(c.rank(p - 1)):
-                        rows[base + i][tbase + k] += sign_int * d.data[i][k]
+        keys = {eps for eps, _ in below}
+        entries = {}
+        for eps, _ in layout:
+            p = q + sum(eps) - 1
+            if eps in keys:
+                d = q_cube.entry(eps).diff(p)
+                entries[eps, eps] = d.scale(-1) if (sum(eps) - 1) % 2 else d
             for j in range(q_cube.dimension):
-                if eps[j]:
-                    continue
                 target = _bump(eps, j)
-                f = q_cube.edge(eps, j).map(p)
-                tr = q_cube.entry(target).rank(p)
-                if not tr:
-                    continue
-                sign = -1 if sum(eps[:j]) % 2 else 1
-                tbase = offsets[(q - 1, target)]
-                for i in range(r):
-                    for k in range(tr):
-                        rows[base + i][tbase + k] += sign * f.data[i][k]
-        diffs[q] = Mat([tuple(row) for row in rows], cols=cols)
+                if not eps[j] and target in keys:
+                    f = q_cube.edge(eps, j).map(p)
+                    entries[eps, target] = f.scale(-1) if sum(eps[:j]) % 2 else f
+        diffs[q] = blocks(layout, below, entries)
+    ranks = {q: sum(r for _, r in layout) for q, layout in summands.items()}
     return ChainComplex(ranks, diffs)
 
 
 def comparison(q_cube):
     """The chain map from the initial vertex into the punctured limit."""
     limit = punctured_limit(q_cube)
-    initial = q_cube.entry((0,) * q_cube.dimension)
-    comps = _punctured_layout(q_cube)
+    origin = (0,) * q_cube.dimension
+    initial = q_cube.entry(origin)
     mats = {}
     for q in initial.support:
-        cols = limit.rank(q)
-        rows = [[0] * cols for _ in range(initial.rank(q))]
-        offset = 0
-        for eps in comps:
-            r = q_cube.entry(eps).rank(q + sum(eps) - 1)
-            if sum(eps) == 1 and r:
-                j = eps.index(1)
-                f = q_cube.edge((0,) * q_cube.dimension, j).map(q)
-                for i in range(initial.rank(q)):
-                    for k in range(r):
-                        rows[i][offset + k] += f.data[i][k]
-            offset += r
-        mats[q] = Mat([tuple(row) for row in rows], cols=cols)
+        layout = _limit_summands(q_cube, q)
+        edges = {
+            (origin, eps): q_cube.edge(origin, eps.index(1)).map(q)
+            for eps, _ in layout if sum(eps) == 1
+        }
+        mats[q] = blocks([(origin, initial.rank(q))], layout, edges)
     return ChainMap(initial, limit, mats)
 
 
@@ -294,11 +268,11 @@ def total_fiber(q_cube):
     return mapping_fiber(comparison(q_cube)).complex
 
 
-def _homology_table(c, pad=1):
+def _homology_table(c):
     if not c.support:
         return {}
     table = {}
-    for q in range(c.lo - pad, c.hi + pad + 1):
+    for q in range(c.lo - 1, c.hi + 2):
         h = homology(c, q)
         if not h.is_trivial():
             table[q] = h
@@ -328,25 +302,14 @@ def _induced_fiber_map(q_cube, direction):
     c_front = comparison(front)
     c_back = comparison(back)
     limit_mats = {}
-    comps = _punctured_layout(front)
     for q in set(c_front.target.support) | set(c_back.target.support):
-        rows_n = c_front.target.rank(q)
-        cols = c_back.target.rank(q)
-        rows = [[0] * cols for _ in range(rows_n)]
-        src_off = 0
-        dst_off = 0
-        for eps in comps:
-            p = q + sum(eps) - 1
-            r = front.entry(eps).rank(p)
-            tr = back.entry(eps).rank(p)
-            if r and tr:
-                f = q_cube.edge(embed(eps, 0), direction).map(p)
-                for i in range(r):
-                    for k in range(tr):
-                        rows[src_off + i][dst_off + k] += f.data[i][k]
-            src_off += r
-            dst_off += tr
-        limit_mats[q] = Mat([tuple(row) for row in rows], cols=cols)
+        layout = _limit_summands(front, q)
+        back_layout = _limit_summands(back, q)
+        keys = {eps for eps, _ in back_layout}
+        limit_mats[q] = blocks(layout, back_layout, {
+            (eps, eps): q_cube.edge(embed(eps, 0), direction).map(q + sum(eps) - 1)
+            for eps, _ in layout if eps in keys
+        })
     phi_limit = ChainMap(c_front.target, c_back.target, limit_mats)
     phi_initial = q_cube.edge(embed((0,) * front.dimension, 0), direction)
     return c_front, c_back, fiber_map(c_front, c_back, phi_initial, phi_limit)
@@ -425,13 +388,7 @@ def torus_model(d, reduced=False):
     if d < 0:
         raise SpecError("torus rank must be nonnegative")
     lo = 1 if reduced else 0
-    ranks = {}
-    for q in range(lo, d + 1):
-        n = 1
-        for i in range(q):
-            n = n * (d - i) // (i + 1)
-        ranks[q] = n
-    return chain_complex(ranks, {})
+    return chain_complex({q: comb(d, q) for q in range(lo, d + 1)}, {})
 
 
 def torus_map(a, reduced=False):
@@ -486,16 +443,13 @@ def _nat_chart(sign):
     return AffineMonoid([(sign,)], w=[[1]])
 
 
-def _nerve_piece_chains(monoid, v, pad=0):
-    lam = pointedness_functional(monoid)
-    bound = int(
-        sum(Fraction(l) * x for l, x in zip(lam, v))
-    )
-    piece = dihedral_nerve_piece(monoid, (tuple(v),), bound + pad)
+def _nerve_piece_chains(monoid, v):
+    bound = pointedness_bound(monoid, (v,))
+    piece = dihedral_nerve_piece(monoid, (tuple(v),), bound)
     chains = normalized_chains(piece)
     if chains.valid_hi is not None:
         raise CertificateError(
-            f"weight {v} chains are not certified complete at depth {bound + pad}"
+            f"weight {v} chains are not certified complete at depth {bound}"
         )
     return chains
 
@@ -605,43 +559,21 @@ PSIGMA_UNIT = {
 
 
 def _copies(c, n):
-    """Direct sum of ``n`` copies of ``c`` (zero differentials expected)."""
-    ranks = {q: n * c.rank(q) for q in c.support}
-    diffs = {}
-    for q in c.support:
-        if not c.rank(q - 1):
-            continue
-        d = c.diff(q)
-        rows = []
-        for copy in range(n):
-            for i in range(c.rank(q)):
-                row = [0] * (n * c.rank(q - 1))
-                for k in range(c.rank(q - 1)):
-                    row[copy * c.rank(q - 1) + k] = d.data[i][k]
-                rows.append(tuple(row))
-        diffs[q] = Mat(rows, cols=n * c.rank(q - 1))
-    return chain_complex(ranks, diffs)
+    """Direct sum of ``n`` copies of ``c``."""
+    diffs = {q: kron(Mat.identity(n), c.diff(q)) for q in c.support if c.rank(q - 1)}
+    return chain_complex({q: n * c.rank(q) for q in c.support}, diffs)
 
 
-def _block_map(source, target, blocks, c):
+def _block_map(source, target, copy_mats, c):
     """Chain map acting on copies of ``c`` by per-degree copy matrices.
 
-    ``blocks`` is either one copy matrix used in every degree or a mapping
-    of degrees to copy matrices.
+    ``copy_mats`` is either one copy matrix used in every degree or a
+    mapping of degrees to copy matrices.
     """
     mats = {}
     for q in c.support:
-        mult = blocks[q] if isinstance(blocks, dict) else blocks
-        r = c.rank(q)
-        n_dst = len(mult[0])
-        rows = []
-        for copy in range(len(mult)):
-            for i in range(r):
-                row = [0] * (n_dst * r)
-                for dst in range(n_dst):
-                    row[dst * r + i] = mult[copy][dst]
-                rows.append(tuple(row))
-        mats[q] = Mat(rows, cols=n_dst * r)
+        mult = copy_mats[q] if isinstance(copy_mats, dict) else copy_mats
+        mats[q] = kron(Mat(mult), Mat.identity(c.rank(q)))
     return chain_map(source, target, mats)
 
 

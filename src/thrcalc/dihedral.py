@@ -42,6 +42,7 @@ from dataclasses import dataclass
 from math import comb
 
 from .errors import CertificateError, InfeasibleError, SpecError
+from .fgab import Mat, blocks
 from .involutive_algebra import (
     AffineMonoid,
     elements_in_ball,
@@ -531,6 +532,19 @@ def normalize_orbit(monoid, orbit):
     return tuple(full)
 
 
+def pointedness_bound(monoid, orbit):
+    """The largest ``int(lam . v)`` over the weights ``v`` of an orbit, for
+    the pointedness functional ``lam`` of the monoid: a simplex of the
+    orbit's nerve piece in a degree above it is degenerate when the monoid
+    has no units.
+
+    Raises:
+        InfeasibleError: if the monoid has no pointedness functional.
+    """
+    lam = pointedness_functional(monoid)
+    return max(int(sum(l * c for l, c in zip(lam, v))) for v in orbit)
+
+
 def dihedral_nerve_piece(monoid, orbit, q_max, window=None):
     """The weight piece of the cyclic bar construction of a monoid, as a
     truncated dihedral set.
@@ -598,18 +612,12 @@ def dihedral_nerve_piece(monoid, orbit, q_max, window=None):
         return (sigma(x[0]),) + tuple(sigma(e) for e in reversed(x[1:]))
 
     certificate = None
-    if window is None:
+    has_units = any(
+        tuple(-c for c in g) in set(monoid.generators) for g in monoid.generators
+    )
+    if window is None and not has_units:
         try:
-            lam = pointedness_functional(monoid)
-            has_units = any(
-                tuple(-c for c in g) in set(monoid.generators)
-                for g in monoid.generators
-            )
-            if not has_units:
-                bound = max(
-                    int(sum(l * c for l, c in zip(lam, v))) for v in orbit
-                )
-                certificate = ("nondegenerate-bound", bound)
+            certificate = ("nondegenerate-bound", pointedness_bound(monoid, orbit))
         except InfeasibleError:  # pragma: no cover - no functional, no bound
             certificate = None
 
@@ -999,6 +1007,34 @@ class ComparisonWitness:
         return self.ok
 
 
+def _first_incompatibility(source, phi, face, degeneracy, rotate, invol):
+    """The first structure map of ``source`` that ``phi`` does not carry to
+    the given target map, as a detail string, or None.
+
+    Simplices are visited degree by degree; for each simplex ``x`` the
+    faces, the degeneracies, the rotation (skipped when ``rotate`` is None)
+    and the reflection are checked in that order, each as
+    ``phi(source.map(x)) == map(phi(x))``.
+    """
+    q_max = source.q_max
+    for q in range(q_max + 1):
+        for x in source.simplices[q]:
+            y = phi(x)
+            if q >= 1:
+                for i in range(q + 1):
+                    if phi(source.face(q, i, x)) != face(q, i, y):
+                        return f"face d_{i} incompatible at {x}"
+            if q < q_max:
+                for i in range(q + 1):
+                    if phi(source.degeneracy(q, i, x)) != degeneracy(q, i, y):
+                        return f"s_{i} incompatible at {x}"
+            if rotate is not None and phi(source.rotate(q, x)) != rotate(q, y):
+                return f"rotation incompatible at {x}"
+            if phi(source.invol(q, x)) != invol(q, y):
+                return f"reflection incompatible at {x}"
+    return None
+
+
 def shuffle_iso_check(m, l, pair, q_max, window=None):
     """Verify that splitting a product-monoid nerve piece into its two
     coordinate projections is a bijection compatible with all four
@@ -1011,15 +1047,13 @@ def shuffle_iso_check(m, l, pair, q_max, window=None):
     """
     v_m, v_l = tuple(pair[0]), tuple(pair[1])
     rank_m, rank_l = m.rank, l.rank
-    gens = [tuple(g) + (0,) * rank_l for g in m.generators] + [
-        (0,) * rank_m + tuple(g) for g in l.generators
-    ]
-    w_rows = []
-    for i in range(rank_m):
-        w_rows.append(tuple(m.w.row(i)) + (0,) * rank_l)
-    for i in range(rank_l):
-        w_rows.append((0,) * rank_m + tuple(l.w.row(i)))
-    prod = AffineMonoid(gens, w=w_rows, rank=rank_m + rank_l)
+    coords = [("m", rank_m), ("l", rank_l)]
+    gens = blocks([("m", len(m.generators)), ("l", len(l.generators))], coords, {
+        ("m", "m"): Mat(m.generators, cols=rank_m),
+        ("l", "l"): Mat(l.generators, cols=rank_l),
+    })
+    w = blocks(coords, coords, {("m", "m"): m.w, ("l", "l"): l.w})
+    prod = AffineMonoid(gens.data, w=w, rank=rank_m + rank_l)
 
     lhs = dihedral_nerve_piece(prod, (v_m + v_l,), q_max, window=window)
     piece_m = dihedral_nerve_piece(m, (v_m,), q_max, window=window)
@@ -1058,36 +1092,15 @@ def shuffle_iso_check(m, l, pair, q_max, window=None):
             )
         counts.append(len(image))
 
-    for q in range(q_max + 1):
-        for x in lhs.simplices[q]:
-            a, b = split(x)
-            if q >= 1:
-                for i in range(q + 1):
-                    fa, fb = split(lhs.face(q, i, x))
-                    if (fa, fb) != (piece_m.face(q, i, a), piece_l.face(q, i, b)):
-                        return ComparisonWitness(
-                            False, tuple(counts), f"face d_{i} incompatible at {x}"
-                        )
-            if q < q_max:
-                for i in range(q + 1):
-                    fa, fb = split(lhs.degeneracy(q, i, x))
-                    if (fa, fb) != (
-                        piece_m.degeneracy(q, i, a),
-                        piece_l.degeneracy(q, i, b),
-                    ):
-                        return ComparisonWitness(
-                            False, tuple(counts), f"s_{i} incompatible at {x}"
-                        )
-            fa, fb = split(lhs.rotate(q, x))
-            if (fa, fb) != (piece_m.rotate(q, a), piece_l.rotate(q, b)):
-                return ComparisonWitness(
-                    False, tuple(counts), f"rotation incompatible at {x}"
-                )
-            fa, fb = split(lhs.invol(q, x))
-            if (fa, fb) != (piece_m.invol(q, a), piece_l.invol(q, b)):
-                return ComparisonWitness(
-                    False, tuple(counts), f"reflection incompatible at {x}"
-                )
+    detail = _first_incompatibility(
+        lhs, split,
+        lambda q, i, p: (piece_m.face(q, i, p[0]), piece_l.face(q, i, p[1])),
+        lambda q, i, p: (piece_m.degeneracy(q, i, p[0]), piece_l.degeneracy(q, i, p[1])),
+        lambda q, p: (piece_m.rotate(q, p[0]), piece_l.rotate(q, p[1])),
+        lambda q, p: (piece_m.invol(q, p[0]), piece_l.invol(q, p[1])),
+    )
+    if detail is not None:
+        return ComparisonWitness(False, tuple(counts), detail)
     return ComparisonWitness(True, tuple(counts))
 
 
@@ -1136,25 +1149,11 @@ def sign_splitting_check(monoid, j, q_max, window):
         a, y = pair
         return (1 - a, tuple(sigma(e) for e in reversed(y)))
 
-    for q in range(q_max + 1):
-        for x in lhs.simplices[q]:
-            p = to_pair(x)
-            if q >= 1:
-                for i in range(q + 1):
-                    if to_pair(lhs.face(q, i, x)) != rhs_face(q, i, p):
-                        return ComparisonWitness(
-                            False, tuple(counts), f"face d_{i} incompatible at {x}"
-                        )
-            if q < q_max:
-                for i in range(q + 1):
-                    if to_pair(lhs.degeneracy(q, i, x)) != rhs_degeneracy(q, i, p):
-                        return ComparisonWitness(
-                            False, tuple(counts), f"s_{i} incompatible at {x}"
-                        )
-            if to_pair(lhs.invol(q, x)) != rhs_invol(q, p):
-                return ComparisonWitness(
-                    False, tuple(counts), f"reflection incompatible at {x}"
-                )
+    detail = _first_incompatibility(
+        lhs, to_pair, rhs_face, rhs_degeneracy, None, rhs_invol
+    )
+    if detail is not None:
+        return ComparisonWitness(False, tuple(counts), detail)
     return ComparisonWitness(True, tuple(counts))
 
 
@@ -1235,34 +1234,13 @@ def power_map_fixed_iso_check(j, r, q_max):
             )
         counts.append(len(fixed))
 
-    for q in range(q_max + 1):
-        level = r * (q + 1) - 1
-        for x in small.simplices[q]:
-            px = power(x)
-            if q >= 1:
-                for i in range(q + 1):
-                    if power(small.face(q, i, x)) != sub.face(q, i, px):
-                        return PowerMapWitness(
-                            False, tuple(counts), (),
-                            f"face d_{i} incompatible at {x}",
-                        )
-            if q < q_max:
-                for i in range(q + 1):
-                    if power(small.degeneracy(q, i, x)) != sub.degeneracy(
-                        q, i, px
-                    ):
-                        return PowerMapWitness(
-                            False, tuple(counts), (),
-                            f"s_{i} incompatible at {x}",
-                        )
-            if power(small.rotate(q, x)) != big.rotate(level, px):
-                return PowerMapWitness(
-                    False, tuple(counts), (), f"rotation incompatible at {x}"
-                )
-            if power(small.invol(q, x)) != big.invol(level, px):
-                return PowerMapWitness(
-                    False, tuple(counts), (), f"reflection incompatible at {x}"
-                )
+    detail = _first_incompatibility(
+        small, power, sub.face, sub.degeneracy,
+        lambda q, y: big.rotate(r * (q + 1) - 1, y),
+        lambda q, y: big.invol(r * (q + 1) - 1, y),
+    )
+    if detail is not None:
+        return PowerMapWitness(False, tuple(counts), (), detail)
 
     empties = []
     if r > 1:

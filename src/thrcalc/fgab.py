@@ -164,10 +164,58 @@ class Mat:
         return sign * a[n - 1][n - 1]
 
 
-def hstack(a, b):
-    if a.rows != b.rows:
-        raise ValueError("row mismatch")
-    return Mat([ra + rb for ra, rb in zip(a.data, b.data)], cols=a.cols + b.cols)
+def blocks(rows, cols, entries):
+    """Block matrix over ordered summands.
+
+    ``rows`` and ``cols`` list the block rows and block columns as
+    ``(key, size)`` pairs in order; ``entries`` maps ``(row key, col key)``
+    to a ``Mat`` with the row block's size in rows and the column block's
+    size in columns; a block of any other shape raises ValueError.
+    Missing blocks are zero.
+
+    >>> blocks([("x", 1), ("y", 2)], [("u", 1), ("v", 2)],
+    ...        {("x", "u"): Mat([[5]]), ("y", "v"): Mat([[1, 2], [3, 4]])})
+    Mat([[5, 0, 0], [0, 1, 2], [0, 3, 4]], cols=3)
+    >>> blocks([("x", 2)], [], {})
+    Mat([[], []], cols=0)
+    >>> blocks([("x", 1)], [("u", 2)], {("x", "u"): Mat([[1]])})
+    Traceback (most recent call last):
+        ...
+    ValueError: block ('x', 'u') is 1 x 1, expected 1 x 2
+    """
+    row_at, height = _offsets(rows)
+    col_at, width = _offsets(cols)
+    out = [[0] * width for _ in range(height)]
+    for (rkey, ckey), m in entries.items():
+        top, h = row_at[rkey]
+        left, w = col_at[ckey]
+        if (m.rows, m.cols) != (h, w):
+            raise ValueError(
+                f"block {(rkey, ckey)} is {m.rows} x {m.cols}, expected {h} x {w}")
+        for i, row in enumerate(m.data, top):
+            out[i][left:left + w] = row
+    return Mat(out, cols=width)
+
+
+def _offsets(summands):
+    """``{key: (offset, size)}`` and the total size of ordered summands."""
+    at = {}
+    total = 0
+    for key, size in summands:
+        at[key] = (total, size)
+        total += size
+    return at, total
+
+
+def kron(a, b):
+    """Kronecker product: entry ``(i * b.rows + k, j * b.cols + l)`` is
+    ``a[i][j] * b[k][l]``.
+
+    >>> kron(Mat([[1, 2]]), Mat.identity(2))
+    Mat([[1, 0, 2, 0], [0, 1, 0, 2]], cols=4)
+    """
+    return Mat([[x * y for x in ra for y in rb] for ra in a.data for rb in b.data],
+               cols=a.cols * b.cols)
 
 
 def vstack(a, b):
@@ -730,18 +778,16 @@ def direct_sum(g, h):
     >>> s.free_rank, s.invariant_factors
     (1, (2,))
     """
-    n, m = g.n_gens, h.n_gens
-    rel_rows = [tuple(r) + (0,) * m for r in g.relations.data]
-    rel_rows += [(0,) * n + tuple(r) for r in h.relations.data]
-    s = group(n + m, Mat(rel_rows, cols=n + m) if rel_rows else Mat([], cols=n + m))
-    i1 = GroupHom(g, s, hstack(Mat.identity(n), Mat.zeros(n, m)) if n else Mat([], cols=n + m),
-                  _checked=True)
-    i2 = GroupHom(h, s, hstack(Mat.zeros(m, n), Mat.identity(m)) if m else Mat([], cols=n + m),
-                  _checked=True)
-    p1 = GroupHom(s, g, vstack(Mat.identity(n), Mat.zeros(m, n)) if n + m else Mat([], cols=n),
-                  _checked=True)
-    p2 = GroupHom(s, h, vstack(Mat.zeros(n, m), Mat.identity(m)) if n + m else Mat([], cols=m),
-                  _checked=True)
+    gens = [("g", g.n_gens), ("h", h.n_gens)]
+    rels = [("g", g.relations.rows), ("h", h.relations.rows)]
+    s = group(g.n_gens + h.n_gens,
+              blocks(rels, gens, {("g", "g"): g.relations, ("h", "h"): h.relations}))
+    unit_g = {("g", "g"): Mat.identity(g.n_gens)}
+    unit_h = {("h", "h"): Mat.identity(h.n_gens)}
+    i1 = GroupHom(g, s, blocks(gens[:1], gens, unit_g), _checked=True)
+    i2 = GroupHom(h, s, blocks(gens[1:], gens, unit_h), _checked=True)
+    p1 = GroupHom(s, g, blocks(gens, gens[:1], unit_g), _checked=True)
+    p2 = GroupHom(s, h, blocks(gens, gens[1:], unit_h), _checked=True)
     return s, i1, i2, p1, p2
 
 

@@ -20,13 +20,13 @@ from dataclasses import dataclass
 from .errors import SpecError
 from .fgab import (
     Mat,
+    blocks,
     group,
     hom,
-    hstack,
     is_exact,
+    kron,
     row_kernel,
     solve_left,
-    vstack,
 )
 
 
@@ -242,33 +242,29 @@ def shift(c, k):
 def direct_sum(c, d):
     """The degreewise sum with the two inclusions and two projections."""
     degrees = sorted(set(c.support) | set(d.support))
-    ranks = {q: c.rank(q) + d.rank(q) for q in degrees}
-    diffs = {}
-    for q in degrees:
-        top = hstack(c.diff(q), Mat.zeros(c.rank(q), d.rank(q - 1)))
-        bottom = hstack(Mat.zeros(d.rank(q), c.rank(q - 1)), d.diff(q))
-        diffs[q] = vstack(top, bottom)
-    total = ChainComplex(ranks, diffs)
-    i1 = ChainMap(
-        c, total,
-        {q: hstack(Mat.identity(c.rank(q)), Mat.zeros(c.rank(q), d.rank(q)))
+
+    def summands(q):
+        return [("c", c.rank(q)), ("d", d.rank(q))]
+
+    total = ChainComplex(
+        {q: c.rank(q) + d.rank(q) for q in degrees},
+        {q: blocks(summands(q), summands(q - 1),
+                   {("c", "c"): c.diff(q), ("d", "d"): d.diff(q)})
          for q in degrees},
     )
-    i2 = ChainMap(
-        d, total,
-        {q: hstack(Mat.zeros(d.rank(q), c.rank(q)), Mat.identity(d.rank(q)))
-         for q in degrees},
-    )
-    p1 = ChainMap(
-        total, c,
-        {q: vstack(Mat.identity(c.rank(q)), Mat.zeros(d.rank(q), c.rank(q)))
-         for q in degrees},
-    )
-    p2 = ChainMap(
-        total, d,
-        {q: vstack(Mat.zeros(c.rank(q), d.rank(q)), Mat.identity(d.rank(q)))
-         for q in degrees},
-    )
+
+    def inclusion(key, part, q):
+        unit = {(key, key): Mat.identity(part.rank(q))}
+        return blocks([(key, part.rank(q))], summands(q), unit)
+
+    def projection(key, part, q):
+        unit = {(key, key): Mat.identity(part.rank(q))}
+        return blocks(summands(q), [(key, part.rank(q))], unit)
+
+    i1 = ChainMap(c, total, {q: inclusion("c", c, q) for q in degrees})
+    i2 = ChainMap(d, total, {q: inclusion("d", d, q) for q in degrees})
+    p1 = ChainMap(total, c, {q: projection("c", c, q) for q in degrees})
+    p2 = ChainMap(total, d, {q: projection("d", d, q) for q in degrees})
     return total, i1, i2, p1, p2
 
 
@@ -279,34 +275,39 @@ class MappingFiber:
     incl: ChainMap
 
 
+def _fiber_summands(f, q):
+    """Summands of degree ``q`` of the mapping fiber of ``f``: ``C_q``,
+    then ``D_{q+1}``.  The cone of ``f`` in degree ``q`` has the summands of
+    the fiber in degree ``q - 1``."""
+    return [("c", f.source.rank(q)), ("d", f.target.rank(q + 1))]
+
+
 def mapping_fiber(f):
     """The strict fiber of a chain map: ``fib_q = C_q + D_{q+1}`` with
     ``d(c, e) = (d c, f(c) - d e)``, the projection to the source, and the
     degree-shifted inclusion of the target."""
     c, d = f.source, f.target
     degrees = sorted(set(c.support) | {q - 1 for q in d.support})
-    ranks = {q: c.rank(q) + d.rank(q + 1) for q in degrees}
-    diffs = {}
-    for q in degrees:
-        top = hstack(c.diff(q), f.map(q))
-        bottom = hstack(
-            Mat.zeros(d.rank(q + 1), c.rank(q - 1)),
-            d.diff(q + 1).scale(-1),
-        )
-        diffs[q] = vstack(top, bottom)
-    fib = ChainComplex(ranks, diffs)
-    proj = ChainMap(
-        fib, c,
-        {q: vstack(Mat.identity(c.rank(q)), Mat.zeros(d.rank(q + 1), c.rank(q)))
-         for q in degrees},
-    )
-    shifted = shift(d, -1)
-    incl = ChainMap(
-        shifted, fib,
-        {q: hstack(Mat.zeros(d.rank(q + 1), c.rank(q)), Mat.identity(d.rank(q + 1)))
-         for q in degrees},
-    )
-    return MappingFiber(fib, proj, incl)
+    diffs = {
+        q: blocks(_fiber_summands(f, q), _fiber_summands(f, q - 1), {
+            ("c", "c"): c.diff(q),
+            ("c", "d"): f.map(q),
+            ("d", "d"): d.diff(q + 1).scale(-1),
+        })
+        for q in degrees
+    }
+    fib = ChainComplex({q: c.rank(q) + d.rank(q + 1) for q in degrees}, diffs)
+    proj = {
+        q: blocks(_fiber_summands(f, q), [("c", c.rank(q))],
+                  {("c", "c"): Mat.identity(c.rank(q))})
+        for q in degrees
+    }
+    incl = {
+        q: blocks([("d", d.rank(q + 1))], _fiber_summands(f, q),
+                  {("d", "d"): Mat.identity(d.rank(q + 1))})
+        for q in degrees
+    }
+    return MappingFiber(fib, ChainMap(fib, c, proj), ChainMap(shift(d, -1), fib, incl))
 
 
 def mapping_cone(f):
@@ -314,13 +315,15 @@ def mapping_cone(f):
     acyclic exactly when ``f`` is a quasi-isomorphism."""
     c, d = f.source, f.target
     degrees = sorted({q + 1 for q in c.support} | set(d.support))
-    ranks = {q: c.rank(q - 1) + d.rank(q) for q in degrees}
-    diffs = {}
-    for q in degrees:
-        top = hstack(c.diff(q - 1).scale(-1), f.map(q - 1))
-        bottom = hstack(Mat.zeros(d.rank(q), c.rank(q - 2)), d.diff(q))
-        diffs[q] = vstack(top, bottom)
-    return ChainComplex(ranks, diffs)
+    diffs = {
+        q: blocks(_fiber_summands(f, q - 1), _fiber_summands(f, q - 2), {
+            ("c", "c"): c.diff(q - 1).scale(-1),
+            ("c", "d"): f.map(q - 1),
+            ("d", "d"): d.diff(q),
+        })
+        for q in degrees
+    }
+    return ChainComplex({q: c.rank(q - 1) + d.rank(q) for q in degrees}, diffs)
 
 
 def connecting_hom(f, fiber, q):
@@ -375,72 +378,44 @@ def fiber_map(f, g, phi_source, phi_target):
             raise SpecError(f"square does not commute in degree {q}")
     fib_f = mapping_fiber(f)
     fib_g = mapping_fiber(g)
-    mats = {}
-    for q in fib_f.complex.support:
-        top = hstack(
-            phi_source.map(q),
-            Mat.zeros(f.source.rank(q), g.target.rank(q + 1)),
-        )
-        bottom = hstack(
-            Mat.zeros(f.target.rank(q + 1), g.source.rank(q)),
-            phi_target.map(q + 1),
-        )
-        mats[q] = vstack(top, bottom)
+    mats = {
+        q: blocks(_fiber_summands(f, q), _fiber_summands(g, q), {
+            ("c", "c"): phi_source.map(q),
+            ("d", "d"): phi_target.map(q + 1),
+        })
+        for q in fib_f.complex.support
+    }
     return ChainMap(fib_f.complex, fib_g.complex, mats)
 
 
-def _tensor_layout(c, d):
-    """Basis layout of ``c (x) d``: summands ``(a, b)`` sorted per total
-    degree, with row index ``offset(q, a, b) + i * d.rank(b) + j``."""
-    pairs = {}
-    for a in c.support:
-        for b in d.support:
-            pairs.setdefault(a + b, []).append((a, b))
-    for q in pairs:
-        pairs[q].sort()
-    ranks = {
-        q: sum(c.rank(a) * d.rank(b) for a, b in ab) for q, ab in pairs.items()
-    }
-
-    def offset(q, a, b):
-        out = 0
-        for aa, bb in pairs[q]:
-            if (aa, bb) == (a, b):
-                return out
-            out += c.rank(aa) * d.rank(bb)
-        raise SpecError(f"no summand {(a, b)} in degree {q}")
-
-    return pairs, ranks, offset
+def _tensor_summands(c, d, q):
+    """Summands ``C_a (x) D_b`` of degree ``q`` of ``c (x) d``, keyed by
+    ``(a, b)`` in increasing ``a``; each has the basis order of ``kron``,
+    ``x_i (x) y_j`` at ``i * d.rank(b) + j``."""
+    return [((a, q - a), c.rank(a) * d.rank(q - a))
+            for a in c.support if d.rank(q - a)]
 
 
 def tensor_complex(c, d):
     """The tensor product with the usual sign: on ``C_a x D_b``,
     ``d(x, y) = (d x, y) + (-1)**a (x, d y)``."""
-    pairs, ranks, offset = _tensor_layout(c, d)
+    degrees = sorted({a + b for a in c.support for b in d.support})
+    summands = {q: _tensor_summands(c, d, q) for q in degrees}
     diffs = {}
-    for q, ab in pairs.items():
-        if q - 1 not in pairs:
+    for q, layout in summands.items():
+        below = summands.get(q - 1)
+        if below is None:
             continue
-        rows = []
-        for a, b in ab:
-            dc = c.diff(a)
-            dd = d.diff(b)
-            for i in range(c.rank(a)):
-                for j in range(d.rank(b)):
-                    row = [0] * ranks[q - 1]
-                    if c.rank(a - 1) and (a - 1, b) in pairs[q - 1]:
-                        base = offset(q - 1, a - 1, b)
-                        for i2 in range(c.rank(a - 1)):
-                            row[base + i2 * d.rank(b) + j] += dc.data[i][i2]
-                    if d.rank(b - 1) and (a, b - 1) in pairs[q - 1]:
-                        base = offset(q - 1, a, b - 1)
-                        sign = -1 if a % 2 else 1
-                        for j2 in range(d.rank(b - 1)):
-                            row[base + i * d.rank(b - 1) + j2] += (
-                                sign * dd.data[j][j2]
-                            )
-                    rows.append(tuple(row))
-        diffs[q] = Mat(rows, cols=ranks[q - 1])
+        keys = {key for key, _ in below}
+        entries = {}
+        for (a, b), _ in layout:
+            if (a - 1, b) in keys:
+                entries[(a, b), (a - 1, b)] = kron(c.diff(a), Mat.identity(d.rank(b)))
+            if (a, b - 1) in keys:
+                dy = kron(Mat.identity(c.rank(a)), d.diff(b))
+                entries[(a, b), (a, b - 1)] = dy.scale(-1) if a % 2 else dy
+        diffs[q] = blocks(layout, below, entries)
+    ranks = {q: sum(n for _, n in layout) for q, layout in summands.items()}
     return ChainComplex(ranks, diffs)
 
 
@@ -448,30 +423,15 @@ def tensor_chain_map(f, g):
     """``f (x) g`` between the tensor complexes of the sources and targets."""
     source = tensor_complex(f.source, g.source)
     target = tensor_complex(f.target, g.target)
-    s_pairs, s_ranks, _ = _tensor_layout(f.source, g.source)
-    _, t_ranks, t_offset = _tensor_layout(f.target, g.target)
     mats = {}
-    for q, ab in s_pairs.items():
-        cols = t_ranks.get(q, 0)
-        rows = []
-        for a, b in ab:
-            fm = f.map(a)
-            gm = g.map(b)
-            for i in range(f.source.rank(a)):
-                for j in range(g.source.rank(b)):
-                    row = [0] * cols
-                    if f.target.rank(a) and g.target.rank(b):
-                        base = t_offset(q, a, b)
-                        for i2 in range(f.target.rank(a)):
-                            if not fm.data[i][i2]:
-                                continue
-                            for j2 in range(g.target.rank(b)):
-                                row[base + i2 * g.target.rank(b) + j2] += (
-                                    fm.data[i][i2] * gm.data[j][j2]
-                                )
-                    rows.append(tuple(row))
-        if rows:
-            mats[q] = Mat(rows, cols=cols)
+    for q in source.support:
+        rows = _tensor_summands(f.source, g.source, q)
+        cols = _tensor_summands(f.target, g.target, q)
+        keys = {key for key, _ in cols}
+        mats[q] = blocks(rows, cols, {
+            ((a, b), (a, b)): kron(f.map(a), g.map(b))
+            for (a, b), _ in rows if (a, b) in keys
+        })
     return ChainMap(source, target, mats)
 
 

@@ -29,6 +29,7 @@ from .fgab import (
     Mat,
     group,
     hom,
+    kron,
     row_kernel,
     solve_left,
     vstack,
@@ -703,16 +704,8 @@ def weight_tuples(monoid, weight, v, length):
     elif not isinstance(weight, Mat):
         weight = Mat([tuple(r) for r in weight], cols=len(tuple(v)))
     rank = monoid.rank
-    gens = []
-    for slot in range(length):
-        for g in monoid.generators:
-            amb = [0] * (rank * length)
-            amb[slot * rank : (slot + 1) * rank] = list(g)
-            gens.append(tuple(amb))
-    big_weight = Mat(
-        [weight.row(r) for _ in range(length) for r in range(weight.rows)],
-        cols=weight.cols,
-    )
+    gens = kron(Mat.identity(length), Mat(monoid.generators, cols=rank)).data
+    big_weight = kron(Mat([[1]] * length, cols=1), weight)
     pairs = _enumerate_fiber(gens, big_weight, v)
     out = []
     for x, _cert in pairs:
@@ -814,19 +807,9 @@ def monoid_antidiagonal_halfplane():
 
 def product_monoid(monoid, length):
     """The product ``M^length`` with the diagonal involution."""
-    rank = monoid.rank
-    gens = []
-    for slot in range(length):
-        for g in monoid.generators:
-            amb = [0] * (rank * length)
-            amb[slot * rank : (slot + 1) * rank] = list(g)
-            gens.append(tuple(amb))
-    big = [[0] * (rank * length) for _ in range(rank * length)]
-    for slot in range(length):
-        for i in range(rank):
-            for j in range(rank):
-                big[slot * rank + i][slot * rank + j] = monoid.w.data[i][j]
-    return AffineMonoid(gens, w=big, rank=rank * length)
+    slots = Mat.identity(length)
+    gens = kron(slots, Mat(monoid.generators, cols=monoid.rank))
+    return AffineMonoid(gens.data, w=kron(slots, monoid.w), rank=monoid.rank * length)
 
 
 # ---------------------------------------------------------------------------

@@ -42,7 +42,6 @@ from thrcalc.homology import (
     is_acyclic,
     mapping_fiber,
     tensor_complex,
-    zero_complex,
 )
 from thrcalc.involutive_algebra import pointedness_functional
 
@@ -192,6 +191,19 @@ def test_punctured_limit_of_a_cospan_square():
     limit = punctured_limit(square)
     table = homology_table(limit)
     assert table == {0: free_group(2)}
+
+
+def test_punctured_limit_layout():
+    # summands C_q, B_q, D_{q+1} in vertex order (0,1), (1,0), (1,1);
+    # d(c, b, e) = (dc, db, g(c) - f(b) - de)
+    b = chain_complex({0: 1}, {})
+    c = chain_complex({0: 2}, {})
+    d = chain_complex({0: 1, 1: 1}, {1: [[1]]})
+    f = chain_map(b, d, {0: [[3]]})
+    g = chain_map(c, d, {0: [[1], [2]]})
+    limit = punctured_limit(cospan_square(f, g))
+    assert {q: limit.rank(q) for q in limit.support} == {-1: 1, 0: 4}
+    assert limit.diff(0) == Mat([[1], [2], [-3], [-1]])
 
 
 def test_comparison_map_sources_the_initial_vertex():

@@ -4,8 +4,8 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from thrcalc import dihedral
 from thrcalc.dihedral import (
-    ComparisonWitness,
     TruncDihedralSet,
     apply_monotone,
     circle_model,
@@ -488,3 +488,54 @@ def test_power_map_rejects_bad_arguments():
         power_map_fixed_iso_check(-1, 2, 2)
     with pytest.raises(SpecError):
         power_map_fixed_iso_check(1, 0, 2)
+
+
+# ---------------------------------------------------------------------------
+# broken structure maps in the comparison checks
+# ---------------------------------------------------------------------------
+
+
+def _shuffle():
+    return shuffle_iso_check(NAT, NAT, ((1,), (1,)), 3)
+
+
+def _sign_splitting():
+    return sign_splitting_check(ZSIGMA, 1, 2, 3)
+
+
+def _power_map():
+    return power_map_fixed_iso_check(1, 2, 2)
+
+
+@pytest.mark.parametrize("check, broken_piece, attr, detail", [
+    (_shuffle, 1, "_face", "face d_0 incompatible at ((0, 0), (1, 1))"),
+    (_shuffle, 1, "_degeneracy", "s_0 incompatible at ((1, 1),)"),
+    (_shuffle, 1, "_rotate", "rotation incompatible at ((0, 0), (1, 1))"),
+    (_shuffle, 1, "_invol", "reflection incompatible at ((0, 0), (0, 0), (1, 1))"),
+    (_sign_splitting, 1, "_face", "face d_0 incompatible at ((-2,), (1,))"),
+    (_sign_splitting, 1, "_degeneracy", "s_0 incompatible at ((-1,),)"),
+    (_sign_splitting, 1, "_invol", "reflection incompatible at ((-1,),)"),
+    (_power_map, 1, "_face", "face d_0 incompatible at ((0,), (1,))"),
+    (_power_map, 1, "_degeneracy", "s_0 incompatible at ((1,),)"),
+    (_power_map, 2, "_rotate", "rotation incompatible at ((0,), (1,))"),
+    (_power_map, 2, "_invol", "reflection incompatible at ((0,), (0,), (1,))"),
+])
+def test_a_broken_structure_map_names_the_first_incompatibility(
+    monkeypatch, check, broken_piece, attr, detail
+):
+    # the n-th nerve piece a check builds gets one structure map replaced by
+    # the identity on its simplex argument
+    built = []
+    real = dihedral.dihedral_nerve_piece
+
+    def nerve_piece(*args, **kwargs):
+        piece = real(*args, **kwargs)
+        built.append(piece)
+        if len(built) == broken_piece:
+            setattr(piece, attr, lambda q, *rest: rest[-1])
+        return piece
+
+    monkeypatch.setattr(dihedral, "dihedral_nerve_piece", nerve_piece)
+    witness = check()
+    assert not witness.ok
+    assert witness.detail == detail

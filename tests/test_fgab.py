@@ -2,13 +2,14 @@ import itertools
 import random
 from math import gcd
 
+import pytest
 from hypothesis import given, settings, strategies as st
 
 from thrcalc.fgab import (
-    Mat, snf, row_kernel, solve_left, group, free_group, hom, identity_hom,
+    Mat, snf, solve_left, group, free_group, hom, identity_hom,
     zero_hom, kernel, cokernel, image, is_exact, inverse, is_isomorphism,
     lift_through, direct_sum, tensor, tensor_hom, tensor_of_homs, pure_tensor,
-    hstack, vstack,
+    vstack, blocks, kron,
 )
 
 
@@ -326,3 +327,61 @@ def test_tensor_of_homs():
     t = tensor(z, z)
     f = tensor_of_homs(t, t, hom(z, z, [[2]]), hom(z, z, [[3]]))
     assert f.apply(pure_tensor(1, (1,), (1,))) == (6,)
+
+
+def matrices(rows, cols):
+    entries = st.lists(st.integers(-5, 5), min_size=cols, max_size=cols)
+    return st.lists(entries, min_size=rows, max_size=rows).map(
+        lambda data: Mat(data, cols=cols))
+
+
+@st.composite
+def kron_factors(draw):
+    """``a, c`` and ``b, d`` with ``a @ c`` and ``b @ d`` defined."""
+    n, k, m = (draw(st.integers(0, 3)) for _ in range(3))
+    p, l, r = (draw(st.integers(0, 3)) for _ in range(3))
+    return (draw(matrices(n, k)), draw(matrices(p, l)),
+            draw(matrices(k, m)), draw(matrices(l, r)))
+
+
+@settings(max_examples=100, deadline=None)
+@given(kron_factors())
+def test_kron_mixed_product_rule(factors):
+    a, b, c, d = factors
+    assert kron(a, b) @ kron(c, d) == kron(a @ c, b @ d)
+
+
+@st.composite
+def block_layouts(draw):
+    """Row and column layouts, with a random subset of blocks filled."""
+    heights = draw(st.lists(st.integers(0, 3), min_size=1, max_size=3))
+    widths = draw(st.lists(st.integers(0, 3), min_size=1, max_size=3))
+    entries = {}
+    for i, h in enumerate(heights):
+        for j, w in enumerate(widths):
+            if draw(st.booleans()):
+                entries[f"r{i}", f"c{j}"] = draw(matrices(h, w))
+    return heights, widths, entries
+
+
+@settings(max_examples=100, deadline=None)
+@given(block_layouts())
+def test_blocks_match_explicit_concatenation(case):
+    heights, widths, entries = case
+    rows = [(f"r{i}", h) for i, h in enumerate(heights)]
+    cols = [(f"c{j}", w) for j, w in enumerate(widths)]
+    expected = []
+    for i, h in enumerate(heights):
+        parts = [entries.get((f"r{i}", f"c{j}"), Mat.zeros(h, w))
+                 for j, w in enumerate(widths)]
+        for k in range(h):
+            expected.append(sum((part.data[k] for part in parts), ()))
+    assert blocks(rows, cols, entries) == Mat(expected, cols=sum(widths))
+
+
+def test_blocks_reject_a_block_of_the_wrong_shape():
+    layout = [("x", 2), ("y", 1)]
+    with pytest.raises(ValueError, match=r"block \('y', 'x'\) is 2 x 2, expected 1 x 2"):
+        blocks(layout, layout, {("y", "x"): Mat.identity(2)})
+    with pytest.raises(ValueError):
+        blocks(layout, layout, {("x", "y"): Mat.zeros(2, 2)})

@@ -8,7 +8,6 @@ from thrcalc.dihedral import circle_model, dihedral_nerve_piece, fixed_subset, s
 from thrcalc.errors import SpecError
 from thrcalc.fgab import Mat, group, free_group
 from thrcalc.homology import (
-    ChainComplex,
     chain_complex,
     chain_map,
     connecting_hom,
@@ -280,6 +279,25 @@ def test_les_of_zero_map_is_exact_and_splits(c, d):
             assert got.order() == hc.order() * hd.order()
 
 
+def test_mapping_fiber_and_cone_layouts():
+    # fib_q = C_q + D_{q+1} and cone_q = C_{q-1} + D_q, the C block first
+    c = chain_complex({0: 1, 1: 1}, {1: [[2]]})
+    d = chain_complex({0: 1, 1: 1}, {1: [[1]]})
+    f = chain_map(c, d, {0: [[3]], 1: [[6]]})
+    fib = mapping_fiber(f)
+    assert {q: fib.complex.rank(q) for q in fib.complex.support} == {-1: 1, 0: 2, 1: 1}
+    assert fib.complex.diff(1) == Mat([[2, 6]])
+    assert fib.complex.diff(0) == Mat([[3], [-1]])
+    assert fib.proj.map(0) == Mat([[1], [0]])
+    assert fib.proj.map(1) == Mat([[1]])
+    assert fib.incl.map(-1) == Mat([[1]])
+    assert fib.incl.map(0) == Mat([[0, 1]])
+    cone = mapping_cone(f)
+    assert {q: cone.rank(q) for q in cone.support} == {0: 1, 1: 2, 2: 1}
+    assert cone.diff(2) == Mat([[-2, 6]])
+    assert cone.diff(1) == Mat([[3], [1]])
+
+
 # ---------------------------------------------------------------------------
 # tensor products
 # ---------------------------------------------------------------------------
@@ -310,6 +328,39 @@ def test_tensor_with_point_is_identity():
     t = tensor_complex(c, point)
     assert homology(t, 0) == homology(c, 0)
     assert homology(t, 1) == homology(c, 1)
+
+
+def _tensor_index(c, d, a, b, i, j):
+    """Position of ``x_i (x) y_j``, with ``x_i`` in ``C_a`` and ``y_j`` in
+    ``D_b``, in degree ``a + b`` of ``c (x) d``: the summands ``(a, b)`` in
+    increasing ``a``, and ``i * d.rank(b) + j`` within one."""
+    before = sum(c.rank(a2) * d.rank(a + b - a2) for a2 in c.support if a2 < a)
+    return before + i * d.rank(b) + j
+
+
+LEIBNIZ_FACTORS = (
+    chain_complex({0: 2, 1: 2, 2: 1}, {1: [[1, -1], [1, -1]], 2: [[1, -1]]}),
+    chain_complex({-1: 1, 0: 2, 1: 1}, {0: [[1], [2]], 1: [[2, -1]]}),
+    mult_complex(3),
+)
+
+
+@pytest.mark.parametrize("c", LEIBNIZ_FACTORS)
+@pytest.mark.parametrize("d", LEIBNIZ_FACTORS)
+def test_tensor_differential_is_the_leibniz_rule(c, d):
+    # d(x (x) y) = dx (x) y + (-1)^a x (x) dy, entry by entry on each basis pair
+    t = tensor_complex(c, d)
+    for a in c.support:
+        for b in d.support:
+            for i in range(c.rank(a)):
+                for j in range(d.rank(b)):
+                    expected = [0] * t.rank(a + b - 1)
+                    for i2, x in enumerate(c.diff(a).row(i)):
+                        expected[_tensor_index(c, d, a - 1, b, i2, j)] += x
+                    for j2, y in enumerate(d.diff(b).row(j)):
+                        expected[_tensor_index(c, d, a, b - 1, i, j2)] += (-1) ** a * y
+                    row = t.diff(a + b).row(_tensor_index(c, d, a, b, i, j))
+                    assert list(row) == expected
 
 
 def test_tensor_chain_map_is_functorial():
