@@ -16,6 +16,7 @@ entry that used it (the ``substitutions`` field).
 """
 
 from dataclasses import dataclass
+from functools import cache
 from itertools import combinations, product
 from math import comb
 
@@ -25,9 +26,9 @@ from .fgab import Mat, blocks, free_group, kron, row_kernel, solve_left
 from .homology import (
     ChainComplex,
     ChainMap,
+    _fiber_les,
     chain_complex,
     chain_map,
-    fiber_les_report,
     fiber_map,
     homology,
     identity_chain_map,
@@ -319,6 +320,7 @@ def tfib_recursion_check(q_cube):
     """For each direction: tfib(cube) -> tfib(front) -> tfib(back) is a fiber
     sequence on homology, verified through the induced map of fibers."""
     tfib = total_fiber(q_cube)
+    h_tfib = cache(lambda q: homology(tfib, q))  # shared by every direction
     results = []
     ok = True
     for direction in range(q_cube.dimension):
@@ -326,15 +328,16 @@ def tfib_recursion_check(q_cube):
             induced = q_cube.edge((0,), 0)
         else:
             _, _, induced = _induced_fiber_map(q_cube, direction)
-        iterated = mapping_fiber(induced).complex
-        les = fiber_les_report(induced)
+        fib = mapping_fiber(induced)
+        iterated = fib.complex
+        les = _fiber_les(induced, fib)
         lo = min([tfib.lo] if tfib.support else [0])
         hi = max([tfib.hi] if tfib.support else [0])
         if iterated.support:
             lo = min(lo, iterated.lo)
             hi = max(hi, iterated.hi)
         match = all(
-            homology(tfib, q) == homology(iterated, q) for q in range(lo, hi + 1)
+            h_tfib(q) == homology(iterated, q) for q in range(lo, hi + 1)
         )
         ok = ok and les.ok and match
         results.append((direction, match, les.ok))

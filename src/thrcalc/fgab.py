@@ -12,6 +12,10 @@ Conventions
   presentations of isomorphic groups compare equal.
 * Each integer matrix is factored once per question: ``solve_left`` takes
   every right-hand side at once and runs one ``snf`` for all of them.
+* ``Mat(...)`` converts every entry with ``int`` and checks the shape: it
+  is where loaders, user input and other modules enter.  A matrix derived
+  here from other ``Mat``s (products, sums, blocks, Smith forms, kernels)
+  is built by the trusted ``Mat._of``, which stores its rows as given.
 """
 
 from __future__ import annotations
@@ -71,12 +75,22 @@ class Mat:
         self.data = data
 
     @staticmethod
+    def _of(data, cols):
+        """Trusted constructor: ``data`` is already a tuple of ``cols``-long
+        tuples of ``int`` (never ``bool``); nothing is converted or checked."""
+        m = object.__new__(Mat)
+        m.rows = len(data)
+        m.cols = cols
+        m.data = data
+        return m
+
+    @staticmethod
     def identity(n):
-        return Mat([[int(i == j) for j in range(n)] for i in range(n)], cols=n)
+        return Mat._of(tuple((0,) * i + (1,) + (0,) * (n - i - 1) for i in range(n)), n)
 
     @staticmethod
     def zeros(r, c):
-        return Mat([[0] * c for _ in range(r)], cols=c)
+        return Mat._of(((0,) * c,) * r, c)
 
     @staticmethod
     def row_vector(v):
@@ -94,33 +108,28 @@ class Mat:
     def __matmul__(self, other):
         if self.cols != other.rows:
             raise ValueError(f"shape mismatch {self.rows}x{self.cols} @ {other.rows}x{other.cols}")
-        ocols = other.cols
-        odata = other.data
-        out = []
-        for row in self.data:
-            acc = [0] * ocols
-            for k, x in enumerate(row):
-                if x:
-                    orow = odata[k]
-                    for j in range(ocols):
-                        acc[j] += x * orow[j]
-            out.append(acc)
-        return Mat(out, cols=ocols)
+        odata, ocols = other.data, other.cols
+        return Mat._of(tuple(_combine(row, odata, ocols) for row in self.data), ocols)
 
     def __add__(self, other):
         if (self.rows, self.cols) != (other.rows, other.cols):
             raise ValueError("shape mismatch")
-        return Mat([[a + b for a, b in zip(r1, r2)] for r1, r2 in zip(self.data, other.data)],
-                   cols=self.cols)
+        return Mat._of(tuple(tuple(a + b for a, b in zip(r1, r2))
+                             for r1, r2 in zip(self.data, other.data)), self.cols)
 
     def __sub__(self, other):
-        return self + (-other)
+        if (self.rows, self.cols) != (other.rows, other.cols):
+            raise ValueError("shape mismatch")
+        return Mat._of(tuple(tuple(a - b for a, b in zip(r1, r2))
+                             for r1, r2 in zip(self.data, other.data)), self.cols)
 
     def __neg__(self):
-        return Mat([[-a for a in row] for row in self.data], cols=self.cols)
+        return Mat._of(tuple(tuple(-a for a in row) for row in self.data), self.cols)
 
     def scale(self, k):
-        return Mat([[k * a for a in row] for row in self.data], cols=self.cols)
+        if type(k) is not int:  # a bool or another number: convert as Mat(...) does
+            return Mat([[k * a for a in row] for row in self.data], cols=self.cols)
+        return Mat._of(tuple(tuple(k * a for a in row) for row in self.data), self.cols)
 
     def __eq__(self, other):
         return isinstance(other, Mat) and self.cols == other.cols and self.data == other.data
@@ -164,6 +173,30 @@ class Mat:
         return sign * a[n - 1][n - 1]
 
 
+def _combine(coeffs, rows, width):
+    """``sum(c * row)`` over paired ``coeffs`` and ``rows``, as a tuple of
+    ``width`` entries (all zero for no nonzero coefficient)."""
+    acc = (0,) * width
+    for c, row in zip(coeffs, rows):
+        if c:
+            acc = [a + c * b for a, b in zip(acc, row)]
+    return tuple(acc)
+
+
+def _vecmat(x, m):
+    """The row vector ``x`` times ``m``, as a tuple of ints.
+
+    Equal to ``(Mat.row_vector(x) @ m).row(0)``, shape error included,
+    without building either matrix.
+
+    >>> _vecmat((1, 2), Mat([[1, 0], [3, 1]]))
+    (7, 2)
+    """
+    if len(x) != m.rows:
+        raise ValueError(f"shape mismatch 1x{len(x)} @ {m.rows}x{m.cols}")
+    return _combine(map(int, x), m.data, m.cols)
+
+
 def blocks(rows, cols, entries):
     """Block matrix over ordered summands.
 
@@ -194,7 +227,7 @@ def blocks(rows, cols, entries):
                 f"block {(rkey, ckey)} is {m.rows} x {m.cols}, expected {h} x {w}")
         for i, row in enumerate(m.data, top):
             out[i][left:left + w] = row
-    return Mat(out, cols=width)
+    return Mat._of(tuple(map(tuple, out)), width)
 
 
 def _offsets(summands):
@@ -214,14 +247,14 @@ def kron(a, b):
     >>> kron(Mat([[1, 2]]), Mat.identity(2))
     Mat([[1, 0, 2, 0], [0, 1, 0, 2]], cols=4)
     """
-    return Mat([[x * y for x in ra for y in rb] for ra in a.data for rb in b.data],
-               cols=a.cols * b.cols)
+    return Mat._of(tuple(tuple(x * y for x in ra for y in rb)
+                         for ra in a.data for rb in b.data), a.cols * b.cols)
 
 
 def vstack(a, b):
     if a.cols != b.cols:
         raise ValueError("col mismatch")
-    return Mat(a.data + b.data, cols=a.cols)
+    return Mat._of(a.data + b.data, a.cols)
 
 
 def snf(m):
@@ -322,7 +355,8 @@ def snf(m):
         if a[i][i] < 0:
             for arr in (a, u):
                 arr[i] = [-x for x in arr[i]]
-    return Mat(a, cols=c), Mat(u, cols=r), Mat(v, cols=c)
+    return (Mat._of(tuple(map(tuple, a)), c), Mat._of(tuple(map(tuple, u)), r),
+            Mat._of(tuple(map(tuple, v)), c))
 
 
 def row_kernel(m):
@@ -335,7 +369,7 @@ def row_kernel(m):
     """
     s, u, v = snf(m)
     rank = sum(1 for i in range(min(m.rows, m.cols)) if s.data[i][i])
-    return Mat([u.data[i] for i in range(rank, m.rows)], cols=m.rows)
+    return Mat._of(u.data[rank:], m.rows)
 
 
 def solve_left(m, ys):
@@ -358,14 +392,14 @@ def solve_left(m, ys):
     s, u, v = snf(m)
     k = min(m.rows, m.cols)
     diag = [s.data[i][i] for i in range(k)] + [0] * (m.cols - k)
-    pad = [0] * (m.rows - k)
+    pad = (0,) * (m.rows - k)
     ws = []
     for z in (Mat(ys, cols=m.cols) @ v).data:
         if any(zi % d if d else zi for d, zi in zip(diag, z)):
             ws.append(None)
         else:
-            ws.append([z[i] // diag[i] if diag[i] else 0 for i in range(k)] + pad)
-    xs = iter((Mat([w for w in ws if w is not None], cols=m.rows) @ u).data)
+            ws.append(tuple(z[i] // diag[i] if diag[i] else 0 for i in range(k)) + pad)
+    xs = iter((Mat._of(tuple(w for w in ws if w is not None), m.rows) @ u).data)
     return [None if w is None else next(xs) for w in ws]
 
 
@@ -417,11 +451,15 @@ class FgAbGroup:
         """Canonical representative of the coset of x (a length-n tuple)."""
         if len(x) != self.n_gens:
             raise ValueError("element length mismatch")
-        y = list((Mat.row_vector(x) @ self._v).data[0])
-        for i, d in enumerate(self._diag):
-            if d:
-                y[i] %= d
-        return tuple(y)
+        return tuple(a % d if d else a for a, d in zip(_vecmat(x, self._v), self._diag))
+
+    def _first_nonzero_row(self, m):
+        """Index of the first row of ``m`` (``n_gens`` wide) that is not zero
+        in the group, or None: one product with the basis change."""
+        for i, row in enumerate((m @ self._v).data):
+            if any(a % d if d else a for a, d in zip(row, self._diag)):
+                return i
+        return None
 
     def is_zero(self, x):
         return all(c == 0 for c in self.reduce(x))
@@ -459,7 +497,7 @@ class FgAbGroup:
         ranges = [range(d if d > 1 else 1) for d in self._diag]
         seen = {}
         for y in itertools.product(*ranges):
-            x = tuple((Mat.row_vector(y) @ self._vinv).data[0])
+            x = _vecmat(y, self._vinv)
             seen.setdefault(self.reduce(x), x)
         return sorted(seen.values())
 
@@ -530,18 +568,18 @@ class GroupHom:
         if matrix.rows != source.n_gens or matrix.cols != target.n_gens:
             raise ValueError("hom matrix shape mismatch")
         if not _checked:
-            for row in source.relations.data:
-                img = (Mat.row_vector(row) @ matrix).data[0]
-                if not target.is_zero(img):
-                    raise ValueError(
-                        f"not a well-defined homomorphism: relation {tuple(row)}"
-                        " maps outside the target relation lattice")
+            bad = target._first_nonzero_row(source.relations @ matrix)
+            if bad is not None:
+                raise ValueError(
+                    "not a well-defined homomorphism: relation"
+                    f" {tuple(source.relations.data[bad])}"
+                    " maps outside the target relation lattice")
         self.source = source
         self.target = target
         self.matrix = matrix
 
     def apply(self, x):
-        return self.target.reduce((Mat.row_vector(x) @ self.matrix).data[0])
+        return self.target.reduce(_vecmat(x, self.matrix))
 
     def then(self, other):
         """The composite 'self followed by other'."""
@@ -565,11 +603,10 @@ class GroupHom:
         """Equality as maps into the common target (matrices may differ)."""
         if self.matrix.rows != other.matrix.rows:
             return False
-        diff = self.matrix - other.matrix
-        return all(self.target.is_zero(row) for row in diff.data)
+        return self.target._first_nonzero_row(self.matrix - other.matrix) is None
 
     def is_zero_map(self):
-        return all(self.target.is_zero(row) for row in self.matrix.data)
+        return self.target._first_nonzero_row(self.matrix) is None
 
     def __repr__(self):
         return f"GroupHom({self.source!r} -> {self.target!r})"
@@ -599,7 +636,7 @@ def _subquotient(n, sub_rows, quot_rows):
         return group(0, Mat([], cols=0))
     stacked = vstack(sub_rows, quot_rows) if quot_rows.rows else sub_rows
     ker = row_kernel(stacked)
-    rel = Mat([row[:sub_rows.rows] for row in ker.data], cols=sub_rows.rows)
+    rel = Mat._of(tuple(row[:sub_rows.rows] for row in ker.data), sub_rows.rows)
     return FgAbGroup(sub_rows.rows, rel)
 
 
@@ -616,13 +653,9 @@ def kernel(f):
     src, tgt = f.source, f.target
     stacked = vstack(f.matrix, tgt.relations) if tgt.relations.rows else f.matrix
     ker = row_kernel(stacked)
-    rows = [row[:src.n_gens] for row in ker.data]
-    for row in src.relations.data:
-        rows.append(tuple(row))
-    sub = Mat(rows, cols=src.n_gens)
+    rows = tuple(row[:src.n_gens] for row in ker.data) + src.relations.data
     # Drop rows that are zero in the source (no information).
-    keep = [row for row in sub.data if not src.is_zero(row)]
-    sub = Mat(keep, cols=src.n_gens)
+    sub = Mat._of(tuple(row for row in rows if not src.is_zero(row)), src.n_gens)
     k = _subquotient(src.n_gens, sub, src.relations)
     incl = GroupHom(k, src, sub, _checked=True)
     return k, incl
@@ -652,8 +685,8 @@ def image(f):
     """
     tgt = f.target
     sub = f.matrix
-    keep = [row for row in sub.data if not tgt.is_zero(row)]
-    return _subquotient(tgt.n_gens, Mat(keep, cols=tgt.n_gens), tgt.relations)
+    keep = tuple(row for row in sub.data if not tgt.is_zero(row))
+    return _subquotient(tgt.n_gens, Mat._of(keep, tgt.n_gens), tgt.relations)
 
 
 def _kernel_lattice(f):
@@ -662,8 +695,8 @@ def _kernel_lattice(f):
     src, tgt = f.source, f.target
     stacked = vstack(f.matrix, tgt.relations) if tgt.relations.rows else f.matrix
     ker = row_kernel(stacked)
-    rows = [row[:src.n_gens] for row in ker.data] + [tuple(r) for r in src.relations.data]
-    return Mat(rows, cols=src.n_gens) if rows else Mat([], cols=src.n_gens)
+    rows = tuple(row[:src.n_gens] for row in ker.data) + src.relations.data
+    return Mat._of(rows, src.n_gens)
 
 
 class ExactnessReport:
@@ -729,8 +762,7 @@ def inverse(f):
     sols = solve_left(stacked, Mat.identity(tgt.n_gens).data)
     if None in sols:
         return None
-    rows = [sol[:src.n_gens] for sol in sols]
-    mat = Mat(rows, cols=src.n_gens) if rows else Mat([], cols=src.n_gens)
+    mat = Mat._of(tuple(sol[:src.n_gens] for sol in sols), src.n_gens)
     try:
         g = GroupHom(tgt, src, mat)
     except ValueError:
@@ -760,8 +792,7 @@ def lift_through(incl, h):
     sols = solve_left(stacked, h.matrix.data)
     if None in sols:
         raise ValueError("map does not factor through the inclusion")
-    rows = [sol[:k.n_gens] for sol in sols]
-    mat = Mat(rows, cols=k.n_gens) if rows else Mat([], cols=k.n_gens)
+    mat = Mat._of(tuple(sol[:k.n_gens] for sol in sols), k.n_gens)
     g = GroupHom(h.source, k, mat)
     if not g.then(incl).equal(h):
         raise ValueError("factorization check failed")
@@ -812,14 +843,14 @@ def tensor(g, h):
             row = [0] * n
             for i, ri in enumerate(r):
                 row[tensor_index(nh, i, j)] = ri
-            rows.append(row)
+            rows.append(tuple(row))
     for r in h.relations.data:
         for i in range(ng):
             row = [0] * n
             for j, rj in enumerate(r):
                 row[tensor_index(nh, i, j)] = rj
-            rows.append(row)
-    return group(n, Mat(rows, cols=n) if rows else Mat([], cols=n))
+            rows.append(tuple(row))
+    return group(n, Mat._of(tuple(rows), n))
 
 
 def pure_tensor(nh, x, y):
@@ -851,5 +882,5 @@ def tensor_of_homs(t_src, t_tgt, f, g):
     for i in range(f.source.n_gens):
         for j in range(nh_src):
             rows.append(pure_tensor(nh_tgt, f.matrix.data[i], g.matrix.data[j]))
-    mat = Mat(rows, cols=f.target.n_gens * nh_tgt) if rows else Mat([], cols=f.target.n_gens * nh_tgt)
+    mat = Mat._of(tuple(rows), f.target.n_gens * nh_tgt)
     return GroupHom(t_src, t_tgt, mat)

@@ -348,7 +348,12 @@ def fiber_les_report(f, lo=None, hi=None):
     """Exactness of the long sequence
     ``... -> H_{q+1}(D) -> H_q(fib) -> H_q(C) -> H_q(D) -> ...``
     over the given degree range (defaults to the full support range)."""
-    fib = mapping_fiber(f)
+    return _fiber_les(f, mapping_fiber(f), lo, hi)
+
+
+def _fiber_les(f, fib, lo=None, hi=None):
+    """``fiber_les_report(f, lo, hi)`` over the fiber ``fib`` of ``f``,
+    already built by the caller."""
     if lo is None:
         lo = fib.complex.lo - 1
     if hi is None:

@@ -27,6 +27,7 @@ from .errors import InfeasibleError, SpecError
 from .fgab import (
     GroupHom,
     Mat,
+    _vecmat,
     group,
     hom,
     kron,
@@ -550,7 +551,7 @@ def _weight_data(gens, weight):
     point_idx = [i for i in range(len(gens)) if i not in partner]
 
     unit_rows = [gens[i] for i in unit_idx]
-    bw = Mat([(Mat.row_vector(g) @ weight).row(0) for g in unit_rows], cols=m)
+    bw = Mat([_vecmat(g, weight) for g in unit_rows], cols=m)
     bw_kernel = row_kernel(bw)
     for crow in range(bw_kernel.rows):
         c = bw_kernel.row(crow)
@@ -564,7 +565,7 @@ def _weight_data(gens, weight):
                 f"{tuple(u)} has weight zero"
             )
 
-    images = [(Mat.row_vector(gens[i]) @ weight).row(0) for i in point_idx]
+    images = [_vecmat(gens[i], weight) for i in point_idx]
     kill = [bw.row(i) for i in range(bw.rows)]
     basis = _rational_null_space(kill, m)
     ineqs = []
@@ -606,8 +607,8 @@ def _enumerate_fiber(gens, weight, v, limit=None):
 
     unit_idx, partner, point_idx, lam = _weight_data(gens, weight)
     unit_rows = [gens[i] for i in unit_idx]
-    bw = Mat([(Mat.row_vector(g) @ weight).row(0) for g in unit_rows], cols=m)
-    images = {i: (Mat.row_vector(gens[i]) @ weight).row(0) for i in point_idx}
+    bw = Mat([_vecmat(g, weight) for g in unit_rows], cols=m)
+    images = {i: _vecmat(gens[i], weight) for i in point_idx}
     costs = {
         i: sum(lam[t] * images[i][t] for t in range(m)) for i in point_idx
     }
@@ -617,7 +618,7 @@ def _enumerate_fiber(gens, weight, v, limit=None):
 
     def settle(current, counts):
         """Solve the residual weight in the unit lattice; record a hit."""
-        cur_w = (Mat.row_vector(current) @ weight).row(0)
+        cur_w = _vecmat(current, weight)
         z = tuple(a - b for a, b in zip(v, cur_w))
         if unit_rows:
             coeffs = solve_left(bw, [z])[0]
