@@ -27,6 +27,7 @@ from .homology import (
     ChainComplex,
     ChainMap,
     _fiber_les,
+    _tensor_matrices,
     chain_complex,
     chain_map,
     fiber_map,
@@ -36,7 +37,6 @@ from .homology import (
     mapping_cone,
     mapping_fiber,
     normalized_chains,
-    tensor_chain_map,
     tensor_complex,
     zero_complex,
 )
@@ -181,17 +181,15 @@ def tensor_cube(maps):
                 for j in range(n):
                     if eps[j]:
                         continue
-                    tm = tensor_chain_map(cube.edge(eps, j), side_id)
                     edges[(eps + (a,), j)] = ChainMap(
                         entries[eps + (a,)],
                         entries[_bump(eps, j) + (a,)],
-                        {q: tm.map(q) for q in tm.source.support},
+                        _tensor_matrices(cube.edge(eps, j), side_id),
                     )
-            tm = tensor_chain_map(identity_chain_map(cube.entry(eps)), f)
             edges[(eps + (0,), n)] = ChainMap(
                 entries[eps + (0,)],
                 entries[eps + (1,)],
-                {q: tm.map(q) for q in tm.source.support},
+                _tensor_matrices(identity_chain_map(cube.entry(eps)), f),
             )
         cube = CubeDiagram(n + 1, entries, edges)
     return cube
@@ -313,7 +311,7 @@ def _induced_fiber_map(q_cube, direction):
         })
     phi_limit = ChainMap(c_front.target, c_back.target, limit_mats)
     phi_initial = q_cube.edge(embed((0,) * front.dimension, 0), direction)
-    return c_front, c_back, fiber_map(c_front, c_back, phi_initial, phi_limit)
+    return fiber_map(c_front, c_back, phi_initial, phi_limit)
 
 
 def tfib_recursion_check(q_cube):
@@ -327,7 +325,7 @@ def tfib_recursion_check(q_cube):
         if q_cube.dimension == 1:
             induced = q_cube.edge((0,), 0)
         else:
-            _, _, induced = _induced_fiber_map(q_cube, direction)
+            induced = _induced_fiber_map(q_cube, direction)
         fib = mapping_fiber(induced)
         iterated = fib.complex
         les = _fiber_les(induced, fib)
@@ -347,34 +345,6 @@ def tfib_recursion_check(q_cube):
         for d, m, e in results
     )
     return RecursionReport(ok, tuple(results), detail)
-
-
-@dataclass(frozen=True)
-class SmashReport:
-    ok: bool
-    degrees: dict
-    detail: str
-
-
-def smash_cube_check(maps):
-    """Homology of a tensor of fibers against the total fiber of the tensor
-    cube built from the same maps."""
-    maps = tuple(maps)
-    cube = tensor_cube(maps)
-    right = total_fiber(cube)
-    left = mapping_fiber(maps[0]).complex
-    for f in maps[1:]:
-        left = tensor_complex(left, mapping_fiber(f).complex)
-    degrees = {}
-    ok = True
-    lo = min([q for c in (left, right) if c.support for q in (c.lo,)] or [0])
-    hi = max([q for c in (left, right) if c.support for q in (c.hi,)] or [0])
-    for q in range(lo, hi + 1):
-        hl = homology(left, q)
-        hr = homology(right, q)
-        degrees[q] = (hl, hr)
-        ok = ok and hl == hr
-    return SmashReport(ok, degrees, f"checked degrees {lo}..{hi}")
 
 
 # ---------------------------------------------------------------------------
@@ -400,12 +370,14 @@ def torus_map(a, reduced=False):
 
     Functorial on the nose by the Cauchy-Binet formula.
     """
-    a = a if isinstance(a, Mat) else Mat([tuple(r) for r in a])
-    source = torus_model(a.rows, reduced=reduced)
-    target = torus_model(a.cols, reduced=reduced)
+    return ChainMap(torus_model(a.rows, reduced=reduced),
+                    torus_model(a.cols, reduced=reduced), _compound_matrices(a, reduced))
+
+
+def _compound_matrices(a, reduced):
+    """The degreewise matrices of ``torus_map(a, reduced)``."""
     mats = {}
-    lo = 1 if reduced else 0
-    for q in range(lo, a.rows + 1):
+    for q in range(1 if reduced else 0, a.rows + 1):
         rows = []
         for s in combinations(range(a.rows), q):
             row = []
@@ -417,7 +389,7 @@ def torus_map(a, reduced=False):
             rows.append(tuple(row))
         if rows and rows[0]:
             mats[q] = Mat(rows)
-    return ChainMap(source, target, mats)
+    return mats
 
 
 # ---------------------------------------------------------------------------
@@ -794,12 +766,10 @@ def origin_cube(n):
                 raise CertificateError(
                     "unit lattice does not include into its neighbour"
                 )
-            a = Mat(rows, cols=dst_b.rows)
-            tm = torus_map(a, reduced=True)
             edges[(eps, j)] = ChainMap(
                 entries[eps],
                 entries[_bump(eps, j)],
-                {q: tm.map(q) for q in tm.source.support},
+                _compound_matrices(Mat(rows, cols=dst_b.rows), reduced=True),
             )
     return CubeDiagram(n + 1, entries, edges)
 

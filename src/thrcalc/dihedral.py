@@ -442,7 +442,7 @@ class _DivisorFibers:
         self.weights = []
         self.parts = {}
         for v in orbit:
-            divisors = [x for x, _ in weight_tuples(monoid, None, v, 2)]
+            divisors = [x for x, _ in weight_tuples(monoid, v, 2)]
             if divisors:  # otherwise v is not in the monoid
                 self.weights.append(v)
             known = set(divisors)
@@ -583,7 +583,7 @@ def dihedral_nerve_piece(monoid, orbit, q_max, window=None):
         ]
     elif q_max == 0:
         # The vertices alone: their fiber is finite even where D(v) is not.
-        levels = [[t for v in orbit for t in weight_tuples(monoid, None, v, 1)]]
+        levels = [[t for v in orbit for t in weight_tuples(monoid, v, 1)]]
     else:
         fibers = _DivisorFibers(monoid, orbit)
 
@@ -631,50 +631,6 @@ def dihedral_nerve_piece(monoid, orbit, q_max, window=None):
         flag="dihedral",
         certificate=certificate,
         **generated,
-    )
-
-
-def real_nerve(monoid, q_max, window=None):
-    """The one-sided bar construction with the order-reversing involution:
-    ``q``-simplices are ``q``-tuples, the outer faces drop an entry and the
-    reflection is ``(x_1, ..., x_q) -> (s(x_q), ..., s(x_1))``.
-
-    A window (total l1 bound) is required whenever the monoid has any
-    generator, since the nerve is then degreewise infinite.
-    """
-    if monoid.generators and window is None:
-        raise SpecError("real_nerve: a window is required for an infinite monoid")
-    sigma = (
-        _signed_permutation_sigma(monoid)
-        if window is not None
-        else monoid.apply_w
-    )
-    zero = tuple([0] * monoid.rank)
-    if window is not None:
-        levels = [windowed_simplex_tuples(monoid, q, window) for q in range(q_max + 1)]
-    else:
-        levels = [[(zero,) * q] for q in range(q_max + 1)]
-
-    def face(q, i, x):
-        if i == 0:
-            return x[1:]
-        if i == q:
-            return x[:-1]
-        return x[: i - 1] + (_vec_add(x[i - 1], x[i]),) + x[i + 1 :]
-
-    def degeneracy(q, i, x):
-        return x[:i] + (zero,) + x[i:]
-
-    def invol(q, x):
-        return tuple(sigma(e) for e in reversed(x))
-
-    return TruncDihedralSet(
-        q_max,
-        levels,
-        face,
-        degeneracy,
-        invol=invol,
-        flag="real",
     )
 
 
@@ -917,8 +873,10 @@ class Pi0Result:
     classes: dict
 
 
-def _union_find(vertices, edges):
-    parent = {v: v for v in vertices}
+def pi0(x):
+    """Path components of the truncation: vertices modulo edge endpoints,
+    by union-find."""
+    parent = {v: v for v in x.simplices[0]}
 
     def find(v):
         while parent[v] != v:
@@ -926,70 +884,13 @@ def _union_find(vertices, edges):
             v = parent[v]
         return v
 
-    for a, b in edges:
-        ra, rb = find(a), find(b)
+    for e in x.simplices[1] if x.q_max >= 1 else ():
+        ra, rb = find(x.face(1, 0, e)), find(x.face(1, 1, e))
         if ra != rb:
             parent[max(ra, rb)] = min(ra, rb)
-    classes = {v: find(v) for v in vertices}
+    classes = {v: find(v) for v in parent}
     reps = tuple(sorted(set(classes.values())))
     return Pi0Result(len(reps), reps, classes)
-
-
-def pi0(x):
-    """Path components of the truncation: vertices modulo edge endpoints."""
-    vertices = x.simplices[0]
-    edges = []
-    if x.q_max >= 1:
-        for e in x.simplices[1]:
-            edges.append((x.face(1, 0, e), x.face(1, 1, e)))
-    return _union_find(vertices, edges)
-
-
-@dataclass(frozen=True)
-class WindowedPi0:
-    count: int
-    stable: bool
-    result: Pi0Result
-    detail: str
-
-
-def pi0_windowed(family, bound):
-    """Path components of a windowed vertex/edge family, certified by
-    stabilization.
-
-    ``family(b)`` must return ``(vertices, edges)`` for window ``b``.  The
-    components are computed at ``bound``, ``bound + 1`` and ``bound + 2``;
-    the count is certified only if all three runs agree on the component
-    count and on the partition of the innermost vertex set.
-    """
-    runs = {}
-    for b in (bound, bound + 1, bound + 2):
-        vertices, edges = family(b)
-        runs[b] = _union_find(tuple(sorted(set(vertices))), tuple(edges))
-    inner = runs[bound]
-    stable = True
-    detail = "stable across three windows"
-    for b in (bound + 1, bound + 2):
-        if runs[b].count != inner.count:
-            stable = False
-            detail = (
-                f"component count drifts: {inner.count} at {bound} vs "
-                f"{runs[b].count} at {b}"
-            )
-            break
-        joined = {}
-        consistent = True
-        for v in inner.classes:
-            key = runs[b].classes[v]
-            if key in joined:
-                consistent = consistent and joined[key] == inner.classes[v]
-            else:
-                joined[key] = inner.classes[v]
-        if not consistent or len(joined) != inner.count:
-            stable = False
-            detail = f"partition on the inner window changes at bound {b}"
-            break
-    return WindowedPi0(inner.count, stable, inner, detail)
 
 
 # ---------------------------------------------------------------------------
@@ -1104,59 +1005,6 @@ def shuffle_iso_check(m, l, pair, q_max, window=None):
     return ComparisonWitness(True, tuple(counts))
 
 
-def sign_splitting_check(monoid, j, q_max, window):
-    """Verify that dropping the zeroth entry splits a two-element weight
-    orbit piece as (which orbit representative) x (one-sided bar), as real
-    simplicial sets, on an l1 window.
-
-    ``monoid`` must be of rank one with the sign involution; ``j > 0``.
-    """
-    if j <= 0:
-        raise SpecError("sign splitting needs a weight with a free orbit")
-    orbit = normalize_orbit(monoid, ((j,),))
-    if len(orbit) != 2:
-        raise SpecError("weight orbit is not free")
-    lhs = dihedral_nerve_piece(monoid, orbit, q_max, window=window)
-    rep = orbit[1]  # the positive representative
-    sigma = _signed_permutation_sigma(monoid)
-
-    def to_pair(x):
-        return (0 if _total(x) == rep else 1, x[1:])
-
-    counts = []
-    for q in range(q_max + 1):
-        image = {to_pair(x) for x in lhs.simplices[q]}
-        if len(image) != lhs.count(q):
-            return ComparisonWitness(
-                False, tuple(counts), f"splitting not injective at degree {q}"
-            )
-        counts.append(len(image))
-
-    def rhs_face(q, i, pair):
-        a, y = pair
-        if i == 0:
-            return (a, y[1:])
-        if i == q:
-            return (a, y[:-1])
-        return (a, y[: i - 1] + (_vec_add(y[i - 1], y[i]),) + y[i + 1 :])
-
-    def rhs_degeneracy(q, i, pair):
-        a, y = pair
-        zero = tuple([0] * monoid.rank)
-        return (a, y[:i] + (zero,) + y[i:])
-
-    def rhs_invol(q, pair):
-        a, y = pair
-        return (1 - a, tuple(sigma(e) for e in reversed(y)))
-
-    detail = _first_incompatibility(
-        lhs, to_pair, rhs_face, rhs_degeneracy, None, rhs_invol
-    )
-    if detail is not None:
-        return ComparisonWitness(False, tuple(counts), detail)
-    return ComparisonWitness(True, tuple(counts))
-
-
 # ---------------------------------------------------------------------------
 # power maps into cyclic subdivisions
 # ---------------------------------------------------------------------------
@@ -1180,7 +1028,7 @@ def _periodic_tuples(monoid, total, r, period):
     if any(c % r for c in total):
         return []
     block = tuple(c // r for c in total)
-    return [b * r for b in weight_tuples(monoid, None, block, period)]
+    return [b * r for b in weight_tuples(monoid, block, period)]
 
 
 def power_map_fixed_iso_check(j, r, q_max):

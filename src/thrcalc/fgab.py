@@ -403,11 +403,6 @@ def solve_left(m, ys):
     return [None if w is None else next(xs) for w in ws]
 
 
-def lattice_contains(m, y):
-    """Whether y lies in the row lattice of m."""
-    return solve_left(m, [y])[0] is not None
-
-
 class FgAbGroup:
     """A finitely generated abelian group Z^n_gens / (row lattice of relations).
 
@@ -621,25 +616,6 @@ def identity_hom(g):
     return GroupHom(g, g, Mat.identity(g.n_gens), _checked=True)
 
 
-def zero_hom(source, target):
-    return GroupHom(source, target, Mat.zeros(source.n_gens, target.n_gens),
-                    _checked=True)
-
-
-def _subquotient(n, sub_rows, quot_rows):
-    """Present (lattice(sub_rows) + lattice(quot_rows)) / lattice(quot_rows).
-
-    Generators are the rows of sub_rows; the relation lattice is
-    {c : c @ sub_rows in lattice(quot_rows)}.
-    """
-    if sub_rows.rows == 0:
-        return group(0, Mat([], cols=0))
-    stacked = vstack(sub_rows, quot_rows) if quot_rows.rows else sub_rows
-    ker = row_kernel(stacked)
-    rel = Mat._of(tuple(row[:sub_rows.rows] for row in ker.data), sub_rows.rows)
-    return FgAbGroup(sub_rows.rows, rel)
-
-
 def kernel(f):
     """Kernel subgroup with its inclusion: returns (K, incl: K -> source).
 
@@ -650,15 +626,17 @@ def kernel(f):
     >>> incl.apply((1,)) in {(2,), (-2,)}
     True
     """
-    src, tgt = f.source, f.target
-    stacked = vstack(f.matrix, tgt.relations) if tgt.relations.rows else f.matrix
-    ker = row_kernel(stacked)
-    rows = tuple(row[:src.n_gens] for row in ker.data) + src.relations.data
+    src = f.source
     # Drop rows that are zero in the source (no information).
-    sub = Mat._of(tuple(row for row in rows if not src.is_zero(row)), src.n_gens)
-    k = _subquotient(src.n_gens, sub, src.relations)
-    incl = GroupHom(k, src, sub, _checked=True)
-    return k, incl
+    sub = Mat._of(tuple(row for row in _kernel_lattice(f).data if not src.is_zero(row)),
+                  src.n_gens)
+    if sub.rows == 0:
+        k = group(0, Mat([], cols=0))
+    else:
+        # generated by the rows of sub, related by {c : c @ sub in lattice(src relations)}
+        ker = row_kernel(vstack(sub, src.relations))
+        k = FgAbGroup(sub.rows, Mat._of(tuple(row[:sub.rows] for row in ker.data), sub.rows))
+    return k, GroupHom(k, src, sub, _checked=True)
 
 
 def cokernel(f):
@@ -670,31 +648,16 @@ def cokernel(f):
     True
     """
     tgt = f.target
-    rel = vstack(tgt.relations, f.matrix) if tgt.relations.rows else f.matrix
-    c = FgAbGroup(tgt.n_gens, rel)
+    c = FgAbGroup(tgt.n_gens, vstack(tgt.relations, f.matrix))
     proj = GroupHom(tgt, c, Mat.identity(tgt.n_gens), _checked=True)
     return c, proj
-
-
-def image(f):
-    """The image of f as an abstract group.
-
-    >>> z = free_group(1)
-    >>> image(hom(z, group(1, [[4]]), [[2]])) == group(1, [[2]])
-    True
-    """
-    tgt = f.target
-    sub = f.matrix
-    keep = tuple(row for row in sub.data if not tgt.is_zero(row))
-    return _subquotient(tgt.n_gens, Mat._of(keep, tgt.n_gens), tgt.relations)
 
 
 def _kernel_lattice(f):
     """Rows spanning {x in Z^n_src : f(x) == 0 in target} (includes source
     relations)."""
     src, tgt = f.source, f.target
-    stacked = vstack(f.matrix, tgt.relations) if tgt.relations.rows else f.matrix
-    ker = row_kernel(stacked)
+    ker = row_kernel(vstack(f.matrix, tgt.relations))
     rows = tuple(row[:src.n_gens] for row in ker.data) + src.relations.data
     return Mat._of(rows, src.n_gens)
 
@@ -736,7 +699,7 @@ def is_exact(seq):
         if not comp.is_zero_map():
             return ExactnessReport(False, "composite is nonzero")
         ker_rows = _kernel_lattice(b)
-        im_rows = vstack(a.matrix, mid.relations) if mid.relations.rows else a.matrix
+        im_rows = vstack(a.matrix, mid.relations)
         for row, sol in zip(ker_rows.data, solve_left(im_rows, ker_rows.data)):
             if sol is None:
                 return ExactnessReport(
@@ -758,8 +721,7 @@ def inverse(f):
     True
     """
     src, tgt = f.source, f.target
-    stacked = vstack(f.matrix, tgt.relations) if tgt.relations.rows else f.matrix
-    sols = solve_left(stacked, Mat.identity(tgt.n_gens).data)
+    sols = solve_left(vstack(f.matrix, tgt.relations), Mat.identity(tgt.n_gens).data)
     if None in sols:
         return None
     mat = Mat._of(tuple(sol[:src.n_gens] for sol in sols), src.n_gens)
@@ -774,10 +736,6 @@ def inverse(f):
     return g
 
 
-def is_isomorphism(f):
-    return inverse(f) is not None
-
-
 def lift_through(incl, h):
     """Given incl: K -> M with trivial kernel and h: A -> M landing in the
     image of incl, return the unique g: A -> K with g.then(incl) == h.
@@ -788,8 +746,7 @@ def lift_through(incl, h):
     ((3,),)
     """
     k, m = incl.source, incl.target
-    stacked = vstack(incl.matrix, m.relations) if m.relations.rows else incl.matrix
-    sols = solve_left(stacked, h.matrix.data)
+    sols = solve_left(vstack(incl.matrix, m.relations), h.matrix.data)
     if None in sols:
         raise ValueError("map does not factor through the inclusion")
     mat = Mat._of(tuple(sol[:k.n_gens] for sol in sols), k.n_gens)
@@ -862,25 +819,3 @@ def pure_tensor(nh, x, y):
                 if yj:
                     out[tensor_index(nh, i, j)] += xi * yj
     return tuple(out)
-
-
-def tensor_hom(t, g, h, target, values):
-    """Homomorphism tensor(g, h) -> target from values on generator pairs.
-
-    values[i*h.n_gens + j] is the image of the pair (i, j); bilinear
-    well-definedness is exactly the hom check over the tensor presentation.
-    """
-    mat = Mat(values, cols=target.n_gens) if values else Mat([], cols=target.n_gens)
-    return GroupHom(t, target, mat)
-
-
-def tensor_of_homs(t_src, t_tgt, f, g):
-    """Induced map tensor(f.source, g.source) -> tensor(f.target, g.target)."""
-    nh_src = g.source.n_gens
-    nh_tgt = g.target.n_gens
-    rows = []
-    for i in range(f.source.n_gens):
-        for j in range(nh_src):
-            rows.append(pure_tensor(nh_tgt, f.matrix.data[i], g.matrix.data[j]))
-    mat = Mat._of(tuple(rows), f.target.n_gens * nh_tgt)
-    return GroupHom(t_src, t_tgt, mat)

@@ -131,11 +131,6 @@ def homology(c, q):
     return _homology_data(c, q)[0]
 
 
-def homology_range(c, lo, hi):
-    """Homology groups in degrees ``lo..hi`` inclusive, as a dict."""
-    return {q: homology(c, q) for q in range(lo, hi + 1)}
-
-
 def is_acyclic(c, lo=None, hi=None):
     """Whether every homology group in the (support) range is trivial."""
     lo = c.lo if lo is None else lo
@@ -203,12 +198,11 @@ def identity_chain_map(c):
     return ChainMap(c, c, {q: Mat.identity(c.rank(q)) for q in c.support})
 
 
-def induced_hom(f, q):
-    """The homomorphism on degree-``q`` homology induced by a chain map."""
-    return _induced_hom(f, q, _homology_data)
+def induced_hom(f, q, data):
+    """The homomorphism on degree-``q`` homology induced by a chain map.
 
-
-def _induced_hom(f, q, data):
+    ``data(c, q)`` gives the homology group of ``c`` at ``q`` with the cycle
+    basis it is presented on, as ``_homology_data`` does."""
     hs, cycles_s = data(f.source, q)
     ht, cycles_t = data(f.target, q)
     images = (cycles_s @ f.map(q)).data
@@ -239,35 +233,6 @@ def shift(c, k):
     return ChainComplex(ranks, diffs)
 
 
-def direct_sum(c, d):
-    """The degreewise sum with the two inclusions and two projections."""
-    degrees = sorted(set(c.support) | set(d.support))
-
-    def summands(q):
-        return [("c", c.rank(q)), ("d", d.rank(q))]
-
-    total = ChainComplex(
-        {q: c.rank(q) + d.rank(q) for q in degrees},
-        {q: blocks(summands(q), summands(q - 1),
-                   {("c", "c"): c.diff(q), ("d", "d"): d.diff(q)})
-         for q in degrees},
-    )
-
-    def inclusion(key, part, q):
-        unit = {(key, key): Mat.identity(part.rank(q))}
-        return blocks([(key, part.rank(q))], summands(q), unit)
-
-    def projection(key, part, q):
-        unit = {(key, key): Mat.identity(part.rank(q))}
-        return blocks(summands(q), [(key, part.rank(q))], unit)
-
-    i1 = ChainMap(c, total, {q: inclusion("c", c, q) for q in degrees})
-    i2 = ChainMap(d, total, {q: inclusion("d", d, q) for q in degrees})
-    p1 = ChainMap(total, c, {q: projection("c", c, q) for q in degrees})
-    p2 = ChainMap(total, d, {q: projection("d", d, q) for q in degrees})
-    return total, i1, i2, p1, p2
-
-
 @dataclass(frozen=True)
 class MappingFiber:
     complex: ChainComplex
@@ -282,10 +247,8 @@ def _fiber_summands(f, q):
     return [("c", f.source.rank(q)), ("d", f.target.rank(q + 1))]
 
 
-def mapping_fiber(f):
-    """The strict fiber of a chain map: ``fib_q = C_q + D_{q+1}`` with
-    ``d(c, e) = (d c, f(c) - d e)``, the projection to the source, and the
-    degree-shifted inclusion of the target."""
+def _fiber_complex(f):
+    """The complex of ``mapping_fiber(f)``."""
     c, d = f.source, f.target
     degrees = sorted(set(c.support) | {q - 1 for q in d.support})
     diffs = {
@@ -296,16 +259,24 @@ def mapping_fiber(f):
         })
         for q in degrees
     }
-    fib = ChainComplex({q: c.rank(q) + d.rank(q + 1) for q in degrees}, diffs)
+    return ChainComplex({q: c.rank(q) + d.rank(q + 1) for q in degrees}, diffs)
+
+
+def mapping_fiber(f):
+    """The strict fiber of a chain map: ``fib_q = C_q + D_{q+1}`` with
+    ``d(c, e) = (d c, f(c) - d e)``, the projection to the source, and the
+    degree-shifted inclusion of the target."""
+    c, d = f.source, f.target
+    fib = _fiber_complex(f)
     proj = {
         q: blocks(_fiber_summands(f, q), [("c", c.rank(q))],
                   {("c", "c"): Mat.identity(c.rank(q))})
-        for q in degrees
+        for q in fib.support
     }
     incl = {
         q: blocks([("d", d.rank(q + 1))], _fiber_summands(f, q),
                   {("d", "d"): Mat.identity(d.rank(q + 1))})
-        for q in degrees
+        for q in fib.support
     }
     return MappingFiber(fib, ChainMap(fib, c, proj), ChainMap(shift(d, -1), fib, incl))
 
@@ -326,14 +297,11 @@ def mapping_cone(f):
     return ChainComplex({q: c.rank(q - 1) + d.rank(q) for q in degrees}, diffs)
 
 
-def connecting_hom(f, fiber, q):
+def connecting_hom(f, fiber, q, data):
     """The map ``H_{q+1}(target) -> H_q(fiber)`` sending a cycle ``z`` to
     ``(0, z)``; with the projection and the map itself this makes the
-    homology of the fiber sequence exact."""
-    return _connecting_hom(f, fiber, q, _homology_data)
-
-
-def _connecting_hom(f, fiber, q, data):
+    homology of the fiber sequence exact.  ``data`` is as for
+    :func:`induced_hom`."""
     ht, cycles_t = data(f.target, q + 1)
     hf, cycles_f = data(fiber.complex, q)
     pad = (0,) * f.source.rank(q)
@@ -369,9 +337,9 @@ def _fiber_les(f, fib, lo=None, hi=None):
 
     seq = []
     for q in range(hi, lo - 1, -1):
-        seq.append(_connecting_hom(f, fib, q, data))
-        seq.append(_induced_hom(fib.proj, q, data))
-        seq.append(_induced_hom(f, q, data))
+        seq.append(connecting_hom(f, fib, q, data))
+        seq.append(induced_hom(fib.proj, q, data))
+        seq.append(induced_hom(f, q, data))
     return is_exact(seq)
 
 
@@ -381,16 +349,15 @@ def fiber_map(f, g, phi_source, phi_target):
     for q in set(f.source.support) | set(f.target.support):
         if f.map(q) @ phi_target.map(q) != phi_source.map(q) @ g.map(q):
             raise SpecError(f"square does not commute in degree {q}")
-    fib_f = mapping_fiber(f)
-    fib_g = mapping_fiber(g)
+    source = _fiber_complex(f)
     mats = {
         q: blocks(_fiber_summands(f, q), _fiber_summands(g, q), {
             ("c", "c"): phi_source.map(q),
             ("d", "d"): phi_target.map(q + 1),
         })
-        for q in fib_f.complex.support
+        for q in source.support
     }
-    return ChainMap(fib_f.complex, fib_g.complex, mats)
+    return ChainMap(source, _fiber_complex(g), mats)
 
 
 def _tensor_summands(c, d, q):
@@ -424,12 +391,11 @@ def tensor_complex(c, d):
     return ChainComplex(ranks, diffs)
 
 
-def tensor_chain_map(f, g):
-    """``f (x) g`` between the tensor complexes of the sources and targets."""
-    source = tensor_complex(f.source, g.source)
-    target = tensor_complex(f.target, g.target)
+def _tensor_matrices(f, g):
+    """The degreewise matrices of the chain map ``f (x) g`` between the
+    tensor complexes of the sources and targets: blocks ``f_a (x) g_b``."""
     mats = {}
-    for q in source.support:
+    for q in sorted({a + b for a in f.source.support for b in g.source.support}):
         rows = _tensor_summands(f.source, g.source, q)
         cols = _tensor_summands(f.target, g.target, q)
         keys = {key for key, _ in cols}
@@ -437,7 +403,7 @@ def tensor_chain_map(f, g):
             ((a, b), (a, b)): kron(f.map(a), g.map(b))
             for (a, b), _ in rows if (a, b) in keys
         })
-    return ChainMap(source, target, mats)
+    return mats
 
 
 # ---------------------------------------------------------------------------
@@ -485,22 +451,3 @@ def normalized_chains(x):
     if cert is not None and cert[0] == "nondegenerate-bound" and cert[1] <= x.q_max:
         valid_hi = None
     return SimplicialChains(_chains(x, bases), tuple(bases), valid_hi)
-
-
-def full_chains(x):
-    """The complex on all simplices (degenerate ones included) — same
-    homology as the normalized complex in valid degrees, used as the
-    independent route."""
-    bases = [x.simplices[q] for q in range(x.q_max + 1)]
-    return SimplicialChains(_chains(x, bases), tuple(bases), x.q_max - 1)
-
-
-def simplicial_homology(x, q):
-    """Homology of the truncation in one valid degree."""
-    chains = normalized_chains(x)
-    if chains.valid_hi is not None and q > chains.valid_hi:
-        raise SpecError(
-            f"degree {q} homology is not determined by a depth-{x.q_max} "
-            f"truncation without a degeneracy bound"
-        )
-    return homology(chains.complex, q)

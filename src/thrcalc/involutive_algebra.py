@@ -296,13 +296,6 @@ def ring_F4():
     return make_ring(add, table, (1, 0), None, names=("one", "x"))
 
 
-def ring_gaussian_integers():
-    """``Z[i]`` with complex conjugation as the involution."""
-    add = group(2, [])
-    table = [[(1, 0), (0, 1)], [(0, 1), (-1, 0)]]
-    return make_ring(add, table, (1, 0), [[1, 0], [0, -1]], names=("one", "i"))
-
-
 def mod2(ring, where="mod2"):
     """Reduction of a ring modulo 2, with the induced table and involution."""
     n = ring.add.n_gens
@@ -669,44 +662,17 @@ def _enumerate_fiber(gens, weight, v, limit=None):
     return sorted(found.items())
 
 
-def elements_of_weight(monoid, weight, v):
-    """The exact, finite fiber of a weight map over ``v``.
-
-    Args:
-        monoid: an :class:`AffineMonoid`.
-        weight: integer matrix ``rank x m`` (rows = images of the ambient
-            basis), or None for the identity map.
-        v: target vector in ``Z^m``.
-
-    Returns:
-        Sorted list of :class:`MonoidElement` with membership certificates.
-
-    Raises:
-        InfeasibleError: if the fiber is infinite.
-    """
-    if weight is None:
-        weight = Mat.identity(monoid.rank)
-    elif not isinstance(weight, Mat):
-        weight = Mat([tuple(r) for r in weight], cols=len(tuple(v)))
-    pairs = _enumerate_fiber(monoid.generators, weight, v)
-    return [MonoidElement(x, cert) for x, cert in pairs]
-
-
-def weight_tuples(monoid, weight, v, length):
-    """All ``length``-tuples of monoid elements whose weights sum to ``v``.
+def weight_tuples(monoid, v, length):
+    """All ``length``-tuples of monoid elements summing to ``v``.
 
     This is the fiber enumeration for the product monoid ``M^length`` with
-    the summed weight map; it returns plain tuples of vectors, sorted.
+    the summing map; it returns plain tuples of vectors, sorted.
     """
     if length == 0:
         return [()] if not any(tuple(v)) else []
-    if weight is None:
-        weight = Mat.identity(monoid.rank)
-    elif not isinstance(weight, Mat):
-        weight = Mat([tuple(r) for r in weight], cols=len(tuple(v)))
     rank = monoid.rank
     gens = kron(Mat.identity(length), Mat(monoid.generators, cols=rank)).data
-    big_weight = kron(Mat([[1]] * length, cols=1), weight)
+    big_weight = kron(Mat([[1]] * length, cols=1), Mat.identity(rank))
     pairs = _enumerate_fiber(gens, big_weight, v)
     out = []
     for x, _cert in pairs:
@@ -714,17 +680,13 @@ def weight_tuples(monoid, weight, v, length):
     return sorted(out)
 
 
-def pointedness_functional(monoid, weight=None):
-    """The rational functional certifying finite weight fibers, or a raise.
+def pointedness_functional(monoid):
+    """The rational functional certifying finite fibers, or a raise.
 
     For a monoid without units this gives the bound ``sum of certificate
-    multiplicities <= floor(lam . weight(v))`` used to certify truncations.
+    multiplicities <= floor(lam . v)`` used to certify truncations.
     """
-    if weight is None:
-        weight = Mat.identity(monoid.rank)
-    elif not isinstance(weight, Mat):
-        weight = Mat([tuple(r) for r in weight])
-    _, _, _, lam = _weight_data(monoid.generators, weight)
+    _, _, _, lam = _weight_data(monoid.generators, Mat.identity(monoid.rank))
     return lam
 
 
@@ -750,27 +712,6 @@ def elements_in_ball(monoid, bound):
     return out
 
 
-def sigma_orbits(monoid, bound):
-    """Involution orbits on the monoid elements of l1-norm at most ``bound``.
-
-    Returns a sorted list of orbits; each orbit is a sorted tuple of one or
-    two vectors (fixed points are singletons).
-    """
-    elements = [e.vector for e in elements_in_ball(monoid, bound)]
-    seen = set()
-    orbits = []
-    for v in elements:
-        if v in seen:
-            continue
-        img = monoid.apply_w(v)
-        orbit = tuple(sorted({v, img}))
-        for x in orbit:
-            seen.add(x)
-        orbits.append(orbit)
-    orbits.sort()
-    return orbits
-
-
 # ---------------------------------------------------------------------------
 # monoid catalog
 # ---------------------------------------------------------------------------
@@ -781,36 +722,9 @@ def monoid_nat():
     return AffineMonoid([(1,)])
 
 
-def monoid_int():
-    """``Z`` as a monoid (both unit generators), trivial involution."""
-    return AffineMonoid([(1,), (-1,)])
-
-
 def monoid_int_sigma():
     """``Z`` with the sign involution."""
     return AffineMonoid([(1,), (-1,)], w=[[-1]])
-
-
-def monoid_nat_power(k):
-    """``N^k``, trivial involution."""
-    return AffineMonoid([_unit_vec(k, i) for i in range(k)], rank=k)
-
-
-def monoid_nat_square_swap():
-    """``N^2`` with the coordinate swap involution."""
-    return AffineMonoid([(1, 0), (0, 1)], w=[[0, 1], [1, 0]])
-
-
-def monoid_antidiagonal_halfplane():
-    """``{(x1, x2) in Z^2 : x1 + x2 <= 0}``, trivial involution."""
-    return AffineMonoid([(-1, 0), (0, -1), (1, -1), (-1, 1)])
-
-
-def product_monoid(monoid, length):
-    """The product ``M^length`` with the diagonal involution."""
-    slots = Mat.identity(length)
-    gens = kron(slots, Mat(monoid.generators, cols=monoid.rank))
-    return AffineMonoid(gens.data, w=kron(slots, monoid.w), rank=monoid.rank * length)
 
 
 # ---------------------------------------------------------------------------
@@ -915,6 +829,8 @@ def ring_map_from_description(desc, source, target, where="ring map description"
     """Build a :class:`RingHom` from ``{"map": [...]}``: one entry per
     source generator, each a target generator name or a coefficient
     vector in the target."""
+    if not isinstance(desc, dict):
+        raise SpecError(f"{where}: expected a mapping, got {type(desc).__name__}")
     if "map" not in desc:
         raise SpecError(f"{where}: missing key 'map'")
     rows = [

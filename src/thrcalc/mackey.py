@@ -28,19 +28,18 @@ from .fgab import (
     FgAbGroup,
     GroupHom,
     Mat,
-    cokernel,
     direct_sum,
     group,
     hom,
     identity_hom,
     inverse,
-    is_exact,
     kernel,
     lift_through,
     pure_tensor,
     tensor,
     vstack,
 )
+from .involutive_algebra import _unit_vec
 
 #: Number of double coset verifications performed so far in this process.
 double_coset_verifications = 0
@@ -166,40 +165,6 @@ def is_mackey_iso(h):
     return inverse(h.f_e) is not None and inverse(h.f_g) is not None
 
 
-def mackey_kernel(h):
-    """Kernel of a Mackey morphism with its inclusion."""
-    k_e, incl_e = kernel(h.f_e)
-    k_g, incl_g = kernel(h.f_g)
-    m = h.source
-    w_k = lift_through(incl_e, incl_e.then(m.w))
-    res_k = lift_through(incl_e, incl_g.then(m.res))
-    tran_k = lift_through(incl_g, incl_e.then(m.tran))
-    ker = make_mackey(k_e, k_g, w_k, res_k, tran_k, where="mackey kernel")
-    return ker, mackey_hom(ker, m, incl_e, incl_g, where="kernel inclusion")
-
-
-def mackey_cokernel(h):
-    """Cokernel of a Mackey morphism with its projection."""
-    c_e, proj_e = cokernel(h.f_e)
-    c_g, proj_g = cokernel(h.f_g)
-    n = h.target
-    # Cokernels are presented on the same generators, so the structure maps
-    # descend with unchanged matrices; well-definedness is re-checked.
-    w_c = hom(c_e, c_e, n.w.matrix)
-    res_c = hom(c_g, c_e, n.res.matrix)
-    tran_c = hom(c_e, c_g, n.tran.matrix)
-    cok = make_mackey(c_e, c_g, w_c, res_c, tran_c, where="mackey cokernel")
-    return cok, mackey_hom(n, cok, proj_e, proj_g, where="cokernel projection")
-
-
-def mackey_is_exact(maps):
-    """Levelwise exactness of a composable sequence of Mackey morphisms."""
-    rep_e = is_exact([h.f_e for h in maps])
-    if not rep_e:
-        return rep_e
-    return is_exact([h.f_g for h in maps])
-
-
 def mackey_direct_sum(m, n):
     """Direct sum of Mackey functors with the two inclusions."""
     s_e, ie1, ie2, pe1, pe2 = direct_sum(m.e, n.e)
@@ -211,25 +176,6 @@ def mackey_direct_sum(m, n):
     incl1 = mackey_hom(m, s, ie1, ig1, where="direct sum inclusion")
     incl2 = mackey_hom(n, s, ie2, ig2, where="direct sum inclusion")
     return s, incl1, incl2
-
-
-def extend_underlying_hom(m, n, f_e, where="extension"):
-    """Extend an equivariant map of e levels to a Mackey morphism when the
-    target restriction is injective.
-
-    The candidate g-level map is forced: ``res . f_g = f_e . res`` has a
-    unique solution through the injective ``n.res``.  Compatibility with
-    transfer is then verified; failure raises :class:`SpecError`.
-    """
-    if not isinstance(f_e, GroupHom):
-        f_e = hom(m.e, n.e, f_e)
-    k, _ = kernel(n.res)
-    if not k.is_trivial():
-        raise SpecError(f"{where}: target restriction is not injective")
-    if not m.w.then(f_e).equal(f_e.then(n.w)):
-        raise SpecError(f"{where}: e-level map is not equivariant")
-    f_g = lift_through(n.res, m.res.then(f_e))
-    return mackey_hom(m, n, f_e, f_g, where=where)
 
 
 # ---------------------------------------------------------------------------
@@ -295,7 +241,7 @@ def module_structure(ring, mackey, rows_e, rows_g, where="module"):
             raise SpecError(f"{where}: restriction is not linear at generator {i}")
         if not act_e[i].then(mackey.tran).equal(mackey.tran.then(act_g[i])):
             raise SpecError(f"{where}: transfer is not linear at generator {i}")
-        gi = tuple(1 if k == i else 0 for k in range(n))
+        gi = _unit_vec(n, i)
         twisted = ms.action("e", ring.apply_w(gi))
         if not act_e[i].then(mackey.w).equal(mackey.w.then(twisted)):
             raise SpecError(
@@ -333,13 +279,13 @@ def _tensor_level(grp, acts, ring_map):
     nb = b.add.n_gens
     extra = []
     for i in range(a.n_gens):
-        ai = tuple(1 if k == i else 0 for k in range(a.n_gens))
+        ai = _unit_vec(a.n_gens, i)
         fa = ring_map.apply(ai)
         for k in range(grp.n_gens):
-            ek = tuple(1 if t_ == k else 0 for t_ in range(grp.n_gens))
+            ek = _unit_vec(grp.n_gens, k)
             moved = acts[i].apply(ek)
             for j in range(nb):
-                ej = tuple(1 if t_ == j else 0 for t_ in range(nb))
+                ej = _unit_vec(nb, j)
                 left = pure_tensor(nb, moved, ej)
                 right = pure_tensor(nb, ek, b.mul(fa, ej))
                 extra.append(tuple(x - y for x, y in zip(left, right)))
@@ -351,10 +297,10 @@ def _tensor_map(f, src_level, tgt_level, b_map, nb):
     """The map ``f (x) b_map`` between tensored levels, on pure tensors."""
     rows = []
     for k in range(f.source.n_gens):
-        ek = tuple(1 if t_ == k else 0 for t_ in range(f.source.n_gens))
+        ek = _unit_vec(f.source.n_gens, k)
         fk = f.apply(ek)
         for j in range(nb):
-            ej = tuple(1 if t_ == j else 0 for t_ in range(nb))
+            ej = _unit_vec(nb, j)
             rows.append(pure_tensor(nb, fk, b_map(ej)))
     return hom(src_level, tgt_level, rows)
 
@@ -383,12 +329,12 @@ def base_change(ms, ring_map, where="base change"):
     def act_rows(grp_old, level_new):
         out = []
         for j0 in range(nb):
-            gj0 = tuple(1 if t_ == j0 else 0 for t_ in range(nb))
+            gj0 = _unit_vec(nb, j0)
             rows = []
             for k in range(grp_old.n_gens):
-                ek = tuple(1 if t_ == k else 0 for t_ in range(grp_old.n_gens))
+                ek = _unit_vec(grp_old.n_gens, k)
                 for j in range(nb):
-                    ej = tuple(1 if t_ == j else 0 for t_ in range(nb))
+                    ej = _unit_vec(nb, j)
                     rows.append(pure_tensor(nb, ek, b.mul(gj0, ej)))
             out.append(hom(level_new, level_new, rows))
         return tuple(out)

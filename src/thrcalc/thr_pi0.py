@@ -32,6 +32,7 @@ from .errors import CertificateError, SpecError
 from .fgab import (
     ExactnessReport,
     Mat,
+    cokernel,
     group,
     hom,
     identity_hom,
@@ -230,9 +231,7 @@ def ses_check(result):
         raise CertificateError(
             "doubled ideal does not embed into the fixed level"
         )
-    from .fgab import cokernel as _cokernel
-
-    coker, _ = _cokernel(epi)
+    coker, _ = cokernel(epi)
     if not coker.is_trivial():
         raise CertificateError("fixed level does not surject onto the twisted square")
     report = is_exact([mono, epi])

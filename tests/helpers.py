@@ -1,0 +1,215 @@
+"""Independent routes, checks and catalog entries that only the tests use.
+
+The calculator never runs these.  They are second routes to facts the
+library computes one way (chains on all simplices, the one-sided bar
+construction, the smash identity of tensor cubes), or small catalog
+objects the tests draw from.
+"""
+
+from dataclasses import dataclass
+
+from thrcalc import dihedral
+from thrcalc.cubes import tensor_cube, total_fiber
+from thrcalc.dihedral import (
+    ComparisonWitness,
+    TruncDihedralSet,
+    _first_incompatibility,
+    _signed_permutation_sigma,
+    _total,
+    _vec_add,
+    normalize_orbit,
+    windowed_simplex_tuples,
+)
+from thrcalc.errors import SpecError
+from thrcalc.fgab import Mat, group, kron
+from thrcalc.homology import (
+    ChainMap,
+    SimplicialChains,
+    _chains,
+    _tensor_matrices,
+    homology,
+    mapping_fiber,
+    tensor_complex,
+)
+from thrcalc.involutive_algebra import (
+    AffineMonoid,
+    MonoidElement,
+    _enumerate_fiber,
+    _unit_vec,
+    make_ring,
+)
+
+# ---------------------------------------------------------------------------
+# catalog entries
+# ---------------------------------------------------------------------------
+
+
+def ring_gaussian_integers():
+    """``Z[i]`` with complex conjugation as the involution."""
+    add = group(2, [])
+    table = [[(1, 0), (0, 1)], [(0, 1), (-1, 0)]]
+    return make_ring(add, table, (1, 0), [[1, 0], [0, -1]], names=("one", "i"))
+
+
+def monoid_int():
+    """``Z`` as a monoid (both unit generators), trivial involution."""
+    return AffineMonoid([(1,), (-1,)])
+
+
+def monoid_nat_power(k):
+    """``N^k``, trivial involution."""
+    return AffineMonoid([_unit_vec(k, i) for i in range(k)], rank=k)
+
+
+def monoid_nat_square_swap():
+    """``N^2`` with the coordinate swap involution."""
+    return AffineMonoid([(1, 0), (0, 1)], w=[[0, 1], [1, 0]])
+
+
+def monoid_antidiagonal_halfplane():
+    """``{(x1, x2) in Z^2 : x1 + x2 <= 0}``, trivial involution."""
+    return AffineMonoid([(-1, 0), (0, -1), (1, -1), (-1, 1)])
+
+
+def product_monoid(monoid, length):
+    """The product ``M^length`` with the diagonal involution."""
+    slots = Mat.identity(length)
+    gens = kron(slots, Mat(monoid.generators, cols=monoid.rank))
+    return AffineMonoid(gens.data, w=kron(slots, monoid.w), rank=monoid.rank * length)
+
+
+def elements_of_weight(monoid, weight, v):
+    """The exact, finite fiber over ``v`` of the weight map ``weight``
+    (integer rows, the images of the ambient basis; None for the identity),
+    as :class:`MonoidElement` values with membership certificates."""
+    weight = Mat.identity(monoid.rank) if weight is None else Mat(weight)
+    return [MonoidElement(x, cert)
+            for x, cert in _enumerate_fiber(monoid.generators, weight, v)]
+
+
+# ---------------------------------------------------------------------------
+# the tensor of chain maps from the library's matrices
+# ---------------------------------------------------------------------------
+
+
+def tensor_chain_map(f, g):
+    """``f (x) g`` between the tensor complexes of the sources and targets."""
+    return ChainMap(tensor_complex(f.source, g.source),
+                    tensor_complex(f.target, g.target), _tensor_matrices(f, g))
+
+
+# ---------------------------------------------------------------------------
+# second routes
+# ---------------------------------------------------------------------------
+
+
+def full_chains(x):
+    """The complex on all simplices (degenerate ones included): the same
+    homology as the normalized complex in valid degrees."""
+    bases = [x.simplices[q] for q in range(x.q_max + 1)]
+    return SimplicialChains(_chains(x, bases), tuple(bases), x.q_max - 1)
+
+
+def real_nerve(monoid, q_max, window=None):
+    """The one-sided bar construction with the order-reversing involution:
+    ``q``-simplices are ``q``-tuples, the outer faces drop an entry and the
+    reflection is ``(x_1, ..., x_q) -> (s(x_q), ..., s(x_1))``.
+
+    A window (total l1 bound) is required whenever the monoid has any
+    generator, since the nerve is then degreewise infinite.
+    """
+    if monoid.generators and window is None:
+        raise SpecError("real_nerve: a window is required for an infinite monoid")
+    sigma = (
+        _signed_permutation_sigma(monoid)
+        if window is not None
+        else monoid.apply_w
+    )
+    zero = tuple([0] * monoid.rank)
+    if window is not None:
+        levels = [windowed_simplex_tuples(monoid, q, window) for q in range(q_max + 1)]
+    else:
+        levels = [[(zero,) * q] for q in range(q_max + 1)]
+
+    def face(q, i, x):
+        if i == 0:
+            return x[1:]
+        if i == q:
+            return x[:-1]
+        return x[: i - 1] + (_vec_add(x[i - 1], x[i]),) + x[i + 1 :]
+
+    def degeneracy(q, i, x):
+        return x[:i] + (zero,) + x[i:]
+
+    def invol(q, x):
+        return tuple(sigma(e) for e in reversed(x))
+
+    return TruncDihedralSet(q_max, levels, face, degeneracy, invol=invol, flag="real")
+
+
+def sign_splitting_check(monoid, j, q_max, window):
+    """Verify that dropping the zeroth entry splits a two-element weight
+    orbit piece as (which orbit representative) x (one-sided bar), as real
+    simplicial sets, on an l1 window.
+
+    ``monoid`` must be of rank one with the sign involution; ``j > 0``.
+    """
+    if j <= 0:
+        raise SpecError("sign splitting needs a weight with a free orbit")
+    orbit = normalize_orbit(monoid, ((j,),))
+    if len(orbit) != 2:
+        raise SpecError("weight orbit is not free")
+    lhs = dihedral.dihedral_nerve_piece(monoid, orbit, q_max, window=window)
+    bar = real_nerve(monoid, q_max, window=window)
+    rep = orbit[1]  # the positive representative
+
+    def to_pair(x):
+        return (0 if _total(x) == rep else 1, x[1:])
+
+    counts = []
+    for q in range(q_max + 1):
+        image = {to_pair(x) for x in lhs.simplices[q]}
+        if len(image) != lhs.count(q):
+            return ComparisonWitness(
+                False, tuple(counts), f"splitting not injective at degree {q}"
+            )
+        counts.append(len(image))
+
+    detail = _first_incompatibility(
+        lhs, to_pair,
+        lambda q, i, p: (p[0], bar.face(q, i, p[1])),
+        lambda q, i, p: (p[0], bar.degeneracy(q, i, p[1])),
+        None,
+        lambda q, p: (1 - p[0], bar.invol(q, p[1])),
+    )
+    if detail is not None:
+        return ComparisonWitness(False, tuple(counts), detail)
+    return ComparisonWitness(True, tuple(counts))
+
+
+@dataclass(frozen=True)
+class SmashReport:
+    ok: bool
+    degrees: dict
+    detail: str
+
+
+def smash_cube_check(maps):
+    """Homology of a tensor of fibers against the total fiber of the tensor
+    cube built from the same maps."""
+    maps = tuple(maps)
+    cube = tensor_cube(maps)
+    right = total_fiber(cube)
+    left = mapping_fiber(maps[0]).complex
+    for f in maps[1:]:
+        left = tensor_complex(left, mapping_fiber(f).complex)
+    degrees = {}
+    ok = True
+    lo = min([q for c in (left, right) if c.support for q in (c.lo,)] or [0])
+    hi = max([q for c in (left, right) if c.support for q in (c.hi,)] or [0])
+    for q in range(lo, hi + 1):
+        hl = homology(left, q)
+        hr = homology(right, q)
+        degrees[q] = (hl, hr)
+        ok = ok and hl == hr
+    return SmashReport(ok, degrees, f"checked degrees {lo}..{hi}")

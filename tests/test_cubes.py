@@ -24,7 +24,6 @@ from thrcalc.cubes import (
     pn_report,
     psigma_report,
     punctured_limit,
-    smash_cube_check,
     smash_sphere_model,
     tensor_cube,
     tfib_recursion_check,
@@ -44,6 +43,8 @@ from thrcalc.homology import (
     tensor_complex,
 )
 from thrcalc.involutive_algebra import pointedness_functional
+
+from helpers import smash_cube_check
 
 Z = free_group(1)
 

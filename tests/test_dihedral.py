@@ -13,24 +13,18 @@ from thrcalc.dihedral import (
     fixed_subset,
     normalize_orbit,
     pi0,
-    pi0_windowed,
     power_map_fixed_iso_check,
-    real_nerve,
     sd_r,
     sd_sigma,
     shuffle_iso_check,
-    sign_splitting_check,
     trivial_monoid,
     validate_structure,
     windowed_simplex_tuples,
 )
 from thrcalc.errors import CertificateError, InfeasibleError, SpecError
-from thrcalc.involutive_algebra import (
-    AffineMonoid,
-    monoid_int,
-    monoid_int_sigma,
-    monoid_nat,
-)
+from thrcalc.involutive_algebra import AffineMonoid, monoid_int_sigma, monoid_nat
+
+from helpers import monoid_int, real_nerve, sign_splitting_check
 
 NAT = monoid_nat()
 ZSIGMA = monoid_int_sigma()
@@ -432,30 +426,6 @@ def test_fixed_subset_closure_failure_is_a_certificate_error():
     )
     with pytest.raises(CertificateError):
         fixed_subset(broken)
-
-
-def test_pi0_windowed_parity_family():
-    def family(bound):
-        vertices = [(x,) for x in range(bound + 1)]
-        edges = []
-        for x1 in range(bound + 1):
-            for x2 in range(bound + 1):
-                if 2 * x1 + x2 <= bound:
-                    edges.append(((x2,), (2 * x1 + x2,)))
-        return vertices, edges
-
-    result = pi0_windowed(family, 4)
-    assert result.count == 2
-    assert result.stable
-
-
-def test_pi0_windowed_reports_drift():
-    def growing(bound):
-        return [(x,) for x in range(bound + 1)], []
-
-    result = pi0_windowed(growing, 3)
-    assert not result.stable
-    assert "drifts" in result.detail
 
 
 # ---------------------------------------------------------------------------

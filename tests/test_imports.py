@@ -1,4 +1,5 @@
-"""Every name a module of the package imports is used in that module."""
+"""Every name a module of the package imports is used in that module, and
+every public name of the package is reached from the command line."""
 
 import ast
 from pathlib import Path
@@ -29,3 +30,84 @@ def test_the_scan_finds_an_unused_import():
 @pytest.mark.parametrize("path", sorted(PACKAGE.glob("*.py")), ids=lambda p: p.name)
 def test_module_imports_only_names_it_uses(path):
     assert unused_imports(path.read_text()) == []
+
+
+def _relative_imports(nodes):
+    """``{local name: (module, name)}`` for the ``from .module import name``
+    statements among ``nodes``; ``from . import module`` maps the module's
+    local name to ``(module, None)``."""
+    out = {}
+    for node in nodes:
+        if isinstance(node, ast.ImportFrom) and node.level == 1:
+            for a in node.names:
+                out[a.asname or a.name] = (node.module, a.name) if node.module else (a.name, None)
+    return out
+
+
+def unreached(sources):
+    """The public top-level names of the modules in ``sources`` (``{module
+    name: source}``) that nothing reaches from ``cli.main`` and the
+    module-level statements of ``cli`` and ``selftest``.
+
+    A reached function, class or assignment reaches the names its body
+    reads, resolved through its module's own definitions and relative
+    imports (those inside the body too), and ``module.name`` for a module
+    imported whole.  A name the body binds itself is local and reaches
+    nothing.
+    """
+    defs, imports, todo = {}, {}, []
+    for mod, source in sources.items():
+        tree = ast.parse(source)
+        defs[mod], imports[mod] = {}, _relative_imports(tree.body)
+        for stmt in tree.body:
+            if isinstance(stmt, (ast.FunctionDef, ast.ClassDef)):
+                defs[mod][stmt.name] = stmt
+            elif isinstance(stmt, (ast.Assign, ast.AnnAssign)):
+                for target in stmt.targets if isinstance(stmt, ast.Assign) else [stmt.target]:
+                    defs[mod].update((n.id, stmt) for n in ast.walk(target)
+                                     if isinstance(n, ast.Name))
+            if mod in ("cli", "selftest") and not isinstance(
+                    stmt, (ast.FunctionDef, ast.ClassDef, ast.Import, ast.ImportFrom)):
+                todo.append((mod, stmt))
+    todo.append(("cli", defs["cli"]["main"]))
+    reached = {("cli", "main")}
+    while todo:
+        mod, node = todo.pop()
+        nodes = list(ast.walk(node))
+        scope = {**imports[mod], **_relative_imports(nodes)}
+        local = ({n.arg for n in nodes if isinstance(n, ast.arg)}
+                 | {n.id for n in nodes if isinstance(n, ast.Name) and isinstance(n.ctx, ast.Store)})
+        if not isinstance(node, (ast.FunctionDef, ast.ClassDef)):
+            local = set()  # a module-level statement binds module names
+        local -= {name for n in nodes if isinstance(n, ast.Global) for name in n.names}
+        for n in nodes:
+            key = None
+            if isinstance(n, ast.Name) and n.id not in local:
+                key = (mod, n.id) if n.id in defs[mod] else scope.get(n.id)
+            elif isinstance(n, ast.Attribute) and isinstance(n.value, ast.Name):
+                module, name = scope.get(n.value.id, (None, ""))
+                key = (module, n.attr) if name is None else None
+            while key and key[0] in defs and key[1] not in defs[key[0]]:
+                key = imports[key[0]].get(key[1])  # a name the module imports
+            if key and key[0] in defs and key not in reached:
+                reached.add(key)
+                todo.append((key[0], defs[key[0]][key[1]]))
+    return sorted((mod, name) for mod in defs for name in defs[mod]
+                  if not name.startswith("_") and (mod, name) not in reached)
+
+
+def test_the_scan_finds_an_unreached_name():
+    sources = {
+        "cli": "from .lib import run\n\ndef main():\n    return run()\n",
+        "lib": ("def run():\n    image = 1\n    return helper(image)\n\n"
+                "def helper(x):\n    return x\n\n"
+                "def image():\n    return 0\n\n"
+                "def _private():\n    return 0\n"),
+    }
+    # ``run``'s local ``image`` is not the module's ``image``
+    assert unreached(sources) == [("lib", "image")]
+
+
+def test_every_public_name_is_reached_from_the_cli_or_selftest():
+    sources = {path.stem: path.read_text() for path in PACKAGE.glob("*.py")}
+    assert unreached(sources) == []

@@ -10,30 +10,32 @@ from thrcalc.involutive_algebra import (
     AffineMonoid,
     MonoidElement,
     elements_in_ball,
-    elements_of_weight,
     frobenius,
     is_surjective_on_finite,
     make_ring,
     mod2,
-    monoid_antidiagonal_halfplane,
     monoid_from_description,
-    monoid_int,
     monoid_int_sigma,
     monoid_nat,
-    monoid_nat_power,
-    monoid_nat_square_swap,
     pointedness_functional,
-    product_monoid,
     ring_F2,
     ring_F4,
     ring_Z,
     ring_Zmod,
     ring_dual_numbers_F2,
     ring_from_description,
-    ring_gaussian_integers,
     ring_hom,
-    sigma_orbits,
     weight_tuples,
+)
+
+from helpers import (
+    elements_of_weight,
+    monoid_antidiagonal_halfplane,
+    monoid_int,
+    monoid_nat_power,
+    monoid_nat_square_swap,
+    product_monoid,
+    ring_gaussian_integers,
 )
 
 # ---------------------------------------------------------------------------
@@ -287,19 +289,19 @@ def test_weight_zero_on_a_unit_is_rejected():
 
 
 def test_weight_tuples():
-    tuples = weight_tuples(monoid_nat(), None, (2,), 3)
+    tuples = weight_tuples(monoid_nat(), (2,), 3)
     assert len(tuples) == 6
     assert all(sum(x[0] for x in t) == 2 for t in tuples)
     assert tuples == sorted(tuples)
-    assert weight_tuples(monoid_nat(), None, (0,), 0) == [()]
-    assert weight_tuples(monoid_nat(), None, (1,), 0) == []
+    assert weight_tuples(monoid_nat(), (0,), 0) == [()]
+    assert weight_tuples(monoid_nat(), (1,), 0) == []
 
 
 def test_weight_tuples_with_units_can_be_infinite():
     # Tuple weights are summed across slots, so pairs over Z with total
     # weight 0 form an infinite family (a, -a) and must be rejected.
     with pytest.raises(InfeasibleError):
-        weight_tuples(monoid_int(), None, (0,), 2)
+        weight_tuples(monoid_int(), (0,), 2)
 
 
 def test_pointedness_functional_on_nat_powers():
@@ -315,25 +317,6 @@ def test_elements_in_ball_int():
     assert vecs == [(-2,), (-1,), (0,), (1,), (2,)]
     vecs = [e.vector for e in elements_in_ball(monoid_nat(), 2)]
     assert vecs == [(0,), (1,), (2,)]
-
-
-def test_sigma_orbits_int_sigma():
-    orbits = sigma_orbits(monoid_int_sigma(), 2)
-    assert {frozenset(o) for o in orbits} == {
-        frozenset({(0,)}),
-        frozenset({(1,), (-1,)}),
-        frozenset({(2,), (-2,)}),
-    }
-    sizes = {len(o) for o in orbits}
-    assert sizes == {1, 2}
-
-
-def test_sigma_orbits_swap():
-    orbits = sigma_orbits(monoid_nat_square_swap(), 1)
-    assert {frozenset(o) for o in orbits} == {
-        frozenset({(0, 0)}),
-        frozenset({(1, 0), (0, 1)}),
-    }
 
 
 def test_product_monoid():
@@ -453,5 +436,5 @@ def test_monoid_closed_under_addition(idx, p, q):
 def test_weight_tuple_count_on_nat(total, length):
     from math import comb
 
-    tuples = weight_tuples(monoid_nat(), None, (total,), length)
+    tuples = weight_tuples(monoid_nat(), (total,), length)
     assert len(tuples) == comb(total + length - 1, length - 1)

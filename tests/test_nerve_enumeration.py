@@ -29,11 +29,9 @@ from thrcalc.dihedral import (
 from thrcalc.errors import CertificateError
 from thrcalc.fgab import free_group
 from thrcalc.homology import homology, normalized_chains
-from thrcalc.involutive_algebra import (
-    monoid_nat,
-    monoid_nat_square_swap,
-    weight_tuples,
-)
+from thrcalc.involutive_algebra import monoid_nat, weight_tuples
+
+from helpers import monoid_nat_square_swap
 
 NAT = monoid_nat()
 NAT2_SWAP = monoid_nat_square_swap()
@@ -65,7 +63,7 @@ def _eager_levels(monoid, orbit, q_max):
                 cache = [(c,) for c in range(v[0] + 1)]
                 found.update(_compositions(v[0], q + 1, cache))
             else:
-                found.update(weight_tuples(monoid, None, v, q + 1))
+                found.update(weight_tuples(monoid, v, q + 1))
         levels.append(found)
     return levels
 
