@@ -444,7 +444,9 @@ def build_parser():
 
     p = sub.add_parser("nerve", help="weight piece of a dihedral nerve")
     p.add_argument("monoid", help="monoid description file")
-    p.add_argument("--weight", required=True, help="integer or comma-separated vector")
+    p.add_argument("--weight", required=True,
+                   help="integer or comma-separated vector; a vector whose first "
+                        "coordinate is negative needs the --weight=-1,2 form")
     p.add_argument("--q-max", dest="q_max", type=int, default=None,
                    help="truncation depth (default: the pointedness bound)")
     p.add_argument("--window", type=int, default=None,

@@ -16,6 +16,10 @@ Conventions
   is where loaders, user input and other modules enter.  A matrix derived
   here from other ``Mat``s (products, sums, blocks, Smith forms, kernels)
   is built by the trusted ``Mat._of``, which stores its rows as given.
+* Tensor coordinates are ``kron``'s, for groups and complexes alike: on
+  generators ``x_0, ..., x_{m-1}`` and ``y_0, ..., y_{n-1}``, the pair
+  ``x_i (x) y_j`` is generator ``i * n + j``.  A map or relation built
+  from a tensor of matrices is the ``kron`` of those matrices.
 """
 
 from __future__ import annotations
@@ -98,9 +102,6 @@ class Mat:
 
     def row(self, i):
         return self.data[i]
-
-    def col(self, j):
-        return tuple(row[j] for row in self.data)
 
     def is_zero(self):
         return all(x == 0 for row in self.data for x in row)
@@ -779,43 +780,15 @@ def direct_sum(g, h):
     return s, i1, i2, p1, p2
 
 
-def tensor_index(nh, i, j):
-    """Flat index of generator pair (i, j) with second factor width nh."""
-    return i * nh + j
-
-
 def tensor(g, h):
-    """Tensor product over Z, presented on generator pairs.
+    """Tensor product over Z, presented on generator pairs in ``kron``'s
+    coordinates.
 
     >>> tensor(group(1, [[2]]), group(1, [[3]])).is_trivial()
     True
     >>> tensor(group(1, [[4]]), group(1, [[6]])) == group(1, [[2]])
     True
     """
-    ng, nh = g.n_gens, h.n_gens
-    n = ng * nh
-    rows = []
-    for r in g.relations.data:
-        for j in range(nh):
-            row = [0] * n
-            for i, ri in enumerate(r):
-                row[tensor_index(nh, i, j)] = ri
-            rows.append(tuple(row))
-    for r in h.relations.data:
-        for i in range(ng):
-            row = [0] * n
-            for j, rj in enumerate(r):
-                row[tensor_index(nh, i, j)] = rj
-            rows.append(tuple(row))
-    return group(n, Mat._of(tuple(rows), n))
-
-
-def pure_tensor(nh, x, y):
-    """Coefficient vector of x (x) y on tensor generators."""
-    out = [0] * (len(x) * nh)
-    for i, xi in enumerate(x):
-        if xi:
-            for j, yj in enumerate(y):
-                if yj:
-                    out[tensor_index(nh, i, j)] += xi * yj
-    return tuple(out)
+    rels = vstack(kron(g.relations, Mat.identity(h.n_gens)),
+                  kron(Mat.identity(g.n_gens), h.relations))
+    return group(g.n_gens * h.n_gens, rels)

@@ -85,9 +85,6 @@ class ChainComplex:
     def hi(self):
         return max(self._ranks) if self._ranks else 0
 
-    def euler_characteristic(self):
-        return sum((-1) ** q * r for q, r in self._ranks.items())
-
     def __repr__(self):
         ranks = {q: self.rank(q) for q in self.support}
         return f"ChainComplex(ranks={ranks})"

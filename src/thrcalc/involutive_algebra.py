@@ -428,13 +428,6 @@ class AffineMonoid:
             return None
         return found[0][1]
 
-    def element(self, v):
-        """The vector ``v`` as a certified :class:`MonoidElement`."""
-        cert = self.contains(v)
-        if cert is None:
-            raise SpecError(f"membership: {tuple(v)} is not in the monoid")
-        return MonoidElement(tuple(v), cert)
-
     def __repr__(self):
         return (
             f"AffineMonoid(rank={self.rank}, "
@@ -740,11 +733,17 @@ def _listed(desc, key, where):
     return value
 
 
+def _is_int(x):
+    """Whether ``x`` is an integer; YAML's ``yes``/``true`` load as ``bool``,
+    which is an ``int`` to Python but not a number here."""
+    return isinstance(x, int) and not isinstance(x, bool)
+
+
 def _int_vector(entry, where, n=None):
     """``entry`` as a tuple of integers, of length ``n`` if given."""
     if (
         not isinstance(entry, (list, tuple))
-        or any(not isinstance(c, int) for c in entry)
+        or not all(map(_is_int, entry))
         or (n is not None and len(entry) != n)
     ):
         size = "" if n is None else f"{n} "
@@ -782,7 +781,7 @@ def ring_from_description(desc, where="ring description"):
     if len(set(names)) != n:
         raise SpecError(f"{where}: duplicate generator names")
     orders = _listed(desc, "orders", where)
-    if len(orders) != n or any(not isinstance(o, int) or o < 0 for o in orders):
+    if len(orders) != n or any(not _is_int(o) or o < 0 for o in orders):
         raise SpecError(f"{where}: orders must be {n} nonnegative integers")
     relations = [
         [orders[i] if j == i else 0 for j in range(n)]
@@ -796,7 +795,7 @@ def ring_from_description(desc, where="ring description"):
             if entry not in names:
                 raise SpecError(f"{where}: unknown generator name {entry!r}")
             return names.index(entry)
-        if isinstance(entry, int) and 0 <= entry < n:
+        if _is_int(entry) and 0 <= entry < n:
             return entry
         raise SpecError(f"{where}: bad generator reference {entry!r}")
 

@@ -34,8 +34,8 @@ from .fgab import (
     identity_hom,
     inverse,
     kernel,
+    kron,
     lift_through,
-    pure_tensor,
     tensor,
     vstack,
 )
@@ -253,56 +253,31 @@ def module_structure(ring, mackey, rows_e, rows_g, where="module"):
 
 @dataclass(frozen=True)
 class BaseChangeResult:
-    """Levels of a module Mackey functor tensored over the acting ring.
-
-    ``embed_e`` / ``embed_g`` give the coefficient vector of a pure tensor
-    ``x (x) b`` in the corresponding new level.
-    """
+    """Levels of a module Mackey functor tensored over the acting ring, each
+    presented in ``kron``'s coordinates on (old generator, B generator)."""
 
     mackey: MackeyZ2
     module: ModuleStructure
-    ring_map: object
 
-    def embed_e(self, x, b):
-        nb = self.ring_map.target.add.n_gens
-        return self.mackey.e.reduce(pure_tensor(nb, x, b))
 
-    def embed_g(self, x, b):
-        nb = self.ring_map.target.add.n_gens
-        return self.mackey.g.reduce(pure_tensor(nb, x, b))
+def _images(f):
+    """The matrix of ``f`` with row ``i`` reduced as ``f.apply`` reduces the
+    image of generator ``i``."""
+    return Mat([f.target.reduce(row) for row in f.matrix.data], cols=f.target.n_gens)
 
 
 def _tensor_level(grp, acts, ring_map):
-    """Present ``grp (x)_A B`` for a level with an A-action."""
-    a, b = ring_map.source, ring_map.target
+    """Present ``grp (x)_A B`` for a level with an A-action: besides the
+    relations of ``grp (x) B``, the rows of ``a x (x) y - x (x) f(a) y`` for
+    each generator ``a`` of A, one ``kron`` block per ``a``."""
+    b = ring_map.target
     t = tensor(grp, b.add)
-    nb = b.add.n_gens
-    extra = []
-    for i in range(a.n_gens):
-        ai = _unit_vec(a.n_gens, i)
-        fa = ring_map.apply(ai)
-        for k in range(grp.n_gens):
-            ek = _unit_vec(grp.n_gens, k)
-            moved = acts[i].apply(ek)
-            for j in range(nb):
-                ej = _unit_vec(nb, j)
-                left = pure_tensor(nb, moved, ej)
-                right = pure_tensor(nb, ek, b.mul(fa, ej))
-                extra.append(tuple(x - y for x, y in zip(left, right)))
-    rels = vstack(t.relations, Mat(extra, cols=t.n_gens))
+    ident_grp, ident_b = Mat.identity(grp.n_gens), Mat.identity(b.n_gens)
+    rels = t.relations
+    for act, fa in zip(acts, _images(ring_map.add_hom).data):
+        mult = b.multiplication_by(fa).matrix
+        rels = vstack(rels, kron(_images(act), ident_b) - kron(ident_grp, mult))
     return group(t.n_gens, rels)
-
-
-def _tensor_map(f, src_level, tgt_level, b_map, nb):
-    """The map ``f (x) b_map`` between tensored levels, on pure tensors."""
-    rows = []
-    for k in range(f.source.n_gens):
-        ek = _unit_vec(f.source.n_gens, k)
-        fk = f.apply(ek)
-        for j in range(nb):
-            ej = _unit_vec(nb, j)
-            rows.append(pure_tensor(nb, fk, b_map(ej)))
-    return hom(src_level, tgt_level, rows)
 
 
 def base_change(ms, ring_map, where="base change"):
@@ -316,30 +291,24 @@ def base_change(ms, ring_map, where="base change"):
     if ring_map.source is not ms.ring:
         raise SpecError(f"{where}: ring map source does not act on the module")
     b = ring_map.target
-    nb = b.add.n_gens
+    ident_b = Mat.identity(b.n_gens)
     m = ms.mackey
     e_new = _tensor_level(m.e, ms.act_e, ring_map)
     g_new = _tensor_level(m.g, ms.act_g, ring_map)
 
-    w_new = _tensor_map(m.w, e_new, e_new, b.w.apply, nb)
-    res_new = _tensor_map(m.res, g_new, e_new, lambda x: x, nb)
-    tran_new = _tensor_map(m.tran, e_new, g_new, lambda x: x, nb)
+    w_new = hom(e_new, e_new, kron(_images(m.w), _images(b.w)))
+    res_new = hom(g_new, e_new, kron(_images(m.res), ident_b))
+    tran_new = hom(e_new, g_new, kron(_images(m.tran), ident_b))
     mk = make_mackey(e_new, g_new, w_new, res_new, tran_new, where=where)
 
     def act_rows(grp_old, level_new):
-        out = []
-        for j0 in range(nb):
-            gj0 = _unit_vec(nb, j0)
-            rows = []
-            for k in range(grp_old.n_gens):
-                ek = _unit_vec(grp_old.n_gens, k)
-                for j in range(nb):
-                    ej = _unit_vec(nb, j)
-                    rows.append(pure_tensor(nb, ek, b.mul(gj0, ej)))
-            out.append(hom(level_new, level_new, rows))
-        return tuple(out)
+        ident = Mat.identity(grp_old.n_gens)
+        return tuple(
+            hom(level_new, level_new, kron(ident, b.multiplication_by(e).matrix))
+            for e in ident_b.data
+        )
 
     module = module_structure(
         b, mk, act_rows(m.e, e_new), act_rows(m.g, g_new), where=where
     )
-    return BaseChangeResult(mk, module, ring_map)
+    return BaseChangeResult(mk, module)

@@ -39,7 +39,7 @@ from .fgab import (
     inverse,
     is_exact,
     kernel,
-    pure_tensor,
+    kron,
     tensor,
     vstack,
 )
@@ -54,6 +54,7 @@ from .mackey import (
     MackeyHom,
     MackeyZ2,
     ModuleStructure,
+    _images,
     base_change,
     constant_mackey,
     mackey_hom,
@@ -62,23 +63,25 @@ from .mackey import (
 )
 
 
-def t_span_rows(ring):
-    """Generators of the relation subgroup ``T`` inside ``A (x) A``, written
-    in flat tensor coordinates over generator triples ``(a, x, y)``."""
-    n = ring.n_gens
-    rows = []
-    for i in range(n):
-        square = ring.table[i][i]
-        double = tuple(2 * c for c in _unit_vec(n, i))
-        for j in range(n):
-            ej = _unit_vec(n, j)
-            for k in range(n):
-                ek = _unit_vec(n, k)
-                for coeff in (square, double):
-                    left = pure_tensor(n, ej, ring.mul(coeff, ek))
-                    right = pure_tensor(n, ring.mul(coeff, ej), ek)
-                    rows.append(tuple(x - y for x, y in zip(left, right)))
+def _slide_rows(ring, coeffs):
+    """The rows of ``c x (x) y - x (x) c y`` over generator pairs
+    ``(x, y)``, one ``kron`` block per ``c`` in ``coeffs``."""
+    ident = Mat.identity(ring.n_gens)
+    rows = Mat([], cols=ring.n_gens ** 2)
+    for c in coeffs:
+        mult = ring.multiplication_by(c).matrix
+        rows = vstack(rows, kron(mult, ident) - kron(ident, mult))
     return rows
+
+
+def t_span_rows(ring):
+    """Generators of the relation subgroup ``T`` inside ``A (x) A``, in
+    tensor coordinates over generator triples ``(a, x, y)``: the rows of
+    ``x (x) c y - c x (x) y`` for ``c`` in ``(a^2, 2a)``."""
+    n = ring.n_gens
+    coeffs = [c for i in range(n)
+              for c in (ring.table[i][i], tuple(2 * x for x in _unit_vec(n, i)))]
+    return -_slide_rows(ring, coeffs)
 
 
 @dataclass(frozen=True)
@@ -86,19 +89,15 @@ class Pi0Thr:
     """The computed Mackey functor with its ring action.
 
     ``mackey.e`` is the ring's additive group; ``mackey.g`` is presented on
-    the flat tensor generators of ``A (x) A``.  The ring acts on the fixed
-    level through the right tensor slot, which is the action under which
-    the comparison maps of :func:`verify_base_change` are well defined.
+    the tensor generators of ``A (x) A``, in ``kron``'s coordinates.  The
+    ring acts on the fixed level through the right tensor slot, which is
+    the action under which the comparison maps of
+    :func:`verify_base_change` are well defined.
     """
 
     ring: InvolutiveRing
     mackey: MackeyZ2
     module: ModuleStructure
-
-    def g_class(self, x, y):
-        """The class of the pure tensor ``x (x) y`` in the fixed level."""
-        n = self.ring.n_gens
-        return self.mackey.g.reduce(pure_tensor(n, tuple(x), tuple(y)))
 
 
 def pi0_thr(ring):
@@ -116,33 +115,15 @@ def pi0_thr(ring):
     a = ring.add
     n = ring.n_gens
     t = tensor(a, a)
-    rels = vstack(t.relations, Mat(t_span_rows(ring), cols=n * n))
-    g = group(n * n, rels)
+    g = group(n * n, vstack(t.relations, t_span_rows(ring)))
 
-    res_rows = []
-    for i in range(n):
-        for j in range(n):
-            res_rows.append(ring.table[i][j])
-    res = hom(g, a, res_rows)
-    tran_rows = [
-        tuple(2 * c for c in pure_tensor(n, _unit_vec(n, i), ring.one))
-        for i in range(n)
-    ]
-    tran = hom(a, g, tran_rows)
+    res = hom(g, a, [ring.table[i][j] for i in range(n) for j in range(n)])
+    ident = Mat.identity(n)
+    tran = hom(a, g, kron(ident, Mat.row_vector(ring.one)).scale(2))
     mk = make_mackey(a, g, identity_hom(a), res, tran, where="pi0_thr")
 
     act_e = [ring.multiplication_by(_unit_vec(n, i)) for i in range(n)]
-    act_g = []
-    for i in range(n):
-        rows = []
-        for j in range(n):
-            for k in range(n):
-                rows.append(
-                    pure_tensor(
-                        n, _unit_vec(n, j), ring.mul(_unit_vec(n, i), _unit_vec(n, k))
-                    )
-                )
-        act_g.append(hom(g, g, rows))
+    act_g = [hom(g, g, kron(ident, f.matrix)) for f in act_e]
     ms = module_structure(ring, mk, act_e, act_g, where="pi0_thr module")
     return Pi0Thr(ring, mk, ms)
 
@@ -154,7 +135,7 @@ def unit_comparison(result):
     ring = result.ring
     n = ring.n_gens
     const = constant_mackey(ring.add)
-    rows_g = [pure_tensor(n, _unit_vec(n, i), ring.one) for i in range(n)]
+    rows_g = kron(Mat.identity(n), Mat.row_vector(ring.one))
     return mackey_hom(
         const,
         result.mackey,
@@ -169,24 +150,12 @@ def frobenius_twisted_square(ring):
     the tensor sign: relations ``phi(c) x (x) y - x (x) phi(c) y``.
 
     Returns ``(ring mod 2, the quotient group)``; the quotient is presented
-    on the same flat tensor generators as ``A/2 (x) A/2``.
+    on the same tensor generators as ``A/2 (x) A/2``.
     """
     r2 = mod2(ring)
-    phi = frobenius(r2)
-    n = r2.n_gens
     t = tensor(r2.add, r2.add)
-    rows = []
-    for c in range(n):
-        pc = phi.apply(_unit_vec(n, c))
-        for j in range(n):
-            ej = _unit_vec(n, j)
-            for k in range(n):
-                ek = _unit_vec(n, k)
-                left = pure_tensor(n, r2.mul(pc, ej), ek)
-                right = pure_tensor(n, ej, r2.mul(pc, ek))
-                rows.append(tuple(x - y for x, y in zip(left, right)))
-    quotient = group(n * n, vstack(t.relations, Mat(rows, cols=n * n)))
-    return r2, quotient
+    moved = _slide_rows(r2, _images(frobenius(r2)).data)
+    return r2, group(t.n_gens, vstack(t.relations, moved))
 
 
 @dataclass(frozen=True)
@@ -267,9 +236,7 @@ def alpha_report(result):
     ring = result.ring
     n = ring.n_gens
     alpha = hom(
-        ring.add,
-        result.mackey.g,
-        [pure_tensor(n, ring.one, _unit_vec(n, i)) for i in range(n)],
+        ring.add, result.mackey.g, kron(Mat.row_vector(ring.one), Mat.identity(n))
     )
     direct = inverse(alpha) is not None
     phi = frobenius(mod2(ring))
@@ -313,26 +280,13 @@ def verify_base_change(ring_map):
     tgt = pi0_thr(ring_map.target)
     bc = base_change(src.module, ring_map)
 
-    a, b = ring_map.source, ring_map.target
-    na, nb = a.n_gens, b.n_gens
-
-    rows_e = []
-    for i in range(na):
-        fi = ring_map.apply(_unit_vec(na, i))
-        for j in range(nb):
-            rows_e.append(b.mul(fi, _unit_vec(nb, j)))
-    f_e = hom(bc.mackey.e, tgt.mackey.e, rows_e)
-
-    rows_g = []
-    for j in range(na):
-        fj = ring_map.apply(_unit_vec(na, j))
-        for k in range(na):
-            fk = ring_map.apply(_unit_vec(na, k))
-            for l in range(nb):
-                rows_g.append(
-                    pure_tensor(nb, fj, b.mul(fk, _unit_vec(nb, l)))
-                )
-    f_g = hom(bc.mackey.g, tgt.mackey.g, rows_g)
+    b = ring_map.target
+    images = _images(ring_map.add_hom)
+    # Row (i, j) of ``mult`` is f(a_i) b_j: the map on underlying levels.
+    mult = Mat([row for fa in images.data for row in b.multiplication_by(fa).matrix.data],
+               cols=b.n_gens)
+    f_e = hom(bc.mackey.e, tgt.mackey.e, mult)
+    f_g = hom(bc.mackey.g, tgt.mackey.g, kron(images, mult))
 
     comparison = mackey_hom(
         bc.mackey, tgt.mackey, f_e, f_g, where="base change comparison"

@@ -78,6 +78,14 @@ def product_monoid(monoid, length):
     return AffineMonoid(gens.data, w=kron(slots, monoid.w), rank=monoid.rank * length)
 
 
+def monoid_element(monoid, v):
+    """The vector ``v`` as a certified :class:`MonoidElement` of ``monoid``."""
+    cert = monoid.contains(v)
+    if cert is None:
+        raise SpecError(f"membership: {tuple(v)} is not in the monoid")
+    return MonoidElement(tuple(v), cert)
+
+
 def elements_of_weight(monoid, weight, v):
     """The exact, finite fiber over ``v`` of the weight map ``weight``
     (integer rows, the images of the ambient basis; None for the identity),
@@ -88,14 +96,146 @@ def elements_of_weight(monoid, weight, v):
 
 
 # ---------------------------------------------------------------------------
-# the tensor of chain maps from the library's matrices
+# chain complexes
 # ---------------------------------------------------------------------------
+
+
+def euler_characteristic(c):
+    """The alternating sum of the ranks of the chain complex ``c``."""
+    return sum((-1) ** q * c.rank(q) for q in c.support)
 
 
 def tensor_chain_map(f, g):
     """``f (x) g`` between the tensor complexes of the sources and targets."""
     return ChainMap(tensor_complex(f.source, g.source),
                     tensor_complex(f.target, g.target), _tensor_matrices(f, g))
+
+
+# ---------------------------------------------------------------------------
+# tensor presentations, one pure tensor of unit vectors at a time
+# ---------------------------------------------------------------------------
+#
+# The library builds these with ``kron``; the loops below spell out the
+# same rows over unit vectors, placing ``x_i (x) y_j`` at ``i * n_y + j``.
+
+
+def pure_tensor(nh, x, y):
+    """Coefficient vector of ``x (x) y``, with ``nh`` the length of ``y``."""
+    out = [0] * (len(x) * nh)
+    for i, xi in enumerate(x):
+        for j, yj in enumerate(y):
+            out[i * nh + j] += xi * yj
+    return tuple(out)
+
+
+def _units(n):
+    return [_unit_vec(n, i) for i in range(n)]
+
+
+def _difference(u, v):
+    return tuple(a - b for a, b in zip(u, v))
+
+
+def loop_tensor_relations(g, h):
+    """Relation rows of ``g (x) h``: each relation of ``g`` tensored with
+    each generator of ``h``, then each generator of ``g`` with each
+    relation of ``h``."""
+    ng, nh = g.n_gens, h.n_gens
+    rows = [pure_tensor(nh, r, _unit_vec(nh, j)) for r in g.relations.data for j in range(nh)]
+    rows += [pure_tensor(nh, _unit_vec(ng, i), r) for r in h.relations.data for i in range(ng)]
+    return rows
+
+
+def loop_pi0_thr(ring):
+    """The tensor-coordinate matrices of ``pi0_thr`` and its reports, as
+    lists of rows: ``t_span`` (``x (x) c y - c x (x) y`` over generator
+    triples, ``c`` in ``(a^2, 2a)``), ``tran`` (``a -> 2a (x) 1``),
+    ``unit`` (``a -> a (x) 1``), ``alpha`` (``a -> 1 (x) a``) and ``act_g``
+    (one matrix per generator, acting on the right slot)."""
+    n = ring.n_gens
+    units = _units(n)
+    t_span = [
+        _difference(pure_tensor(n, x, ring.mul(c, y)), pure_tensor(n, ring.mul(c, x), y))
+        for i in range(n)
+        for x in units
+        for y in units
+        for c in (ring.table[i][i], tuple(2 * v for v in units[i]))
+    ]
+    return {
+        "t_span": t_span,
+        "tran": [tuple(2 * c for c in pure_tensor(n, x, ring.one)) for x in units],
+        "unit": [pure_tensor(n, x, ring.one) for x in units],
+        "alpha": [pure_tensor(n, ring.one, x) for x in units],
+        "act_g": [[pure_tensor(n, x, ring.mul(a, y)) for x in units for y in units]
+                  for a in units],
+    }
+
+
+def loop_twisted_rows(r2, phi):
+    """Rows of ``phi(c) x (x) y - x (x) phi(c) y`` over generator triples
+    ``(c, x, y)`` of the ring ``r2`` with Frobenius ``phi``."""
+    n = r2.n_gens
+    units = _units(n)
+    return [
+        _difference(pure_tensor(n, r2.mul(pc, x), y), pure_tensor(n, x, r2.mul(pc, y)))
+        for pc in map(phi.apply, units)
+        for x in units
+        for y in units
+    ]
+
+
+def loop_base_change(ms, ring_map):
+    """The matrices ``base_change(ms, ring_map)`` builds, as lists of rows:
+    the relations of both tensored levels, ``w``, ``res`` and ``tran``
+    tensored with the involution or identity of B, and B's action on both
+    levels through the right slot."""
+    a, b = ring_map.source, ring_map.target
+    nb = b.n_gens
+    b_units = _units(nb)
+    m = ms.mackey
+
+    def level_relations(grp, acts):
+        units = _units(grp.n_gens)
+        return loop_tensor_relations(grp, b.add) + [
+            _difference(pure_tensor(nb, act.apply(x), y),
+                        pure_tensor(nb, x, b.mul(ring_map.apply(ai), y)))
+            for act, ai in zip(acts, _units(a.n_gens))
+            for x in units
+            for y in b_units
+        ]
+
+    def tensor_map(f, b_map):
+        return [pure_tensor(nb, f.apply(x), b_map(y))
+                for x in _units(f.source.n_gens)
+                for y in b_units]
+
+    def action(grp):
+        units = _units(grp.n_gens)
+        return [[pure_tensor(nb, x, b.mul(c, y)) for x in units for y in b_units]
+                for c in b_units]
+
+    return {
+        "e_relations": level_relations(m.e, ms.act_e),
+        "g_relations": level_relations(m.g, ms.act_g),
+        "w": tensor_map(m.w, b.w.apply),
+        "res": tensor_map(m.res, lambda y: y),
+        "tran": tensor_map(m.tran, lambda y: y),
+        "act_e": action(m.e),
+        "act_g": action(m.g),
+    }
+
+
+def loop_comparison(ring_map):
+    """The rows of ``verify_base_change``'s comparison: ``a (x) b -> f(a) b``
+    on underlying levels, ``(x (x) y) (x) b -> f(x) (x) f(y) b`` on fixed
+    levels."""
+    a, b = ring_map.source, ring_map.target
+    images = [ring_map.apply(x) for x in _units(a.n_gens)]
+    b_units = _units(b.n_gens)
+    rows_e = [b.mul(fx, y) for fx in images for y in b_units]
+    rows_g = [pure_tensor(b.n_gens, fx, b.mul(fy, z))
+              for fx in images for fy in images for z in b_units]
+    return rows_e, rows_g
 
 
 # ---------------------------------------------------------------------------

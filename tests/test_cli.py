@@ -1,6 +1,7 @@
 """End-to-end tests of the command-line interface, run in-process."""
 
 import json
+import re
 import shlex
 from pathlib import Path
 
@@ -101,17 +102,21 @@ def _ring_body(**changes):
     [
         ("monoid", "generators: 5\n", "generators"),
         ("monoid", "generators: [[1]]\ninvolution: 3\n", "involution"),
+        ("monoid", "generators: [[true]]\n", "generators"),
         ("ring", _ring_body(generators="[[1]]"), "generators"),
         ("ring", _ring_body(orders="2"), "orders"),
+        ("ring", _ring_body(orders="[yes]"), "orders"),
         ("ring", _ring_body(table="3"), "table"),
         ("ring", _ring_body(table="[5]"), "table"),
         ("ring", _ring_body(unit="0"), "unit"),
+        ("ring", _ring_body(unit="[true]"), "unit"),
         ("ring", _ring_body(involution="[5]"), "involution"),
         ("map", "map: 5\n", "map"),
     ],
-    ids=["monoid-generators", "monoid-involution", "ring-generators",
-         "ring-orders", "ring-table", "ring-table-entry", "ring-unit",
-         "ring-involution", "map"],
+    ids=["monoid-generators", "monoid-involution", "monoid-generators-bool",
+         "ring-generators", "ring-orders", "ring-orders-bool", "ring-table",
+         "ring-table-entry", "ring-unit", "ring-unit-bool", "ring-involution",
+         "map"],
 )
 def test_malformed_description_exits_2(capsys, tmp_path, kind, body, key):
     path = tmp_path / f"{kind}.yaml"
@@ -461,8 +466,25 @@ def _readme_commands():
     return commands
 
 
+def _golden_stdout(command):
+    """The recorded stdout of a README command: one file per command under
+    ``tests/data/readme_stdout/``, named after its arguments."""
+    args = command.removeprefix("thrcalc ").replace(f"{DATA}/", "")
+    return Path(DATA) / "readme_stdout" / (re.sub(r"[^0-9A-Za-z]+", "_", args).strip("_") + ".txt")
+
+
 @pytest.mark.parametrize("command", _readme_commands())
 def test_readme_command_exits_0(capsys, command):
+    """Each README command exits 0 and prints exactly its recorded stdout.
+
+    Refactors must leave every answer unchanged; a change of output that is
+    meant re-records the file with the new stdout."""
     code, out, _ = run(capsys, *shlex.split(command)[1:])
     assert code == 0
     assert out
+    assert out == _golden_stdout(command).read_text()
+
+
+def test_every_golden_stdout_belongs_to_a_readme_command():
+    recorded = {path.name for path in (Path(DATA) / "readme_stdout").iterdir()}
+    assert recorded == {_golden_stdout(c).name for c in _readme_commands()}

@@ -27,7 +27,7 @@ from thrcalc.homology import (
 )
 from thrcalc.involutive_algebra import monoid_nat
 
-from helpers import full_chains, tensor_chain_map
+from helpers import euler_characteristic, full_chains, tensor_chain_map
 
 Z = free_group(1)
 
@@ -67,8 +67,8 @@ def test_zero_differential_gives_free_homology():
 
 def test_euler_characteristic():
     c = chain_complex({0: 3, 1: 2, 2: 4}, {})
-    assert c.euler_characteristic() == 3 - 2 + 4
-    assert zero_complex().euler_characteristic() == 0
+    assert euler_characteristic(c) == 3 - 2 + 4
+    assert euler_characteristic(zero_complex()) == 0
 
 
 def test_homology_in_negative_degrees():
@@ -300,7 +300,7 @@ def test_tensor_of_circles_is_a_torus():
     assert homology(torus, 0) == Z
     assert homology(torus, 1) == free_group(2)
     assert homology(torus, 2) == Z
-    assert torus.euler_characteristic() == 0
+    assert euler_characteristic(torus) == 0
 
 
 def test_tensor_torsion_and_tor_terms():
@@ -375,7 +375,7 @@ def test_euler_characteristic_equals_homology_alternating_sum(c):
     for q in range(c.lo, c.hi + 1):
         sign = -1 if q % 2 else 1
         total += sign * homology(c, q).free_rank
-    assert total == c.euler_characteristic()
+    assert total == euler_characteristic(c)
 
 
 # ---------------------------------------------------------------------------

@@ -31,6 +31,7 @@ from thrcalc.involutive_algebra import (
 from helpers import (
     elements_of_weight,
     monoid_antidiagonal_halfplane,
+    monoid_element,
     monoid_int,
     monoid_nat_power,
     monoid_nat_square_swap,
@@ -217,7 +218,7 @@ def test_monoid_involution_order_two_required():
 
 def test_membership_certificates():
     m3 = monoid_antidiagonal_halfplane()
-    el = m3.element((-3, 1))
+    el = monoid_element(m3, (-3, 1))
     acc = [0, 0]
     for c, g in zip(el.certificate, m3.generators):
         acc[0] += c * g[0]
@@ -372,6 +373,10 @@ def test_ring_description_errors():
         ring_from_description(bad)
     bad = dict(F4_DESC, unit="y")
     with pytest.raises(SpecError, match="unknown generator"):
+        ring_from_description(bad)
+    # YAML reads ``false`` as a bool, which Python counts as the int 0
+    bad = dict(F4_DESC, table=[[False, "one", "one"]] + F4_DESC["table"][1:])
+    with pytest.raises(SpecError, match="bad generator reference False"):
         ring_from_description(bad)
     with pytest.raises(SpecError, match="mapping"):
         ring_from_description([1, 2, 3])

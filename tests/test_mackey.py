@@ -30,6 +30,8 @@ from thrcalc.mackey import (
     module_structure,
 )
 
+from helpers import pure_tensor
+
 Z = free_group(1)
 Z2 = group(1, [[2]])
 
@@ -132,10 +134,9 @@ def test_base_change_f2_to_f4():
     assert bc.mackey.tran.is_zero_map()
     # the new module is an F4 action; multiplying the embedded unit by x
     # gives the embedded x
-    one_tensor = bc.embed_e((1,), (1, 0))
     x_action = bc.module.action("e", (0, 1))
     assert bc.mackey.e.same_element(
-        x_action.apply(one_tensor), bc.embed_e((1,), (0, 1))
+        x_action.apply(pure_tensor(2, (1,), (1, 0))), pure_tensor(2, (1,), (0, 1))
     )
 
 
