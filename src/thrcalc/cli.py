@@ -253,7 +253,7 @@ def cmd_nerve(args):
                 monoid, (weight,), depth, window=args.window
             )
         )
-        components = pi0(fixed_subset(sd_sigma(deep))).count
+        components = pi0(fixed_subset(sd_sigma(deep)))
         payload["fixed_pi0"] = components
         lines.append(
             f"components of the reflection-fixed subdivision: {components}"

@@ -40,7 +40,7 @@ from .homology import (
     tensor_complex,
     zero_complex,
 )
-from .involutive_algebra import AffineMonoid
+from .involutive_algebra import AffineMonoid, _unit_vec
 
 # names for the logged finite-model replacements
 SUB_POSITIVE_CONE = "positive_cone"
@@ -65,34 +65,32 @@ def _bump(eps, j):
 
 
 class CubeDiagram:
-    """A strictly commuting ``{0,1}**n`` diagram of chain complexes.
+    """A strictly commuting ``{0,1}**n`` diagram of chain complexes, built
+    from two rules.
 
-    ``entries`` maps every vertex tuple to a complex; ``edges`` maps
-    ``(eps, j)`` with ``eps[j] == 0`` to the chain map from ``eps`` to the
-    vertex with coordinate ``j`` flipped to 1.  All squares are checked to
-    commute on the nose at construction.
+    ``entry(eps)`` gives the complex at the vertex ``eps``; ``edge(source,
+    target, eps, j)``, for ``eps[j] == 0``, gives the chain map from the
+    entry at ``eps`` to the entry at the vertex with coordinate ``j``
+    flipped to 1, and is handed those two stored entries.  Each rule is
+    called once per vertex or edge, and all squares are checked to commute
+    on the nose at construction.
     """
 
     __slots__ = ("dimension", "_entries", "_edges")
 
-    def __init__(self, dimension, entries, edges):
+    def __init__(self, dimension, entry, edge):
         if dimension < 1:
             raise SpecError("cube dimension must be at least 1")
         self.dimension = dimension
-        self._entries = dict(entries)
-        self._edges = dict(edges)
+        self._entries = {eps: entry(eps) for eps in _vertices(dimension)}
+        self._edges = {}
         for eps in _vertices(dimension):
-            if eps not in self._entries:
-                raise SpecError(f"missing cube entry at {eps}")
             for j in range(dimension):
                 if eps[j]:
                     continue
-                f = self._edges.get((eps, j))
-                if f is None:
-                    raise SpecError(f"missing cube edge at {eps} direction {j}")
-                if f.source is not self._entries[eps] or (
-                    f.target is not self._entries[_bump(eps, j)]
-                ):
+                source, target = self._entries[eps], self._entries[_bump(eps, j)]
+                f = self._edges[eps, j] = edge(source, target, eps, j)
+                if f.source is not source or f.target is not target:
                     raise SpecError(
                         f"edge at {eps} direction {j} does not match its entries"
                     )
@@ -124,16 +122,11 @@ class CubeDiagram:
         def embed(eps):
             return eps[:direction] + (value,) + eps[direction:]
 
-        entries = {}
-        edges = {}
-        for eps in _vertices(self.dimension - 1):
-            entries[eps] = self.entry(embed(eps))
-            for j in range(self.dimension - 1):
-                if eps[j]:
-                    continue
-                big_j = j if j < direction else j + 1
-                edges[(eps, j)] = self.edge(embed(eps), big_j)
-        return CubeDiagram(self.dimension - 1, entries, edges)
+        return CubeDiagram(
+            self.dimension - 1,
+            lambda eps: self.entry(embed(eps)),
+            lambda source, target, eps, j: self.edge(embed(eps), j + (j >= direction)),
+        )
 
     def __repr__(self):
         return f"CubeDiagram(dimension={self.dimension})"
@@ -141,24 +134,20 @@ class CubeDiagram:
 
 def cube_of_map(f):
     """The 1-cube of a single chain map."""
-    return CubeDiagram(
-        1, {(0,): f.source, (1,): f.target}, {((0,), 0): f}
-    )
+    return CubeDiagram(1, lambda eps: f.target if eps[0] else f.source, lambda *_: f)
 
 
 def cospan_square(f, g):
     """The square with initial entry 0 over the cospan ``f: B -> D <- C :g``."""
-    zero = zero_complex()
-    entries = {(0, 0): zero, (1, 0): f.source, (0, 1): g.source, (1, 1): f.target}
+    corners = {(0, 0): zero_complex(), (1, 0): f.source, (0, 1): g.source, (1, 1): f.target}
     if g.target is not f.target:
         raise SpecError("cospan legs must share their target")
-    edges = {
-        ((0, 0), 0): chain_map(zero, f.source, {}),
-        ((0, 0), 1): chain_map(zero, g.source, {}),
-        ((1, 0), 1): f,
-        ((0, 1), 0): g,
-    }
-    return CubeDiagram(2, entries, edges)
+    legs = {(1, 0): f, (0, 1): g}  # keyed by source vertex; the rest leave 0
+
+    def edge(source, target, eps, j):
+        return legs[eps] if eps in legs else chain_map(source, target, {})
+
+    return CubeDiagram(2, corners.__getitem__, edge)
 
 
 def tensor_cube(maps):
@@ -168,31 +157,27 @@ def tensor_cube(maps):
         raise SpecError("tensor cube needs at least one map")
     cube = cube_of_map(maps[0])
     for f in maps[1:]:
-        entries = {}
-        edges = {}
-        n = cube.dimension
-        for eps in _vertices(n):
-            for a in (0, 1):
-                side = f.source if a == 0 else f.target
-                entries[eps + (a,)] = tensor_complex(cube.entry(eps), side)
-        for eps in _vertices(n):
-            for a in (0, 1):
-                side_id = identity_chain_map(f.source if a == 0 else f.target)
-                for j in range(n):
-                    if eps[j]:
-                        continue
-                    edges[(eps + (a,), j)] = ChainMap(
-                        entries[eps + (a,)],
-                        entries[_bump(eps, j) + (a,)],
-                        _tensor_matrices(cube.edge(eps, j), side_id),
-                    )
-            edges[(eps + (0,), n)] = ChainMap(
-                entries[eps + (0,)],
-                entries[eps + (1,)],
-                _tensor_matrices(identity_chain_map(cube.entry(eps)), f),
-            )
-        cube = CubeDiagram(n + 1, entries, edges)
+        cube = _tensor_with(cube, f)
     return cube
+
+
+def _tensor_with(cube, f):
+    """The cube ``cube (x) f``, one dimension up: the last coordinate picks
+    the source or target of ``f``."""
+    n = cube.dimension
+    sides = (f.source, f.target)
+    side_ids = tuple(identity_chain_map(side) for side in sides)
+
+    def edge(source, target, eps, j):
+        if j == n:
+            mats = _tensor_matrices(identity_chain_map(cube.entry(eps[:n])), f)
+        else:
+            mats = _tensor_matrices(cube.edge(eps[:n], j), side_ids[eps[n]])
+        return ChainMap(source, target, mats)
+
+    return CubeDiagram(
+        n + 1, lambda eps: tensor_complex(cube.entry(eps[:n]), sides[eps[n]]), edge
+    )
 
 
 # ---------------------------------------------------------------------------
@@ -268,14 +253,9 @@ def total_fiber(q_cube):
 
 
 def _homology_table(c):
-    if not c.support:
-        return {}
-    table = {}
-    for q in range(c.lo - 1, c.hi + 2):
-        h = homology(c, q)
-        if not h.is_trivial():
-            table[q] = h
-    return table
+    """The nontrivial homology groups of ``c`` by degree."""
+    table = {q: homology(c, q) for q in c.support}
+    return {q: h for q, h in table.items() if not h.is_trivial()}
 
 
 # ---------------------------------------------------------------------------
@@ -286,7 +266,6 @@ def _homology_table(c):
 @dataclass(frozen=True)
 class RecursionReport:
     ok: bool
-    directions: tuple
     detail: str
 
 
@@ -344,7 +323,7 @@ def tfib_recursion_check(q_cube):
         f"sequence {'exact' if e else 'NOT exact'}"
         for d, m, e in results
     )
-    return RecursionReport(ok, tuple(results), detail)
+    return RecursionReport(ok, detail)
 
 
 # ---------------------------------------------------------------------------
@@ -568,7 +547,7 @@ def psigma_report():
     remaining weight-zero piece."""
     square = _psigma_square(PSIGMA_RESTRICTION, PSIGMA_UNIT)
     fib = total_fiber(square)
-    cartesian = is_acyclic(fib, fib.lo - 1, fib.hi + 1)
+    cartesian = is_acyclic(fib)
 
     mutated = tuple(
         tuple(0 if (i, j) == (0, 0) else v for j, v in enumerate(row))
@@ -576,7 +555,7 @@ def psigma_report():
     )
     bad = _psigma_square(mutated, PSIGMA_UNIT)
     bad_fib = total_fiber(bad)
-    mutation_breaks = not is_acyclic(bad_fib, bad_fib.lo - 1, bad_fib.hi + 1)
+    mutation_breaks = not is_acyclic(bad_fib)
 
     z0 = chain_complex({0: 1}, {})
     z1 = chain_complex({1: 1}, {})
@@ -628,7 +607,6 @@ def psigma_report():
 
 @dataclass(frozen=True)
 class HMapReport:
-    degree: int
     homology: dict
     ok: bool
 
@@ -651,7 +629,7 @@ def h_map_cofiber_check(d):
     cone = mapping_cone(h)
     table = _homology_table(cone)
     ok = set(table) == {d} and table[d] == free_group(2)
-    return HMapReport(d, table, ok)
+    return HMapReport(table, ok)
 
 
 # ---------------------------------------------------------------------------
@@ -674,20 +652,12 @@ def chart_monoid(n, missing):
     ``missing = n + 1`` gives the nonnegative orthant; ``missing = j`` keeps
     ``x_i >= 0`` for ``i != j`` together with ``x_1 + ... + x_n <= 0``.
     """
+    e = [_unit_vec(n, i) for i in range(n)]
     if missing == n + 1:
-        gens = [tuple(1 if i == k else 0 for i in range(n)) for k in range(n)]
-    else:
-        j = missing - 1
-        gens = []
-        for i in range(n):
-            if i == j:
-                continue
-            gens.append(tuple(
-                1 if k == i else (-1 if k == j else 0) for k in range(n)
-            ))
-        gens.append(tuple(-1 if k == j else 0 for k in range(n)))
-    w = [[1 if i == k else 0 for k in range(n)] for i in range(n)]
-    return AffineMonoid(gens, w=w)
+        return AffineMonoid(e)
+    j = missing - 1
+    gens = [tuple(a - b for a, b in zip(e[i], e[j])) for i in range(n) if i != j]
+    return AffineMonoid(gens + [tuple(-c for c in e[j])])
 
 
 def _in_chart(n, missing, v):
@@ -713,65 +683,39 @@ def _substituted_weight_cube(n, v, positives):
         raise CertificateError(f"weight {v} escaped its certified chart")
     piece = _nerve_piece_chains(monoid, v).complex
     zero = zero_complex()
-    m_axis = missing - 1
-    entries = {}
-    edges = {}
-    for eps in _vertices(n + 1):
-        entries[eps] = piece if eps[m_axis] else zero
-    for eps in _vertices(n + 1):
-        for j in range(n + 1):
-            if eps[j]:
-                continue
-            src = entries[eps]
-            dst = entries[_bump(eps, j)]
-            if src is zero:
-                edges[(eps, j)] = chain_map(zero, dst, {})
-            else:
-                edges[(eps, j)] = identity_chain_map(piece)
-    return CubeDiagram(n + 1, entries, edges)
+
+    def edge(source, target, eps, j):
+        return chain_map(zero, target, {}) if source is zero else identity_chain_map(piece)
+
+    return CubeDiagram(n + 1, lambda eps: piece if eps[missing - 1] else zero, edge)
 
 
 def _unit_lattice(n, index_set):
     """Basis (rows) of the unit group of ``M_I`` inside ``Z^n``."""
-    constraints = []
-    for j in sorted(index_set):
-        if j <= n:
-            constraints.append(tuple(1 if i == j - 1 else 0 for i in range(n)))
-        else:
-            constraints.append((1,) * n)
+    constraints = [_unit_vec(n, j - 1) if j <= n else (1,) * n for j in sorted(index_set)]
     if not constraints:
         return Mat.identity(n)
-    m = Mat([tuple(c[i] for c in constraints) for i in range(n)],
-            cols=len(constraints))
-    return row_kernel(m)
+    return row_kernel(Mat(list(zip(*constraints)), cols=len(constraints)))
 
 
 def origin_cube(n):
     """The reduced weight-zero chart cube: unit tori at every vertex with
     the functorial exterior maps of the lattice inclusions."""
-    bases = {}
-    for eps in _vertices(n + 1):
-        index_set = frozenset(j + 1 for j in range(n + 1) if eps[j] == 0)
-        bases[eps] = _unit_lattice(n, index_set)
-    entries = {eps: torus_model(b.rows, reduced=True) for eps, b in bases.items()}
-    edges = {}
-    for eps in _vertices(n + 1):
-        for j in range(n + 1):
-            if eps[j]:
-                continue
-            src_b = bases[eps]
-            dst_b = bases[_bump(eps, j)]
-            rows = solve_left(dst_b, src_b.data)
-            if None in rows:
-                raise CertificateError(
-                    "unit lattice does not include into its neighbour"
-                )
-            edges[(eps, j)] = ChainMap(
-                entries[eps],
-                entries[_bump(eps, j)],
-                _compound_matrices(Mat(rows, cols=dst_b.rows), reduced=True),
-            )
-    return CubeDiagram(n + 1, entries, edges)
+    bases = {
+        eps: _unit_lattice(n, frozenset(j + 1 for j in range(n + 1) if eps[j] == 0))
+        for eps in _vertices(n + 1)
+    }
+
+    def edge(source, target, eps, j):
+        dst_b = bases[_bump(eps, j)]
+        rows = solve_left(dst_b, bases[eps].data)
+        if None in rows:
+            raise CertificateError("unit lattice does not include into its neighbour")
+        return ChainMap(
+            source, target, _compound_matrices(Mat(rows, cols=dst_b.rows), reduced=True)
+        )
+
+    return CubeDiagram(n + 1, lambda eps: torus_model(bases[eps].rows, reduced=True), edge)
 
 
 @dataclass(frozen=True)

@@ -497,9 +497,10 @@ def _signed_permutation_sigma(monoid):
     return lambda v: monoid.apply_w(v)
 
 
-def windowed_simplex_tuples(monoid, slots, bound):
-    """All ``slots``-tuples of monoid elements of total l1 norm <= bound."""
-    per = {b: [e.vector for e in elements_in_ball(monoid, b)] for b in range(bound + 1)}
+def windowed_simplex_tuples(ball, slots, bound):
+    """All ``slots``-tuples of monoid elements of total l1 norm <= bound,
+    drawn from ``ball = elements_in_ball(monoid, bound)``."""
+    per = {b: [v for v in ball if _l1(v) <= b] for b in range(bound + 1)}
     out = []
 
     def rec(prefix, remaining):
@@ -576,8 +577,9 @@ def dihedral_nerve_piece(monoid, orbit, q_max, window=None):
     generated = {}
     if window is not None:
         orbit_set = set(orbit)
+        ball = elements_in_ball(monoid, window)
         levels = [
-            [tup for tup in windowed_simplex_tuples(monoid, q + 1, window)
+            [tup for tup in windowed_simplex_tuples(ball, q + 1, window)
              if _total(tup) in orbit_set]
             for q in range(q_max + 1)
         ]
@@ -866,16 +868,9 @@ def fixed_subset(x):
 # ---------------------------------------------------------------------------
 
 
-@dataclass(frozen=True)
-class Pi0Result:
-    count: int
-    representatives: tuple
-    classes: dict
-
-
 def pi0(x):
-    """Path components of the truncation: vertices modulo edge endpoints,
-    by union-find."""
+    """The number of path components of the truncation: vertices modulo
+    edge endpoints, by union-find."""
     parent = {v: v for v in x.simplices[0]}
 
     def find(v):
@@ -888,9 +883,7 @@ def pi0(x):
         ra, rb = find(x.face(1, 0, e)), find(x.face(1, 1, e))
         if ra != rb:
             parent[max(ra, rb)] = min(ra, rb)
-    classes = {v: find(v) for v in parent}
-    reps = tuple(sorted(set(classes.values())))
-    return Pi0Result(len(reps), reps, classes)
+    return len({find(v) for v in parent})
 
 
 # ---------------------------------------------------------------------------

@@ -128,11 +128,9 @@ def homology(c, q):
     return _homology_data(c, q)[0]
 
 
-def is_acyclic(c, lo=None, hi=None):
-    """Whether every homology group in the (support) range is trivial."""
-    lo = c.lo if lo is None else lo
-    hi = c.hi if hi is None else hi
-    return all(homology(c, q).is_trivial() for q in range(lo, hi + 1))
+def is_acyclic(c):
+    """Whether every homology group is trivial (outside the support it is)."""
+    return all(homology(c, q).is_trivial() for q in c.support)
 
 
 # ---------------------------------------------------------------------------
@@ -217,24 +215,10 @@ def induced_hom(f, q, data):
 # ---------------------------------------------------------------------------
 
 
-def shift(c, k):
-    """The complex with ``C_{q-k}`` in degree ``q`` and differentials
-    scaled by ``(-1)**k``."""
-    sign = -1 if k % 2 else 1
-    ranks = {q + k: c.rank(q) for q in c.support}
-    diffs = {
-        q + k: c.diff(q).scale(sign)
-        for q in c.support
-        if c.rank(q) and c.rank(q - 1)
-    }
-    return ChainComplex(ranks, diffs)
-
-
 @dataclass(frozen=True)
 class MappingFiber:
     complex: ChainComplex
     proj: ChainMap
-    incl: ChainMap
 
 
 def _fiber_summands(f, q):
@@ -261,21 +245,15 @@ def _fiber_complex(f):
 
 def mapping_fiber(f):
     """The strict fiber of a chain map: ``fib_q = C_q + D_{q+1}`` with
-    ``d(c, e) = (d c, f(c) - d e)``, the projection to the source, and the
-    degree-shifted inclusion of the target."""
-    c, d = f.source, f.target
+    ``d(c, e) = (d c, f(c) - d e)``, with the projection to the source."""
+    c = f.source
     fib = _fiber_complex(f)
     proj = {
         q: blocks(_fiber_summands(f, q), [("c", c.rank(q))],
                   {("c", "c"): Mat.identity(c.rank(q))})
         for q in fib.support
     }
-    incl = {
-        q: blocks([("d", d.rank(q + 1))], _fiber_summands(f, q),
-                  {("d", "d"): Mat.identity(d.rank(q + 1))})
-        for q in fib.support
-    }
-    return MappingFiber(fib, ChainMap(fib, c, proj), ChainMap(shift(d, -1), fib, incl))
+    return MappingFiber(fib, ChainMap(fib, c, proj))
 
 
 def mapping_cone(f):
@@ -309,20 +287,17 @@ def connecting_hom(f, fiber, q, data):
     return hom(ht, hf, Mat(rows, cols=cycles_f.rows))
 
 
-def fiber_les_report(f, lo=None, hi=None):
+def fiber_les_report(f):
     """Exactness of the long sequence
     ``... -> H_{q+1}(D) -> H_q(fib) -> H_q(C) -> H_q(D) -> ...``
-    over the given degree range (defaults to the full support range)."""
-    return _fiber_les(f, mapping_fiber(f), lo, hi)
+    over the support range of the fiber, widened by one on each side."""
+    return _fiber_les(f, mapping_fiber(f))
 
 
-def _fiber_les(f, fib, lo=None, hi=None):
-    """``fiber_les_report(f, lo, hi)`` over the fiber ``fib`` of ``f``,
-    already built by the caller."""
-    if lo is None:
-        lo = fib.complex.lo - 1
-    if hi is None:
-        hi = fib.complex.hi + 1
+def _fiber_les(f, fib):
+    """``fiber_les_report(f)`` over the fiber ``fib`` of ``f``, already
+    built by the caller."""
+    lo, hi = fib.complex.lo - 1, fib.complex.hi + 1
     known = {}
 
     def data(c, q):

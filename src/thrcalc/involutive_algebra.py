@@ -346,22 +346,6 @@ def is_surjective_on_finite(f):
 # ---------------------------------------------------------------------------
 
 
-@dataclass(frozen=True)
-class MonoidElement:
-    """An element of an affine monoid together with a membership
-    certificate: nonnegative generator multiplicities that re-evaluate to
-    the vector (checked at construction)."""
-
-    vector: tuple
-    certificate: tuple
-
-    def __post_init__(self):
-        if any(c < 0 for c in self.certificate):
-            raise SpecError(
-                f"monoid element {self.vector}: negative certificate entry"
-            )
-
-
 class AffineMonoid:
     """A finitely generated submonoid of ``Z^rank`` with an involution.
 
@@ -684,11 +668,11 @@ def pointedness_functional(monoid):
 
 
 def elements_in_ball(monoid, bound):
-    """All monoid elements of l1-norm at most ``bound``, sorted."""
+    """The vectors of all monoid elements of l1-norm at most ``bound``,
+    sorted."""
     if bound < 0:
         return []
     rank = monoid.rank
-    out = []
 
     def boxes(prefix, remaining):
         if len(prefix) == rank:
@@ -697,12 +681,7 @@ def elements_in_ball(monoid, bound):
         for c in range(-remaining, remaining + 1):
             yield from boxes(prefix + [c], remaining - abs(c))
 
-    for v in boxes([], bound):
-        cert = monoid.contains(v)
-        if cert is not None:
-            out.append(MonoidElement(v, cert))
-    out.sort(key=lambda e: e.vector)
-    return out
+    return sorted(v for v in boxes([], bound) if monoid.contains(v) is not None)
 
 
 # ---------------------------------------------------------------------------

@@ -9,7 +9,7 @@ apart.
 import random
 import time
 from dataclasses import dataclass
-from itertools import combinations, product
+from itertools import combinations
 from math import gcd
 
 from . import mackey as mackey_module
@@ -212,7 +212,7 @@ def _criterion_nerve_homology_and_fixed_points():
         if any(not h.is_trivial() for h in hs[2:]):
             return False, f"weight {j}: homology above degree 1 does not vanish"
         fixed = fixed_subset(sd_sigma(dihedral_nerve_piece(nat, ((j,),), 3)))
-        components = pi0(fixed).count
+        components = pi0(fixed)
         if components != 2:
             return False, f"weight {j}: fixed-point pi0 is {components}, not 2"
     return True, "weights 1..5: homology [Z, Z, 0, ...] and fixed pi0 = 2"
@@ -329,19 +329,14 @@ def _random_constant_cube(rng):
     r = rng.randrange(1, 3)
     c = chain_complex({0: r, 1: r}, {})
     dims = rng.randrange(2, 4)
+    # every random number is drawn here, before the cube calls its rules
     diagonals = [[rng.randrange(-2, 3) for _ in range(r)] for _ in range(dims)]
-    entries = {eps: c for eps in product((0, 1), repeat=dims)}
-    edges = {}
-    for eps in product((0, 1), repeat=dims):
-        for j in range(dims):
-            if eps[j]:
-                continue
-            mat = [
-                [diagonals[j][i] if i == k else 0 for k in range(r)]
-                for i in range(r)
-            ]
-            edges[(eps, j)] = chain_map(c, c, {0: mat, 1: mat})
-    return CubeDiagram(dims, entries, edges)
+
+    def edge(source, target, eps, j):
+        mat = [[diagonals[j][i] if i == k else 0 for k in range(r)] for i in range(r)]
+        return chain_map(c, c, {0: mat, 1: mat})
+
+    return CubeDiagram(dims, lambda eps: c, edge)
 
 
 def random_small_cubes(rng, count):

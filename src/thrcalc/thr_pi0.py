@@ -163,10 +163,7 @@ class SesReport:
     """The verified short exact sequence through the fixed level."""
 
     doubled_ideal: object
-    fixed_level: object
     twisted_square: object
-    mono: object
-    epi: object
     exactness: ExactnessReport
 
     def __bool__(self):
@@ -206,7 +203,7 @@ def ses_check(result):
     report = is_exact([mono, epi])
     if not report:
         raise CertificateError(f"sequence is not exact in the middle: {report.detail}")
-    return SesReport(two_a, g, twisted, mono, epi, report)
+    return SesReport(two_a, twisted, report)
 
 
 def _kernel_rows(ring):
@@ -222,7 +219,6 @@ class AlphaReport:
 
     is_iso: bool
     frobenius_surjective: bool
-    fixed_level: object
 
 
 def alpha_report(result):
@@ -246,7 +242,7 @@ def alpha_report(result):
             "unit comparison invertibility disagrees with Frobenius "
             f"surjectivity: direct={direct}, frobenius={surj}"
         )
-    return AlphaReport(direct, surj, result.mackey.g)
+    return AlphaReport(direct, surj)
 
 
 @dataclass(frozen=True)

@@ -23,6 +23,7 @@ from thrcalc.dihedral import (
 from thrcalc.errors import SpecError
 from thrcalc.fgab import Mat, group, kron
 from thrcalc.homology import (
+    ChainComplex,
     ChainMap,
     SimplicialChains,
     _chains,
@@ -33,9 +34,9 @@ from thrcalc.homology import (
 )
 from thrcalc.involutive_algebra import (
     AffineMonoid,
-    MonoidElement,
     _enumerate_fiber,
     _unit_vec,
+    elements_in_ball,
     make_ring,
 )
 
@@ -78,6 +79,22 @@ def product_monoid(monoid, length):
     return AffineMonoid(gens.data, w=kron(slots, monoid.w), rank=monoid.rank * length)
 
 
+@dataclass(frozen=True)
+class MonoidElement:
+    """An element of an affine monoid together with a membership
+    certificate: nonnegative generator multiplicities that re-evaluate to
+    the vector (checked at construction)."""
+
+    vector: tuple
+    certificate: tuple
+
+    def __post_init__(self):
+        if any(c < 0 for c in self.certificate):
+            raise SpecError(
+                f"monoid element {self.vector}: negative certificate entry"
+            )
+
+
 def monoid_element(monoid, v):
     """The vector ``v`` as a certified :class:`MonoidElement` of ``monoid``."""
     cert = monoid.contains(v)
@@ -103,6 +120,15 @@ def elements_of_weight(monoid, weight, v):
 def euler_characteristic(c):
     """The alternating sum of the ranks of the chain complex ``c``."""
     return sum((-1) ** q * c.rank(q) for q in c.support)
+
+
+def shift(c, k):
+    """The complex with ``C_{q-k}`` in degree ``q`` and differentials
+    scaled by ``(-1)**k``."""
+    sign = -1 if k % 2 else 1
+    ranks = {q + k: c.rank(q) for q in c.support}
+    diffs = {q + k: c.diff(q).scale(sign) for q in c.support if c.rank(q - 1)}
+    return ChainComplex(ranks, diffs)
 
 
 def tensor_chain_map(f, g):
@@ -267,7 +293,8 @@ def real_nerve(monoid, q_max, window=None):
     )
     zero = tuple([0] * monoid.rank)
     if window is not None:
-        levels = [windowed_simplex_tuples(monoid, q, window) for q in range(q_max + 1)]
+        ball = elements_in_ball(monoid, window)
+        levels = [windowed_simplex_tuples(ball, q, window) for q in range(q_max + 1)]
     else:
         levels = [[(zero,) * q] for q in range(q_max + 1)]
 

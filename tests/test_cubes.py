@@ -1,5 +1,7 @@
 """Tests for cube diagrams, total fibers and the projective-space reports."""
 
+from itertools import product
+
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
@@ -96,17 +98,28 @@ def scaling_endomaps(draw):
 # ---------------------------------------------------------------------------
 
 
-def test_cube_requires_every_entry_and_edge():
-    c = mult_complex(2)
-    with pytest.raises(SpecError):
-        CubeDiagram(1, {(0,): c}, {})
-    with pytest.raises(SpecError):
-        CubeDiagram(1, {(0,): c, (1,): c}, {})
+def test_cube_calls_each_rule_once_per_vertex_and_edge():
+    c = chain_complex({0: 1}, {})
+    vertices, edges = [], []
+
+    def entry(eps):
+        vertices.append(eps)
+        return c
+
+    def edge(source, target, eps, j):
+        assert source is c and target is c
+        edges.append((eps, j))
+        return identity_chain_map(c)
+
+    CubeDiagram(3, entry, edge)
+    cube = list(product((0, 1), repeat=3))
+    assert sorted(vertices) == cube
+    assert sorted(edges) == [(eps, j) for eps in cube for j in range(3) if not eps[j]]
 
 
 def test_cube_rejects_dimension_zero():
     with pytest.raises(SpecError):
-        CubeDiagram(0, {(): mult_complex(0)}, {})
+        CubeDiagram(0, lambda eps: mult_complex(0), lambda *_: None)
 
 
 def test_cube_edges_must_point_at_the_stored_entries():
@@ -114,22 +127,16 @@ def test_cube_edges_must_point_at_the_stored_entries():
     other = mult_complex(2)  # equal shape, different object
     f = identity_chain_map(other)
     with pytest.raises(SpecError):
-        CubeDiagram(1, {(0,): c, (1,): c}, {((0,), 0): f})
+        CubeDiagram(1, lambda eps: c, lambda *_: f)
 
 
 def test_cube_rejects_non_commuting_square():
     c = chain_complex({0: 1}, {})
     two = chain_map(c, c, {0: [[2]]})
     three = chain_map(c, c, {0: [[3]]})
-    entries = {eps: c for eps in ((0, 0), (0, 1), (1, 0), (1, 1))}
-    edges = {
-        ((0, 0), 0): two,
-        ((0, 0), 1): two,
-        ((1, 0), 1): two,
-        ((0, 1), 0): three,  # 2 then 2 != 2 then 3
-    }
+    # 2 then 2 != 2 then 3
     with pytest.raises(SpecError, match="non-commuting"):
-        CubeDiagram(2, entries, edges)
+        CubeDiagram(2, lambda eps: c, lambda s, t, eps, j: three if eps == (0, 1) else two)
 
 
 def test_cospan_square_legs_must_share_target():
@@ -264,14 +271,7 @@ def test_recursion_on_a_constant_cube_with_diagonal_edges():
     c = chain_complex({0: 2, 1: 2}, {})
     d1 = chain_map(c, c, {0: [[2, 0], [0, 3]], 1: [[2, 0], [0, 3]]})
     d2 = chain_map(c, c, {0: [[5, 0], [0, 1]], 1: [[5, 0], [0, 1]]})
-    entries = {eps: c for eps in ((0, 0), (0, 1), (1, 0), (1, 1))}
-    edges = {
-        ((0, 0), 0): d1,
-        ((0, 1), 0): d1,
-        ((0, 0), 1): d2,
-        ((1, 0), 1): d2,
-    }
-    cube = CubeDiagram(2, entries, edges)
+    cube = CubeDiagram(2, lambda eps: c, lambda s, t, eps, j: (d1, d2)[j])
     assert tfib_recursion_check(cube).ok
 
 

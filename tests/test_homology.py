@@ -21,13 +21,12 @@ from thrcalc.homology import (
     mapping_cone,
     mapping_fiber,
     normalized_chains,
-    shift,
     tensor_complex,
     zero_complex,
 )
 from thrcalc.involutive_algebra import monoid_nat
 
-from helpers import euler_characteristic, full_chains, tensor_chain_map
+from helpers import euler_characteristic, full_chains, shift, tensor_chain_map
 
 Z = free_group(1)
 
@@ -131,7 +130,7 @@ def test_shift_moves_homology():
 def test_fiber_of_identity_is_acyclic():
     c = mult_complex(2)
     fib = mapping_fiber(identity_chain_map(c))
-    assert is_acyclic(fib.complex, fib.complex.lo - 1, fib.complex.hi + 1)
+    assert is_acyclic(fib.complex)
 
 
 def test_fiber_of_zero_map_splits():
@@ -281,8 +280,6 @@ def test_mapping_fiber_and_cone_layouts():
     assert fib.complex.diff(0) == Mat([[3], [-1]])
     assert fib.proj.map(0) == Mat([[1], [0]])
     assert fib.proj.map(1) == Mat([[1]])
-    assert fib.incl.map(-1) == Mat([[1]])
-    assert fib.incl.map(0) == Mat([[0, 1]])
     cone = mapping_cone(f)
     assert {q: cone.rank(q) for q in cone.support} == {0: 1, 1: 2, 2: 1}
     assert cone.diff(2) == Mat([[-2, 6]])

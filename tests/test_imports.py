@@ -1,12 +1,14 @@
-"""Every name a module of the package imports is used in that module, and
-every public name of the package is reached from the command line."""
+"""Every name a module of the package imports is used in that module, every
+public name of the package is reached from the command line, and every
+field of a package class is read somewhere."""
 
 import ast
 from pathlib import Path
 
 import pytest
 
-PACKAGE = Path(__file__).resolve().parent.parent / "src" / "thrcalc"
+ROOT = Path(__file__).resolve().parent.parent
+PACKAGE = ROOT / "src" / "thrcalc"
 
 
 def unused_imports(source):
@@ -111,3 +113,47 @@ def test_the_scan_finds_an_unreached_name():
 def test_every_public_name_is_reached_from_the_cli_or_selftest():
     sources = {path.stem: path.read_text() for path in PACKAGE.glob("*.py")}
     assert unreached(sources) == []
+
+
+def _is_dataclass(decorator):
+    func = decorator.func if isinstance(decorator, ast.Call) else decorator
+    return getattr(func, "id", getattr(func, "attr", None)) == "dataclass"
+
+
+def unread_fields(package, readers):
+    """``Class.field`` for every dataclass field and ``__slots__`` name of
+    the classes in the ``package`` sources that no source in ``readers``
+    reads as an attribute; the match is by name alone."""
+    read = {n.attr for source in readers for n in ast.walk(ast.parse(source))
+            if isinstance(n, ast.Attribute) and isinstance(n.ctx, ast.Load)}
+    out = []
+    for source in package:
+        for cls in ast.walk(ast.parse(source)):
+            if not isinstance(cls, ast.ClassDef):
+                continue
+            names = []
+            if any(_is_dataclass(d) for d in cls.decorator_list):
+                names += [s.target.id for s in cls.body if isinstance(s, ast.AnnAssign)]
+            for s in cls.body:
+                if isinstance(s, ast.Assign) and any(
+                        getattr(t, "id", None) == "__slots__" for t in s.targets):
+                    names += [c.value for c in ast.walk(s.value) if isinstance(c, ast.Constant)]
+            out += [f"{cls.name}.{name}" for name in names if name not in read]
+    return sorted(out)
+
+
+def test_the_scan_finds_an_unread_field():
+    package = ("from dataclasses import dataclass\n\n"
+               "@dataclass(frozen=True)\nclass Report:\n    ok: bool\n    detail: str\n\n"
+               "class Box:\n    __slots__ = ('size', '_spare')\n\n"
+               "class Plain:\n    label: str\n")
+    reader = "def show(r, b):\n    b._spare = r.detail\n    return r.ok, b.size\n"
+    # ``_spare`` is only stored and ``label`` is no dataclass field
+    assert unread_fields([package], [reader]) == ["Box._spare"]
+
+
+def test_every_field_is_read():
+    readers = [p.read_text() for d in ("src", "tests") for p in (ROOT / d).rglob("*.py")]
+    readers += [p.read_text() for p in (ROOT / "perfbench").glob("*.py")]
+    package = [p.read_text() for p in PACKAGE.glob("*.py")]
+    assert unread_fields(package, readers) == []

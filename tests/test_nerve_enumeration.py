@@ -184,4 +184,4 @@ def test_weight_pieces_of_n_are_circles_with_two_fixed_components(j):
     assert groups[:2] == [free_group(1), free_group(1)]
     assert all(h.is_trivial() for h in groups[2:])
     deep = piece if j >= 3 else dihedral_nerve_piece(NAT, ((j,),), 3)
-    assert pi0(fixed_subset(sd_sigma(deep))).count == 2
+    assert pi0(fixed_subset(sd_sigma(deep))) == 2
