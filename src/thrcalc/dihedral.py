@@ -569,11 +569,17 @@ def dihedral_nerve_piece(monoid, orbit, q_max, window=None):
         InfeasibleError: if a fiber is infinite and no window is given.
     """
     orbit = normalize_orbit(monoid, orbit)
-    sigma = (
-        _signed_permutation_sigma(monoid)
-        if window is not None
-        else monoid.apply_w
-    )
+    if window is not None:
+        sigma = _signed_permutation_sigma(monoid)
+    else:
+        reflected = {}  # the piece's entries are a few distinct vectors
+
+        def sigma(v):
+            w = reflected.get(v)
+            if w is None:
+                w = reflected[v] = monoid.apply_w(v)
+            return w
+
     generated = {}
     if window is not None:
         orbit_set = set(orbit)

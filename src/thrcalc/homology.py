@@ -6,18 +6,22 @@ checked whenever a complex is constructed.  Negative degrees are first
 class — mapping fibers shift below zero and nothing here assumes support
 in nonnegative degrees.
 
-Homology in each degree is returned as a finitely generated abelian group
-presented on a basis of the cycle lattice; chain maps induce homomorphisms
-on those presentations, and the mapping fiber of a chain map comes with
-the two canonical maps and an exactness check for the resulting long
-sequence.
+Homology in each degree is a finitely generated abelian group read off
+the elementary divisors of the two differentials at that degree, found by
+eliminating unit pivots on sparse rows and checked against ranks over
+``F_2``.  Presented on a basis of the cycle lattice, it carries the
+homomorphisms that chain maps induce, and the mapping fiber of a chain
+map comes with the two canonical maps and an exactness check for the
+resulting long sequence.
 """
 
 from __future__ import annotations
 
+from collections import defaultdict
 from dataclasses import dataclass
+from heapq import heapify, heappop, heappush
 
-from .errors import SpecError
+from .errors import CertificateError, SpecError
 from .fgab import (
     Mat,
     blocks,
@@ -26,51 +30,80 @@ from .fgab import (
     is_exact,
     kron,
     row_kernel,
+    snf,
     solve_left,
 )
 
 
 class ChainComplex:
     """A degreewise finitely generated free complex, given by ranks and
-    differentials ``diff(q): C_q -> C_{q-1}``."""
+    differentials ``diff(q): C_q -> C_{q-1}``.
 
-    __slots__ = ("_ranks", "_diffs")
+    A differential is given as a ``Mat``, as dense rows or as sparse rows
+    ``{col: coeff}`` of nonzero entries.  It is kept as sparse rows, on
+    which ``d d = 0`` is checked and :func:`homology` reduces it; ``diff``
+    gives it as a ``Mat``, built on first use from sparse rows."""
+
+    __slots__ = ("_ranks", "_rows", "_mats", "_divisors")
 
     def __init__(self, ranks, diffs):
         self._ranks = {q: r for q, r in ranks.items() if r}
         for q, r in self._ranks.items():
             if r < 0:
                 raise SpecError(f"negative rank {r} in degree {q}")
-        self._diffs = {}
+        self._rows, self._mats = {}, {}
+        self._divisors = {}  # degree -> elementary divisors, see _divisors
         for q, m in diffs.items():
+            height, width = self.rank(q), self.rank(q - 1)
             if not isinstance(m, Mat):
+                m = list(m)
+                if m and isinstance(m[0], dict):
+                    if len(m) != height or any(
+                        not 0 <= j < width for row in m for j in row
+                    ):
+                        raise SpecError(
+                            f"differential in degree {q} does not fit "
+                            f"{height} x {width}"
+                        )
+                    if width:
+                        self._rows[q] = tuple(m)
+                    continue
                 try:
-                    m = Mat([tuple(row) for row in m], cols=self.rank(q - 1))
+                    m = Mat([tuple(row) for row in m], cols=width)
                 except ValueError as exc:
                     raise SpecError(
                         f"differential in degree {q}: {exc}"
                     ) from exc
-            if m.rows != self.rank(q) or m.cols != self.rank(q - 1):
+            if m.rows != height or m.cols != width:
                 raise SpecError(
                     f"differential in degree {q} has shape {m.rows} x {m.cols}, "
-                    f"expected {self.rank(q)} x {self.rank(q - 1)}"
+                    f"expected {height} x {width}"
                 )
             if m.rows and m.cols:
-                self._diffs[q] = m
-        for q in list(self._diffs):
-            below = self._diffs.get(q - 1)
-            if below is not None:
-                prod = self._diffs[q] @ below
-                if any(any(row) for row in prod.data):
-                    raise SpecError(f"d d != 0 from degree {q}")
+                self._mats[q] = m
+                self._rows[q] = tuple(
+                    {j: a for j, a in enumerate(row) if a} for row in m.data
+                )
+        for q, rows in self._rows.items():
+            below = self._rows.get(q - 1)
+            if below is not None and any(
+                any(_times(row, below).values()) for row in rows
+            ):
+                raise SpecError(f"d d != 0 from degree {q}")
 
     def rank(self, q):
         return self._ranks.get(q, 0)
 
     def diff(self, q):
-        m = self._diffs.get(q)
+        m = self._mats.get(q)
         if m is None:
-            return Mat.zeros(self.rank(q), self.rank(q - 1))
+            rows = self._rows.get(q)
+            if rows is None:
+                return Mat.zeros(self.rank(q), self.rank(q - 1))
+            m = self._mats[q] = Mat(
+                [_dense(row, self.rank(q - 1)) for row in rows],
+                cols=self.rank(q - 1),
+            )
         return m
 
     @property
@@ -88,6 +121,23 @@ class ChainComplex:
     def __repr__(self):
         ranks = {q: self.rank(q) for q in self.support}
         return f"ChainComplex(ranks={ranks})"
+
+
+def _times(row, rows):
+    """The sparse row ``row`` times the matrix of sparse ``rows``, as a
+    sparse row that may hold zeros."""
+    acc = {}
+    for j, a in row.items():
+        for k, b in rows[j].items():
+            acc[k] = acc.get(k, 0) + a * b
+    return acc
+
+
+def _dense(row, width):
+    out = [0] * width
+    for j, a in row.items():
+        out[j] = a
+    return out
 
 
 def chain_complex(ranks, diffs=None):
@@ -124,8 +174,121 @@ def _homology_data(c, q):
 
 
 def homology(c, q):
-    """The homology of the complex in one degree."""
-    return _homology_data(c, q)[0]
+    """The homology of the complex in one degree, from the elementary
+    divisors of the differentials out of and into it: free of rank
+    ``rank C_q - rk d_q - rk d_{q+1}``, plus ``Z/e`` for each divisor
+    ``e >= 2`` of ``d_{q+1}``.  ``_homology_data`` presents the same group
+    on a cycle basis."""
+    out, into = _divisors(c, q), _divisors(c, q + 1)
+    torsion = [e for e in into if e >= 2]
+    n = c.rank(q) - len(out) - len(into) + len(torsion)
+    return group(n, [[e if j == i else 0 for j in range(n)]
+                     for i, e in enumerate(torsion)])
+
+
+def _divisors(c, q):
+    """The elementary divisors of ``c.diff(q)``, memoized on ``c``.
+
+    Raises CertificateError unless as many of them are odd as the rank of
+    the differential over ``F_2``, computed apart on bitset rows."""
+    found = c._divisors.get(q)
+    if found is None:
+        rows = c._rows.get(q, ())
+        found = _elementary_divisors(rows)
+        odd = sum(e % 2 for e in found)
+        rank2 = _rank_mod2(rows)
+        if odd != rank2:
+            raise CertificateError(
+                f"differential in degree {q}: {len(found)} elementary "
+                f"divisors, {odd} of them odd, but rank {rank2} over F_2"
+            )
+        c._divisors[q] = found
+    return found
+
+
+def _elementary_divisors(rows):
+    """The nonzero elementary divisors, in increasing order, of the matrix
+    of sparse ``rows``.
+
+    Unit pivots are eliminated first (Kaczynski-Mrozek-Slusarek): each one
+    contributes a divisor 1 and leaves the Schur complement, which stays
+    integral.  The row taken next is a shortest live row, its pivot the
+    unit entry in its sparsest column, so fill-in stays small (Markowitz).
+    ``snf`` factors what is left without a unit pivot (Dumas-Saunders-
+    Villard).
+
+    >>> _elementary_divisors([{0: 1, 1: 1}, {0: 1, 1: -1}])
+    (1, 2)
+    """
+    live = {i: dict(row) for i, row in enumerate(rows) if row}
+    where = defaultdict(set)  # column -> live rows with an entry in it
+    for i, row in live.items():
+        for j in row:
+            where[j].add(i)
+    queue = [(len(row), i) for i, row in live.items()]
+    heapify(queue)
+    units = 0
+    while queue:
+        size, i = heappop(queue)
+        row = live.get(i)
+        if row is None or len(row) != size:
+            continue  # eliminated, or queued again at its new length
+        pivot = min((j for j, a in row.items() if a in (1, -1)),
+                    key=lambda j: len(where[j]), default=None)
+        if pivot is None:
+            continue  # left to the residue unless an elimination changes it
+        units += 1
+        del live[i]
+        for j in row:
+            where[j].discard(i)
+        sign = row.pop(pivot)
+        for k in where.pop(pivot):
+            other = live[k]
+            factor = other.pop(pivot) * sign
+            for j, a in row.items():
+                b = other.get(j, 0) - factor * a
+                if b:
+                    other[j] = b
+                    where[j].add(k)
+                else:
+                    del other[j]
+                    where[j].discard(k)
+            if other:
+                heappush(queue, (len(other), k))
+            else:
+                del live[k]
+    residue = ()
+    if live:
+        cols = sorted(j for j, ks in where.items() if ks)
+        s = snf(Mat([[row.get(j, 0) for j in cols] for row in live.values()],
+                    cols=len(cols)))[0]
+        residue = tuple(
+            d for d in (s.data[n][n] for n in range(min(s.rows, s.cols))) if d
+        )
+    return (1,) * units + residue
+
+
+def _rank_mod2(rows):
+    """The rank over ``F_2`` of the matrix of sparse ``rows``, by
+    elimination on rows packed into Python ints.
+
+    >>> _rank_mod2([{0: 1, 1: 1}, {0: 1, 1: -1}])
+    1
+    """
+    pivots = {}  # lowest set bit -> the row that has it
+    for row in rows:
+        bits = 0
+        for j, a in row.items():
+            if a & 1:
+                bits |= 1 << j
+        while bits:
+            low = bits & -bits
+            other = pivots.get(low)
+            if other is None:
+                pivots[low] = bits
+                break
+            bits ^= other
+    return len(pivots)
 
 
 def is_acyclic(c):
@@ -291,22 +454,28 @@ def fiber_les_report(f):
     """Exactness of the long sequence
     ``... -> H_{q+1}(D) -> H_q(fib) -> H_q(C) -> H_q(D) -> ...``
     over the support range of the fiber, widened by one on each side."""
-    return _fiber_les(f, mapping_fiber(f))
+    return _fiber_les(f, mapping_fiber(f), _homology_memo())
 
 
-def _fiber_les(f, fib):
-    """``fiber_les_report(f)`` over the fiber ``fib`` of ``f``, already
-    built by the caller."""
-    lo, hi = fib.complex.lo - 1, fib.complex.hi + 1
+def _homology_memo():
+    """``_homology_data`` memoized per complex and degree, for one fiber
+    sequence: each of its groups meets two maps."""
     known = {}
 
     def data(c, q):
-        # each group of the sequence meets two maps: compute it once
-        key = (id(c), q)
+        key = (c, q)  # holds c, so no other complex takes its place
         if key not in known:
             known[key] = _homology_data(c, q)
         return known[key]
 
+    return data
+
+
+def _fiber_les(f, fib, data):
+    """``fiber_les_report(f)`` over the fiber ``fib`` of ``f``, already
+    built by the caller, with the groups from the caller's memo ``data``
+    (see :func:`_homology_memo`)."""
+    lo, hi = fib.complex.lo - 1, fib.complex.hi + 1
     seq = []
     for q in range(hi, lo - 1, -1):
         seq.append(connecting_hom(f, fib, q, data))
@@ -399,16 +568,16 @@ def _chains(x, bases):
     for q in range(1, x.q_max + 1):
         if not bases[q] or not bases[q - 1]:
             continue
+        below = index[q - 1]
         rows = []
         for s in bases[q]:
-            row = [0] * len(bases[q - 1])
+            row = {}
             for i in range(q + 1):
-                f = x.face(q, i, s)
-                j = index[q - 1].get(f)
+                j = below.get(x.face(q, i, s))
                 if j is not None:
-                    row[j] += -1 if i % 2 else 1
-            rows.append(tuple(row))
-        diffs[q] = Mat(rows, cols=len(bases[q - 1]))
+                    row[j] = row.get(j, 0) + (-1 if i % 2 else 1)
+            rows.append({j: a for j, a in row.items() if a})
+        diffs[q] = rows
     return ChainComplex(ranks, diffs)
 
 
