@@ -98,7 +98,10 @@ class TruncDihedralSet:
     ``level_count(q)``, checked against the nondegenerate simplices by the
     Eilenberg-Zilber decomposition ``count(q) = sum_p C(q, p) * #nondeg(p)``
     and, whenever level ``q`` is built, against its length; a disagreement
-    raises :class:`CertificateError`.
+    raises :class:`CertificateError`.  ``fixed_levels``, when given, is a
+    pair ``(generate, count)`` of functions of the degree: the simplices
+    fixed by the reflection and their number, which :func:`fixed_subset`
+    uses instead of filtering the levels.
     """
 
     __slots__ = (
@@ -114,6 +117,7 @@ class TruncDihedralSet:
         "_nondegenerate_levels",
         "_nondegenerate",
         "_level_count",
+        "_fixed_levels",
     )
 
     def __init__(
@@ -129,6 +133,7 @@ class TruncDihedralSet:
         certificate=None,
         nondegenerate_levels=None,
         level_count=None,
+        fixed_levels=None,
     ):
         if q_max < 0:
             raise SpecError("truncation depth must be nonnegative")
@@ -153,6 +158,7 @@ class TruncDihedralSet:
         self.certificate = certificate
         self._nondegenerate_levels = nondegenerate_levels
         self._nondegenerate = [None] * (q_max + 1)
+        self._fixed_levels = fixed_levels
 
     def _built_level(self, q, level):
         level = tuple(sorted(set(level)))
@@ -435,10 +441,14 @@ class _DivisorFibers:
     elements generate the tuples and count them.  ``D(v)`` is the fiber of
     pairs summing to ``v``; it raises :class:`InfeasibleError` when that
     fiber is infinite, as the level of 1-simplices would.
+
+    The tuples fixed by the reflection ``sigma`` of the nerve are built
+    from their first half: see :meth:`fixed_tuples`.
     """
 
-    def __init__(self, monoid, orbit):
+    def __init__(self, monoid, orbit, sigma):
         self.zero = (0,) * monoid.rank
+        self.sigma = sigma
         self.weights = []
         self.parts = {}
         for v in orbit:
@@ -452,9 +462,11 @@ class _DivisorFibers:
                     self.parts[d] = tuple(p for p in splits if p[1] in known)
         # _counts[k][d]: the number of (k+1)-tuples summing to d
         self._counts = [dict.fromkeys(self.parts, 1)]
+        self._frames = None
 
-    def count(self, length):
-        """The number of ``length``-tuples, ``length >= 1``."""
+    def _table(self, length):
+        """The number of ``length``-tuples summing to each ``d``, keyed by
+        ``d``, ``length >= 1``."""
         counts = self._counts
         while len(counts) < length:
             last = counts[-1]
@@ -462,15 +474,20 @@ class _DivisorFibers:
                 d: sum(last[rest] for _, rest in parts)
                 for d, parts in self.parts.items()
             })
-        return sum(counts[length - 1][v] for v in self.weights)
+        return counts[length - 1]
 
-    def tuples(self, length, nondegenerate=False):
+    def count(self, length):
+        """The number of ``length``-tuples, ``length >= 1``."""
+        table = self._table(length)
+        return sum(table[v] for v in self.weights)
+
+    def tuples(self, length, nondegenerate=False, start=None):
         """The ``length``-tuples, ``length >= 1``, in lexicographic order
-        for each weight.  With ``nondegenerate``, only those whose entries
-        after the first are nonzero: the degeneracies insert exactly those
-        zeros."""
+        for each weight, or for each sum in ``start`` when given.  With
+        ``nondegenerate``, only those whose entries after the first are
+        nonzero: the degeneracies insert exactly those zeros."""
         zero = self.zero
-        rows = [((), v) for v in self.weights]
+        rows = [((), v) for v in (self.weights if start is None else start)]
         for pos in range(length - 1):
             skip_zero = nondegenerate and pos > 0
             rows = [
@@ -482,6 +499,59 @@ class _DivisorFibers:
         skip_zero = nondegenerate and length > 1
         return [prefix + (left,) for prefix, left in rows
                 if not (skip_zero and left == zero)]
+
+    def _mirror_frames(self):
+        """The triples ``(x_0, h, m)`` of elements with ``x_0`` fixed by
+        ``sigma`` and ``x_0 + h + sigma(h) + m`` a fixed weight, which makes
+        ``m`` fixed too."""
+        if self._frames is None:
+            sigma, parts = self.sigma, self.parts
+            self._frames = [
+                (x0, h, m)
+                for v in self.weights if sigma(v) == v
+                for x0, rest in parts[v] if sigma(x0) == x0
+                for h, tail in parts[rest]
+                for m in (_vec_sub(tail, sigma(h)),) if m in parts
+            ]
+        return self._frames
+
+    def _frames_of_degree(self, n):
+        """The length of the half of a fixed ``(n+1)``-tuple, and its
+        frames as ``(x_0, h, middle)``: ``(m,)`` for odd ``n``, and ``()``
+        for even ``n``, which has no middle entry, so ``m`` is zero."""
+        half, odd = divmod(n, 2)
+        return half, [
+            (x0, h, (m,) if odd else ())
+            for x0, h, m in self._mirror_frames() if odd or m == self.zero
+        ]
+
+    def fixed_tuples(self, n):
+        """The ``(n+1)``-tuples fixed by the reflection
+        ``(x_0, ..., x_n) -> (s x_0, s x_n, ..., s x_1)``.
+
+        Such a tuple has ``x_0`` fixed, ``x_{n+1-i} = s(x_i)`` for
+        ``1 <= i <= n // 2`` and, for odd ``n``, a fixed middle entry
+        ``m``.  So it is ``x_0``, a half summing to some ``h``, the middle
+        and the reflected half reversed, over the frames ``(x_0, h, m)``;
+        each half comes from :meth:`tuples` started at ``h``."""
+        sigma = self.sigma
+        half, frames = self._frames_of_degree(n)
+        if half:
+            halves = {h: self.tuples(half, start=(h,)) for h in {f[1] for f in frames}}
+        else:
+            halves = {self.zero: [()]}
+        return [
+            (x0,) + part + middle + tuple(sigma(e) for e in reversed(part))
+            for x0, h, middle in frames
+            for part in halves.get(h, ())
+        ]
+
+    def fixed_count(self, n):
+        """The number of :meth:`fixed_tuples` of length ``n + 1``, by the
+        dynamic program of :meth:`count` over the halves."""
+        half, frames = self._frames_of_degree(n)
+        table = self._table(half) if half else {self.zero: 1}
+        return sum(table.get(h, 0) for _, h, _ in frames)
 
 
 def _signed_permutation_sigma(monoid):
@@ -563,7 +633,9 @@ def dihedral_nerve_piece(monoid, orbit, q_max, window=None):
     sets of the orbit weights: a level is built only when first read, the
     nondegenerate simplices (entries after the first nonzero) are generated
     directly, and ``count(q)`` is a dynamic program over the divisor sets,
-    cross-checked as :class:`TruncDihedralSet` describes.
+    cross-checked as :class:`TruncDihedralSet` describes.  The simplices
+    fixed by the reflection are generated and counted the same way, as
+    ``fixed_levels``, for :func:`sd_sigma` and :func:`fixed_subset`.
 
     Raises:
         InfeasibleError: if a fiber is infinite and no window is given.
@@ -593,7 +665,7 @@ def dihedral_nerve_piece(monoid, orbit, q_max, window=None):
         # The vertices alone: their fiber is finite even where D(v) is not.
         levels = [[t for v in orbit for t in weight_tuples(monoid, v, 1)]]
     else:
-        fibers = _DivisorFibers(monoid, orbit)
+        fibers = _DivisorFibers(monoid, orbit, sigma)
 
         def levels(q):
             return fibers.tuples(q + 1)
@@ -601,6 +673,7 @@ def dihedral_nerve_piece(monoid, orbit, q_max, window=None):
         generated = dict(
             nondegenerate_levels=lambda q: fibers.tuples(q + 1, nondegenerate=True),
             level_count=lambda q: fibers.count(q + 1),
+            fixed_levels=(fibers.fixed_tuples, fibers.fixed_count),
         )
 
     zero = tuple([0] * monoid.rank)
@@ -745,6 +818,12 @@ def sd_sigma(x, q_out=None):
 
     The lifted operators are fixed under conjugation by the order reversal,
     so the reflection commutes with every subdivided face and degeneracy.
+
+    When the input brings ``fixed_levels`` (a nerve piece without a
+    window), the output brings those of the input's degree ``2q+1`` as its
+    own, and :func:`fixed_subset` generates and counts the fixed simplices
+    without building a level of the input.  Otherwise (a windowed piece, a
+    hand-built set) it filters the levels.
     """
     if not x.has_involution:
         raise SpecError("sd_sigma needs a reflection on the input")
@@ -767,6 +846,11 @@ def sd_sigma(x, q_out=None):
     def invol(q, s):
         return x.invol(2 * q + 1, s)
 
+    fixed_levels = None
+    if x._fixed_levels is not None:
+        generate, count = x._fixed_levels
+        fixed_levels = (lambda q: generate(2 * q + 1), lambda q: count(2 * q + 1))
+
     return TruncDihedralSet(
         q_out,
         levels,
@@ -774,6 +858,7 @@ def sd_sigma(x, q_out=None):
         degeneracy,
         invol=invol,
         flag="levelwise",
+        fixed_levels=fixed_levels,
     )
 
 
@@ -825,9 +910,19 @@ def fixed_subset(x):
     """The simplices fixed by the levelwise reflection (or rotation), with
     the restricted structure maps.
 
+    When ``x`` brings ``fixed_levels`` and its only levelwise action is the
+    reflection (``sd_sigma`` of a nerve piece without a window), each fixed
+    level is generated and counted by them, built only when first read, and
+    checked against its count.  Otherwise (windowed pieces, hand-built
+    sets, a levelwise rotation) every level of ``x`` is filtered at once.
+    Either way each fixed level, as it is built, is checked to be closed:
+    each of its simplices, and every face and degeneracy of one, is fixed.
+
     Raises:
-        CertificateError: if any structure map fails to preserve the fixed
-            simplices — that would mean the input action was not simplicial.
+        CertificateError: if a generated simplex is not fixed, or a
+            structure map fails to preserve the fixed simplices — that
+            would mean the input action was not simplicial.  A filtered
+            level raises here, a generated one when it is first read.
     """
     ops = []
     if x.has_involution:
@@ -836,37 +931,52 @@ def fixed_subset(x):
         ops.append(x.rotate)
     if not ops:
         raise SpecError("fixed_subset needs a levelwise action")
-    levels = []
-    for q in range(x.q_max + 1):
-        levels.append(
-            [s for s in x.simplices[q] if all(op(q, s) == s for op in ops)]
-        )
-    fixed = [set(level) for level in levels]
-    for q in range(x.q_max + 1):
-        for s in levels[q]:
+
+    def is_fixed(q, s):
+        return all(op(q, s) == s for op in ops)
+
+    if x._fixed_levels is not None and ops == [x.invol]:
+        generate, level_count = x._fixed_levels
+    else:
+        level_count = None
+
+        def generate(q):
+            return [s for s in x.simplices[q] if is_fixed(q, s)]
+
+    def level(q):
+        found = generate(q)
+        for s in found:
+            if not is_fixed(q, s):
+                raise CertificateError(f"{s} is not fixed at degree {q}")
             if q >= 1:
                 for i in range(q + 1):
-                    if x.face(q, i, s) not in fixed[q - 1]:
+                    if not is_fixed(q - 1, x.face(q, i, s)):
                         raise CertificateError(
                             f"face d_{i} leaves the fixed simplices at degree "
                             f"{q} on {s}"
                         )
             if q < x.q_max:
                 for i in range(q + 1):
-                    if x.degeneracy(q, i, s) not in fixed[q + 1]:
+                    if not is_fixed(q + 1, x.degeneracy(q, i, s)):
                         raise CertificateError(
                             f"degeneracy s_{i} leaves the fixed simplices at "
                             f"degree {q} on {s}"
                         )
-    return TruncDihedralSet(
+        return found
+
+    fixed = TruncDihedralSet(
         x.q_max,
-        levels,
+        level,
         x._face,
         x._degeneracy,
         invol=x._invol if x.has_involution else None,
         flag="levelwise" if x.has_involution else "simplicial",
         certificate=None,
+        level_count=level_count,
     )
+    if level_count is None:
+        list(fixed.simplices)  # a filtered level is checked at once
+    return fixed
 
 
 # ---------------------------------------------------------------------------
