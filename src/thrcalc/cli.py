@@ -53,7 +53,7 @@ from .dihedral import (
     validate_structure,
 )
 from .errors import CertificateError, InfeasibleError, SpecError
-from .homology import homology, normalized_chains
+from .homology import homology_table, normalized_chains
 from .involutive_algebra import (
     load_description,
     monoid_from_description,
@@ -231,11 +231,7 @@ def cmd_nerve(args):
     if args.homology:
         chains = normalized_chains(piece)
         hi = chains.valid_hi if chains.valid_hi is not None else q_max
-        table = {}
-        for q in range(hi + 1):
-            h = homology(chains.complex, q)
-            if not h.is_trivial():
-                table[q] = h
+        table = homology_table(chains.complex, range(hi + 1))
         payload["homology"] = _encode_homology(table)
         payload["homology_certified_complete"] = chains.valid_hi is None
         payload["homology_valid_through"] = hi

@@ -16,7 +16,6 @@ entry that used it (the ``substitutions`` field).
 """
 
 from dataclasses import dataclass
-from functools import cache
 from itertools import combinations, product
 from math import comb
 
@@ -26,20 +25,18 @@ from .fgab import Mat, blocks, free_group, kron, row_kernel, solve_left
 from .homology import (
     ChainComplex,
     ChainMap,
-    _fiber_les,
-    _homology_memo,
+    _homology_data,
     _tensor_matrices,
-    chain_complex,
-    chain_map,
+    fiber_les_report,
     fiber_map,
     homology,
+    homology_table,
     identity_chain_map,
     is_acyclic,
     mapping_cone,
     mapping_fiber,
     normalized_chains,
     tensor_complex,
-    zero_complex,
 )
 from .involutive_algebra import AffineMonoid, _unit_vec
 
@@ -140,13 +137,13 @@ def cube_of_map(f):
 
 def cospan_square(f, g):
     """The square with initial entry 0 over the cospan ``f: B -> D <- C :g``."""
-    corners = {(0, 0): zero_complex(), (1, 0): f.source, (0, 1): g.source, (1, 1): f.target}
+    corners = {(0, 0): ChainComplex({}, {}), (1, 0): f.source, (0, 1): g.source, (1, 1): f.target}
     if g.target is not f.target:
         raise SpecError("cospan legs must share their target")
     legs = {(1, 0): f, (0, 1): g}  # keyed by source vertex; the rest leave 0
 
     def edge(source, target, eps, j):
-        return legs[eps] if eps in legs else chain_map(source, target, {})
+        return legs[eps] if eps in legs else ChainMap(source, target, {})
 
     return CubeDiagram(2, corners.__getitem__, edge)
 
@@ -253,12 +250,6 @@ def total_fiber(q_cube):
     return mapping_fiber(comparison(q_cube)).complex
 
 
-def _homology_table(c):
-    """The nontrivial homology groups of ``c`` by degree."""
-    table = {q: homology(c, q) for q in c.support}
-    return {q: h for q, h in table.items() if not h.is_trivial()}
-
-
 # ---------------------------------------------------------------------------
 # the fiber-sequence recursion for total fibers
 # ---------------------------------------------------------------------------
@@ -298,7 +289,6 @@ def tfib_recursion_check(q_cube):
     """For each direction: tfib(cube) -> tfib(front) -> tfib(back) is a fiber
     sequence on homology, verified through the induced map of fibers."""
     tfib = total_fiber(q_cube)
-    h_tfib = cache(lambda q: homology(tfib, q))  # shared by every direction
     results = []
     ok = True
     for direction in range(q_cube.dimension):
@@ -308,15 +298,15 @@ def tfib_recursion_check(q_cube):
             induced = _induced_fiber_map(q_cube, direction)
         fib = mapping_fiber(induced)
         iterated = fib.complex
-        data = _homology_memo()  # the sequence fills it with iterated's groups
-        les = _fiber_les(induced, fib, data)
+        les = fiber_les_report(fib)
         lo = min([tfib.lo] if tfib.support else [0])
         hi = max([tfib.hi] if tfib.support else [0])
         if iterated.support:
             lo = min(lo, iterated.lo)
             hi = max(hi, iterated.hi)
         match = all(
-            h_tfib(q) == data(iterated, q)[0] for q in range(lo, hi + 1)
+            homology(tfib, q) == _homology_data(iterated, q)[0]
+            for q in range(lo, hi + 1)
         )
         ok = ok and les.ok and match
         results.append((direction, match, les.ok))
@@ -342,7 +332,7 @@ def torus_model(d, reduced=False):
     if d < 0:
         raise SpecError("torus rank must be nonnegative")
     lo = 1 if reduced else 0
-    return chain_complex({q: comb(d, q) for q in range(lo, d + 1)}, {})
+    return ChainComplex({q: comb(d, q) for q in range(lo, d + 1)}, {})
 
 
 def torus_map(a, reduced=False):
@@ -426,12 +416,12 @@ def p1_report(window):
     entries = []
     for j in range(-window, window + 1):
         if j == 0:
-            point = chain_complex({0: 1}, {})
+            point = ChainComplex({0: 1}, {})
             circle = _circle_chains().complex
-            into = chain_map(point, circle, {0: [[1]]})
+            into = ChainMap(point, circle, {0: [[1]]})
             square = cospan_square(into, into)
             limit = punctured_limit(square)
-            table = _homology_table(limit)
+            table = homology_table(limit, limit.support)
             entries.append(
                 WeightEntry(
                     weight=0,
@@ -446,12 +436,12 @@ def p1_report(window):
         sign = 1 if j > 0 else -1
         chart = "x >= 0" if j > 0 else "x <= 0"
         piece = _nerve_piece_chains(_nat_chart(sign), (j,)).complex
-        empty = zero_complex()
+        empty = ChainComplex({}, {})
         square = cospan_square(
-            identity_chain_map(piece), chain_map(empty, piece, {})
+            identity_chain_map(piece), ChainMap(empty, piece, {})
         )
         limit = punctured_limit(square)
-        table = _homology_table(limit)
+        table = homology_table(limit, limit.support)
         entries.append(
             WeightEntry(
                 weight=j,
@@ -517,7 +507,7 @@ PSIGMA_UNIT = {
 def _copies(c, n):
     """Direct sum of ``n`` copies of ``c``."""
     diffs = {q: kron(Mat.identity(n), c.diff(q)) for q in c.support if c.rank(q - 1)}
-    return chain_complex({q: n * c.rank(q) for q in c.support}, diffs)
+    return ChainComplex({q: n * c.rank(q) for q in c.support}, diffs)
 
 
 def _block_map(source, target, copy_mats, c):
@@ -530,7 +520,7 @@ def _block_map(source, target, copy_mats, c):
     for q in c.support:
         mult = copy_mats[q] if isinstance(copy_mats, dict) else copy_mats
         mats[q] = kron(Mat(mult), Mat.identity(c.rank(q)))
-    return chain_map(source, target, mats)
+    return ChainMap(source, target, mats)
 
 
 def _psigma_square(restriction, unit):
@@ -559,20 +549,22 @@ def psigma_report():
     bad_fib = total_fiber(bad)
     mutation_breaks = not is_acyclic(bad_fib)
 
-    z0 = chain_complex({0: 1}, {})
-    z1 = chain_complex({1: 1}, {})
-    zz0 = chain_complex({0: 2}, {})
-    zz1 = chain_complex({1: 2}, {})
+    z0 = ChainComplex({0: 1}, {})
+    z1 = ChainComplex({1: 1}, {})
+    zz0 = ChainComplex({0: 2}, {})
+    zz1 = ChainComplex({1: 2}, {})
     unit_square = cospan_square(
-        chain_map(z0, zz0, {0: [[1, 1]]}),
+        ChainMap(z0, zz0, {0: [[1, 1]]}),
         identity_chain_map(zz0),
     )
-    unit_homology = _homology_table(punctured_limit(unit_square))
+    unit_limit = punctured_limit(unit_square)
+    unit_homology = homology_table(unit_limit, unit_limit.support)
     susp_square = cospan_square(
-        chain_map(z1, zz1, {1: [[1, 1]]}),
-        chain_map(zero_complex(), zz1, {}),
+        ChainMap(z1, zz1, {1: [[1, 1]]}),
+        ChainMap(ChainComplex({}, {}), zz1, {}),
     )
-    susp_homology = _homology_table(punctured_limit(susp_square))
+    susp_limit = punctured_limit(susp_square)
+    susp_homology = homology_table(susp_limit, susp_limit.support)
     summands = (
         SummandEntry("unit", 0, unit_homology, ""),
         SummandEntry(
@@ -617,7 +609,7 @@ def smash_sphere_model(k):
     """Reduced model of a ``k``-fold smash of circles: one class in degree k."""
     if k < 0:
         raise SpecError("smash degree must be nonnegative")
-    return chain_complex({k: 1}, {})
+    return ChainComplex({k: 1}, {})
 
 
 def h_map_cofiber_check(d):
@@ -627,9 +619,9 @@ def h_map_cofiber_check(d):
         raise SpecError("d must be at least 1")
     source = smash_sphere_model(d - 1)
     target = smash_sphere_model(d)
-    h = chain_map(source, target, {})
+    h = ChainMap(source, target, {})
     cone = mapping_cone(h)
-    table = _homology_table(cone)
+    table = homology_table(cone, cone.support)
     ok = set(table) == {d} and table[d] == free_group(2)
     return HMapReport(table, ok)
 
@@ -684,10 +676,10 @@ def _substituted_weight_cube(n, v, positives):
     if not _in_chart(n, missing, v):
         raise CertificateError(f"weight {v} escaped its certified chart")
     piece = _nerve_piece_chains(monoid, v).complex
-    zero = zero_complex()
+    zero = ChainComplex({}, {})
 
     def edge(source, target, eps, j):
-        return chain_map(zero, target, {}) if source is zero else identity_chain_map(piece)
+        return ChainMap(zero, target, {}) if source is zero else identity_chain_map(piece)
 
     return CubeDiagram(n + 1, lambda eps: piece if eps[missing - 1] else zero, edge)
 
@@ -765,7 +757,7 @@ def pn_report(n, window):
         if len(positives) >= n and sum(abs(x) for x in v) <= 3:
             cube = _substituted_weight_cube(n, v, positives)
             fib = total_fiber(cube)
-            table = _homology_table(fib)
+            table = homology_table(fib, fib.support)
             entry = WeightEntry(
                 weight=v,
                 chart=chart,
@@ -788,7 +780,7 @@ def pn_report(n, window):
 
     cube = origin_cube(n)
     fib = total_fiber(cube)
-    table = _homology_table(fib)
+    table = homology_table(fib, fib.support)
     origin_ok = (
         set(table) == {-1}
         and table[-1] == free_group(n)

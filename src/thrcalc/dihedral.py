@@ -812,9 +812,10 @@ def _sigma_map(q, i):
     return tuple(v if v <= i else v - 1 for v in range(q + 2))
 
 
-def sd_sigma(x, q_out=None):
+def sd_sigma(x):
     """Squaring edgewise subdivision: degree ``q`` becomes old degree
-    ``2q+1``, with the levelwise reflection of the input.
+    ``2q+1``, with the levelwise reflection of the input, as deep as the
+    input allows.
 
     The lifted operators are fixed under conjugation by the order reversal,
     so the reflection commutes with every subdivided face and degeneracy.
@@ -827,9 +828,8 @@ def sd_sigma(x, q_out=None):
     """
     if not x.has_involution:
         raise SpecError("sd_sigma needs a reflection on the input")
-    if q_out is None:
-        q_out = (x.q_max - 1) // 2
-    if q_out < 0 or 2 * q_out + 1 > x.q_max:
+    q_out = (x.q_max - 1) // 2
+    if q_out < 0:
         raise SpecError(
             f"insufficient truncation depth {x.q_max} for output depth {q_out}"
         )
@@ -862,9 +862,10 @@ def sd_sigma(x, q_out=None):
     )
 
 
-def sd_r(x, r, q_out=None):
+def sd_r(x, r):
     """r-fold cyclic edgewise subdivision: degree ``q`` becomes old degree
-    ``r(q+1) - 1``, with the levelwise ``C_r``-action ``t**(q+1)``.
+    ``r(q+1) - 1``, with the levelwise ``C_r``-action ``t**(q+1)``, as deep
+    as the input allows.
 
     The input reflection (if any) is not carried over: it does not act
     simplicially on this subdivision.
@@ -873,9 +874,8 @@ def sd_r(x, r, q_out=None):
         raise SpecError("subdivision order must be at least 1")
     if not x.has_rotation:
         raise SpecError("sd_r needs a rotation on the input")
-    if q_out is None:
-        q_out = (x.q_max + 1) // r - 1
-    if q_out < 0 or r * (q_out + 1) - 1 > x.q_max:
+    q_out = (x.q_max + 1) // r - 1
+    if q_out < 0:
         raise SpecError(
             f"insufficient truncation depth {x.q_max} for output depth {q_out}"
         )
@@ -907,16 +907,16 @@ def sd_r(x, r, q_out=None):
 
 
 def fixed_subset(x):
-    """The simplices fixed by the levelwise reflection (or rotation), with
-    the restricted structure maps.
+    """The simplices fixed by the levelwise reflection, with the restricted
+    structure maps.
 
-    When ``x`` brings ``fixed_levels`` and its only levelwise action is the
-    reflection (``sd_sigma`` of a nerve piece without a window), each fixed
-    level is generated and counted by them, built only when first read, and
-    checked against its count.  Otherwise (windowed pieces, hand-built
-    sets, a levelwise rotation) every level of ``x`` is filtered at once.
-    Either way each fixed level, as it is built, is checked to be closed:
-    each of its simplices, and every face and degeneracy of one, is fixed.
+    When ``x`` brings ``fixed_levels`` (``sd_sigma`` of a nerve piece
+    without a window), each fixed level is generated and counted by them,
+    built only when first read, and checked against its count.  Otherwise
+    (windowed pieces, hand-built sets) every level of ``x`` is filtered at
+    once.  Either way each fixed level, as it is built, is checked to be
+    closed: each of its simplices, and every face and degeneracy of one, is
+    fixed.
 
     Raises:
         CertificateError: if a generated simplex is not fixed, or a
@@ -924,18 +924,13 @@ def fixed_subset(x):
             would mean the input action was not simplicial.  A filtered
             level raises here, a generated one when it is first read.
     """
-    ops = []
-    if x.has_involution:
-        ops.append(x.invol)
-    if x.has_rotation and x.flag == "levelwise":
-        ops.append(x.rotate)
-    if not ops:
-        raise SpecError("fixed_subset needs a levelwise action")
+    if not x.has_involution:
+        raise SpecError("fixed_subset needs a reflection")
 
     def is_fixed(q, s):
-        return all(op(q, s) == s for op in ops)
+        return x.invol(q, s) == s
 
-    if x._fixed_levels is not None and ops == [x.invol]:
+    if x._fixed_levels is not None:
         generate, level_count = x._fixed_levels
     else:
         level_count = None
@@ -969,8 +964,8 @@ def fixed_subset(x):
         level,
         x._face,
         x._degeneracy,
-        invol=x._invol if x.has_involution else None,
-        flag="levelwise" if x.has_involution else "simplicial",
+        invol=x._invol,
+        flag="levelwise",
         certificate=None,
         level_count=level_count,
     )
@@ -1161,7 +1156,7 @@ def power_map_fixed_iso_check(j, r, q_max):
     big_depth = r * (q_max + 1) - 1
     small = dihedral_nerve_piece(nat, ((j,),), q_max)
     big = dihedral_nerve_piece(nat, ((r * j,),), big_depth)
-    sub = sd_r(big, r, q_out=q_max)
+    sub = sd_r(big, r)
 
     def power(x):
         return x * r

@@ -11,8 +11,10 @@ the elementary divisors of the two differentials at that degree, found by
 eliminating unit pivots on sparse rows and checked against ranks over
 ``F_2``.  Presented on a basis of the cycle lattice, it carries the
 homomorphisms that chain maps induce, and the mapping fiber of a chain
-map comes with the two canonical maps and an exactness check for the
-resulting long sequence.
+map comes with the map, the projection to its source and an exactness
+check for the resulting long sequence.  Both routes are memoized on the
+complex: each differential is reduced, and each degree presented, at most
+once.
 """
 
 from __future__ import annotations
@@ -44,7 +46,7 @@ class ChainComplex:
     which ``d d = 0`` is checked and :func:`homology` reduces it; ``diff``
     gives it as a ``Mat``, built on first use from sparse rows."""
 
-    __slots__ = ("_ranks", "_rows", "_mats", "_divisors")
+    __slots__ = ("_ranks", "_rows", "_mats", "_divisors", "_presented")
 
     def __init__(self, ranks, diffs):
         self._ranks = {q: r for q, r in ranks.items() if r}
@@ -53,6 +55,7 @@ class ChainComplex:
                 raise SpecError(f"negative rank {r} in degree {q}")
         self._rows, self._mats = {}, {}
         self._divisors = {}  # degree -> elementary divisors, see _divisors
+        self._presented = {}  # degree -> (group, cycle basis), see _homology_data
         for q, m in diffs.items():
             height, width = self.rank(q), self.rank(q - 1)
             if not isinstance(m, Mat):
@@ -140,14 +143,6 @@ def _dense(row, width):
     return out
 
 
-def chain_complex(ranks, diffs=None):
-    return ChainComplex(ranks, diffs or {})
-
-
-def zero_complex():
-    return ChainComplex({}, {})
-
-
 # ---------------------------------------------------------------------------
 # homology
 # ---------------------------------------------------------------------------
@@ -155,7 +150,15 @@ def zero_complex():
 
 def _homology_data(c, q):
     """The homology group at ``q`` together with the cycle basis (rows in
-    ``C_q``) on which it is presented."""
+    ``C_q``) on which it is presented, memoized on ``c``."""
+    found = c._presented.get(q)
+    if found is None:
+        found = c._presented[q] = _presentation(c, q)
+    return found
+
+
+def _presentation(c, q):
+    """``_homology_data(c, q)``, built without the memo."""
     n = c.rank(q)
     if n == 0:
         return group(0, Mat([], cols=0)), Mat([], cols=0)
@@ -291,9 +294,15 @@ def _rank_mod2(rows):
     return len(pivots)
 
 
+def homology_table(c, degrees):
+    """The nontrivial homology groups of ``c`` in ``degrees``, by degree."""
+    table = {q: homology(c, q) for q in degrees}
+    return {q: h for q, h in table.items() if not h.is_trivial()}
+
+
 def is_acyclic(c):
     """Whether every homology group is trivial (outside the support it is)."""
-    return all(homology(c, q).is_trivial() for q in c.support)
+    return not homology_table(c, c.support)
 
 
 # ---------------------------------------------------------------------------
@@ -348,21 +357,14 @@ class ChainMap:
         return f"ChainMap(degrees={sorted(self._mats)})"
 
 
-def chain_map(source, target, mats):
-    return ChainMap(source, target, mats)
-
-
 def identity_chain_map(c):
     return ChainMap(c, c, {q: Mat.identity(c.rank(q)) for q in c.support})
 
 
-def induced_hom(f, q, data):
-    """The homomorphism on degree-``q`` homology induced by a chain map.
-
-    ``data(c, q)`` gives the homology group of ``c`` at ``q`` with the cycle
-    basis it is presented on, as ``_homology_data`` does."""
-    hs, cycles_s = data(f.source, q)
-    ht, cycles_t = data(f.target, q)
+def induced_hom(f, q):
+    """The homomorphism on degree-``q`` homology induced by a chain map."""
+    hs, cycles_s = _homology_data(f.source, q)
+    ht, cycles_t = _homology_data(f.target, q)
     images = (cycles_s @ f.map(q)).data
     rows = solve_left(cycles_t, images) if cycles_t.rows else [()] * len(images)
     for image, coeffs in zip(images, rows):
@@ -380,6 +382,7 @@ def induced_hom(f, q, data):
 
 @dataclass(frozen=True)
 class MappingFiber:
+    map: ChainMap
     complex: ChainComplex
     proj: ChainMap
 
@@ -408,7 +411,8 @@ def _fiber_complex(f):
 
 def mapping_fiber(f):
     """The strict fiber of a chain map: ``fib_q = C_q + D_{q+1}`` with
-    ``d(c, e) = (d c, f(c) - d e)``, with the projection to the source."""
+    ``d(c, e) = (d c, f(c) - d e)``, recorded with ``f`` and the
+    projection to the source."""
     c = f.source
     fib = _fiber_complex(f)
     proj = {
@@ -416,7 +420,7 @@ def mapping_fiber(f):
                   {("c", "c"): Mat.identity(c.rank(q))})
         for q in fib.support
     }
-    return MappingFiber(fib, ChainMap(fib, c, proj))
+    return MappingFiber(f, fib, ChainMap(fib, c, proj))
 
 
 def mapping_cone(f):
@@ -435,13 +439,13 @@ def mapping_cone(f):
     return ChainComplex({q: c.rank(q - 1) + d.rank(q) for q in degrees}, diffs)
 
 
-def connecting_hom(f, fiber, q, data):
+def connecting_hom(fib, q):
     """The map ``H_{q+1}(target) -> H_q(fiber)`` sending a cycle ``z`` to
     ``(0, z)``; with the projection and the map itself this makes the
-    homology of the fiber sequence exact.  ``data`` is as for
-    :func:`induced_hom`."""
-    ht, cycles_t = data(f.target, q + 1)
-    hf, cycles_f = data(fiber.complex, q)
+    homology of the fiber sequence exact."""
+    f = fib.map
+    ht, cycles_t = _homology_data(f.target, q + 1)
+    hf, cycles_f = _homology_data(fib.complex, q)
     pad = (0,) * f.source.rank(q)
     vecs = [pad + row for row in cycles_t.data]
     rows = solve_left(cycles_f, vecs) if cycles_f.rows else [()] * len(vecs)
@@ -450,37 +454,17 @@ def connecting_hom(f, fiber, q, data):
     return hom(ht, hf, Mat(rows, cols=cycles_f.rows))
 
 
-def fiber_les_report(f):
+def fiber_les_report(fib):
     """Exactness of the long sequence
     ``... -> H_{q+1}(D) -> H_q(fib) -> H_q(C) -> H_q(D) -> ...``
-    over the support range of the fiber, widened by one on each side."""
-    return _fiber_les(f, mapping_fiber(f), _homology_memo())
-
-
-def _homology_memo():
-    """``_homology_data`` memoized per complex and degree, for one fiber
-    sequence: each of its groups meets two maps."""
-    known = {}
-
-    def data(c, q):
-        key = (c, q)  # holds c, so no other complex takes its place
-        if key not in known:
-            known[key] = _homology_data(c, q)
-        return known[key]
-
-    return data
-
-
-def _fiber_les(f, fib, data):
-    """``fiber_les_report(f)`` over the fiber ``fib`` of ``f``, already
-    built by the caller, with the groups from the caller's memo ``data``
-    (see :func:`_homology_memo`)."""
+    of the fiber ``fib`` of ``fib.map: C -> D``, over the support range of
+    the fiber, widened by one on each side."""
     lo, hi = fib.complex.lo - 1, fib.complex.hi + 1
     seq = []
     for q in range(hi, lo - 1, -1):
-        seq.append(connecting_hom(f, fib, q, data))
-        seq.append(induced_hom(fib.proj, q, data))
-        seq.append(induced_hom(f, q, data))
+        seq.append(connecting_hom(fib, q))
+        seq.append(induced_hom(fib.proj, q))
+        seq.append(induced_hom(fib.map, q))
     return is_exact(seq)
 
 

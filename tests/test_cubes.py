@@ -6,6 +6,8 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from thrcalc import cubes
+from thrcalc import homology as homology_module
 from thrcalc.cubes import (
     CubeDiagram,
     PSIGMA_RESTRICTION,
@@ -36,9 +38,10 @@ from thrcalc.cubes import (
 from thrcalc.errors import CertificateError, SpecError
 from thrcalc.fgab import Mat, free_group, group
 from thrcalc.homology import (
-    chain_complex,
-    chain_map,
+    ChainComplex,
+    ChainMap,
     homology,
+    homology_table,
     identity_chain_map,
     is_acyclic,
     mapping_fiber,
@@ -53,18 +56,7 @@ Z = free_group(1)
 
 def mult_complex(n):
     """Z --n--> Z in degrees 1, 0."""
-    return chain_complex({0: 1, 1: 1}, {1: [[n]]})
-
-
-def homology_table(c, pad=1):
-    if not c.support:
-        return {}
-    table = {}
-    for q in range(c.lo - pad, c.hi + pad + 1):
-        h = homology(c, q)
-        if not h.is_trivial():
-            table[q] = h
-    return table
+    return ChainComplex({0: 1, 1: 1}, {1: [[n]]})
 
 
 @st.composite
@@ -72,8 +64,8 @@ def zero_diff_maps(draw, max_rank=2):
     """Chain maps between zero-differential complexes in degrees 0 and 1."""
     ranks_src = {q: draw(st.integers(0, max_rank)) for q in (0, 1)}
     ranks_dst = {q: draw(st.integers(0, max_rank)) for q in (0, 1)}
-    src = chain_complex(ranks_src, {})
-    dst = chain_complex(ranks_dst, {})
+    src = ChainComplex(ranks_src, {})
+    dst = ChainComplex(ranks_dst, {})
     mats = {}
     for q in (0, 1):
         r, c = ranks_src[q], ranks_dst[q]
@@ -81,7 +73,7 @@ def zero_diff_maps(draw, max_rank=2):
             mats[q] = [
                 [draw(st.integers(-2, 2)) for _ in range(c)] for _ in range(r)
             ]
-    return chain_map(src, dst, mats)
+    return ChainMap(src, dst, mats)
 
 
 @st.composite
@@ -90,7 +82,7 @@ def scaling_endomaps(draw):
     k = draw(st.integers(-3, 3))
     m = draw(st.integers(-3, 3))
     c = mult_complex(k)
-    return chain_map(c, c, {0: [[m]], 1: [[m]]})
+    return ChainMap(c, c, {0: [[m]], 1: [[m]]})
 
 
 # ---------------------------------------------------------------------------
@@ -99,7 +91,7 @@ def scaling_endomaps(draw):
 
 
 def test_cube_calls_each_rule_once_per_vertex_and_edge():
-    c = chain_complex({0: 1}, {})
+    c = ChainComplex({0: 1}, {})
     vertices, edges = [], []
 
     def entry(eps):
@@ -131,9 +123,9 @@ def test_cube_edges_must_point_at_the_stored_entries():
 
 
 def test_cube_rejects_non_commuting_square():
-    c = chain_complex({0: 1}, {})
-    two = chain_map(c, c, {0: [[2]]})
-    three = chain_map(c, c, {0: [[3]]})
+    c = ChainComplex({0: 1}, {})
+    two = ChainMap(c, c, {0: [[2]]})
+    three = ChainMap(c, c, {0: [[3]]})
     # 2 then 2 != 2 then 3
     with pytest.raises(SpecError, match="non-commuting"):
         CubeDiagram(2, lambda eps: c, lambda s, t, eps, j: three if eps == (0, 1) else two)
@@ -146,9 +138,9 @@ def test_cospan_square_legs_must_share_target():
 
 
 def test_face_extraction_recovers_the_map():
-    f = chain_map(mult_complex(2), mult_complex(2), {0: [[1]], 1: [[1]]})
-    g_src = chain_complex({0: 2}, {})
-    g = chain_map(g_src, g_src, {0: [[0, 1], [1, 0]]})
+    f = ChainMap(mult_complex(2), mult_complex(2), {0: [[1]], 1: [[1]]})
+    g_src = ChainComplex({0: 2}, {})
+    g = ChainMap(g_src, g_src, {0: [[0, 1], [1, 0]]})
     cube = tensor_cube([f, g])
     front = cube.face(1, 0)
     assert front.dimension == 1
@@ -170,8 +162,8 @@ def test_tensor_cube_needs_a_map():
 
 def test_one_cube_total_fiber_is_the_mapping_fiber():
     for f in (
-        chain_map(mult_complex(2), mult_complex(2), {0: [[3]], 1: [[3]]}),
-        chain_map(chain_complex({0: 1}, {}), chain_complex({0: 1}, {}), {0: [[2]]}),
+        ChainMap(mult_complex(2), mult_complex(2), {0: [[3]], 1: [[3]]}),
+        ChainMap(ChainComplex({0: 1}, {}), ChainComplex({0: 1}, {}), {0: [[2]]}),
         identity_chain_map(mult_complex(5)),
     ):
         tfib = total_fiber(cube_of_map(f))
@@ -183,8 +175,8 @@ def test_one_cube_total_fiber_is_the_mapping_fiber():
 
 
 def test_total_fiber_sees_torsion():
-    c = chain_complex({0: 1}, {})
-    doubling = chain_map(c, c, {0: [[2]]})
+    c = ChainComplex({0: 1}, {})
+    doubling = ChainMap(c, c, {0: [[2]]})
     tfib = total_fiber(cube_of_map(doubling))
     assert homology(tfib, -1) == group(1, [[2]])
     assert homology(tfib, 0).is_trivial()
@@ -192,30 +184,30 @@ def test_total_fiber_sees_torsion():
 
 def test_punctured_limit_of_a_cospan_square():
     # point -> circle <- point; the limit keeps two degree-0 classes.
-    point = chain_complex({0: 1}, {})
-    circle = chain_complex({0: 1, 1: 1}, {})
-    into = chain_map(point, circle, {0: [[1]]})
+    point = ChainComplex({0: 1}, {})
+    circle = ChainComplex({0: 1, 1: 1}, {})
+    into = ChainMap(point, circle, {0: [[1]]})
     square = cospan_square(into, into)
     limit = punctured_limit(square)
-    table = homology_table(limit)
+    table = homology_table(limit, range(limit.lo - 1, limit.hi + 2))
     assert table == {0: free_group(2)}
 
 
 def test_punctured_limit_layout():
     # summands C_q, B_q, D_{q+1} in vertex order (0,1), (1,0), (1,1);
     # d(c, b, e) = (dc, db, g(c) - f(b) - de)
-    b = chain_complex({0: 1}, {})
-    c = chain_complex({0: 2}, {})
-    d = chain_complex({0: 1, 1: 1}, {1: [[1]]})
-    f = chain_map(b, d, {0: [[3]]})
-    g = chain_map(c, d, {0: [[1], [2]]})
+    b = ChainComplex({0: 1}, {})
+    c = ChainComplex({0: 2}, {})
+    d = ChainComplex({0: 1, 1: 1}, {1: [[1]]})
+    f = ChainMap(b, d, {0: [[3]]})
+    g = ChainMap(c, d, {0: [[1], [2]]})
     limit = punctured_limit(cospan_square(f, g))
     assert {q: limit.rank(q) for q in limit.support} == {-1: 1, 0: 4}
     assert limit.diff(0) == Mat([[1], [2], [-3], [-1]])
 
 
 def test_comparison_map_sources_the_initial_vertex():
-    f = chain_map(mult_complex(2), mult_complex(2), {0: [[1]], 1: [[1]]})
+    f = ChainMap(mult_complex(2), mult_complex(2), {0: [[1]], 1: [[1]]})
     cmp_map = comparison(cube_of_map(f))
     assert cmp_map.source is cube_of_map(f).entry((0,)) or (
         cmp_map.source._ranks == f.source._ranks
@@ -226,7 +218,7 @@ def test_comparison_map_sources_the_initial_vertex():
 @settings(max_examples=40, deadline=None)
 @given(zero_diff_maps())
 def test_identity_direction_makes_the_total_fiber_acyclic(f):
-    cube = tensor_cube([f, identity_chain_map(chain_complex({0: 1}, {}))])
+    cube = tensor_cube([f, identity_chain_map(ChainComplex({0: 1}, {}))])
     fib = total_fiber(cube)
     assert is_acyclic(fib)
 
@@ -256,7 +248,7 @@ def test_recursion_on_scaling_squares(f, g):
 
 
 def test_recursion_on_one_cubes():
-    f = chain_map(mult_complex(2), mult_complex(2), {0: [[3]], 1: [[3]]})
+    f = ChainMap(mult_complex(2), mult_complex(2), {0: [[3]], 1: [[3]]})
     report = tfib_recursion_check(cube_of_map(f))
     assert report.ok
 
@@ -268,11 +260,34 @@ def test_recursion_on_the_chart_cubes():
 
 
 def test_recursion_on_a_constant_cube_with_diagonal_edges():
-    c = chain_complex({0: 2, 1: 2}, {})
-    d1 = chain_map(c, c, {0: [[2, 0], [0, 3]], 1: [[2, 0], [0, 3]]})
-    d2 = chain_map(c, c, {0: [[5, 0], [0, 1]], 1: [[5, 0], [0, 1]]})
+    c = ChainComplex({0: 2, 1: 2}, {})
+    d1 = ChainMap(c, c, {0: [[2, 0], [0, 3]], 1: [[2, 0], [0, 3]]})
+    d2 = ChainMap(c, c, {0: [[5, 0], [0, 1]], 1: [[5, 0], [0, 1]]})
     cube = CubeDiagram(2, lambda eps: c, lambda s, t, eps, j: (d1, d2)[j])
     assert tfib_recursion_check(cube).ok
+
+
+def test_recursion_check_fails_on_a_wrong_group(monkeypatch):
+    cube = cube_of_map(ChainMap(mult_complex(2), mult_complex(2), {0: [[3]], 1: [[3]]}))
+    assert tfib_recursion_check(cube).ok
+    monkeypatch.setattr(cubes, "homology", lambda c, q: group(1, [[7]]))
+    report = tfib_recursion_check(cube)
+    assert not report.ok
+    assert "homology != iterated fiber" in report.detail
+
+
+def test_recursion_check_presents_each_group_once(monkeypatch):
+    built = []
+    present = homology_module._presentation
+
+    def counting(c, q):
+        built.append((c, q))  # holds c, so no other complex takes its id
+        return present(c, q)
+
+    monkeypatch.setattr(homology_module, "_presentation", counting)
+    assert tfib_recursion_check(origin_cube(2)).ok
+    keys = [(id(c), q) for c, q in built]
+    assert keys and len(keys) == len(set(keys))
 
 
 # ---------------------------------------------------------------------------
@@ -281,14 +296,14 @@ def test_recursion_on_a_constant_cube_with_diagonal_edges():
 
 
 def test_smash_single_map_is_a_tautology():
-    f = chain_map(mult_complex(2), mult_complex(2), {0: [[3]], 1: [[3]]})
+    f = ChainMap(mult_complex(2), mult_complex(2), {0: [[3]], 1: [[3]]})
     assert smash_cube_check([f]).ok
 
 
 def test_smash_two_scalings_with_torsion():
-    c = chain_complex({0: 1}, {})
-    two = chain_map(c, c, {0: [[2]]})
-    three = chain_map(c, c, {0: [[3]]})
+    c = ChainComplex({0: 1}, {})
+    two = ChainMap(c, c, {0: [[2]]})
+    three = ChainMap(c, c, {0: [[3]]})
     report = smash_cube_check([two, three])
     assert report.ok
     # fib(x2) (x) fib(x3) carries Z/2 (x) stuff; spot the degree -2 class.
@@ -299,9 +314,9 @@ def test_smash_two_scalings_with_torsion():
 
 
 def test_smash_circle_inclusions():
-    point = chain_complex({0: 1}, {})
-    circle = chain_complex({0: 1, 1: 1}, {})
-    into = chain_map(point, circle, {0: [[1]]})
+    point = ChainComplex({0: 1}, {})
+    circle = ChainComplex({0: 1, 1: 1}, {})
+    into = ChainMap(point, circle, {0: [[1]]})
     assert smash_cube_check([into, into]).ok
     assert smash_cube_check([into, into, into]).ok
 
@@ -533,7 +548,7 @@ def test_substituted_weight_cube_rejects_foreign_weights():
 @pytest.mark.parametrize("n", [1, 2, 3])
 def test_origin_cube_total_fiber(n):
     fib = total_fiber(origin_cube(n))
-    assert homology_table(fib) == {-1: free_group(n)}
+    assert homology_table(fib, range(fib.lo - 1, fib.hi + 2)) == {-1: free_group(n)}
 
 
 def test_origin_cube_entries_are_reduced_tori():

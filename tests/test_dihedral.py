@@ -326,34 +326,33 @@ def test_sd_sigma_vertices_of_weight_two():
 
 
 def test_sd_sigma_depth_errors():
-    piece = dihedral_nerve_piece(NAT, ((1,),), 2)
-    with pytest.raises(SpecError):
-        sd_sigma(piece, q_out=1)  # needs depth 3
     with pytest.raises(SpecError):
         sd_sigma(dihedral_nerve_piece(NAT, ((1,),), 0))
 
 
 def test_sd_one_is_the_identity():
     piece = dihedral_nerve_piece(NAT, ((2,),), 3)
-    sub = sd_r(piece, 1, q_out=2)
-    for q in range(3):
+    sub = sd_r(piece, 1)
+    assert sub.q_max == piece.q_max
+    for q in range(sub.q_max + 1):
         assert sub.simplices[q] == piece.simplices[q]
         for x in sub.simplices[q]:
             if q >= 1:
                 for i in range(q + 1):
                     assert sub.face(q, i, x) == piece.face(q, i, x)
-            if q < 2:
+            if q < sub.q_max:
                 for i in range(q + 1):
                     assert sub.degeneracy(q, i, x) == piece.degeneracy(q, i, x)
 
 
 def test_sd_r_levelwise_cyclic_action():
     piece = dihedral_nerve_piece(NAT, ((2,),), 5)
-    sub = sd_r(piece, 2, q_out=1)
+    sub = sd_r(piece, 2)
+    assert sub.q_max == 2
     assert sub.cyclic_order == 2
     report = validate_structure(sub)
     assert report.ok, report.detail
-    for q in range(2):
+    for q in range(sub.q_max + 1):
         for x in sub.simplices[q]:
             assert sub.rotate(q, sub.rotate(q, x)) == x
 

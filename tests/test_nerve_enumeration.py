@@ -157,7 +157,8 @@ POWER_CASES = [
 @pytest.mark.parametrize("j, r, q_max", POWER_CASES)
 def test_direct_fixed_tuples_match_the_filtered_subdivision(j, r, q_max):
     big = dihedral_nerve_piece(NAT, ((r * j,),), r * (q_max + 1) - 1)
-    sub = sd_r(big, r, q_out=q_max)
+    sub = sd_r(big, r)
+    assert sub.q_max == q_max
     counts = []
     for q in range(q_max + 1):
         fixed = _rotation_fixed(sub, q)

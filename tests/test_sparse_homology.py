@@ -25,7 +25,6 @@ from thrcalc.homology import (
     _elementary_divisors,
     _homology_data,
     _rank_mod2,
-    chain_complex,
     homology,
     normalized_chains,
 )
@@ -82,15 +81,15 @@ def test_every_selftest_complex_agrees_with_the_dense_route(monkeypatch):
 
 
 def test_sparse_rows_are_checked_and_read_back_dense():
-    c = chain_complex({0: 2, 1: 1}, {1: [{0: 2, 1: -1}]})
+    c = ChainComplex({0: 2, 1: 1}, {1: [{0: 2, 1: -1}]})
     assert c.diff(1) == Mat([[2, -1]])
     assert homology(c, 0) == free_group(1)
     with pytest.raises(SpecError, match="does not fit"):
-        chain_complex({0: 2, 1: 1}, {1: [{2: 1}]})
+        ChainComplex({0: 2, 1: 1}, {1: [{2: 1}]})
     with pytest.raises(SpecError, match="does not fit"):
-        chain_complex({0: 2, 1: 1}, {1: [{0: 1}, {1: 1}]})
+        ChainComplex({0: 2, 1: 1}, {1: [{0: 1}, {1: 1}]})
     with pytest.raises(SpecError, match="d d != 0"):
-        chain_complex({0: 1, 1: 1, 2: 1}, {1: [{0: 1}], 2: [{0: 3}]})
+        ChainComplex({0: 1, 1: 1, 2: 1}, {1: [{0: 1}], 2: [{0: 3}]})
 
 
 # ---------------------------------------------------------------------------
@@ -156,7 +155,7 @@ def torsion_complexes(draw, top=3):
         n = free.count(q) + len(torsion)
         expected[q] = group(n, [[e if j == i else 0 for j in range(n)]
                                 for i, e in enumerate(torsion)])
-    return chain_complex(ranks, diffs), expected
+    return ChainComplex(ranks, diffs), expected
 
 
 @given(torsion_complexes())
