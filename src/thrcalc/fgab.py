@@ -10,8 +10,12 @@ Conventions
   sends x to x @ F, and row i of F is the image of generator i.
 * Group equality compares invariant factors and free rank only; two
   presentations of isomorphic groups compare equal.
-* Each integer matrix is factored once per question: ``solve_left`` takes
-  every right-hand side at once and runs one ``snf`` for all of them.
+* Each integer matrix is factored once, at the width that is read:
+  ``solve_left`` takes every right-hand side at once and runs one ``snf``
+  for all of them (a ``_LeftSolver`` keeps that factorization for later
+  right-hand sides), and ``snf`` tracks only the leading columns of U that
+  the caller keeps: the solution or kernel coordinates it reads, and none
+  for invariant factors and lattice membership, which need only S and V.
 * ``Mat(...)`` converts every entry with ``int`` and checks the shape: it
   is where loaders, user input and other modules enter.  A matrix derived
   here from other ``Mat``s (products, sums, blocks, Smith forms, kernels)
@@ -258,9 +262,14 @@ def vstack(a, b):
     return Mat._of(a.data + b.data, a.cols)
 
 
-def snf(m):
+def snf(m, u_cols=None):
     """Smith normal form: returns (S, U, V) with U @ m @ V == S, U and V
     unimodular, and S diagonal with a divisibility chain d1 | d2 | ...
+
+    With ``u_cols``, only the leading ``u_cols`` columns of U (all of them
+    when ``u_cols >= m.rows``) are tracked and returned: row operations act
+    on each column of U on its own, so these are the same columns as in
+    the full U.  ``u_cols=0`` gives a ``rows x 0`` U.
 
     >>> s, u, v = snf(Mat([[2, 0], [0, 3]]))
     >>> [s.data[i][i] for i in range(2)]
@@ -270,15 +279,19 @@ def snf(m):
     [2, 4]
     >>> (u2 @ Mat([[2, 4], [6, 8]]) @ v2) == s2
     True
+    >>> snf(Mat([[2, 4], [6, 8]]), 1)[1] == Mat([row[:1] for row in u2.data])
+    True
     """
     r, c = m.rows, m.cols
+    width = r if u_cols is None else min(u_cols, r)
     a = [list(row) for row in m.data]
-    u = [[int(i == j) for j in range(r)] for i in range(r)]
+    u = [[int(i == j) for j in range(width)] for i in range(r)]
     v = [[int(i == j) for j in range(c)] for i in range(c)]
+    with_u = (a, u) if width else (a,)
 
     def row_combine(i1, i2, x, y, z, w):
         # rows (i1, i2) <- (x*row_i1 + y*row_i2, z*row_i1 + w*row_i2)
-        for arr in (a, u):
+        for arr in with_u:
             r1, r2 = arr[i1], arr[i2]
             for j in range(len(r1)):
                 r1[j], r2[j] = x * r1[j] + y * r2[j], z * r1[j] + w * r2[j]
@@ -289,7 +302,7 @@ def snf(m):
                 row[j1], row[j2] = x * row[j1] + y * row[j2], z * row[j1] + w * row[j2]
 
     def row_add(i_dst, i_src, k):
-        for arr in (a, u):
+        for arr in with_u:
             dst, src = arr[i_dst], arr[i_src]
             for j in range(len(dst)):
                 dst[j] += k * src[j]
@@ -354,27 +367,70 @@ def snf(m):
         t += 1
     for i in range(min(r, c)):
         if a[i][i] < 0:
-            for arr in (a, u):
+            for arr in with_u:
                 arr[i] = [-x for x in arr[i]]
-    return (Mat._of(tuple(map(tuple, a)), c), Mat._of(tuple(map(tuple, u)), r),
+    return (Mat._of(tuple(map(tuple, a)), c), Mat._of(tuple(map(tuple, u)), width),
             Mat._of(tuple(map(tuple, v)), c))
 
 
-def row_kernel(m):
-    """Basis (as rows) of the lattice {v in Z^rows : v @ m == 0}.
+def row_kernel(m, keep=None):
+    """Basis (as rows) of the lattice {v in Z^rows : v @ m == 0}, each row
+    cut to its leading ``keep`` coordinates (all of them by default).
 
     >>> row_kernel(Mat([[2], [1]])).rows
     1
     >>> tuple(row_kernel(Mat([[2], [1]])).data[0]) in {(1, -2), (-1, 2)}
     True
+    >>> row_kernel(Mat([[2], [1]]), 1).data in {((1,),), ((-1,),)}
+    True
     """
-    s, u, v = snf(m)
+    s, u, _ = snf(m, m.rows if keep is None else keep)
     rank = sum(1 for i in range(min(m.rows, m.cols)) if s.data[i][i])
-    return Mat._of(u.data[rank:], m.rows)
+    return Mat._of(u.data[rank:], u.cols)
 
 
-def solve_left(m, ys):
-    """Integer solutions x of x @ m == y, one for each row y of ys.
+class _LeftSolver:
+    """Integer solutions x of x @ m == y, each cut to its leading ``keep``
+    coordinates (all of them by default).
+
+    ``m`` is factored by the first ``solve`` that has a row, by one ``snf``
+    that tracks only the ``keep`` columns of U that the solutions read, and
+    every later ``solve`` reuses that factorization."""
+
+    __slots__ = ("m", "keep", "_factors")
+
+    def __init__(self, m, keep=None):
+        self.m = m
+        self.keep = m.rows if keep is None else keep
+        self._factors = None
+
+    def solve(self, ys):
+        """One solution tuple per row y of ys, in order, or None for a row
+        outside the row lattice of m."""
+        ys = list(ys)
+        if not ys:
+            return []
+        m = self.m
+        k = min(m.rows, m.cols)
+        if self._factors is None:
+            s, u, v = snf(m, self.keep)
+            diag = [s.data[i][i] for i in range(k)] + [0] * (m.cols - k)
+            self._factors = diag, u, v
+        diag, u, v = self._factors
+        pad = (0,) * (m.rows - k)
+        ws = []
+        for z in (Mat(ys, cols=m.cols) @ v).data:
+            if any(zi % d if d else zi for d, zi in zip(diag, z)):
+                ws.append(None)
+            else:
+                ws.append(tuple(z[i] // diag[i] if diag[i] else 0 for i in range(k)) + pad)
+        xs = iter((Mat._of(tuple(w for w in ws if w is not None), m.rows) @ u).data)
+        return [None if w is None else next(xs) for w in ws]
+
+
+def solve_left(m, ys, keep=None):
+    """Integer solutions x of x @ m == y, one for each row y of ys, each cut
+    to its leading ``keep`` coordinates (all of them by default).
 
     ``m`` is factored by a single ``snf`` call shared by all the rows (none
     when ys is empty).  The result lists, in the order of ys, one solution
@@ -382,26 +438,14 @@ def solve_left(m, ys):
 
     >>> solve_left(Mat([[2, 0], [0, 3]]), [(4, 6), (1, 0), (0, -3)])
     [(2, 2), None, (0, -1)]
+    >>> solve_left(Mat([[2, 0], [0, 3]]), [(4, 6), (1, 0)], 1)
+    [(2,), None]
     >>> solve_left(Mat([[2]]), [(3,)])
     [None]
     >>> solve_left(Mat([[2]]), [])
     []
     """
-    ys = list(ys)
-    if not ys:
-        return []
-    s, u, v = snf(m)
-    k = min(m.rows, m.cols)
-    diag = [s.data[i][i] for i in range(k)] + [0] * (m.cols - k)
-    pad = (0,) * (m.rows - k)
-    ws = []
-    for z in (Mat(ys, cols=m.cols) @ v).data:
-        if any(zi % d if d else zi for d, zi in zip(diag, z)):
-            ws.append(None)
-        else:
-            ws.append(tuple(z[i] // diag[i] if diag[i] else 0 for i in range(k)) + pad)
-    xs = iter((Mat._of(tuple(w for w in ws if w is not None), m.rows) @ u).data)
-    return [None if w is None else next(xs) for w in ws]
+    return _LeftSolver(m, keep).solve(ys)
 
 
 class FgAbGroup:
@@ -434,7 +478,7 @@ class FgAbGroup:
             raise ValueError("relations width != n_gens")
         self.n_gens = n_gens
         self.relations = relations
-        s, u, v = snf(relations)
+        s, _, v = snf(relations, 0)
         k = min(relations.rows, n_gens)
         diag = [s.data[i][i] if i < k else 0 for i in range(n_gens)]
         self._diag = tuple(diag)
@@ -635,8 +679,7 @@ def kernel(f):
         k = group(0, Mat([], cols=0))
     else:
         # generated by the rows of sub, related by {c : c @ sub in lattice(src relations)}
-        ker = row_kernel(vstack(sub, src.relations))
-        k = FgAbGroup(sub.rows, Mat._of(tuple(row[:sub.rows] for row in ker.data), sub.rows))
+        k = FgAbGroup(sub.rows, row_kernel(vstack(sub, src.relations), sub.rows))
     return k, GroupHom(k, src, sub, _checked=True)
 
 
@@ -658,9 +701,8 @@ def _kernel_lattice(f):
     """Rows spanning {x in Z^n_src : f(x) == 0 in target} (includes source
     relations)."""
     src, tgt = f.source, f.target
-    ker = row_kernel(vstack(f.matrix, tgt.relations))
-    rows = tuple(row[:src.n_gens] for row in ker.data) + src.relations.data
-    return Mat._of(rows, src.n_gens)
+    ker = row_kernel(vstack(f.matrix, tgt.relations), src.n_gens)
+    return Mat._of(ker.data + src.relations.data, src.n_gens)
 
 
 class ExactnessReport:
@@ -680,11 +722,24 @@ class ExactnessReport:
         return f"ExactnessReport(ok={self.ok}, detail={self.detail!r})"
 
 
+def _first_outside(m, rows):
+    """Index of the first row of the matrix ``rows`` outside the row lattice
+    of ``m``, or None.
+
+    A row lies in the lattice iff it is zero in ``Z^cols / (rows of m)``,
+    which reads only S and V of ``m``: its ``snf`` tracks no column of U
+    (and does not run when ``rows`` has no row)."""
+    if not rows.rows:
+        return None
+    return FgAbGroup(m.cols, m)._first_nonzero_row(rows)
+
+
 def is_exact(seq):
     """Exactness of a composable sequence of GroupHoms at every inner joint.
 
     Image and kernel at each joint are compared by lattice membership in
-    both directions, each direction with one ``solve_left`` over all rows.
+    both directions, each direction with one ``snf`` of the lattice that
+    tracks no column of U.
 
     >>> z = free_group(1); z2 = group(1, [[2]])
     >>> bool(is_exact([hom(z, z, [[2]]), hom(z, z2, [[1]])]))
@@ -701,14 +756,14 @@ def is_exact(seq):
             return ExactnessReport(False, "composite is nonzero")
         ker_rows = _kernel_lattice(b)
         im_rows = vstack(a.matrix, mid.relations)
-        for row, sol in zip(ker_rows.data, solve_left(im_rows, ker_rows.data)):
-            if sol is None:
-                return ExactnessReport(
-                    False, f"kernel element {tuple(row)} is not in the image")
-        for row, sol in zip(im_rows.data, solve_left(ker_rows, im_rows.data)):
-            if sol is None:
-                return ExactnessReport(
-                    False, f"image element {tuple(row)} is not in the kernel")
+        bad = _first_outside(im_rows, ker_rows)
+        if bad is not None:
+            return ExactnessReport(
+                False, f"kernel element {tuple(ker_rows.data[bad])} is not in the image")
+        bad = _first_outside(ker_rows, im_rows)
+        if bad is not None:
+            return ExactnessReport(
+                False, f"image element {tuple(im_rows.data[bad])} is not in the kernel")
     return ExactnessReport(True, "exact at every joint")
 
 
@@ -722,10 +777,11 @@ def inverse(f):
     True
     """
     src, tgt = f.source, f.target
-    sols = solve_left(vstack(f.matrix, tgt.relations), Mat.identity(tgt.n_gens).data)
+    sols = solve_left(vstack(f.matrix, tgt.relations), Mat.identity(tgt.n_gens).data,
+                      src.n_gens)
     if None in sols:
         return None
-    mat = Mat._of(tuple(sol[:src.n_gens] for sol in sols), src.n_gens)
+    mat = Mat._of(tuple(sols), src.n_gens)
     try:
         g = GroupHom(tgt, src, mat)
     except ValueError:
@@ -747,10 +803,10 @@ def lift_through(incl, h):
     ((3,),)
     """
     k, m = incl.source, incl.target
-    sols = solve_left(vstack(incl.matrix, m.relations), h.matrix.data)
+    sols = solve_left(vstack(incl.matrix, m.relations), h.matrix.data, k.n_gens)
     if None in sols:
         raise ValueError("map does not factor through the inclusion")
-    mat = Mat._of(tuple(sol[:k.n_gens] for sol in sols), k.n_gens)
+    mat = Mat._of(tuple(sols), k.n_gens)
     g = GroupHom(h.source, k, mat)
     if not g.then(incl).equal(h):
         raise ValueError("factorization check failed")

@@ -26,6 +26,7 @@ from heapq import heapify, heappop, heappush
 from .errors import CertificateError, SpecError
 from .fgab import (
     Mat,
+    _LeftSolver,
     blocks,
     group,
     hom,
@@ -33,7 +34,6 @@ from .fgab import (
     kron,
     row_kernel,
     snf,
-    solve_left,
 )
 
 
@@ -55,7 +55,7 @@ class ChainComplex:
                 raise SpecError(f"negative rank {r} in degree {q}")
         self._rows, self._mats = {}, {}
         self._divisors = {}  # degree -> elementary divisors, see _divisors
-        self._presented = {}  # degree -> (group, cycle basis), see _homology_data
+        self._presented = {}  # degree -> (group, cycle basis, its solver), see _homology_data
         for q, m in diffs.items():
             height, width = self.rank(q), self.rank(q - 1)
             if not isinstance(m, Mat):
@@ -149,8 +149,10 @@ def _dense(row, width):
 
 
 def _homology_data(c, q):
-    """The homology group at ``q`` together with the cycle basis (rows in
-    ``C_q``) on which it is presented, memoized on ``c``."""
+    """The homology group at ``q``, the cycle basis (rows in ``C_q``) on
+    which it is presented and a ``_LeftSolver`` for that basis, memoized on
+    ``c``: the basis is factored at most once, for the relations and for
+    every map into this degree's homology."""
     found = c._presented.get(q)
     if found is None:
         found = c._presented[q] = _presentation(c, q)
@@ -161,19 +163,21 @@ def _presentation(c, q):
     """``_homology_data(c, q)``, built without the memo."""
     n = c.rank(q)
     if n == 0:
-        return group(0, Mat([], cols=0)), Mat([], cols=0)
+        cycles = Mat([], cols=0)
+        return group(0, cycles), cycles, _LeftSolver(cycles)
     if c.rank(q - 1):
         cycles = row_kernel(c.diff(q))
     else:
         cycles = Mat.identity(n)
+    solver = _LeftSolver(cycles)
     boundaries = c.diff(q + 1).data
-    rels = solve_left(cycles, boundaries)
+    rels = solver.solve(boundaries)
     for row, coeffs in zip(boundaries, rels):
         if coeffs is None:  # impossible once d d = 0 holds
             raise SpecError(
                 f"boundary {tuple(row)} is not a cycle in degree {q}"
             )
-    return group(cycles.rows, Mat(rels, cols=cycles.rows)), cycles
+    return group(cycles.rows, Mat(rels, cols=cycles.rows)), cycles, solver
 
 
 def homology(c, q):
@@ -264,7 +268,7 @@ def _elementary_divisors(rows):
     if live:
         cols = sorted(j for j, ks in where.items() if ks)
         s = snf(Mat([[row.get(j, 0) for j in cols] for row in live.values()],
-                    cols=len(cols)))[0]
+                    cols=len(cols)), 0)[0]
         residue = tuple(
             d for d in (s.data[n][n] for n in range(min(s.rows, s.cols))) if d
         )
@@ -363,10 +367,10 @@ def identity_chain_map(c):
 
 def induced_hom(f, q):
     """The homomorphism on degree-``q`` homology induced by a chain map."""
-    hs, cycles_s = _homology_data(f.source, q)
-    ht, cycles_t = _homology_data(f.target, q)
+    hs, cycles_s, _ = _homology_data(f.source, q)
+    ht, cycles_t, solver = _homology_data(f.target, q)
     images = (cycles_s @ f.map(q)).data
-    rows = solve_left(cycles_t, images) if cycles_t.rows else [()] * len(images)
+    rows = solver.solve(images) if cycles_t.rows else [()] * len(images)
     for image, coeffs in zip(images, rows):
         if coeffs is None:
             raise SpecError(
@@ -444,11 +448,11 @@ def connecting_hom(fib, q):
     ``(0, z)``; with the projection and the map itself this makes the
     homology of the fiber sequence exact."""
     f = fib.map
-    ht, cycles_t = _homology_data(f.target, q + 1)
-    hf, cycles_f = _homology_data(fib.complex, q)
+    ht, cycles_t, _ = _homology_data(f.target, q + 1)
+    hf, cycles_f, solver = _homology_data(fib.complex, q)
     pad = (0,) * f.source.rank(q)
     vecs = [pad + row for row in cycles_t.data]
-    rows = solve_left(cycles_f, vecs) if cycles_f.rows else [()] * len(vecs)
+    rows = solver.solve(vecs) if cycles_f.rows else [()] * len(vecs)
     if None in rows:
         raise SpecError(f"(0, z) is not a cycle in fiber degree {q}")
     return hom(ht, hf, Mat(rows, cols=cycles_f.rows))

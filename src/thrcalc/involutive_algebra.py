@@ -27,12 +27,12 @@ from .errors import InfeasibleError, SpecError
 from .fgab import (
     GroupHom,
     Mat,
+    _LeftSolver,
     _vecmat,
     group,
     hom,
     kron,
     row_kernel,
-    solve_left,
     vstack,
 )
 
@@ -578,6 +578,7 @@ def _enumerate_fiber(gens, weight, v, limit=None):
     unit_idx, partner, point_idx, lam = _weight_data(gens, weight)
     unit_rows = [gens[i] for i in unit_idx]
     bw = Mat([_vecmat(g, weight) for g in unit_rows], cols=m)
+    unit_solver = _LeftSolver(bw)  # factors bw once, for every settle
     images = {i: _vecmat(gens[i], weight) for i in point_idx}
     costs = {
         i: sum(lam[t] * images[i][t] for t in range(m)) for i in point_idx
@@ -591,7 +592,7 @@ def _enumerate_fiber(gens, weight, v, limit=None):
         cur_w = _vecmat(current, weight)
         z = tuple(a - b for a, b in zip(v, cur_w))
         if unit_rows:
-            coeffs = solve_left(bw, [z])[0]
+            coeffs = unit_solver.solve([z])[0]
             if coeffs is None:
                 return
         else:

@@ -201,7 +201,8 @@ class ModuleStructure:
         for coeff, act in zip(vec, acts):
             if coeff:
                 mat = mat + act.matrix.scale(coeff)
-        return hom(grp, grp, mat)
+        # an integer combination of checked endomorphisms is well defined
+        return GroupHom(grp, grp, mat, _checked=True)
 
 
 def module_structure(ring, mackey, rows_e, rows_g, where="module"):
@@ -216,12 +217,18 @@ def module_structure(ring, mackey, rows_e, rows_g, where="module"):
     n = ring.n_gens
     if len(rows_e) != n or len(rows_g) != n:
         raise SpecError(f"{where}: need one action matrix per ring generator")
-    act_e = tuple(
-        a if isinstance(a, GroupHom) else hom(mackey.e, mackey.e, a) for a in rows_e
-    )
-    act_g = tuple(
-        a if isinstance(a, GroupHom) else hom(mackey.g, mackey.g, a) for a in rows_g
-    )
+
+    def endomorphism(grp, a):
+        # ``action`` trusts its combinations of these, so each must be
+        # checked on ``grp`` itself: a GroupHom of another group is rechecked
+        if isinstance(a, GroupHom):
+            if a.source is grp and a.target is grp:
+                return a
+            a = a.matrix
+        return hom(grp, grp, a)
+
+    act_e = tuple(endomorphism(mackey.e, a) for a in rows_e)
+    act_g = tuple(endomorphism(mackey.g, a) for a in rows_g)
     ms = ModuleStructure(ring, mackey, act_e, act_g)
 
     for level, grp in (("e", mackey.e), ("g", mackey.g)):

@@ -21,7 +21,7 @@ from thrcalc.dihedral import (
     windowed_simplex_tuples,
 )
 from thrcalc.errors import SpecError
-from thrcalc.fgab import Mat, group, kron
+from thrcalc.fgab import ExactnessReport, Mat, group, kron, row_kernel, solve_left, vstack
 from thrcalc.homology import (
     ChainComplex,
     ChainMap,
@@ -267,6 +267,31 @@ def loop_comparison(ring_map):
 # ---------------------------------------------------------------------------
 # second routes
 # ---------------------------------------------------------------------------
+
+
+def solve_left_is_exact(seq):
+    """``is_exact`` by solving for every row: the kernel lattice is read off
+    the full ``row_kernel``, each direction of the lattice comparison runs
+    one ``solve_left`` (a full factorization, U included) over all the
+    rows, and the first row without a solution is reported."""
+    for a, b in zip(seq, seq[1:]):
+        if a.target.n_gens != b.source.n_gens:
+            return ExactnessReport(False, "sequence is not composable")
+        if not a.then(b).is_zero_map():
+            return ExactnessReport(False, "composite is nonzero")
+        n = b.source.n_gens
+        ker = row_kernel(vstack(b.matrix, b.target.relations))
+        ker_rows = Mat([row[:n] for row in ker.data] + list(b.source.relations.data), cols=n)
+        im_rows = vstack(a.matrix, a.target.relations)
+        for row, sol in zip(ker_rows.data, solve_left(im_rows, ker_rows.data)):
+            if sol is None:
+                return ExactnessReport(
+                    False, f"kernel element {tuple(row)} is not in the image")
+        for row, sol in zip(im_rows.data, solve_left(ker_rows, im_rows.data)):
+            if sol is None:
+                return ExactnessReport(
+                    False, f"image element {tuple(row)} is not in the kernel")
+    return ExactnessReport(True, "exact at every joint")
 
 
 def full_chains(x):

@@ -1,16 +1,23 @@
+import io
 import itertools
 import random
+import sys
+from contextlib import redirect_stdout
 from math import gcd
 
 import pytest
 from hypothesis import given, settings, strategies as st
 
+from thrcalc import fgab, homology, selftest
 from thrcalc.fgab import (
     Mat, snf, solve_left, group, free_group, hom, identity_hom,
     kernel, cokernel, is_exact, inverse,
     lift_through, direct_sum, tensor,
     vstack, blocks, kron,
 )
+from thrcalc.mackey import fixed_point_mackey
+
+from helpers import solve_left_is_exact
 
 
 def minor_gcd_invariants(m):
@@ -369,3 +376,142 @@ def test_blocks_reject_a_block_of_the_wrong_shape():
         blocks(layout, layout, {("y", "x"): Mat.identity(2)})
     with pytest.raises(ValueError):
         blocks(layout, layout, {("x", "y"): Mat.zeros(2, 2)})
+
+
+# ---------------------------------------------------------------------------
+# factoring at the width that is read
+# ---------------------------------------------------------------------------
+
+
+@settings(max_examples=100, deadline=None)
+@given(st.tuples(st.integers(0, 6), st.integers(0, 6)).flatmap(lambda rc: matrices(*rc)))
+def test_snf_tracks_the_leading_columns_of_u(m):
+    s, u, v = snf(m)
+    for k in range(m.rows + 2):
+        narrow = snf(m, k)
+        assert all(isinstance(x, Mat) for x in narrow)
+        s_k, u_k, v_k = narrow
+        assert (s_k, v_k) == (s, v)
+        width = min(k, m.rows)
+        assert (u_k.rows, u_k.cols) == (m.rows, width)
+        assert u_k.data == tuple(row[:width] for row in u.data)
+
+
+@st.composite
+def composable_pairs(draw):
+    """``[f, g]`` with ``f: A -> B`` and ``g: B -> C`` on small presented
+    groups.  The rows of ``f`` are the kernel inclusion of ``g`` (exact),
+    combinations of its rows (often inexact), or such combinations plus an
+    arbitrary row (often a nonzero composite)."""
+    entries = st.integers(-3, 3)
+    n_b, n_c = draw(st.integers(0, 3)), draw(st.integers(0, 3))
+    rels_b = draw(matrices(draw(st.integers(0, 2)), n_b))
+    g_mat = draw(matrices(n_b, n_c))
+    rels_c = vstack(draw(matrices(draw(st.integers(0, 2)), n_c)), rels_b @ g_mat)
+    b = group(n_b, rels_b)
+    g = hom(b, group(n_c, rels_c), g_mat)
+    k, incl = kernel(g)
+    kind = draw(st.integers(0, 2))
+    if kind == 0:
+        return [incl, g]
+    n_a = draw(st.integers(0, 3))
+    rows = []
+    for _ in range(n_a):
+        coeffs = draw(st.lists(entries, min_size=k.n_gens, max_size=k.n_gens))
+        rows.append((Mat([coeffs], cols=k.n_gens) @ incl.matrix).data[0])
+    if kind == 2 and n_a:
+        rows[draw(st.integers(0, n_a - 1))] = tuple(
+            draw(st.lists(entries, min_size=n_b, max_size=n_b)))
+    f_mat = Mat(rows, cols=n_b)
+    lattice = fgab.row_kernel(vstack(f_mat, rels_b), n_a)
+    a_rels = [(Mat([c], cols=lattice.rows) @ lattice).data[0] for c in draw(st.lists(
+        st.lists(entries, min_size=lattice.rows, max_size=lattice.rows), max_size=2))]
+    return [hom(group(n_a, Mat(a_rels, cols=n_a)), b, f_mat), g]
+
+
+@settings(max_examples=200, deadline=None)
+@given(composable_pairs())
+def test_is_exact_matches_the_solve_left_route(seq):
+    got, want = is_exact(seq), solve_left_is_exact(seq)
+    assert (got.ok, got.detail) == (want.ok, want.detail)
+
+
+def test_is_exact_matches_the_solve_left_route_on_every_outcome():
+    cases = [
+        [hom(free_group(1), free_group(1), [[2]]), hom(free_group(1), group(1, [[2]]), [[1]])],
+        [hom(free_group(1), free_group(1), [[4]]), hom(free_group(1), group(1, [[2]]), [[1]])],
+        [hom(free_group(1), free_group(1), [[1]]), hom(free_group(1), free_group(1), [[1]])],
+        [hom(free_group(1), free_group(2), [[1, 0]]), hom(free_group(1), free_group(1), [[1]])],
+    ]
+    details = []
+    for seq in cases:
+        got, want = is_exact(seq), solve_left_is_exact(seq)
+        assert (got.ok, got.detail) == (want.ok, want.detail)
+        details.append(got.detail)
+    assert details == ["exact at every joint", "kernel element (-2,) is not in the image",
+                       "composite is nonzero", "sequence is not composable"]
+
+
+# The callers that keep fewer columns of U than the matrix has rows, with
+# how many they keep, read off the caller's locals.
+_KEPT = {
+    fgab.FgAbGroup.__init__.__code__: lambda local: 0,
+    homology._elementary_divisors.__code__: lambda local: 0,
+    fgab.kernel.__code__: lambda local: local["sub"].rows,
+    fgab._kernel_lattice.__code__: lambda local: local["f"].source.n_gens,
+    fgab.inverse.__code__: lambda local: local["f"].source.n_gens,
+    fgab.lift_through.__code__: lambda local: local["incl"].source.n_gens,
+}
+# The callers that keep every coordinate of the solutions or kernel rows
+# they ask for, hence every column of U (``edge`` and ``settle`` are local
+# functions).
+_KEEP_ALL = {
+    ("thrcalc.homology", "_presentation"), ("thrcalc.homology", "induced_hom"),
+    ("thrcalc.homology", "connecting_hom"), ("thrcalc.cubes", "_unit_lattice"),
+    ("thrcalc.cubes", "edge"), ("thrcalc.involutive_algebra", "_weight_data"),
+    ("thrcalc.involutive_algebra", "settle"),
+}
+# The callers that read U as a whole matrix.
+_FULL_U = {selftest._snf_sweep.__code__, fgab._unimodular_inverse.__code__}
+
+
+def test_no_caller_tracks_more_of_u_than_it_keeps(monkeypatch):
+    """Under ``selftest.run_all()``, only the SNF sweep and the unimodular
+    inverse ask for the full U; every other call tracks exactly the columns
+    of U that its caller keeps."""
+    relay = {fgab.row_kernel.__code__, fgab.solve_left.__code__,
+             fgab._LeftSolver.solve.__code__}
+    real = fgab.snf
+    seen = []
+
+    def recording(m, u_cols=None):
+        frame = sys._getframe(1)
+        while frame.f_code in relay:
+            frame = frame.f_back
+        seen.append((frame.f_code, frame.f_globals["__name__"], dict(frame.f_locals),
+                     m.rows, u_cols))
+        return real(m, u_cols)
+
+    for module in (fgab, homology, selftest):
+        monkeypatch.setattr(module, "snf", recording)
+    with redirect_stdout(io.StringIO()):
+        assert all(outcome.ok for outcome in selftest.run_all())
+    # run_all lifts only into free groups; this lift goes into (Z/2)^2
+    a = group(2, [[2, 0], [0, 2]])
+    fixed_point_mackey(a, hom(a, a, [[0, 1], [1, 0]]))
+    monkeypatch.undo()
+
+    askers, narrowed = set(), set()
+    for code, module_name, local, rows, u_cols in seen:
+        where = (module_name, code.co_name, rows, u_cols)
+        askers.add(code)
+        if u_cols is None:
+            assert code in _FULL_U, where
+        elif code in _KEPT:
+            assert u_cols == _KEPT[code](local), where
+            if u_cols < rows:
+                narrowed.add(code)
+        else:
+            assert (module_name, code.co_name) in _KEEP_ALL and u_cols == rows, where
+    assert askers >= _FULL_U
+    assert narrowed == set(_KEPT)

@@ -6,6 +6,7 @@ from hypothesis import strategies as st
 
 from thrcalc.dihedral import circle_model, dihedral_nerve_piece, fixed_subset, sd_sigma
 from thrcalc.errors import SpecError
+from thrcalc import fgab
 from thrcalc.fgab import Mat, group, free_group
 from thrcalc.homology import (
     ChainComplex,
@@ -249,6 +250,28 @@ def test_les_of_scalar_multiple_is_exact(c, k):
     )
     report = fiber_les_report(mapping_fiber(f))
     assert report.ok, report.detail
+
+
+def test_each_cycle_basis_is_factored_once(monkeypatch):
+    """The fiber sequence reads the presentation of every degree, through
+    the relations and the induced and connecting maps; each cycle basis is
+    factored once, by the solver memoized beside its presentation."""
+    c = ChainComplex({0: 2, 1: 2, 2: 1}, {1: [[2, 0], [0, 0]], 2: [[0, 3]]})
+    f = ChainMap(c, c, {q: Mat.identity(c.rank(q)).scale(5) for q in c.support})
+    factored = []
+    real = fgab.snf
+
+    def recording(m, u_cols=None):
+        factored.append(m)
+        return real(m, u_cols)
+
+    monkeypatch.setattr(fgab, "snf", recording)
+    fib = mapping_fiber(f)
+    assert fiber_les_report(fib).ok
+    monkeypatch.undo()
+    bases = [x._presented[q][1] for x in (c, fib.complex) for q in x._presented]
+    counts = [sum(m is basis for m in factored) for basis in bases if basis.rows]
+    assert counts and max(counts) == 1 and sum(counts) > 1
 
 
 @settings(max_examples=25, deadline=None)

@@ -16,7 +16,15 @@ from thrcalc.fgab import (
     is_exact,
     kernel,
 )
-from thrcalc.involutive_algebra import ring_F2, ring_F4, ring_hom
+from thrcalc.involutive_algebra import (
+    mod2,
+    ring_dual_numbers_F2,
+    ring_F2,
+    ring_F4,
+    ring_hom,
+    ring_Z,
+    ring_Zmod,
+)
 from thrcalc.mackey import (
     base_change,
     burnside_mackey,
@@ -30,7 +38,9 @@ from thrcalc.mackey import (
     module_structure,
 )
 
-from helpers import pure_tensor
+from thrcalc.thr_pi0 import pi0_thr
+
+from helpers import pure_tensor, ring_gaussian_integers
 
 Z = free_group(1)
 Z2 = group(1, [[2]])
@@ -162,3 +172,39 @@ def test_scalar_multiplication_and_kernels(m):
     # the kernel is the 3-torsion and the cokernel is the mod-3 reduction
     for level in (f.f_e, f.f_g):
         assert kernel(level)[0].is_finite() and cokernel(level)[0].is_finite()
+
+
+def _test_modules():
+    """Module structures of ``pi0_thr`` on the test rings, and one base change."""
+    rings = [ring_Z(), ring_F2(), ring_F4(), ring_dual_numbers_F2(), ring_Zmod(4),
+             mod2(ring_gaussian_integers())]
+    modules = [pi0_thr(ring).module for ring in rings]
+    f2 = ring_F2()
+    m = module_structure(f2, constant_mackey(f2.add), [identity_hom(f2.add)],
+                         [identity_hom(f2.add)])
+    modules.append(base_change(m, ring_hom(f2, ring_F4(), [[1, 0]])).module)
+    return modules
+
+
+@pytest.mark.parametrize("ms", _test_modules(), ids=lambda ms: repr(ms.ring.add))
+def test_module_action_equals_the_checked_hom(ms):
+    ring = ms.ring
+    for level, grp, acts in (("e", ms.mackey.e, ms.act_e), ("g", ms.mackey.g, ms.act_g)):
+        for row in ring.table:
+            for vec in row:
+                mat = Mat.zeros(grp.n_gens, grp.n_gens)
+                for coeff, act in zip(vec, acts):
+                    mat = mat + act.matrix.scale(coeff)
+                checked = hom(grp, grp, mat)
+                action = ms.action(level, vec)
+                assert action.source is grp and action.target is grp
+                assert action.matrix == checked.matrix
+
+
+def test_module_structure_rechecks_an_action_on_another_group():
+    # on Z + Z the map e0 -> e1 is a homomorphism; on Z/2 + Z it is not
+    free = free_group(2)
+    m = constant_mackey(group(2, [[2, 0]]))
+    shift = hom(free, free, [[0, 1], [0, 0]])
+    with pytest.raises(ValueError, match="not a well-defined homomorphism"):
+        module_structure(ring_Z(), m, [shift], [identity_hom(m.g)])
