@@ -33,7 +33,6 @@ from .homology import (
     homology_table,
     identity_chain_map,
     is_acyclic,
-    mapping_cone,
     mapping_fiber,
     normalized_chains,
     tensor_complex,
@@ -71,7 +70,8 @@ class CubeDiagram:
     entry at ``eps`` to the entry at the vertex with coordinate ``j``
     flipped to 1, and is handed those two stored entries.  Each rule is
     called once per vertex or edge, and all squares are checked to commute
-    on the nose at construction.
+    on the nose at construction, degree by degree, as equal products of
+    the edge matrices.
     """
 
     __slots__ = ("dimension", "_entries", "_edges")
@@ -97,10 +97,10 @@ class CubeDiagram:
                 for j in range(i + 1, dimension):
                     if eps[i] or eps[j]:
                         continue
-                    via_i = self.edge(eps, i).then(self.edge(_bump(eps, i), j))
-                    via_j = self.edge(eps, j).then(self.edge(_bump(eps, j), i))
-                    for q in set(via_i.source.support) | set(via_j.source.support):
-                        if via_i.map(q) != via_j.map(q):
+                    a, b = self.edge(eps, i), self.edge(_bump(eps, i), j)
+                    c, d = self.edge(eps, j), self.edge(_bump(eps, j), i)
+                    for q in set(self._entries[eps].support):
+                        if a.map(q) @ b.map(q) != c.map(q) @ d.map(q):
                             raise SpecError(
                                 f"non-commuting square at {eps} in directions "
                                 f"{i}, {j} (degree {q})"
@@ -335,18 +335,19 @@ def torus_model(d, reduced=False):
     return ChainComplex({q: comb(d, q) for q in range(lo, d + 1)}, {})
 
 
-def torus_map(a, reduced=False):
+def torus_map(a):
     """Chain map of torus models induced by an integer matrix, acting in
     degree ``q`` through the ``q``-th compound matrix (all ``q x q`` minors).
 
     Functorial on the nose by the Cauchy-Binet formula.
     """
-    return ChainMap(torus_model(a.rows, reduced=reduced),
-                    torus_model(a.cols, reduced=reduced), _compound_matrices(a, reduced))
+    return ChainMap(torus_model(a.rows), torus_model(a.cols),
+                    _compound_matrices(a, reduced=False))
 
 
 def _compound_matrices(a, reduced):
-    """The degreewise matrices of ``torus_map(a, reduced)``."""
+    """The degreewise matrices of ``torus_map(a)``, or from degree 1 up
+    between reduced torus models when ``reduced``."""
     mats = {}
     for q in range(1 if reduced else 0, a.rows + 1):
         rows = []
@@ -614,14 +615,17 @@ def smash_sphere_model(k):
 
 def h_map_cofiber_check(d):
     """Cofiber of the reduced smash model of the twist-compatible inclusion:
-    two free classes in degree ``d`` and nothing else."""
+    two free classes in degree ``d`` and nothing else.
+
+    The cofiber is the mapping fiber shifted up one degree (``cone_q`` is
+    ``fib_{q-1}``), so its homology is the fiber's, one degree up."""
     if d < 1:
         raise SpecError("d must be at least 1")
     source = smash_sphere_model(d - 1)
     target = smash_sphere_model(d)
     h = ChainMap(source, target, {})
-    cone = mapping_cone(h)
-    table = homology_table(cone, cone.support)
+    fib = mapping_fiber(h).complex
+    table = {q + 1: g for q, g in homology_table(fib, fib.support).items()}
     ok = set(table) == {d} and table[d] == free_group(2)
     return HMapReport(table, ok)
 

@@ -757,9 +757,9 @@ def circle_model(q_max=3):
     )
 
 
-def trivial_monoid(rank=1):
-    """The one-element monoid inside ``Z^rank``."""
-    return AffineMonoid([], rank=rank)
+def trivial_monoid():
+    """The one-element monoid inside ``Z``."""
+    return AffineMonoid([], rank=1)
 
 
 # ---------------------------------------------------------------------------
@@ -812,6 +812,32 @@ def _sigma_map(q, i):
     return tuple(v if v <= i else v - 1 for v in range(q + 2))
 
 
+def _edgewise(x, r, lift, **structure):
+    """The edgewise subdivision whose degree ``q`` is the input's degree
+    ``r(q+1) - 1``, each monotone map ``alpha: [p] -> [q]`` acting through
+    ``lift(alpha, q)``, as deep as the input allows; ``structure`` (the
+    reflection or rotation, on the input's degrees) goes to
+    :class:`TruncDihedralSet` as it is."""
+    q_out = (x.q_max + 1) // r - 1
+    if q_out < 0:
+        raise SpecError(
+            f"insufficient truncation depth {x.q_max} for output depth {q_out}"
+        )
+
+    def levels(q):
+        return x.simplices[r * (q + 1) - 1]
+
+    def face(q, i, s):
+        return apply_monotone(x, r * (q + 1) - 1, lift(_delta(q, i), q), s)
+
+    def degeneracy(q, i, s):
+        return apply_monotone(x, r * (q + 1) - 1, lift(_sigma_map(q, i), q), s)
+
+    return TruncDihedralSet(
+        q_out, levels, face, degeneracy, flag="levelwise", **structure
+    )
+
+
 def sd_sigma(x):
     """Squaring edgewise subdivision: degree ``q`` becomes old degree
     ``2q+1``, with the levelwise reflection of the input, as deep as the
@@ -828,20 +854,6 @@ def sd_sigma(x):
     """
     if not x.has_involution:
         raise SpecError("sd_sigma needs a reflection on the input")
-    q_out = (x.q_max - 1) // 2
-    if q_out < 0:
-        raise SpecError(
-            f"insufficient truncation depth {x.q_max} for output depth {q_out}"
-        )
-
-    def levels(q):
-        return x.simplices[2 * q + 1]
-
-    def face(q, i, s):
-        return apply_monotone(x, 2 * q + 1, _d_sigma(_delta(q, i), q), s)
-
-    def degeneracy(q, i, s):
-        return apply_monotone(x, 2 * q + 1, _d_sigma(_sigma_map(q, i), q), s)
 
     def invol(q, s):
         return x.invol(2 * q + 1, s)
@@ -851,15 +863,7 @@ def sd_sigma(x):
         generate, count = x._fixed_levels
         fixed_levels = (lambda q: generate(2 * q + 1), lambda q: count(2 * q + 1))
 
-    return TruncDihedralSet(
-        q_out,
-        levels,
-        face,
-        degeneracy,
-        invol=invol,
-        flag="levelwise",
-        fixed_levels=fixed_levels,
-    )
+    return _edgewise(x, 2, _d_sigma, invol=invol, fixed_levels=fixed_levels)
 
 
 def sd_r(x, r):
@@ -874,20 +878,6 @@ def sd_r(x, r):
         raise SpecError("subdivision order must be at least 1")
     if not x.has_rotation:
         raise SpecError("sd_r needs a rotation on the input")
-    q_out = (x.q_max + 1) // r - 1
-    if q_out < 0:
-        raise SpecError(
-            f"insufficient truncation depth {x.q_max} for output depth {q_out}"
-        )
-
-    def levels(q):
-        return x.simplices[r * (q + 1) - 1]
-
-    def face(q, i, s):
-        return apply_monotone(x, r * (q + 1) - 1, _d_r(_delta(q, i), q, r), s)
-
-    def degeneracy(q, i, s):
-        return apply_monotone(x, r * (q + 1) - 1, _d_r(_sigma_map(q, i), q, r), s)
 
     def rotate(q, s):
         out = s
@@ -895,14 +885,8 @@ def sd_r(x, r):
             out = x.rotate(r * (q + 1) - 1, out)
         return out
 
-    return TruncDihedralSet(
-        q_out,
-        levels,
-        face,
-        degeneracy,
-        rotate=rotate,
-        flag="levelwise",
-        cyclic_order=r,
+    return _edgewise(
+        x, r, lambda alpha, q: _d_r(alpha, q, r), rotate=rotate, cyclic_order=r
     )
 
 

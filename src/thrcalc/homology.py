@@ -347,16 +347,6 @@ class ChainMap:
             return Mat.zeros(self.source.rank(q), self.target.rank(q))
         return m
 
-    def then(self, other):
-        if other.source is not self.target and other.source._ranks != self.target._ranks:
-            raise SpecError("chain maps are not composable")
-        degrees = set(self.source.support)
-        return ChainMap(
-            self.source,
-            other.target,
-            {q: self.map(q) @ other.map(q) for q in degrees},
-        )
-
     def __repr__(self):
         return f"ChainMap(degrees={sorted(self._mats)})"
 
@@ -393,8 +383,7 @@ class MappingFiber:
 
 def _fiber_summands(f, q):
     """Summands of degree ``q`` of the mapping fiber of ``f``: ``C_q``,
-    then ``D_{q+1}``.  The cone of ``f`` in degree ``q`` has the summands of
-    the fiber in degree ``q - 1``."""
+    then ``D_{q+1}``."""
     return [("c", f.source.rank(q)), ("d", f.target.rank(q + 1))]
 
 
@@ -425,22 +414,6 @@ def mapping_fiber(f):
         for q in fib.support
     }
     return MappingFiber(f, fib, ChainMap(fib, c, proj))
-
-
-def mapping_cone(f):
-    """The cone ``C_{q-1} + D_q`` with ``d(c, e) = (-d c, f(c) + d e)``;
-    acyclic exactly when ``f`` is a quasi-isomorphism."""
-    c, d = f.source, f.target
-    degrees = sorted({q + 1 for q in c.support} | set(d.support))
-    diffs = {
-        q: blocks(_fiber_summands(f, q - 1), _fiber_summands(f, q - 2), {
-            ("c", "c"): c.diff(q - 1).scale(-1),
-            ("c", "d"): f.map(q - 1),
-            ("d", "d"): d.diff(q),
-        })
-        for q in degrees
-    }
-    return ChainComplex({q: c.rank(q - 1) + d.rank(q) for q in degrees}, diffs)
 
 
 def connecting_hom(fib, q):

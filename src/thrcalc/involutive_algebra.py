@@ -296,7 +296,7 @@ def ring_F4():
     return make_ring(add, table, (1, 0), None, names=("one", "x"))
 
 
-def mod2(ring, where="mod2"):
+def mod2(ring):
     """Reduction of a ring modulo 2, with the induced table and involution."""
     n = ring.add.n_gens
     rels = vstack(ring.add.relations, Mat.identity(n).scale(2))
@@ -307,7 +307,7 @@ def mod2(ring, where="mod2"):
         ring.one,
         ring.w.matrix,
         names=ring.names,
-        where=where,
+        where="mod2",
     )
 
 

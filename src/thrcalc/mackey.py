@@ -287,7 +287,7 @@ def _tensor_level(grp, acts, ring_map):
     return group(t.n_gens, rels)
 
 
-def base_change(ms, ring_map, where="base change"):
+def base_change(ms, ring_map):
     """Tensor a module Mackey functor along a ring map ``A -> B``.
 
     Both levels become B-modules via the right factor; the structure maps
@@ -296,7 +296,7 @@ def base_change(ms, ring_map, where="base change"):
     result, including the double coset law.
     """
     if ring_map.source is not ms.ring:
-        raise SpecError(f"{where}: ring map source does not act on the module")
+        raise SpecError("base change: ring map source does not act on the module")
     b = ring_map.target
     ident_b = Mat.identity(b.n_gens)
     m = ms.mackey
@@ -306,7 +306,7 @@ def base_change(ms, ring_map, where="base change"):
     w_new = hom(e_new, e_new, kron(_images(m.w), _images(b.w)))
     res_new = hom(g_new, e_new, kron(_images(m.res), ident_b))
     tran_new = hom(e_new, g_new, kron(_images(m.tran), ident_b))
-    mk = make_mackey(e_new, g_new, w_new, res_new, tran_new, where=where)
+    mk = make_mackey(e_new, g_new, w_new, res_new, tran_new, where="base change")
 
     def act_rows(grp_old, level_new):
         ident = Mat.identity(grp_old.n_gens)
@@ -316,6 +316,6 @@ def base_change(ms, ring_map, where="base change"):
         )
 
     module = module_structure(
-        b, mk, act_rows(m.e, e_new), act_rows(m.g, g_new), where=where
+        b, mk, act_rows(m.e, e_new), act_rows(m.g, g_new), where="base change"
     )
     return BaseChangeResult(mk, module)

@@ -8,13 +8,13 @@ from conftest import mackey_functors
 from thrcalc.errors import SpecError
 from thrcalc.fgab import (
     Mat,
-    cokernel,
     free_group,
     group,
     hom,
     identity_hom,
     is_exact,
     kernel,
+    vstack,
 )
 from thrcalc.involutive_algebra import (
     mod2,
@@ -171,7 +171,8 @@ def test_scalar_multiplication_and_kernels(m):
     )
     # the kernel is the 3-torsion and the cokernel is the mod-3 reduction
     for level in (f.f_e, f.f_g):
-        assert kernel(level)[0].is_finite() and cokernel(level)[0].is_finite()
+        coker = group(level.target.n_gens, vstack(level.target.relations, level.matrix))
+        assert kernel(level)[0].is_finite() and coker.is_finite()
 
 
 def _test_modules():

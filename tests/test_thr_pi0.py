@@ -4,8 +4,9 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from thrcalc.errors import SpecError
-from thrcalc.fgab import group, solve_left, tensor, vstack
+from thrcalc import thr_pi0
+from thrcalc.errors import CertificateError, SpecError
+from thrcalc.fgab import Mat, group, solve_left, tensor, vstack
 from thrcalc.involutive_algebra import (
     mod2,
     ring_F2,
@@ -83,6 +84,25 @@ def test_z4_short_exact_sequence():
     assert report.twisted_square == group(1, [[2]])
     assert bool(report)
     assert alpha_report(result).is_iso
+
+
+def test_ses_check_raises_when_the_sequence_breaks(monkeypatch):
+    for ring in (ring_F2(), ring_dual_numbers_F2()):
+        result = pi0_thr(ring)
+        # 2A presented as A itself: the transfer a -> 2a (x) 1 kills A, so
+        # it is not injective
+        with monkeypatch.context() as patch:
+            patch.setattr(thr_pi0, "_kernel_rows", lambda ring: [])
+            with pytest.raises(CertificateError):
+                ses_check(result)
+        # a twisted square that kills every generator: the whole fixed
+        # level is the kernel, and 2A = 0 is not all of it
+        with monkeypatch.context() as patch:
+            patch.setattr(thr_pi0, "frobenius_twisted_square", lambda ring: (
+                None, group(ring.n_gens ** 2, Mat.identity(ring.n_gens ** 2))))
+            with pytest.raises(CertificateError):
+                ses_check(result)
+        assert bool(ses_check(result))
 
 
 def test_f4_fixed_level_and_alpha():
