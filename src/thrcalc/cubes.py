@@ -25,6 +25,7 @@ from .fgab import Mat, blocks, free_group, kron, row_kernel, solve_left
 from .homology import (
     ChainComplex,
     ChainMap,
+    _commutes,
     _homology_data,
     _tensor_matrices,
     fiber_les_report,
@@ -71,7 +72,7 @@ class CubeDiagram:
     flipped to 1, and is handed those two stored entries.  Each rule is
     called once per vertex or edge, and all squares are checked to commute
     on the nose at construction, degree by degree, as equal products of
-    the edge matrices.
+    the edge matrices on their sparse rows.
     """
 
     __slots__ = ("dimension", "_entries", "_edges")
@@ -100,7 +101,7 @@ class CubeDiagram:
                     a, b = self.edge(eps, i), self.edge(_bump(eps, i), j)
                     c, d = self.edge(eps, j), self.edge(_bump(eps, j), i)
                     for q in set(self._entries[eps].support):
-                        if a.map(q) @ b.map(q) != c.map(q) @ d.map(q):
+                        if not _commutes(a, b, c, d, q):
                             raise SpecError(
                                 f"non-commuting square at {eps} in directions "
                                 f"{i}, {j} (degree {q})"
@@ -282,7 +283,7 @@ def _induced_fiber_map(q_cube, direction):
         })
     phi_limit = ChainMap(c_front.target, c_back.target, limit_mats)
     phi_initial = q_cube.edge(embed((0,) * front.dimension, 0), direction)
-    return fiber_map(c_front, c_back, phi_initial, phi_limit)
+    return fiber_map(mapping_fiber(c_front), mapping_fiber(c_back), phi_initial, phi_limit)
 
 
 def tfib_recursion_check(q_cube):
@@ -358,9 +359,8 @@ def _compound_matrices(a, reduced):
                     [tuple(a.data[i][j] for j in t) for i in s], cols=q
                 )
                 row.append(minor.det() if q else 1)
-            rows.append(tuple(row))
-        if rows and rows[0]:
-            mats[q] = Mat(rows)
+            rows.append(row)
+        mats[q] = rows
     return mats
 
 
@@ -507,8 +507,7 @@ PSIGMA_UNIT = {
 
 def _copies(c, n):
     """Direct sum of ``n`` copies of ``c``."""
-    diffs = {q: kron(Mat.identity(n), c.diff(q)) for q in c.support if c.rank(q - 1)}
-    return ChainComplex({q: n * c.rank(q) for q in c.support}, diffs)
+    return tensor_complex(ChainComplex({0: n}, {}), c)
 
 
 def _block_map(source, target, copy_mats, c):

@@ -587,13 +587,9 @@ def windowed_simplex_tuples(ball, slots, bound):
 def normalize_orbit(monoid, orbit):
     """The involution orbit as a sorted tuple of weight vectors.
 
-    ``orbit`` may be a single representative vector or an iterable of
-    vectors; it is completed under the involution and must not meet more
-    than one orbit.
+    ``orbit`` is an iterable of vectors; it is completed under the
+    involution and must not meet more than one orbit.
     """
-    orbit = tuple(orbit)
-    if orbit and isinstance(orbit[0], int):
-        orbit = (orbit,)
     vecs = sorted({tuple(v) for v in orbit})
     if not vecs:
         raise SpecError("empty weight orbit")
@@ -622,8 +618,8 @@ def dihedral_nerve_piece(monoid, orbit, q_max, window=None):
 
     Args:
         monoid: an :class:`AffineMonoid`.
-        orbit: one involution orbit of weight vectors (a vector or an
-            iterable of vectors).
+        orbit: one involution orbit of weight vectors, as an iterable of
+            vectors.
         q_max: truncation depth.
         window: optional bound on the total l1 norm of a simplex; required
             when the weight fibers are infinite (the maps preserve the

@@ -1,8 +1,10 @@
 """Bounded chain complexes of free abelian groups and their homology.
 
 Chains are integer row vectors; the degree-``q`` differential is a matrix
-``rank(q) x rank(q-1)`` acting by right multiplication, and ``d d = 0`` is
-checked whenever a complex is constructed.  Negative degrees are first
+``rank(q) x rank(q-1)`` acting by right multiplication.  Differentials and
+chain maps have one form: one parser reads them into sparse rows, on which
+every chain equation (``d d = 0``, ``d f = f d``, a commuting square) is
+checked at construction.  Negative degrees are first
 class — mapping fibers shift below zero and nothing here assumes support
 in nonnegative degrees.
 
@@ -41,10 +43,9 @@ class ChainComplex:
     """A degreewise finitely generated free complex, given by ranks and
     differentials ``diff(q): C_q -> C_{q-1}``.
 
-    A differential is given as a ``Mat``, as dense rows or as sparse rows
-    ``{col: coeff}`` of nonzero entries.  It is kept as sparse rows, on
-    which ``d d = 0`` is checked and :func:`homology` reduces it; ``diff``
-    gives it as a ``Mat``, built on first use from sparse rows."""
+    A differential is read by :func:`_sparse_rows` and kept as sparse
+    rows, on which ``d d = 0`` is checked and :func:`homology` reduces it;
+    ``diff`` gives it as a ``Mat``, built on first use."""
 
     __slots__ = ("_ranks", "_rows", "_mats", "_divisors", "_presented")
 
@@ -57,36 +58,10 @@ class ChainComplex:
         self._divisors = {}  # degree -> elementary divisors, see _divisors
         self._presented = {}  # degree -> (group, cycle basis, its solver), see _homology_data
         for q, m in diffs.items():
-            height, width = self.rank(q), self.rank(q - 1)
-            if not isinstance(m, Mat):
-                m = list(m)
-                if m and isinstance(m[0], dict):
-                    if len(m) != height or any(
-                        not 0 <= j < width for row in m for j in row
-                    ):
-                        raise SpecError(
-                            f"differential in degree {q} does not fit "
-                            f"{height} x {width}"
-                        )
-                    if width:
-                        self._rows[q] = tuple(m)
-                    continue
-                try:
-                    m = Mat([tuple(row) for row in m], cols=width)
-                except ValueError as exc:
-                    raise SpecError(
-                        f"differential in degree {q}: {exc}"
-                    ) from exc
-            if m.rows != height or m.cols != width:
-                raise SpecError(
-                    f"differential in degree {q} has shape {m.rows} x {m.cols}, "
-                    f"expected {height} x {width}"
-                )
-            if m.rows and m.cols:
-                self._mats[q] = m
-                self._rows[q] = tuple(
-                    {j: a for j, a in enumerate(row) if a} for row in m.data
-                )
+            rows = _sparse_rows(m, self.rank(q), self.rank(q - 1),
+                                f"differential in degree {q}")
+            if any(rows):
+                self._rows[q] = rows
         for q, rows in self._rows.items():
             below = self._rows.get(q - 1)
             if below is not None and any(
@@ -98,16 +73,7 @@ class ChainComplex:
         return self._ranks.get(q, 0)
 
     def diff(self, q):
-        m = self._mats.get(q)
-        if m is None:
-            rows = self._rows.get(q)
-            if rows is None:
-                return Mat.zeros(self.rank(q), self.rank(q - 1))
-            m = self._mats[q] = Mat(
-                [_dense(row, self.rank(q - 1)) for row in rows],
-                cols=self.rank(q - 1),
-            )
-        return m
+        return _mat(self, q, self.rank(q), self.rank(q - 1))
 
     @property
     def support(self):
@@ -124,6 +90,59 @@ class ChainComplex:
     def __repr__(self):
         ranks = {q: self.rank(q) for q in self.support}
         return f"ChainComplex(ranks={ranks})"
+
+
+def _sparse_rows(m, height, width, what):
+    """The matrix ``m``, a ``Mat`` or rows that are each dense or sparse
+    ``{col: coeff}``, as a tuple of sparse rows: every entry goes through
+    ``int`` and zeros are dropped.  Raises SpecError unless ``m`` is
+    ``height x width``."""
+    out, fits, cols = [], True, set(range(width))
+    try:
+        for row in m.data if isinstance(m, Mat) else m:
+            if isinstance(row, dict):
+                fits = fits and cols.issuperset(row)
+                entries = zip(map(int, row), map(int, row.values()))
+            else:
+                fits = fits and len(row) == width
+                entries = enumerate(map(int, row))
+            out.append({j: a for j, a in entries if a})
+    except (TypeError, ValueError) as exc:
+        raise SpecError(f"{what}: {exc}") from exc
+    if not fits or len(out) != height:
+        raise SpecError(f"{what} does not fit {height} x {width}")
+    return tuple(out)
+
+
+def _mat(x, q, height, width):
+    """The matrix of ``x`` (a complex or a chain map) in degree ``q``, as a
+    ``Mat`` built from its sparse rows on first use and kept."""
+    m = x._mats.get(q)
+    if m is None:
+        rows = x._rows.get(q, ({},) * height)
+        m = x._mats[q] = Mat([_dense(row, width) for row in rows], cols=width)
+    return m
+
+
+def _product(a, b):
+    """The product of two matrices of sparse rows, as ``{i: row i}`` over
+    its nonzero rows, with zero entries dropped; None is a zero matrix.
+    ``d f = f d`` and every commuting square compare two of these."""
+    if a is None or b is None:
+        return {}
+    out = {}
+    for i, row in enumerate(a):
+        row = {k: v for k, v in _times(row, b).items() if v}
+        if row:
+            out[i] = row
+    return out
+
+
+def _commutes(a, b, c, d, q):
+    """Whether the chain maps ``a`` then ``b`` and ``c`` then ``d`` agree in
+    degree ``q``, compared on sparse rows."""
+    return (_product(a._rows.get(q), b._rows.get(q))
+            == _product(c._rows.get(q), d._rows.get(q)))
 
 
 def _times(row, rows):
@@ -315,44 +334,37 @@ def is_acyclic(c):
 
 
 class ChainMap:
-    """A degreewise matrix ``C_q -> D_q`` commuting with the differentials
-    (checked at construction)."""
+    """A degreewise matrix ``C_q -> D_q`` commuting with the differentials.
 
-    __slots__ = ("source", "target", "_mats")
+    A matrix is read by :func:`_sparse_rows` and kept as sparse rows, on
+    which ``d f = f d`` is checked at construction; ``map`` gives it as a
+    ``Mat``, built on first use."""
+
+    __slots__ = ("source", "target", "_rows", "_mats")
 
     def __init__(self, source, target, mats):
         self.source = source
         self.target = target
-        self._mats = {}
+        self._rows, self._mats = {}, {}
         for q, m in mats.items():
-            if not isinstance(m, Mat):
-                m = Mat([tuple(row) for row in m], cols=target.rank(q))
-            if m.rows != source.rank(q) or m.cols != target.rank(q):
-                raise SpecError(
-                    f"chain map in degree {q} has shape {m.rows} x {m.cols}, "
-                    f"expected {source.rank(q)} x {target.rank(q)}"
-                )
-            if m.rows and m.cols:
-                self._mats[q] = m
-        degrees = set(source.support) | set(target.support)
-        for q in degrees:
-            left = source.diff(q) @ self.map(q - 1)
-            right = self.map(q) @ target.diff(q)
-            if left != right:
+            rows = _sparse_rows(m, source.rank(q), target.rank(q),
+                                f"chain map in degree {q}")
+            if any(rows):
+                self._rows[q] = rows
+        for q in set(source.support) | set(target.support):
+            if (_product(source._rows.get(q), self._rows.get(q - 1))
+                    != _product(self._rows.get(q), target._rows.get(q))):
                 raise SpecError(f"chain map does not commute with d in degree {q}")
 
     def map(self, q):
-        m = self._mats.get(q)
-        if m is None:
-            return Mat.zeros(self.source.rank(q), self.target.rank(q))
-        return m
+        return _mat(self, q, self.source.rank(q), self.target.rank(q))
 
     def __repr__(self):
-        return f"ChainMap(degrees={sorted(self._mats)})"
+        return f"ChainMap(degrees={sorted(self._rows)})"
 
 
 def identity_chain_map(c):
-    return ChainMap(c, c, {q: Mat.identity(c.rank(q)) for q in c.support})
+    return ChainMap(c, c, {q: [{i: 1} for i in range(c.rank(q))] for q in c.support})
 
 
 def induced_hom(f, q):
@@ -387,8 +399,10 @@ def _fiber_summands(f, q):
     return [("c", f.source.rank(q)), ("d", f.target.rank(q + 1))]
 
 
-def _fiber_complex(f):
-    """The complex of ``mapping_fiber(f)``."""
+def mapping_fiber(f):
+    """The strict fiber of a chain map: ``fib_q = C_q + D_{q+1}`` with
+    ``d(c, e) = (d c, f(c) - d e)``, recorded with ``f`` and the
+    projection to the source."""
     c, d = f.source, f.target
     degrees = sorted(set(c.support) | {q - 1 for q in d.support})
     diffs = {
@@ -399,15 +413,7 @@ def _fiber_complex(f):
         })
         for q in degrees
     }
-    return ChainComplex({q: c.rank(q) + d.rank(q + 1) for q in degrees}, diffs)
-
-
-def mapping_fiber(f):
-    """The strict fiber of a chain map: ``fib_q = C_q + D_{q+1}`` with
-    ``d(c, e) = (d c, f(c) - d e)``, recorded with ``f`` and the
-    projection to the source."""
-    c = f.source
-    fib = _fiber_complex(f)
+    fib = ChainComplex({q: c.rank(q) + d.rank(q + 1) for q in degrees}, diffs)
     proj = {
         q: blocks(_fiber_summands(f, q), [("c", c.rank(q))],
                   {("c", "c"): Mat.identity(c.rank(q))})
@@ -445,21 +451,22 @@ def fiber_les_report(fib):
     return is_exact(seq)
 
 
-def fiber_map(f, g, phi_source, phi_target):
-    """The chain map ``fib(f) -> fib(g)`` induced by a commuting square
-    ``phi_target o f = g o phi_source`` (checked)."""
+def fiber_map(fib_f, fib_g, phi_source, phi_target):
+    """The chain map ``fib(f) -> fib(g)`` between two mapping fibers
+    induced by a commuting square ``phi_target o f = g o phi_source``
+    (checked on sparse rows)."""
+    f, g = fib_f.map, fib_g.map
     for q in set(f.source.support) | set(f.target.support):
-        if f.map(q) @ phi_target.map(q) != phi_source.map(q) @ g.map(q):
+        if not _commutes(f, phi_target, phi_source, g, q):
             raise SpecError(f"square does not commute in degree {q}")
-    source = _fiber_complex(f)
     mats = {
         q: blocks(_fiber_summands(f, q), _fiber_summands(g, q), {
             ("c", "c"): phi_source.map(q),
             ("d", "d"): phi_target.map(q + 1),
         })
-        for q in source.support
+        for q in fib_f.complex.support
     }
-    return ChainMap(source, _fiber_complex(g), mats)
+    return ChainMap(fib_f.complex, fib_g.complex, mats)
 
 
 def _tensor_summands(c, d, q):
@@ -537,7 +544,7 @@ def _chains(x, bases):
                 j = below.get(x.face(q, i, s))
                 if j is not None:
                     row[j] = row.get(j, 0) + (-1 if i % 2 else 1)
-            rows.append({j: a for j, a in row.items() if a})
+            rows.append(row)
         diffs[q] = rows
     return ChainComplex(ranks, diffs)
 

@@ -146,11 +146,8 @@ class MackeyHom:
 
 
 def mackey_hom(source, target, f_e, f_g, where="mackey map"):
-    """Assemble a :class:`MackeyHom`, verifying the four squares."""
-    if not isinstance(f_e, GroupHom):
-        f_e = hom(source.e, target.e, f_e)
-    if not isinstance(f_g, GroupHom):
-        f_g = hom(source.g, target.g, f_g)
+    """Assemble a :class:`MackeyHom` from two ``GroupHom``s, verifying the
+    four squares."""
     if not source.w.then(f_e).equal(f_e.then(target.w)):
         raise SpecError(f"{where}: does not commute with the involutions")
     if not source.res.then(f_e).equal(f_g.then(target.res)):

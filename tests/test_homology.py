@@ -1,12 +1,18 @@
 """Tests for chain complexes, homology, fibers and tensor products."""
 
+import io
+import sys
+from collections import Counter
+from contextlib import redirect_stdout
+
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from thrcalc.dihedral import circle_model, dihedral_nerve_piece, fixed_subset, sd_sigma
 from thrcalc.errors import SpecError
-from thrcalc import fgab
+from thrcalc import fgab, selftest
+from thrcalc.cubes import CubeDiagram
 from thrcalc.fgab import Mat, group, free_group
 from thrcalc.homology import (
     ChainComplex,
@@ -47,6 +53,32 @@ def test_d_squared_is_checked():
 def test_shape_mismatch_is_checked():
     with pytest.raises(SpecError):
         ChainComplex({0: 2, 1: 1}, {1: [[1]]})
+
+
+def _read(kind, m):
+    """``m`` read as the differential ``Z^2 -> Z^2`` of a complex in
+    degrees 1, 0, or as the degree-0 matrix of a chain map on ``Z^2``:
+    the matrix read back and the cokernel of ``m`` as homology."""
+    if kind == "complex":
+        c = ChainComplex({0: 2, 1: 2}, {1: m})
+        return c.diff(1), homology(c, 0)
+    free = ChainComplex({0: 2}, {})
+    f = ChainMap(free, free, {0: m})
+    return f.map(0), homology(mapping_fiber(f).complex, -1)
+
+
+@pytest.mark.parametrize("kind", ["complex", "map"])
+def test_one_parser_reads_every_matrix_form(kind):
+    m = Mat([[2, 0], [1, 3]])
+    expected = (m, group(2, m.data))
+    for form in (m, [[2, 0], [1, 3]], [{0: 2}, {0: 1, 1: 3}]):
+        assert _read(kind, form) == expected
+    # entries go through int in either row form
+    assert _read(kind, [{0: 2.0}, {1: 1}]) == _read(kind, [[2.0, 0], [0, 1]])
+    assert _read(kind, [{0: 2.0}, {1: 1}])[1] == group(1, [[2]])
+    for misfit in ([[1, 0, 0], [0, 1, 0]], [[1, 0]], [{2: 1}, {}]):
+        with pytest.raises(SpecError, match="does not fit"):
+            _read(kind, misfit)
 
 
 def test_moore_complex_homology():
@@ -190,15 +222,39 @@ def test_connecting_hom_realizes_the_boundary():
     assert not delta.is_zero_map()
 
 
+def test_no_chain_equation_is_checked_with_a_dense_product(monkeypatch):
+    """Under ``selftest.run_all()``, ``d f = f d``, the cube squares and the
+    fiber-map square are checked on sparse rows: none of them multiplies
+    two ``Mat``s."""
+    real = Mat.__matmul__
+    callers = Counter()
+
+    def recording(self, other):
+        callers[sys._getframe(1).f_code] += 1
+        return real(self, other)
+
+    monkeypatch.setattr(Mat, "__matmul__", recording)
+    with redirect_stdout(io.StringIO()):
+        assert all(outcome.ok for outcome in selftest.run_all())
+    monkeypatch.undo()
+    assert callers[induced_hom.__code__]  # the recording sees dense products
+    checks = {
+        ChainMap.__init__.__code__: "ChainMap",
+        CubeDiagram.__init__.__code__: "CubeDiagram",
+        fiber_map.__code__: "fiber_map",
+    }
+    assert {checks[code]: n for code, n in callers.items() if code in checks} == {}
+
+
 def test_fiber_map_functoriality():
     c = mult_complex(2)
     d = mult_complex(4)
     f = identity_chain_map(c)
     g = identity_chain_map(d)
     phi = ChainMap(c, d, {0: [[2]], 1: [[1]]})
-    induced = fiber_map(f, g, phi, phi)
     fib_f = mapping_fiber(f)
     fib_g = mapping_fiber(g)
+    induced = fiber_map(fib_f, fib_g, phi, phi)
     for q in fib_f.complex.support:
         assert induced.map(q) @ fib_g.proj.map(q) == fib_f.proj.map(q) @ phi.map(q)
 
@@ -209,7 +265,7 @@ def test_fiber_map_rejects_noncommuting_square():
     g = ChainMap(c, c, {0: [[3]]})
     one = identity_chain_map(c)
     with pytest.raises(SpecError):
-        fiber_map(f, g, one, one)
+        fiber_map(mapping_fiber(f), mapping_fiber(g), one, one)
 
 
 # ---------------------------------------------------------------------------

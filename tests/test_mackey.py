@@ -109,11 +109,11 @@ def test_mackey_hom_square_checked():
 def test_levelwise_ses():
     m = constant_mackey(Z)
     q = constant_mackey(Z2)
-    two = mackey_hom(m, m, [[2]], [[2]])
-    proj = mackey_hom(m, q, [[1]], [[1]])
+    two = mackey_hom(m, m, hom(m.e, m.e, [[2]]), hom(m.g, m.g, [[2]]))
+    proj = mackey_hom(m, q, hom(m.e, q.e, [[1]]), hom(m.g, q.g, [[1]]))
     assert is_exact([two.f_e, proj.f_e]) and is_exact([two.f_g, proj.f_g])
     # and the identity composed with itself is not exact at the joint
-    one = mackey_hom(m, m, [[1]], [[1]])
+    one = mackey_hom(m, m, hom(m.e, m.e, [[1]]), hom(m.g, m.g, [[1]]))
     assert not is_exact([one.f_e, one.f_e])
 
 
