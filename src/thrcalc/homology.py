@@ -13,10 +13,10 @@ the elementary divisors of the two differentials at that degree, found by
 eliminating unit pivots on sparse rows and checked against ranks over
 ``F_2``.  Presented on a basis of the cycle lattice, it carries the
 homomorphisms that chain maps induce, and the mapping fiber of a chain
-map comes with the map, the projection to its source and an exactness
-check for the resulting long sequence.  Both routes are memoized on the
-complex: each differential is reduced, and each degree presented, at most
-once.
+map comes with the map and an exactness check for the resulting long
+sequence; its projection to the source is built where it is read.  Both
+routes are memoized on the complex: each differential is reduced, and
+each degree presented, at most once.
 """
 
 from __future__ import annotations
@@ -388,9 +388,19 @@ def induced_hom(f, q):
 
 @dataclass(frozen=True)
 class MappingFiber:
+    """The fiber ``complex`` of ``map: C -> D``; ``proj``, its projection
+    to ``C``, is built from sparse identity rows on each read."""
+
     map: ChainMap
     complex: ChainComplex
-    proj: ChainMap
+
+    @property
+    def proj(self):
+        c, d = self.map.source, self.map.target
+        return ChainMap(self.complex, c, {
+            q: [{i: 1} for i in range(c.rank(q))] + [{}] * d.rank(q + 1)
+            for q in self.complex.support
+        })
 
 
 def _fiber_summands(f, q):
@@ -401,8 +411,8 @@ def _fiber_summands(f, q):
 
 def mapping_fiber(f):
     """The strict fiber of a chain map: ``fib_q = C_q + D_{q+1}`` with
-    ``d(c, e) = (d c, f(c) - d e)``, recorded with ``f`` and the
-    projection to the source."""
+    ``d(c, e) = (d c, f(c) - d e)``, recorded with ``f``.  No chain map is
+    built here: ``MappingFiber.proj`` builds the projection when read."""
     c, d = f.source, f.target
     degrees = sorted(set(c.support) | {q - 1 for q in d.support})
     diffs = {
@@ -414,12 +424,7 @@ def mapping_fiber(f):
         for q in degrees
     }
     fib = ChainComplex({q: c.rank(q) + d.rank(q + 1) for q in degrees}, diffs)
-    proj = {
-        q: blocks(_fiber_summands(f, q), [("c", c.rank(q))],
-                  {("c", "c"): Mat.identity(c.rank(q))})
-        for q in fib.support
-    }
-    return MappingFiber(f, fib, ChainMap(fib, c, proj))
+    return MappingFiber(f, fib)
 
 
 def connecting_hom(fib, q):
@@ -443,10 +448,11 @@ def fiber_les_report(fib):
     of the fiber ``fib`` of ``fib.map: C -> D``, over the support range of
     the fiber, widened by one on each side."""
     lo, hi = fib.complex.lo - 1, fib.complex.hi + 1
+    proj = fib.proj
     seq = []
     for q in range(hi, lo - 1, -1):
         seq.append(connecting_hom(fib, q))
-        seq.append(induced_hom(fib.proj, q))
+        seq.append(induced_hom(proj, q))
         seq.append(induced_hom(fib.map, q))
     return is_exact(seq)
 

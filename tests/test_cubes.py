@@ -1,12 +1,16 @@
 """Tests for cube diagrams, total fibers and the projective-space reports."""
 
+import io
+import sys
+from collections import Counter
+from contextlib import redirect_stdout
 from itertools import product
 
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from thrcalc import cubes
+from thrcalc import cubes, selftest
 from thrcalc import homology as homology_module
 from thrcalc.cubes import (
     CubeDiagram,
@@ -147,8 +151,10 @@ def test_face_extraction_recovers_the_map():
     assert front.dimension == 1
     for q in (0, 1):
         assert front.edge((0,), 0).map(q) == cube.edge((0, 0), 0).map(q)
-    with pytest.raises(SpecError):
-        front.face(0, 0)
+    for value in (0, 1):
+        end = cube_of_map(f).face(0, value)
+        assert end.dimension == 0
+        assert end.entry(()) is (f.target if value else f.source)
 
 
 def test_tensor_cube_needs_a_map():
@@ -258,6 +264,34 @@ def test_recursion_on_the_chart_cubes():
     assert tfib_recursion_check(origin_cube(2)).ok
     cube = _substituted_weight_cube(2, (1, 1), (1, 2))
     assert tfib_recursion_check(cube).ok
+
+
+def test_each_square_is_checked_once_and_no_fiber_builds_a_chain_map(monkeypatch):
+    """Under ``selftest.run_all()`` each cube square is checked once, where
+    its cube is built, since a face reads its cube; and ``mapping_fiber``
+    builds no chain map, since a fiber's projection is built when read."""
+    squares = []  # holds the recorded maps, so their ids are not reused
+    real_commutes = cubes._commutes
+
+    def commutes(a, b, c, d, q):
+        squares.append((a, b, c, d, q))
+        return real_commutes(a, b, c, d, q)
+
+    builders = Counter()
+    real_init = ChainMap.__init__
+
+    def init(self, *args):
+        builders[sys._getframe(1).f_code] += 1
+        real_init(self, *args)
+
+    monkeypatch.setattr(cubes, "_commutes", commutes)
+    monkeypatch.setattr(ChainMap, "__init__", init)
+    with redirect_stdout(io.StringIO()):
+        assert all(outcome.ok for outcome in selftest.run_all())
+    monkeypatch.undo()
+    assert squares and builders  # the recordings see the checks
+    assert sum(n > 1 for n in Counter(squares).values()) == 0
+    assert builders[homology_module.mapping_fiber.__code__] == 0
 
 
 def test_recursion_on_a_constant_cube_with_diagonal_edges():
@@ -537,6 +571,33 @@ def test_structural_weights_also_pass_a_direct_chain_check(n, v):
     assert len(positives) >= n
     cube = _substituted_weight_cube(n, v, positives)
     assert is_acyclic(total_fiber(cube))
+
+
+@pytest.mark.parametrize(
+    "n, v, degrees",
+    [(1, (2,), {-2, -1}), (2, (2, 1), {-3, -2, -1, 0}), (2, (1, 1), {-3, -2, -1, 0})],
+)
+def test_chain_route_detects_a_doubled_cube(n, v, degrees):
+    # The chain route of pn_report is acyclic by construction: every edge
+    # outside the missing direction is an identity or 0 -> 0.  Doubling
+    # those edges keeps every square commuting but leaves 2-torsion, so an
+    # acyclic answer is not one the route gives for any cube.
+    positives = halfspace_positives(n, v)
+    missing = next(m for m in range(1, n + 2) if m not in positives)
+    cube = _substituted_weight_cube(n, v, positives)
+
+    def edge(source, target, eps, j):
+        f = cube.edge(eps, j)
+        if j == missing - 1:
+            return f
+        return ChainMap(source, target, {q: f.map(q).scale(2) for q in source.support})
+
+    doubled = total_fiber(CubeDiagram(cube.dimension, cube.entry, edge))
+    assert is_acyclic(total_fiber(cube))
+    table = homology_table(doubled, doubled.support)
+    assert set(table) == degrees
+    for h in table.values():
+        assert h.is_finite() and set(h.invariant_factors) == {2}
 
 
 def test_substituted_weight_cube_rejects_foreign_weights():
