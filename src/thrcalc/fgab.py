@@ -16,6 +16,10 @@ Conventions
   right-hand sides), and ``snf`` tracks only the leading columns of U that
   the caller keeps: the solution or kernel coordinates it reads, and none
   for invariant factors and lattice membership, which need only S and V.
+* A product computes each distinct row of its left factor once and keeps
+  nothing past that product.  Zero and repeated relation rows are dropped
+  before factoring only where neither U nor V is read; ``FgAbGroup`` keeps
+  them, as ``reduce`` reads its V and dropping rows can change it.
 * ``Mat(...)`` converts every entry with ``int`` and checks the shape: it
   is where loaders, user input and other modules enter.  A matrix derived
   here from other ``Mat``s (products, sums, blocks, Smith forms, kernels)
@@ -114,7 +118,10 @@ class Mat:
         if self.cols != other.rows:
             raise ValueError(f"shape mismatch {self.rows}x{self.cols} @ {other.rows}x{other.cols}")
         odata, ocols = other.data, other.cols
-        return Mat._of(tuple(_combine(row, odata, ocols) for row in self.data), ocols)
+        products = dict.fromkeys(self.data)  # each distinct row once
+        for row in products:
+            products[row] = _combine(row, odata, ocols)
+        return Mat._of(tuple(map(products.__getitem__, self.data)), ocols)
 
     def __add__(self, other):
         if (self.rows, self.cols) != (other.rows, other.cols):
@@ -271,6 +278,23 @@ def snf(m, u_cols=None):
     on each column of U on its own, so these are the same columns as in
     the full U.  ``u_cols=0`` gives a ``rows x 0`` U.
 
+    U and V are part of the result, not just S: ``FgAbGroup.reduce`` reads
+    V, so the canonical representatives, the ring tables ``make_ring``
+    reduces and the matrices the calculator prints all follow the exact
+    sequence of unimodular operations made here.  Step t takes as pivot the
+    first entry of least nonzero magnitude, in row-major order, among rows
+    and columns t onwards.  It clears the pivot column by row operations and
+    the pivot row by column operations (an ``_xgcd`` combination where the
+    pivot does not divide the entry), and repeats until both are clear and
+    the pivot divides every entry of the rest, adding to the pivot row the
+    first row with an entry it does not divide.  Shortcuts that keep that
+    sequence: the search stops at the first ``±1``, as nothing is smaller;
+    a ``±1`` pivot divides everything, so it skips the divisibility sweep;
+    an addition of the pivot row or column touches only its nonzero
+    entries.  Rows and columns before t are clear by then, so every scan
+    starts after t, and the pivot column is scanned again only after a
+    column combination, the one operation that can refill it.
+
     >>> s, u, v = snf(Mat([[2, 0], [0, 3]]))
     >>> [s.data[i][i] for i in range(2)]
     [1, 6]
@@ -301,25 +325,12 @@ def snf(m, u_cols=None):
             for row in arr:
                 row[j1], row[j2] = x * row[j1] + y * row[j2], z * row[j1] + w * row[j2]
 
-    def row_add(i_dst, i_src, k):
-        for arr in with_u:
-            dst, src = arr[i_dst], arr[i_src]
-            for j in range(len(dst)):
-                dst[j] += k * src[j]
-
-    def col_add(j_dst, j_src, k):
-        for arr in (a, v):
-            for row in arr:
-                row[j_dst] += k * row[j_src]
-
-    t = 0
-    while t < min(r, c):
-        # Pick the nonzero entry of least magnitude as the pivot.
-        best = None
-        for i in range(t, r):
-            for j in range(t, c):
-                if a[i][j] and (best is None or abs(a[i][j]) < abs(a[best[0]][best[1]])):
-                    best = (i, j)
+    live = list(range(r))  # ascending; holds every row from t on that is not zero
+    for t in range(min(r, c)):
+        # A zero row stays zero: it has no entry in the pivot column, the
+        # sweep adds only to the pivot row, and only the pivot swap moves it.
+        live = [i for i in live if any(a[i])]
+        best = _least_entry(a, live)
         if best is None:
             break
         bi, bj = best
@@ -330,47 +341,81 @@ def snf(m, u_cols=None):
             for arr in (a, v):
                 for row in arr:
                     row[bj], row[t] = row[t], row[bj]
+        if live[0] == t:
+            del live[0]
         while True:
-            for i in range(r):
-                if i != t and a[i][t]:
-                    p, q = a[t][t], a[i][t]
-                    if q % p == 0:
-                        row_add(i, t, -(q // p))
-                    else:
-                        g, x, y = _xgcd(p, q)
-                        row_combine(t, i, x, y, -(q // g), p // g)
-            if any(a[i][t] for i in range(r) if i != t):
+            # Clear the pivot column; an operation on row i leaves the
+            # entries below it alone, so the rows to visit are known up front.
+            adds = None  # (array, pivot row, its nonzero positions)
+            for i in [i for i in live if a[i][t]]:
+                p, q = a[t][t], a[i][t]
+                if q % p:
+                    g, x, y = _xgcd(p, q)
+                    row_combine(t, i, x, y, -(q // g), p // g)
+                    adds = None
+                    continue
+                if adds is None:
+                    adds = [(arr, arr[t], [j for j, e in enumerate(arr[t]) if e])
+                            for arr in with_u]
+                k = -(q // p)
+                for arr, src, support in adds:
+                    dst = arr[i]
+                    for j in support:
+                        dst[j] += k * src[j]
+            # Clear the pivot row; only a combination refills the column.
+            adds, refilled = None, False  # (array, rows with a pivot-column entry)
+            row = a[t]
+            for j in [j for j in range(t + 1, c) if row[j]]:
+                p, q = row[t], row[j]
+                if q % p:
+                    g, x, y = _xgcd(p, q)
+                    col_combine(t, j, x, y, -(q // g), p // g)
+                    adds, refilled = None, True
+                    continue
+                if adds is None:
+                    adds = [(arr, [i for i, e in enumerate(arr) if e[t]]) for arr in (a, v)]
+                k = -(q // p)
+                for arr, support in adds:
+                    for i in support:
+                        e = arr[i]
+                        e[j] += k * e[t]
+            if refilled and any(a[i][t] for i in live):
                 continue
-            for j in range(c):
-                if j != t and a[t][j]:
-                    p, q = a[t][t], a[t][j]
-                    if q % p == 0:
-                        col_add(j, t, -(q // p))
-                    else:
-                        g, x, y = _xgcd(p, q)
-                        col_combine(t, j, x, y, -(q // g), p // g)
-            if any(a[t][j] for j in range(c) if j != t) or any(a[i][t] for i in range(r) if i != t):
-                continue
+            p = row[t]
+            if p == 1 or p == -1:
+                break
             # Divisibility sweep: the pivot must divide the rest of the block.
-            p = a[t][t]
-            offender = None
-            for i in range(t + 1, r):
-                for j in range(t + 1, c):
-                    if a[i][j] % p:
-                        offender = i
-                        break
-                if offender is not None:
-                    break
+            offender = next((i for i in live if any(map(p.__rmod__, a[i]))), None)
             if offender is None:
                 break
-            row_add(t, offender, 1)
-        t += 1
+            for arr in with_u:
+                dst, src = arr[t], arr[offender]
+                for j in range(len(dst)):
+                    dst[j] += src[j]
     for i in range(min(r, c)):
         if a[i][i] < 0:
             for arr in with_u:
                 arr[i] = [-x for x in arr[i]]
     return (Mat._of(tuple(map(tuple, a)), c), Mat._of(tuple(map(tuple, u)), width),
             Mat._of(tuple(map(tuple, v)), c))
+
+
+def _least_entry(a, live):
+    """The pivot of a step of ``snf``: the position of the first entry of
+    least nonzero magnitude, in row-major order, in the rows of ``a`` that
+    ``live`` lists in ascending order, or None if they are all zero.  The
+    entries of these rows before the step's column are zero."""
+    best, least = None, 0
+    for i in live:
+        small = min(map(abs, filter(None, a[i])), default=0)
+        if small and (not least or small < least):
+            best, least = i, small
+            if small == 1:  # nothing is smaller
+                break
+    if best is None:
+        return None
+    row = a[best]
+    return best, min(row.index(e) for e in (least, -least) if e in row)
 
 
 def row_kernel(m, keep=None):
@@ -495,9 +540,18 @@ class FgAbGroup:
 
     def _first_nonzero_row(self, m):
         """Index of the first row of ``m`` (``n_gens`` wide) that is not zero
-        in the group, or None: one product with the basis change."""
-        for i, row in enumerate((m @ self._v).data):
-            if any(a % d if d else a for a, d in zip(row, self._diag)):
+        in the group, or None.  Each distinct row is multiplied by the basis
+        change once, up to the first that is not zero; a repeat of a row
+        already tested comes after it, so it cannot be first."""
+        if m.cols != self.n_gens:
+            raise ValueError(f"shape mismatch {m.rows}x{m.cols} @ {self.n_gens}x{self.n_gens}")
+        vdata, tested = self._v.data, set()
+        for i, row in enumerate(m.data):
+            if row in tested:
+                continue
+            tested.add(row)
+            if any(a % d if d else a
+                   for a, d in zip(_combine(row, vdata, self.n_gens), self._diag)):
                 return i
         return None
 
@@ -714,10 +768,22 @@ def _first_outside(m, rows):
 
     A row lies in the lattice iff it is zero in ``Z^cols / (rows of m)``,
     which reads only S and V of ``m``: its ``snf`` tracks no column of U
-    (and does not run when ``rows`` has no row)."""
+    (and does not run when ``rows`` has no row).  Nothing reads U or V
+    beyond that test, so zero and repeated rows of ``m``, which leave its
+    lattice as it is, are dropped before factoring."""
     if not rows.rows:
         return None
-    return FgAbGroup(m.cols, m)._first_nonzero_row(rows)
+    return FgAbGroup(m.cols, _distinct_nonzero_rows(m))._first_nonzero_row(rows)
+
+
+def _distinct_nonzero_rows(m):
+    """``m`` without its zero rows and without repeats of an earlier row:
+    the same row lattice, for factorizations that read neither U nor V.
+
+    >>> _distinct_nonzero_rows(Mat([[0, 0], [1, 2], [0, 0], [1, 2], [3, 4]]))
+    Mat([[1, 2], [3, 4]], cols=2)
+    """
+    return Mat._of(tuple(row for row in dict.fromkeys(m.data) if any(row)), m.cols)
 
 
 def is_exact(seq):

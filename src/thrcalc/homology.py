@@ -29,6 +29,7 @@ from .errors import CertificateError, SpecError
 from .fgab import (
     Mat,
     _LeftSolver,
+    _distinct_nonzero_rows,
     blocks,
     group,
     hom,
@@ -241,7 +242,7 @@ def _elementary_divisors(rows):
     integral.  The row taken next is a shortest live row, its pivot the
     unit entry in its sparsest column, so fill-in stays small (Markowitz).
     ``snf`` factors what is left without a unit pivot (Dumas-Saunders-
-    Villard).
+    Villard), its repeated rows dropped: only its divisors are read.
 
     >>> _elementary_divisors([{0: 1, 1: 1}, {0: 1, 1: -1}])
     (1, 2)
@@ -286,8 +287,8 @@ def _elementary_divisors(rows):
     residue = ()
     if live:
         cols = sorted(j for j, ks in where.items() if ks)
-        s = snf(Mat([[row.get(j, 0) for j in cols] for row in live.values()],
-                    cols=len(cols)), 0)[0]
+        s = snf(_distinct_nonzero_rows(
+            Mat([[row.get(j, 0) for j in cols] for row in live.values()], cols=len(cols))), 0)[0]
         residue = tuple(
             d for d in (s.data[n][n] for n in range(min(s.rows, s.cols))) if d
         )

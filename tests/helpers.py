@@ -21,7 +21,16 @@ from thrcalc.dihedral import (
     windowed_simplex_tuples,
 )
 from thrcalc.errors import SpecError
-from thrcalc.fgab import ExactnessReport, Mat, group, kron, row_kernel, solve_left, vstack
+from thrcalc.fgab import (
+    ExactnessReport,
+    Mat,
+    _xgcd,
+    group,
+    kron,
+    row_kernel,
+    solve_left,
+    vstack,
+)
 from thrcalc.homology import (
     ChainComplex,
     ChainMap,
@@ -292,6 +301,104 @@ def solve_left_is_exact(seq):
                 return ExactnessReport(
                     False, f"image element {tuple(row)} is not in the kernel")
     return ExactnessReport(True, "exact at every joint")
+
+
+def reference_snf(m, u_cols=None):
+    """``fgab.snf`` as it was before its shortcuts, statement for statement:
+    the pivot search scans the whole remaining block, every row and column
+    pass scans every row and column and adds whole rows and columns, the
+    divisibility sweep runs after every pivot, and every rescan is made.
+    ``snf`` must make the same operations, hence return the same S, U
+    and V."""
+    r, c = m.rows, m.cols
+    width = r if u_cols is None else min(u_cols, r)
+    a = [list(row) for row in m.data]
+    u = [[int(i == j) for j in range(width)] for i in range(r)]
+    v = [[int(i == j) for j in range(c)] for i in range(c)]
+    with_u = (a, u) if width else (a,)
+
+    def row_combine(i1, i2, x, y, z, w):
+        # rows (i1, i2) <- (x*row_i1 + y*row_i2, z*row_i1 + w*row_i2)
+        for arr in with_u:
+            r1, r2 = arr[i1], arr[i2]
+            for j in range(len(r1)):
+                r1[j], r2[j] = x * r1[j] + y * r2[j], z * r1[j] + w * r2[j]
+
+    def col_combine(j1, j2, x, y, z, w):
+        for arr in (a, v):
+            for row in arr:
+                row[j1], row[j2] = x * row[j1] + y * row[j2], z * row[j1] + w * row[j2]
+
+    def row_add(i_dst, i_src, k):
+        for arr in with_u:
+            dst, src = arr[i_dst], arr[i_src]
+            for j in range(len(dst)):
+                dst[j] += k * src[j]
+
+    def col_add(j_dst, j_src, k):
+        for arr in (a, v):
+            for row in arr:
+                row[j_dst] += k * row[j_src]
+
+    t = 0
+    while t < min(r, c):
+        # Pick the nonzero entry of least magnitude as the pivot.
+        best = None
+        for i in range(t, r):
+            for j in range(t, c):
+                if a[i][j] and (best is None or abs(a[i][j]) < abs(a[best[0]][best[1]])):
+                    best = (i, j)
+        if best is None:
+            break
+        bi, bj = best
+        if bi != t:
+            a[bi], a[t] = a[t], a[bi]
+            u[bi], u[t] = u[t], u[bi]
+        if bj != t:
+            for arr in (a, v):
+                for row in arr:
+                    row[bj], row[t] = row[t], row[bj]
+        while True:
+            for i in range(r):
+                if i != t and a[i][t]:
+                    p, q = a[t][t], a[i][t]
+                    if q % p == 0:
+                        row_add(i, t, -(q // p))
+                    else:
+                        g, x, y = _xgcd(p, q)
+                        row_combine(t, i, x, y, -(q // g), p // g)
+            if any(a[i][t] for i in range(r) if i != t):
+                continue
+            for j in range(c):
+                if j != t and a[t][j]:
+                    p, q = a[t][t], a[t][j]
+                    if q % p == 0:
+                        col_add(j, t, -(q // p))
+                    else:
+                        g, x, y = _xgcd(p, q)
+                        col_combine(t, j, x, y, -(q // g), p // g)
+            if any(a[t][j] for j in range(c) if j != t) or any(a[i][t] for i in range(r) if i != t):
+                continue
+            # Divisibility sweep: the pivot must divide the rest of the block.
+            p = a[t][t]
+            offender = None
+            for i in range(t + 1, r):
+                for j in range(t + 1, c):
+                    if a[i][j] % p:
+                        offender = i
+                        break
+                if offender is not None:
+                    break
+            if offender is None:
+                break
+            row_add(t, offender, 1)
+        t += 1
+    for i in range(min(r, c)):
+        if a[i][i] < 0:
+            for arr in with_u:
+                arr[i] = [-x for x in arr[i]]
+    return (Mat._of(tuple(map(tuple, a)), c), Mat._of(tuple(map(tuple, u)), width),
+            Mat._of(tuple(map(tuple, v)), c))
 
 
 def full_chains(x):

@@ -17,7 +17,7 @@ from thrcalc.fgab import (
 )
 from thrcalc.mackey import fixed_point_mackey
 
-from helpers import solve_left_is_exact
+from helpers import reference_snf, solve_left_is_exact
 
 
 def minor_gcd_invariants(m):
@@ -396,6 +396,68 @@ def test_snf_tracks_the_leading_columns_of_u(m):
         width = min(k, m.rows)
         assert (u_k.rows, u_k.cols) == (m.rows, width)
         assert u_k.data == tuple(row[:width] for row in u.data)
+
+
+# Entries that give unit pivots, entries that give none (so the gcd
+# combinations and the divisibility sweep run), and both.
+_ENTRY_SETS = ((-1, 0, 1), (0, 2, 4, 6, -3), (-3, -1, 0, 1, 2, 4, 6))
+
+
+@st.composite
+def redundant_matrices(draw):
+    """Matrices up to 40 x 8 whose rows are often zero or repeat an earlier
+    row, as the relation matrices of the calculator's presentations are."""
+    cols = draw(st.integers(0, 8))
+    values = st.sampled_from(draw(st.sampled_from(_ENTRY_SETS)))
+    fresh = draw(st.lists(st.tuples(*[values] * cols), min_size=1, max_size=8))
+    fresh.append((0,) * cols)
+    picks = draw(st.lists(st.integers(0, len(fresh) - 1), min_size=len(fresh), max_size=40))
+    return Mat([fresh[i] for i in picks], cols=cols)
+
+
+@settings(max_examples=100, deadline=None)
+@given(redundant_matrices())
+def test_snf_makes_the_reference_operations(m):
+    """``snf`` returns the S, U and V of the brute-force ``reference_snf``
+    for every number of tracked columns of U: its shortcuts skip only
+    scans and additions that cannot change a matrix."""
+    for k in (None, *range(m.rows + 2)):
+        assert snf(m, k) == reference_snf(m, k)
+
+
+@pytest.fixture
+def combine_calls(monkeypatch):
+    """The coefficient rows ``fgab._combine`` is called with, in order."""
+    real = fgab._combine
+    calls = []
+
+    def counting(coeffs, rows, width):
+        calls.append(coeffs)
+        return real(coeffs, rows, width)
+
+    monkeypatch.setattr(fgab, "_combine", counting)
+    return calls
+
+
+def test_a_product_computes_each_distinct_row_once(combine_calls):
+    left = Mat([[1, 2], [0, 0], [1, 2], [3, 4], [0, 0], [3, 4]])
+    right = Mat([[1, 0, 1], [0, 1, 1]])
+    assert left @ right == Mat([[1, 2, 3], [0, 0, 0], [1, 2, 3],
+                                [3, 4, 7], [0, 0, 0], [3, 4, 7]])
+    assert sorted(combine_calls) == [(0, 0), (1, 2), (3, 4)]
+
+
+def test_first_nonzero_row_tests_each_distinct_row_once(combine_calls):
+    g = group(2, [[2, 0]])  # Z/2 + Z
+    combine_calls.clear()
+    rows = Mat([[2, 0], [0, 0], [2, 0], [4, 0], [1, 0], [0, 0], [1, 0]])
+    assert g._first_nonzero_row(rows) == 4
+    assert sorted(combine_calls) == [(0, 0), (1, 0), (2, 0), (4, 0)]
+    # a failing row that repeats an earlier failing row: the first is reported
+    assert g._first_nonzero_row(Mat([[0, 3], [2, 0], [0, 3], [0, 1]])) == 0
+    assert g._first_nonzero_row(Mat([[2, 0], [0, 0], [2, 0], [-2, 0]])) is None
+    with pytest.raises(ValueError, match="shape mismatch"):
+        g._first_nonzero_row(Mat([[1, 0, 0]]))
 
 
 @st.composite
