@@ -538,6 +538,13 @@ class FgAbGroup:
             raise ValueError("element length mismatch")
         return tuple(a % d if d else a for a, d in zip(_vecmat(x, self._v), self._diag))
 
+    def _reduce_rows(self, m):
+        """``reduce`` of every row of ``m`` (``n_gens`` wide), as a ``Mat``:
+        one product with the basis change, each distinct row once."""
+        diag = self._diag
+        return Mat._of(tuple(tuple(a % d if d else a for a, d in zip(row, diag))
+                             for row in (m @ self._v).data), self.n_gens)
+
     def _first_nonzero_row(self, m):
         """Index of the first row of ``m`` (``n_gens`` wide) that is not zero
         in the group, or None.  Each distinct row is multiplied by the basis

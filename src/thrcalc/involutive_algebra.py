@@ -7,6 +7,12 @@ additive involution.  Every axiom (well-definedness over the additive
 relations, commutativity, associativity, unit neutrality, the involution
 being a ring map of order two) is checked at construction time and
 violations raise :class:`~thrcalc.errors.SpecError` naming the axiom.
+Commutativity compares table entries; every other axiom, and each axiom
+of a ring map and of Frobenius, is one lattice-membership test: its two
+sides are stacked over all its instances (a relation against a
+generator, a generator triple or pair, an element), in the order the
+message names them, and the first instance whose difference is not zero
+in the additive group is the one named.
 
 Affine monoids are finitely generated submonoids of ``Z^n`` carrying an
 involution given by an integer matrix of order two.  Fibers of a monoid
@@ -31,6 +37,7 @@ from .fgab import (
     _vecmat,
     group,
     hom,
+    identity_hom,
     kron,
     row_kernel,
     vstack,
@@ -101,11 +108,7 @@ class InvolutiveRing:
         return self.add.is_finite()
 
     def has_trivial_involution(self):
-        n = self.add.n_gens
-        return all(
-            self.add.same_element(self.w.apply(_unit_vec(n, i)), _unit_vec(n, i))
-            for i in range(n)
-        )
+        return self.w.equal(identity_hom(self.add))
 
     def __repr__(self):
         return f"InvolutiveRing(add={self.add!r}, gens={list(self.names)})"
@@ -150,71 +153,94 @@ def make_ring(add, table, one, w_matrix, names=None, where="ring"):
                     f"({names[i]}, {names[j]})"
                 )
 
+    # One membership test per axiom, its rows in the order the messages name.
+    ident = Mat.identity(n)
+    flat = _flat(table, n)
+    one_row = Mat([one], cols=n)
+
     # The table defines a map on the free group; it descends to `add` iff
     # every additive relation multiplies to zero against every generator.
-    for rel in _relation_rows(add):
-        for j in range(n):
-            acc = [0] * n
-            for i, ri in enumerate(rel):
-                if ri == 0:
-                    continue
-                for k in range(n):
-                    acc[k] += ri * table[i][j][k]
-            if not add.is_zero(tuple(acc)):
-                raise SpecError(
-                    f"{where}: multiplication table does not respect the "
-                    f"additive relation {rel} against generator {names[j]}"
-                )
+    bad = add._first_nonzero_row(_times_generators(add.relations, table))
+    if bad is not None:
+        raise SpecError(
+            f"{where}: multiplication table does not respect the additive "
+            f"relation {add.relations.row(bad // n)} against generator "
+            f"{names[bad % n]}"
+        )
 
-    ring = InvolutiveRing(add, table, one, None, names)
+    bad = add._first_nonzero_row(add._reduce_rows(_times_generators(one_row, table))
+                                 - ident)
+    if bad is not None:
+        raise SpecError(f"{where}: unit is not neutral on generator {names[bad]}")
 
-    for i in range(n):
-        e = _unit_vec(n, i)
-        if not add.same_element(ring.mul(one, e), e):
-            raise SpecError(f"{where}: unit is not neutral on generator {names[i]}")
-
-    for i in range(n):
-        for j in range(n):
-            for k in range(n):
-                left = ring.mul(table[i][j], _unit_vec(n, k))
-                right = ring.mul(_unit_vec(n, i), table[j][k])
-                if not add.same_element(left, right):
-                    raise SpecError(
-                        f"{where}: multiplication is not associative at "
-                        f"({names[i]}, {names[j]}, {names[k]})"
-                    )
+    # Row (i n + j) n + k of `triple` is (g_i g_j) g_k; the table is
+    # commutative, so g_i (g_j g_k) is the same product as row (j n + k) n + i.
+    triple = add._reduce_rows(_times_generators(flat, table))
+    cycled = Mat([triple.row((j * n + k) * n + i)
+                  for i in range(n) for j in range(n) for k in range(n)], cols=n)
+    bad = add._first_nonzero_row(triple - cycled)
+    if bad is not None:
+        i, j, k = bad // (n * n), bad // n % n, bad % n
+        raise SpecError(
+            f"{where}: multiplication is not associative at "
+            f"({names[i]}, {names[j]}, {names[k]})"
+        )
 
     if w_matrix is None:
         w_matrix = Mat.identity(n)
     elif not isinstance(w_matrix, Mat):
         w_matrix = Mat([tuple(r) for r in w_matrix], cols=n)
+    if w_matrix.rows != n:
+        raise SpecError(f"{where}: involution matrix is not {n} x {n}")
     try:
-        w = hom(add, add, [w_matrix.row(i) for i in range(n)])
+        w = hom(add, add, w_matrix)
     except ValueError as exc:
         raise SpecError(f"{where}: involution is not additively well defined: {exc}")
-    for i in range(n):
-        e = _unit_vec(n, i)
-        if not add.same_element(w.apply(w.apply(e)), e):
-            raise SpecError(
-                f"{where}: involution does not square to the identity on {names[i]}"
-            )
-    if not add.same_element(w.apply(one), one):
+    images = _apply(w, ident)  # w(g_i)
+    bad = add._first_nonzero_row(_apply(w, images) - ident)
+    if bad is not None:
+        raise SpecError(
+            f"{where}: involution does not square to the identity on {names[bad]}"
+        )
+    if add._first_nonzero_row(_apply(w, one_row) - one_row) is not None:
         raise SpecError(f"{where}: involution does not fix the unit")
-    for i in range(n):
-        for j in range(n):
-            lhs = w.apply(table[i][j])
-            rhs = ring.mul(w.apply(_unit_vec(n, i)), w.apply(_unit_vec(n, j)))
-            if not add.same_element(lhs, rhs):
-                raise SpecError(
-                    f"{where}: involution is not multiplicative at "
-                    f"({names[i]}, {names[j]})"
-                )
+    bad = add._first_nonzero_row(_apply(w, flat) - _products(add, flat, images, images))
+    if bad is not None:
+        raise SpecError(
+            f"{where}: involution is not multiplicative at "
+            f"({names[bad // n]}, {names[bad % n]})"
+        )
 
     return InvolutiveRing(add, table, one, w, names)
 
 
-def _relation_rows(g):
-    return [g.relations.row(i) for i in range(g.relations.rows)]
+def _flat(table, n):
+    """The flattened table: row ``i * n + j`` is ``g_i g_j``, so in
+    ``kron``'s tensor coordinates ``(x (x) y) @ _flat(table, n)`` is the
+    product of ``x`` and ``y`` before reduction."""
+    return Mat([v for row in table for v in row], cols=n)
+
+
+def _times_generators(xs, table):
+    """``x g_0, ..., x g_{n-1}`` for every row ``x`` of ``xs``, stacked
+    ``x`` major, before reduction: one product with the ``n x n^2`` matrix
+    whose row ``i`` lists ``g_i g_0, ..., g_i g_{n-1}``."""
+    n = len(table)
+    wide = Mat([sum(row, ()) for row in table], cols=n * n)
+    return Mat([row[c * n:(c + 1) * n] for row in (xs @ wide).data for c in range(n)],
+               cols=n)
+
+
+def _products(add, flat, xs, ys):
+    """``mul(x, y)`` for every row ``x`` of ``xs`` and ``y`` of ``ys``, in
+    ``kron`` order (``x`` major): each pure tensor times the flattened
+    table, reduced."""
+    return add._reduce_rows(kron(xs, ys) @ flat)
+
+
+def _apply(f, xs):
+    """``f.apply`` of every row of ``xs``."""
+    return f.target._reduce_rows(xs @ f.matrix)
 
 
 @dataclass(frozen=True)
@@ -236,25 +262,25 @@ def ring_hom(source, target, rows, where="ring map"):
         f = hom(source.add, target.add, rows)
     except ValueError as exc:
         raise SpecError(f"{where}: not additively well defined: {exc}")
-    if not target.add.same_element(f.apply(source.one), target.one):
+    add = target.add
+    if not add.same_element(f.apply(source.one), target.one):
         raise SpecError(f"{where}: does not send the unit to the unit")
     n = source.n_gens
-    for i in range(n):
-        for j in range(n):
-            lhs = f.apply(source.table[i][j])
-            rhs = target.mul(f.apply(_unit_vec(n, i)), f.apply(_unit_vec(n, j)))
-            if not target.add.same_element(lhs, rhs):
-                raise SpecError(
-                    f"{where}: not multiplicative at generators ({i}, {j})"
-                )
-    for i in range(n):
-        e = _unit_vec(n, i)
-        lhs = f.apply(source.w.apply(e))
-        rhs = target.w.apply(f.apply(e))
-        if not target.add.same_element(lhs, rhs):
-            raise SpecError(
-                f"{where}: does not commute with the involutions at generator {i}"
-            )
+    ident = Mat.identity(n)
+    images = _apply(f, ident)  # f(g_i)
+    flat = _flat(target.table, target.n_gens)
+    bad = add._first_nonzero_row(_apply(f, _flat(source.table, n))
+                                 - _products(add, flat, images, images))
+    if bad is not None:
+        raise SpecError(
+            f"{where}: not multiplicative at generators ({bad // n}, {bad % n})"
+        )
+    bad = add._first_nonzero_row(_apply(f, _apply(source.w, ident))
+                                 - _apply(target.w, images))
+    if bad is not None:
+        raise SpecError(
+            f"{where}: does not commute with the involutions at generator {bad}"
+        )
     return RingHom(source, target, f)
 
 
@@ -319,19 +345,21 @@ def frobenius(ring2):
     is the matrix returned here.  On small rings the matrix is additionally
     verified against elementwise squaring.
     """
-    n = ring2.add.n_gens
-    for i in range(n):
-        doubled = tuple(2 * c for c in _unit_vec(n, i))
-        if not ring2.add.is_zero(doubled):
-            raise SpecError("frobenius: ring does not satisfy 2 = 0")
+    add = ring2.add
+    n = add.n_gens
+    if add._first_nonzero_row(Mat.identity(n).scale(2)) is not None:
+        raise SpecError("frobenius: ring does not satisfy 2 = 0")
     rows = [ring2.table[i][i] for i in range(n)]
-    phi = hom(ring2.add, ring2.add, rows)
-    if ring2.is_finite() and ring2.add.order() <= 256:
-        for x in ring2.elements():
-            if not ring2.add.same_element(phi.apply(x), ring2.square(x)):
-                raise SpecError(
-                    f"frobenius: matrix disagrees with squaring at {x}"
-                )
+    phi = hom(add, add, rows)
+    if ring2.is_finite() and add.order() <= 256:
+        xs = Mat(ring2.elements(), cols=n)
+        pure = Mat([[a * b for a in x for b in x] for x in xs.data], cols=n * n)
+        squares = add._reduce_rows(pure @ _flat(ring2.table, n))
+        bad = add._first_nonzero_row(_apply(phi, xs) - squares)
+        if bad is not None:
+            raise SpecError(
+                f"frobenius: matrix disagrees with squaring at {xs.row(bad)}"
+            )
     return phi
 
 
@@ -785,6 +813,10 @@ def ring_from_description(desc, where="ring description"):
             raise SpecError(f"{where}: table entries are [i, j, coeffs], got {item!r}")
         i, j = resolve(item[0]), resolve(item[1])
         val = _coefficients(item[2], names, f"{where}: table")
+        if table[i][j] not in (None, val):
+            raise SpecError(
+                f"{where}: conflicting entries for product ({names[i]}, {names[j]})"
+            )
         table[i][j] = val
         table[j][i] = val
     for i in range(n):
@@ -844,8 +876,8 @@ def load_description(path):
     """Load a YAML description file as a plain dictionary."""
     import yaml
 
-    with open(path) as fh:
-        data = yaml.safe_load(fh)
+    with open(path) as fh:  # libyaml when PyYAML has it: the same dicts, faster
+        data = yaml.load(fh, Loader=getattr(yaml, "CSafeLoader", yaml.SafeLoader))
     if not isinstance(data, dict):
         raise SpecError(f"{path}: top level must be a mapping")
     return data

@@ -6,6 +6,7 @@ construction, the smash identity of tensor cubes), or small catalog
 objects the tests draw from.
 """
 
+import functools
 from dataclasses import dataclass
 
 from thrcalc import dihedral
@@ -26,6 +27,7 @@ from thrcalc.fgab import (
     Mat,
     _xgcd,
     group,
+    hom,
     kron,
     row_kernel,
     solve_left,
@@ -43,6 +45,8 @@ from thrcalc.homology import (
 )
 from thrcalc.involutive_algebra import (
     AffineMonoid,
+    InvolutiveRing,
+    RingHom,
     _enumerate_fiber,
     _unit_vec,
     elements_in_ball,
@@ -301,6 +305,156 @@ def solve_left_is_exact(seq):
                 return ExactnessReport(
                     False, f"image element {tuple(row)} is not in the kernel")
     return ExactnessReport(True, "exact at every joint")
+
+
+# The axiom checks of ``make_ring``, ``ring_hom`` and ``frobenius`` as they
+# were before each axiom became one stacked membership test: one element
+# product and one ``same_element`` at a time, in the same order.  Each
+# returns the ``SpecError`` message the checks raise, or None.
+
+
+def spec_message(checks):
+    """``checks`` returning its ``SpecError`` message, or None if it passes."""
+
+    @functools.wraps(checks)
+    def run(*args, **kwargs):
+        try:
+            checks(*args, **kwargs)
+        except SpecError as exc:
+            return str(exc)
+        return None
+    return run
+
+
+@spec_message
+def loop_make_ring(add, table, one, w_matrix, names=None, where="ring"):
+    n = add.n_gens
+    if names is None:
+        names = tuple(f"g{i}" for i in range(n))
+    names = tuple(names)
+    if len(names) != n:
+        raise SpecError(f"{where}: {len(names)} generator names for {n} generators")
+
+    table = tuple(tuple(add.reduce(tuple(v)) for v in row) for row in table)
+    if len(table) != n or any(len(row) != n for row in table):
+        raise SpecError(f"{where}: multiplication table is not {n} x {n}")
+    one = add.reduce(tuple(one))
+
+    for i in range(n):
+        for j in range(i + 1, n):
+            if table[i][j] != table[j][i]:
+                raise SpecError(
+                    f"{where}: multiplication is not commutative at "
+                    f"({names[i]}, {names[j]})"
+                )
+
+    # The table defines a map on the free group; it descends to `add` iff
+    # every additive relation multiplies to zero against every generator.
+    for rel in [add.relations.row(i) for i in range(add.relations.rows)]:
+        for j in range(n):
+            acc = [0] * n
+            for i, ri in enumerate(rel):
+                if ri == 0:
+                    continue
+                for k in range(n):
+                    acc[k] += ri * table[i][j][k]
+            if not add.is_zero(tuple(acc)):
+                raise SpecError(
+                    f"{where}: multiplication table does not respect the "
+                    f"additive relation {rel} against generator {names[j]}"
+                )
+
+    ring = InvolutiveRing(add, table, one, None, names)
+
+    for i in range(n):
+        e = _unit_vec(n, i)
+        if not add.same_element(ring.mul(one, e), e):
+            raise SpecError(f"{where}: unit is not neutral on generator {names[i]}")
+
+    for i in range(n):
+        for j in range(n):
+            for k in range(n):
+                left = ring.mul(table[i][j], _unit_vec(n, k))
+                right = ring.mul(_unit_vec(n, i), table[j][k])
+                if not add.same_element(left, right):
+                    raise SpecError(
+                        f"{where}: multiplication is not associative at "
+                        f"({names[i]}, {names[j]}, {names[k]})"
+                    )
+
+    if w_matrix is None:
+        w_matrix = Mat.identity(n)
+    elif not isinstance(w_matrix, Mat):
+        w_matrix = Mat([tuple(r) for r in w_matrix], cols=n)
+    try:
+        w = hom(add, add, [w_matrix.row(i) for i in range(n)])
+    except ValueError as exc:
+        raise SpecError(f"{where}: involution is not additively well defined: {exc}")
+    for i in range(n):
+        e = _unit_vec(n, i)
+        if not add.same_element(w.apply(w.apply(e)), e):
+            raise SpecError(
+                f"{where}: involution does not square to the identity on {names[i]}"
+            )
+    if not add.same_element(w.apply(one), one):
+        raise SpecError(f"{where}: involution does not fix the unit")
+    for i in range(n):
+        for j in range(n):
+            lhs = w.apply(table[i][j])
+            rhs = ring.mul(w.apply(_unit_vec(n, i)), w.apply(_unit_vec(n, j)))
+            if not add.same_element(lhs, rhs):
+                raise SpecError(
+                    f"{where}: involution is not multiplicative at "
+                    f"({names[i]}, {names[j]})"
+                )
+
+    return InvolutiveRing(add, table, one, w, names)
+
+
+@spec_message
+def loop_ring_hom(source, target, rows, where="ring map"):
+    try:
+        f = hom(source.add, target.add, rows)
+    except ValueError as exc:
+        raise SpecError(f"{where}: not additively well defined: {exc}")
+    if not target.add.same_element(f.apply(source.one), target.one):
+        raise SpecError(f"{where}: does not send the unit to the unit")
+    n = source.n_gens
+    for i in range(n):
+        for j in range(n):
+            lhs = f.apply(source.table[i][j])
+            rhs = target.mul(f.apply(_unit_vec(n, i)), f.apply(_unit_vec(n, j)))
+            if not target.add.same_element(lhs, rhs):
+                raise SpecError(
+                    f"{where}: not multiplicative at generators ({i}, {j})"
+                )
+    for i in range(n):
+        e = _unit_vec(n, i)
+        lhs = f.apply(source.w.apply(e))
+        rhs = target.w.apply(f.apply(e))
+        if not target.add.same_element(lhs, rhs):
+            raise SpecError(
+                f"{where}: does not commute with the involutions at generator {i}"
+            )
+    return RingHom(source, target, f)
+
+
+@spec_message
+def loop_frobenius(ring2):
+    n = ring2.add.n_gens
+    for i in range(n):
+        doubled = tuple(2 * c for c in _unit_vec(n, i))
+        if not ring2.add.is_zero(doubled):
+            raise SpecError("frobenius: ring does not satisfy 2 = 0")
+    rows = [ring2.table[i][i] for i in range(n)]
+    phi = hom(ring2.add, ring2.add, rows)
+    if ring2.is_finite() and ring2.add.order() <= 256:
+        for x in ring2.elements():
+            if not ring2.add.same_element(phi.apply(x), ring2.square(x)):
+                raise SpecError(
+                    f"frobenius: matrix disagrees with squaring at {x}"
+                )
+    return phi
 
 
 def reference_snf(m, u_cols=None):

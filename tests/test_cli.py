@@ -133,6 +133,36 @@ def test_malformed_description_exits_2(capsys, tmp_path, kind, body, key):
     assert str(path) in err and key in err
 
 
+@pytest.mark.parametrize(
+    "table, product",
+    [
+        ("[[a, a, a], [a, b, b], [b, a, b], [b, b, [0, 0]], [b, b, a]]", "(b, b)"),
+        ("[[a, a, a], [a, b, b], [b, a, [0, 0]], [b, b, a]]", "(b, a)"),
+    ],
+    ids=["same-pair", "swapped-pair"],
+)
+def test_conflicting_table_entries_exit_2(capsys, tmp_path, table, product):
+    path = tmp_path / "ring.yaml"
+    path.write_text(f"generators: [a, b]\norders: [0, 0]\nunit: a\ntable: {table}\n")
+    code, out, err = run(capsys, "pi0thr", str(path))
+    assert code == 2
+    assert out == ""
+    assert f"{path}: conflicting entries for product {product}" in err
+
+
+@pytest.mark.parametrize("rows", ["[[1, 0]]", "[[1, 0], [0, 1], [1, 1]]"],
+                         ids=["short", "long"])
+def test_involution_with_the_wrong_row_count_exits_2(capsys, tmp_path, rows):
+    path = tmp_path / "ring.yaml"
+    path.write_text("generators: [one, x]\norders: [2, 2]\nunit: one\n"
+                    "table: [[one, one, one], [one, x, x], [x, x, [1, 1]]]\n"
+                    f"involution: {rows}\n")
+    code, out, err = run(capsys, "pi0thr", str(path))
+    assert code == 2
+    assert out == ""
+    assert "involution matrix is not 2 x 2" in err
+
+
 # ---------------------------------------------------------------------------
 # basechange
 # ---------------------------------------------------------------------------

@@ -2,19 +2,24 @@
 
 Malformed input must come back as a ``SpecError`` (exit 2) or an
 ``InfeasibleError`` (exit 3), never as another exception, and a command
-that fails on its input writes nothing to stdout.
+that fails on its input writes nothing to stdout.  Description files load
+to the same values under libyaml as under PyYAML's pure-Python loader.
 """
 
 import contextlib
 import io
+import json
 from pathlib import Path
 
+import pytest
+import yaml
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from thrcalc.cli import main
 from thrcalc.errors import InfeasibleError, SpecError
 from thrcalc.involutive_algebra import (
+    load_description,
     monoid_from_description,
     ring_F2,
     ring_F4,
@@ -90,3 +95,45 @@ def test_main_exits_with_a_documented_code(argv):
     assert code in (0, 2, 3, 4)
     if code in (2, 3):
         assert out.getvalue() == ""
+
+
+# ---------------------------------------------------------------------------
+# the YAML loader
+# ---------------------------------------------------------------------------
+
+
+def _load_both(path):
+    """``load_description(path)``, and the file read by the pure-Python
+    ``yaml.SafeLoader``."""
+    with open(path) as fh:
+        return load_description(path), yaml.load(fh, Loader=yaml.SafeLoader)
+
+
+def test_data_files_load_equal_under_both_yaml_loaders():
+    for path in DATA:
+        loaded, safe = _load_both(path)
+        assert loaded == safe, path
+
+
+@settings(max_examples=100, deadline=None)
+@given(yaml_values, st.sampled_from([yaml.safe_dump, json.dumps]))
+def test_fuzzed_descriptions_load_equal_under_both_yaml_loaders(tmp_path_factory, desc, dump):
+    path = tmp_path_factory.mktemp("yaml") / "description.yaml"
+    path.write_text(dump({"description": desc}))
+    loaded, safe = _load_both(path)
+    assert loaded == safe
+
+
+@pytest.mark.skipif(not yaml.__with_libyaml__, reason="PyYAML was built without libyaml")
+def test_descriptions_are_parsed_by_libyaml(monkeypatch):
+    readers = []
+    original = yaml.reader.Reader.__init__
+
+    def counted(self, stream):
+        readers.append(stream)
+        original(self, stream)
+
+    monkeypatch.setattr(yaml.reader.Reader, "__init__", counted)
+    for path in DATA:
+        load_description(path)
+    assert readers == []

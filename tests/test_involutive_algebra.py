@@ -5,9 +5,11 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from thrcalc.errors import InfeasibleError, SpecError
-from thrcalc.fgab import Mat, group
+from thrcalc.fgab import FgAbGroup, Mat, group, kron
 from thrcalc.involutive_algebra import (
     AffineMonoid,
+    InvolutiveRing,
+    _unit_vec,
     elements_in_ball,
     frobenius,
     is_surjective_on_finite,
@@ -30,6 +32,9 @@ from thrcalc.involutive_algebra import (
 from helpers import (
     MonoidElement,
     elements_of_weight,
+    loop_frobenius,
+    loop_make_ring,
+    loop_ring_hom,
     monoid_antidiagonal_halfplane,
     monoid_element,
     monoid_int,
@@ -37,6 +42,7 @@ from helpers import (
     monoid_nat_square_swap,
     product_monoid,
     ring_gaussian_integers,
+    spec_message,
 )
 
 # ---------------------------------------------------------------------------
@@ -202,6 +208,149 @@ def test_frobenius_agrees_with_squaring_everywhere():
 
 
 # ---------------------------------------------------------------------------
+# stacked axiom checks against the element loops
+# ---------------------------------------------------------------------------
+
+
+def _truncated(k):
+    """``R[t]/(t^k)`` on ``1, t, ..., t^(k-1)``, with ``t -> -t``."""
+    table = [[_unit_vec(k, i + j) if i + j < k else (0,) * k for j in range(k)]
+             for i in range(k)]
+    w = [[(-1) ** i * int(i == j) for j in range(k)] for i in range(k)]
+    return table, _unit_vec(k, 0), w
+
+
+# (table, unit, a nontrivial involution) of rings defined over Z, hence
+# over every Z/m: truncated polynomials, Z[i] with conjugation, Z[x]/(x^2 -
+# x - 1) (F_4 mod 2) with x -> 1 - x, and R x R with the swap
+AXIOM_CATALOG = [_truncated(k) for k in (1, 2, 3, 4)] + [
+    ([[(1, 0), (0, 1)], [(0, 1), (-1, 0)]], (1, 0), [[1, 0], [0, -1]]),
+    ([[(1, 0), (0, 1)], [(0, 1), (1, 1)]], (1, 0), [[1, 0], [1, -1]]),
+    ([[(1, 0), (0, 0)], [(0, 0), (0, 1)]], (1, 1), [[0, 1], [1, 0]]),
+]
+
+
+def _nudge(draw, vector):
+    """``vector`` with one coordinate moved by +-1."""
+    out = list(vector)
+    out[draw(st.integers(0, len(out) - 1))] += draw(st.sampled_from((1, -1)))
+    return tuple(out)
+
+
+@st.composite
+def perturbed_rings(draw):
+    """A catalog ring over ``Z``, ``Z/2`` or ``Z/4``, in its basis or one
+    moved by a signed permutation and one elementary addition, with its
+    involution or the identity, and then at most one defect: a table entry
+    (on one side or both) or the unit or an involution row moved by +-1,
+    two table entries swapped on both sides, or one additive order
+    changed."""
+    table, unit, w = draw(st.sampled_from(AXIOM_CATALOG))
+    n = len(unit)
+    modulus = draw(st.sampled_from((0, 2, 4)))
+    p = q = Mat.identity(n)  # the basis in catalog coordinates, and back
+    if draw(st.booleans()):
+        perm = draw(st.permutations(range(n)))
+        s = [[draw(st.sampled_from((1, -1))) * int(perm[i] == j) for j in range(n)]
+             for i in range(n)]
+        e = [list(_unit_vec(n, i)) for i in range(n)]
+        e_inv = [list(_unit_vec(n, i)) for i in range(n)]
+        if n > 1:
+            i, j = perm[:2]
+            e[i][j] = draw(st.sampled_from((1, -1)))
+            e_inv[i][j] = -e[i][j]
+        p = Mat(e) @ Mat(s)
+        q = Mat([list(col) for col in zip(*s)]) @ Mat(e_inv)
+    flat = kron(p, p) @ Mat([v for row in table for v in row]) @ q
+    table = [[list(flat.row(i * n + j)) for j in range(n)] for i in range(n)]
+    unit = list((Mat([unit]) @ q).row(0))
+    w = [list(r) for r in (p @ Mat(w) @ q).data] if draw(st.booleans()) else None
+    orders = [modulus] * n
+    defect = draw(st.sampled_from(
+        ("none", "entry", "one side", "unit", "involution", "swap", "order")))
+    i, j = draw(st.integers(0, n - 1)), draw(st.integers(0, n - 1))
+    if defect in ("entry", "one side"):
+        table[i][j] = list(_nudge(draw, table[i][j]))
+        if defect == "entry":
+            table[j][i] = table[i][j]
+    elif defect == "unit":
+        unit = list(_nudge(draw, unit))
+    elif defect == "involution":
+        w = [list(r) for r in (w or Mat.identity(n).data)]
+        w[i] = list(_nudge(draw, w[i]))
+    elif defect == "swap":
+        k, l = draw(st.integers(0, n - 1)), draw(st.integers(0, n - 1))
+        table[i][j], table[k][l] = table[k][l], table[i][j]
+        table[j][i], table[l][k] = table[i][j], table[k][l]
+    elif defect == "order":
+        orders[i] = draw(st.sampled_from((0, 2, 4)))
+    add = group(n, [[o * int(j == i) for j in range(n)] for i, o in enumerate(orders) if o])
+    return add, table, unit, w
+
+
+@settings(max_examples=150, deadline=None)
+@given(perturbed_rings(), st.data())
+def test_axiom_checks_match_the_element_loops(spec, data):
+    """``make_ring``, ``ring_hom`` and ``frobenius`` raise the message the
+    element loops of ``tests/helpers.py`` raise, or accept where they do;
+    ``has_trivial_involution`` agrees with testing each generator."""
+    add, table, unit, w = spec
+    message = loop_make_ring(add, table, unit, w)
+    assert spec_message(make_ring)(add, table, unit, w) == message
+    if message is not None:
+        return
+    ring = make_ring(add, table, unit, w)
+    n = ring.n_gens
+    assert ring.has_trivial_involution() == all(
+        add.same_element(ring.w.apply(_unit_vec(n, i)), _unit_vec(n, i)) for i in range(n))
+    for ring2 in (ring, mod2(ring)):
+        assert spec_message(frobenius)(ring2) == loop_frobenius(ring2)
+
+    rows = [list(_unit_vec(n, i)) for i in range(n)]
+    if data.draw(st.booleans()):
+        i, j = data.draw(st.integers(0, n - 1)), data.draw(st.integers(0, n - 1))
+        rows[i], rows[j] = rows[j], rows[i]
+    else:
+        i = data.draw(st.integers(0, n - 1))
+        rows[i] = list(_nudge(data.draw, rows[i]))
+    plain = make_ring(add, ring.table, ring.one, None)
+    target = data.draw(st.sampled_from((ring, plain)))
+    assert spec_message(ring_hom)(ring, target, rows) == loop_ring_hom(ring, target, rows)
+    assert spec_message(ring_hom)(ring, target, Mat.identity(n)) == loop_ring_hom(
+        ring, target, Mat.identity(n))
+    modulus = add.relations.row(0)[0] if add.relations.rows else 0
+    base = ring_Zmod(modulus) if modulus else ring_Z()
+    images = [list(_nudge(data.draw, ring.one)) if data.draw(st.booleans()) else ring.one]
+    assert spec_message(ring_hom)(base, ring, images) == loop_ring_hom(base, ring, images)
+
+
+def test_make_ring_checks_without_element_products(monkeypatch):
+    calls = []
+    for cls, name in ((InvolutiveRing, "mul"), (FgAbGroup, "same_element")):
+        original = getattr(cls, name)
+
+        def counted(*args, _original=original, _name=name):
+            calls.append(_name)
+            return _original(*args)
+
+        monkeypatch.setattr(cls, name, counted)
+    for table, unit, w in AXIOM_CATALOG:
+        n = len(unit)
+        for modulus in (0, 2, 4):
+            make_ring(group(n, (Mat.identity(n).scale(modulus) if modulus else [])),
+                      table, unit, w)
+    assert calls == []
+
+
+def test_involution_matrix_must_be_square():
+    add = group(2, [[2, 0], [0, 2]])
+    table = [[(1, 0), (0, 1)], [(0, 1), (1, 1)]]
+    for w in ([[1, 0]], [[1, 0], [0, 1], [1, 1]]):
+        with pytest.raises(SpecError, match="involution matrix is not 2 x 2"):
+            make_ring(add, table, (1, 0), w)
+
+
+# ---------------------------------------------------------------------------
 # affine monoids
 # ---------------------------------------------------------------------------
 
@@ -358,6 +507,14 @@ def test_ring_from_description_roundtrip():
     r = ring_from_description(F4_DESC)
     assert r.add == ring_F4().add
     assert r.mul((0, 1), (0, 1)) == (1, 1)
+
+
+def test_ring_description_accepts_an_equal_repeat():
+    repeated = dict(F4_DESC, table=F4_DESC["table"] + [["x", "one", "x"], ["x", "x", [1, 1]]])
+    assert ring_from_description(repeated).table == ring_from_description(F4_DESC).table
+    conflict = dict(F4_DESC, table=F4_DESC["table"] + [["x", "one", "one"]])
+    with pytest.raises(SpecError, match=r"conflicting entries for product \(x, one\)"):
+        ring_from_description(conflict)
 
 
 def test_ring_description_errors():
