@@ -22,12 +22,16 @@ from types import SimpleNamespace
 
 from .dihedral import circle_model, dihedral_nerve_piece, pointedness_bound
 from .errors import CertificateError, SpecError
-from .fgab import Mat, blocks, free_group, kron, row_kernel, solve_left
+from .fgab import Mat, free_group, row_kernel, solve_left
 from .homology import (
     ChainComplex,
     ChainMap,
+    _assemble,
     _commutes,
     _homology_data,
+    _identity_rows,
+    _kron,
+    _stored,
     _tensor_matrices,
     fiber_les_report,
     fiber_map,
@@ -222,14 +226,14 @@ def punctured_limit(q_cube):
         for eps, _ in layout:
             p = q + sum(eps) - 1
             if eps in keys:
-                d = q_cube.entry(eps).diff(p)
-                entries[eps, eps] = d.scale(-1) if (sum(eps) - 1) % 2 else d
+                entries[eps, eps] = (-1 if (sum(eps) - 1) % 2 else 1,
+                                     _stored(q_cube.entry(eps), p))
             for j in range(q_cube.dimension):
                 target = _bump(eps, j)
                 if not eps[j] and target in keys:
-                    f = q_cube.edge(eps, j).map(p)
-                    entries[eps, target] = f.scale(-1) if sum(eps[:j]) % 2 else f
-        diffs[q] = blocks(layout, below, entries)
+                    entries[eps, target] = (-1 if sum(eps[:j]) % 2 else 1,
+                                            _stored(q_cube.edge(eps, j), p))
+        diffs[q] = _assemble(layout, below, entries)
     ranks = {q: sum(r for _, r in layout) for q, layout in summands.items()}
     return ChainComplex(ranks, diffs)
 
@@ -243,10 +247,10 @@ def comparison(q_cube):
     for q in initial.support:
         layout = _limit_summands(q_cube, q)
         edges = {
-            (origin, eps): q_cube.edge(origin, eps.index(1)).map(q)
+            (origin, eps): (1, _stored(q_cube.edge(origin, eps.index(1)), q))
             for eps, _ in layout if sum(eps) == 1
         }
-        mats[q] = blocks([(origin, initial.rank(q))], layout, edges)
+        mats[q] = _assemble([(origin, initial.rank(q))], layout, edges)
     return ChainMap(initial, limit, mats)
 
 
@@ -277,8 +281,9 @@ def _induced_fiber_map(q_cube, direction):
         layout = _limit_summands(front, q)
         back_layout = _limit_summands(back, q)
         keys = {eps for eps, _ in back_layout}
-        limit_mats[q] = blocks(layout, back_layout, {
-            (eps, eps): q_cube.edge(front.embed(eps), direction).map(q + sum(eps) - 1)
+        limit_mats[q] = _assemble(layout, back_layout, {
+            (eps, eps): (1, _stored(q_cube.edge(front.embed(eps), direction),
+                                    q + sum(eps) - 1))
             for eps, _ in layout if eps in keys
         })
     phi_limit = ChainMap(c_front.target, c_back.target, limit_mats)
@@ -502,7 +507,8 @@ def _block_map(source, target, copy_mats, c):
     ``copy_mats[q]`` in each degree ``q``."""
     mats = {}
     for q in c.support:
-        mats[q] = kron(Mat(copy_mats[q]), Mat.identity(c.rank(q)))
+        copies = [{j: a for j, a in enumerate(row) if a} for row in copy_mats[q]]
+        mats[q] = _kron(copies, _identity_rows(c.rank(q)), c.rank(q))
     return ChainMap(source, target, mats)
 
 

@@ -42,7 +42,6 @@ from dataclasses import dataclass
 from math import comb
 
 from .errors import CertificateError, InfeasibleError, SpecError
-from .fgab import Mat, blocks
 from .involutive_algebra import (
     AffineMonoid,
     elements_in_ball,
@@ -1032,13 +1031,11 @@ def shuffle_iso_check(m, l, pair, q_max, window=None):
     """
     v_m, v_l = tuple(pair[0]), tuple(pair[1])
     rank_m, rank_l = m.rank, l.rank
-    coords = [("m", rank_m), ("l", rank_l)]
-    gens = blocks([("m", len(m.generators)), ("l", len(l.generators))], coords, {
-        ("m", "m"): Mat(m.generators, cols=rank_m),
-        ("l", "l"): Mat(l.generators, cols=rank_l),
-    })
-    w = blocks(coords, coords, {("m", "m"): m.w, ("l", "l"): l.w})
-    prod = AffineMonoid(gens.data, w=w, rank=rank_m + rank_l)
+    gens = ([g + (0,) * rank_l for g in m.generators]
+            + [(0,) * rank_m + g for g in l.generators])
+    w = ([row + (0,) * rank_l for row in m.w.data]
+         + [(0,) * rank_m + row for row in l.w.data])
+    prod = AffineMonoid(gens, w=w, rank=rank_m + rank_l)
 
     lhs = dihedral_nerve_piece(prod, (v_m + v_l,), q_max, window=window)
     piece_m = dihedral_nerve_piece(m, (v_m,), q_max, window=window)

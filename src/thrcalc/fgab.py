@@ -22,12 +22,14 @@ Conventions
   them, as ``reduce`` reads its V and dropping rows can change it.
 * ``Mat(...)`` converts every entry with ``int`` and checks the shape: it
   is where loaders, user input and other modules enter.  A matrix derived
-  here from other ``Mat``s (products, sums, blocks, Smith forms, kernels)
+  here from other ``Mat``s (products, sums, Smith forms, kernels)
   is built by the trusted ``Mat._of``, which stores its rows as given.
 * Tensor coordinates are ``kron``'s, for groups and complexes alike: on
   generators ``x_0, ..., x_{m-1}`` and ``y_0, ..., y_{n-1}``, the pair
   ``x_i (x) y_j`` is generator ``i * n + j``.  A map or relation built
   from a tensor of matrices is the ``kron`` of those matrices.
+* Block matrices of complexes and chain maps are assembled on sparse rows
+  in ``homology``; a direct sum here pads its two summands itself.
 """
 
 from __future__ import annotations
@@ -207,49 +209,6 @@ def _vecmat(x, m):
     if len(x) != m.rows:
         raise ValueError(f"shape mismatch 1x{len(x)} @ {m.rows}x{m.cols}")
     return _combine(map(int, x), m.data, m.cols)
-
-
-def blocks(rows, cols, entries):
-    """Block matrix over ordered summands.
-
-    ``rows`` and ``cols`` list the block rows and block columns as
-    ``(key, size)`` pairs in order; ``entries`` maps ``(row key, col key)``
-    to a ``Mat`` with the row block's size in rows and the column block's
-    size in columns; a block of any other shape raises ValueError.
-    Missing blocks are zero.
-
-    >>> blocks([("x", 1), ("y", 2)], [("u", 1), ("v", 2)],
-    ...        {("x", "u"): Mat([[5]]), ("y", "v"): Mat([[1, 2], [3, 4]])})
-    Mat([[5, 0, 0], [0, 1, 2], [0, 3, 4]], cols=3)
-    >>> blocks([("x", 2)], [], {})
-    Mat([[], []], cols=0)
-    >>> blocks([("x", 1)], [("u", 2)], {("x", "u"): Mat([[1]])})
-    Traceback (most recent call last):
-        ...
-    ValueError: block ('x', 'u') is 1 x 1, expected 1 x 2
-    """
-    row_at, height = _offsets(rows)
-    col_at, width = _offsets(cols)
-    out = [[0] * width for _ in range(height)]
-    for (rkey, ckey), m in entries.items():
-        top, h = row_at[rkey]
-        left, w = col_at[ckey]
-        if (m.rows, m.cols) != (h, w):
-            raise ValueError(
-                f"block {(rkey, ckey)} is {m.rows} x {m.cols}, expected {h} x {w}")
-        for i, row in enumerate(m.data, top):
-            out[i][left:left + w] = row
-    return Mat._of(tuple(map(tuple, out)), width)
-
-
-def _offsets(summands):
-    """``{key: (offset, size)}`` and the total size of ordered summands."""
-    at = {}
-    total = 0
-    for key, size in summands:
-        at[key] = (total, size)
-        total += size
-    return at, total
 
 
 def kron(a, b):
@@ -516,7 +475,7 @@ class FgAbGroup:
     """
 
     __slots__ = ("n_gens", "relations", "invariant_factors", "free_rank",
-                 "_v", "_vinv", "_diag")
+                 "_v", "_vinv", "_diag", "_plain")
 
     def __init__(self, n_gens, relations):
         if relations.cols != n_gens:
@@ -528,22 +487,38 @@ class FgAbGroup:
         diag = [s.data[i][i] if i < k else 0 for i in range(n_gens)]
         self._diag = tuple(diag)
         self._v = v
-        self._vinv = None  # inverse of _v, built by the first elements()
+        self._vinv = None  # inverse of _v, built where it is first needed
+        self._plain = v == Mat.identity(n_gens)  # then reduce skips V
         self.invariant_factors = tuple(d for d in diag if d >= 2)
         self.free_rank = sum(1 for d in diag if d == 0)
 
     def reduce(self, x):
-        """Canonical representative of the coset of x (a length-n tuple)."""
+        """Canonical representative of the coset of x (a length-n tuple):
+        ``((x V) mod d) V^-1``, for the basis change ``V`` of the Smith form
+        and its diagonal ``d``.  It differs from ``x`` by a relation.
+
+        >>> group(2, [[4, 0], [0, 2]]).reduce((1, 3))
+        (1, 1)
+        """
         if len(x) != self.n_gens:
             raise ValueError("element length mismatch")
-        return tuple(a % d if d else a for a, d in zip(_vecmat(x, self._v), self._diag))
+        if self._plain:
+            return tuple(a % d if d else a for a, d in zip(map(int, x), self._diag))
+        return self._reduce_rows(Mat.row_vector(x)).data[0]
 
     def _reduce_rows(self, m):
         """``reduce`` of every row of ``m`` (``n_gens`` wide), as a ``Mat``:
-        one product with the basis change, each distinct row once."""
+        one product with the basis change and one with its inverse (none
+        when it is the identity), each distinct row once."""
         diag = self._diag
-        return Mat._of(tuple(tuple(a % d if d else a for a, d in zip(row, diag))
-                             for row in (m @ self._v).data), self.n_gens)
+        rows = m if self._plain else m @ self._v
+        out = Mat._of(tuple(tuple(a % d if d else a for a, d in zip(row, diag))
+                            for row in rows.data), self.n_gens)
+        if self._plain:
+            return out
+        if self._vinv is None:
+            self._vinv = _unimodular_inverse(self._v)
+        return out @ self._vinv
 
     def _first_nonzero_row(self, m):
         """Index of the first row of ``m`` (``n_gens`` wide) that is not zero
@@ -880,16 +855,14 @@ def direct_sum(g, h):
     >>> s.free_rank, s.invariant_factors
     (1, (2,))
     """
-    gens = [("g", g.n_gens), ("h", h.n_gens)]
-    rels = [("g", g.relations.rows), ("h", h.relations.rows)]
-    s = group(g.n_gens + h.n_gens,
-              blocks(rels, gens, {("g", "g"): g.relations, ("h", "h"): h.relations}))
-    unit_g = {("g", "g"): Mat.identity(g.n_gens)}
-    unit_h = {("h", "h"): Mat.identity(h.n_gens)}
-    i1 = GroupHom(g, s, blocks(gens[:1], gens, unit_g), _checked=True)
-    i2 = GroupHom(h, s, blocks(gens[1:], gens, unit_h), _checked=True)
-    p1 = GroupHom(s, g, blocks(gens, gens[:1], unit_g), _checked=True)
-    p2 = GroupHom(s, h, blocks(gens, gens[1:], unit_h), _checked=True)
+    m, n = g.n_gens, h.n_gens
+    unit = Mat.identity(m + n).data
+    s = group(m + n, Mat._of(tuple(r + (0,) * n for r in g.relations.data)
+                             + tuple((0,) * m + r for r in h.relations.data), m + n))
+    i1 = GroupHom(g, s, Mat._of(unit[:m], m + n), _checked=True)
+    i2 = GroupHom(h, s, Mat._of(unit[m:], m + n), _checked=True)
+    p1 = GroupHom(s, g, vstack(Mat.identity(m), Mat.zeros(n, m)), _checked=True)
+    p2 = GroupHom(s, h, vstack(Mat.zeros(m, n), Mat.identity(n)), _checked=True)
     return s, i1, i2, p1, p2
 
 

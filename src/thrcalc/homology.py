@@ -4,9 +4,12 @@ Chains are integer row vectors; the degree-``q`` differential is a matrix
 ``rank(q) x rank(q-1)`` acting by right multiplication.  Differentials and
 chain maps have one form: one parser reads them into sparse rows, on which
 every chain equation (``d d = 0``, ``d f = f d``, a commuting square) is
-checked at construction.  Negative degrees are first
-class — mapping fibers shift below zero and nothing here assumes support
-in nonnegative degrees.
+checked at construction.  Fibers, tensor products and cube limits are
+assembled by ``_assemble`` from signed blocks of stored sparse rows (and
+their ``_kron``); a dense ``Mat`` is built only where homology reads one,
+through ``diff`` or ``map``.  Negative degrees are first class — mapping
+fibers shift below zero and nothing here assumes support in nonnegative
+degrees.
 
 Homology in each degree is a finitely generated abelian group read off
 the elementary divisors of the two differentials at that degree, found by
@@ -30,11 +33,9 @@ from .fgab import (
     Mat,
     _LeftSolver,
     _distinct_nonzero_rows,
-    blocks,
     group,
     hom,
     is_exact,
-    kron,
     row_kernel,
     snf,
 )
@@ -121,7 +122,8 @@ def _mat(x, q, height, width):
     m = x._mats.get(q)
     if m is None:
         rows = x._rows.get(q, ({},) * height)
-        m = x._mats[q] = Mat([_dense(row, width) for row in rows], cols=width)
+        m = x._mats[q] = Mat([[row.get(j, 0) for j in range(width)] for row in rows],
+                             cols=width)
     return m
 
 
@@ -142,8 +144,8 @@ def _product(a, b):
 def _commutes(a, b, c, d, q):
     """Whether the chain maps ``a`` then ``b`` and ``c`` then ``d`` agree in
     degree ``q``, compared on sparse rows."""
-    return (_product(a._rows.get(q), b._rows.get(q))
-            == _product(c._rows.get(q), d._rows.get(q)))
+    return (_product(_stored(a, q), _stored(b, q))
+            == _product(_stored(c, q), _stored(d, q)))
 
 
 def _times(row, rows):
@@ -156,11 +158,65 @@ def _times(row, rows):
     return acc
 
 
-def _dense(row, width):
-    out = [0] * width
-    for j, a in row.items():
-        out[j] = a
+def _offsets(summands):
+    """``{key: (offset, size)}`` and the total size of ordered summands."""
+    at, total = {}, 0
+    for key, size in summands:
+        at[key], total = (total, size), total + size
+    return at, total
+
+
+def _assemble(rows, cols, entries):
+    """Block matrix over ordered summands, as sparse rows.
+
+    ``rows`` and ``cols`` list the block rows and block columns as
+    ``(key, size)`` pairs in order; ``entries`` maps ``(row key, col key)``
+    to ``(sign, block)``: a sign of 1 or -1, and sparse rows that fit the
+    row block's size and the column block's width, or None for zero.  A
+    block that does not fit raises ValueError.  Missing blocks are zero.
+
+    >>> _assemble([("x", 1), ("y", 2)], [("u", 1), ("v", 2)],
+    ...           {("x", "u"): (1, [{0: 5}]), ("y", "v"): (-1, [{0: 1, 1: 2}, {1: 4}])})
+    [{0: 5}, {1: -1, 2: -2}, {2: -4}]
+    >>> _assemble([("x", 2)], [], {})
+    [{}, {}]
+    >>> _assemble([("x", 1)], [("u", 2)], {("x", "u"): (1, [{0: 1}, {1: 1}])})
+    Traceback (most recent call last):
+        ...
+    ValueError: block ('x', 'u') does not fit 1 x 2
+    """
+    (row_at, height), (col_at, _) = _offsets(rows), _offsets(cols)
+    out = [{} for _ in range(height)]
+    for (rkey, ckey), (sign, block) in entries.items():
+        if block is None:
+            continue
+        top, h = row_at[rkey]
+        left, w = col_at[ckey]
+        if len(block) != h:
+            raise ValueError(f"block {(rkey, ckey)} does not fit {h} x {w}")
+        for i, row in enumerate(block, top):
+            if row and max(row) >= w:
+                raise ValueError(f"block {(rkey, ckey)} does not fit {h} x {w}")
+            out[i].update({left + j: sign * a for j, a in row.items()})
     return out
+
+
+def _kron(a, b, width):
+    """``fgab.kron`` of two matrices of sparse rows, ``b`` being ``width``
+    wide; None, a zero matrix, gives None."""
+    if a is None or b is None:
+        return None
+    return [{j * width + l: x * y for j, x in ra.items() for l, y in rb.items()}
+            for ra in a for rb in b]
+
+
+def _identity_rows(n):
+    return [{i: 1} for i in range(n)]
+
+
+def _stored(x, q):
+    """The stored sparse rows of ``x`` in degree ``q``; None if zero."""
+    return x._rows.get(q)
 
 
 # ---------------------------------------------------------------------------
@@ -365,7 +421,7 @@ class ChainMap:
 
 
 def identity_chain_map(c):
-    return ChainMap(c, c, {q: [{i: 1} for i in range(c.rank(q))] for q in c.support})
+    return ChainMap(c, c, {q: _identity_rows(c.rank(q)) for q in c.support})
 
 
 def induced_hom(f, q):
@@ -399,7 +455,7 @@ class MappingFiber:
     def proj(self):
         c, d = self.map.source, self.map.target
         return ChainMap(self.complex, c, {
-            q: [{i: 1} for i in range(c.rank(q))] + [{}] * d.rank(q + 1)
+            q: _identity_rows(c.rank(q)) + [{}] * d.rank(q + 1)
             for q in self.complex.support
         })
 
@@ -417,10 +473,10 @@ def mapping_fiber(f):
     c, d = f.source, f.target
     degrees = sorted(set(c.support) | {q - 1 for q in d.support})
     diffs = {
-        q: blocks(_fiber_summands(f, q), _fiber_summands(f, q - 1), {
-            ("c", "c"): c.diff(q),
-            ("c", "d"): f.map(q),
-            ("d", "d"): d.diff(q + 1).scale(-1),
+        q: _assemble(_fiber_summands(f, q), _fiber_summands(f, q - 1), {
+            ("c", "c"): (1, _stored(c, q)),
+            ("c", "d"): (1, _stored(f, q)),
+            ("d", "d"): (-1, _stored(d, q + 1)),
         })
         for q in degrees
     }
@@ -467,9 +523,9 @@ def fiber_map(fib_f, fib_g, phi_source, phi_target):
         if not _commutes(f, phi_target, phi_source, g, q):
             raise SpecError(f"square does not commute in degree {q}")
     mats = {
-        q: blocks(_fiber_summands(f, q), _fiber_summands(g, q), {
-            ("c", "c"): phi_source.map(q),
-            ("d", "d"): phi_target.map(q + 1),
+        q: _assemble(_fiber_summands(f, q), _fiber_summands(g, q), {
+            ("c", "c"): (1, _stored(phi_source, q)),
+            ("d", "d"): (1, _stored(phi_target, q + 1)),
         })
         for q in fib_f.complex.support
     }
@@ -498,11 +554,12 @@ def tensor_complex(c, d):
         entries = {}
         for (a, b), _ in layout:
             if (a - 1, b) in keys:
-                entries[(a, b), (a - 1, b)] = kron(c.diff(a), Mat.identity(d.rank(b)))
+                entries[(a, b), (a - 1, b)] = (1, _kron(
+                    _stored(c, a), _identity_rows(d.rank(b)), d.rank(b)))
             if (a, b - 1) in keys:
-                dy = kron(Mat.identity(c.rank(a)), d.diff(b))
-                entries[(a, b), (a, b - 1)] = dy.scale(-1) if a % 2 else dy
-        diffs[q] = blocks(layout, below, entries)
+                entries[(a, b), (a, b - 1)] = (-1 if a % 2 else 1, _kron(
+                    _identity_rows(c.rank(a)), _stored(d, b), d.rank(b - 1)))
+        diffs[q] = _assemble(layout, below, entries)
     ranks = {q: sum(n for _, n in layout) for q, layout in summands.items()}
     return ChainComplex(ranks, diffs)
 
@@ -515,8 +572,8 @@ def _tensor_matrices(f, g):
         rows = _tensor_summands(f.source, g.source, q)
         cols = _tensor_summands(f.target, g.target, q)
         keys = {key for key, _ in cols}
-        mats[q] = blocks(rows, cols, {
-            ((a, b), (a, b)): kron(f.map(a), g.map(b))
+        mats[q] = _assemble(rows, cols, {
+            ((a, b), (a, b)): (1, _kron(_stored(f, a), _stored(g, b), g.target.rank(b)))
             for (a, b), _ in rows if (a, b) in keys
         })
     return mats

@@ -96,10 +96,10 @@ class InvolutiveRing:
 
     def multiplication_by(self, a):
         """Multiplication by the fixed element ``a`` as an additive
-        endomorphism of the underlying group."""
-        n = self.add.n_gens
-        rows = [self.mul(a, _unit_vec(n, i)) for i in range(n)]
-        return hom(self.add, self.add, rows)
+        endomorphism of the underlying group: its row ``i`` is ``a g_i``,
+        all of them from one product with the table."""
+        return hom(self.add, self.add,
+                   self.add._reduce_rows(_times_generators(Mat([a]), self.table)))
 
     def elements(self):
         return self.add.elements()

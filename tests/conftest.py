@@ -6,6 +6,13 @@ from thrcalc import mackey as mk
 from thrcalc.fgab import Mat, free_group, group, hom
 
 
+def matrices(rows, cols):
+    """``rows x cols`` matrices with entries in ``[-5, 5]``."""
+    entries = st.lists(st.integers(-5, 5), min_size=cols, max_size=cols)
+    return st.lists(entries, min_size=rows, max_size=rows).map(
+        lambda data: Mat(data, cols=cols))
+
+
 @st.composite
 def abelian_groups(draw, max_gens=3, max_rels=3):
     """Random finitely generated abelian groups with small presentations."""

@@ -63,6 +63,24 @@ def test_pi0thr_dual_numbers_structured(capsys):
     assert payload["ses_exact"] is True
 
 
+@pytest.mark.parametrize("orders, table, unit, levels", [
+    # both levels are the sum of the answers for Z/4 and Z/2
+    ("[4, 2]", "[[e, e, e], [e, f, [0, 0]], [f, f, f]]", "[1, 1]",
+     {"free_rank": 0, "torsion": [2, 4]}),
+    ("[0, 2]", "[[e, e, e], [e, f, f], [f, f, [0, 0]]]", "e", None),
+], ids=["Z/4xZ/2", "ZxZ/2"])
+def test_pi0thr_accepts_rings_with_mixed_orders(capsys, tmp_path, orders, table, unit,
+                                                levels):
+    """Orders that differ by generator give a Smith basis change that is not
+    the identity; the table is still reduced to coset representatives."""
+    path = tmp_path / "ring.yaml"
+    path.write_text(f"generators: [e, f]\norders: {orders}\nunit: {unit}\ntable: {table}\n")
+    code, payload, err = run_json(capsys, "pi0thr", str(path))
+    assert code == 0, err
+    if levels is not None:
+        assert payload["e_level"] == payload["g_level"] == levels
+
+
 def test_pi0thr_bad_table_exits_2(capsys):
     code, out, err = run(capsys, "pi0thr", f"{DATA}/ring_bad_table.yaml")
     assert code == 2

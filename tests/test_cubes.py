@@ -600,6 +600,20 @@ def test_chain_route_detects_a_doubled_cube(n, v, degrees):
         assert h.is_finite() and set(h.invariant_factors) == {2}
 
 
+@pytest.mark.parametrize("n, window", [(2, 3), (3, 2), (4, 1)])
+def test_chain_route_is_acyclic_on_every_chain_eligible_weight(n, window):
+    # pn_report computes the total fiber only up to l1 norm 3; here every
+    # nonzero weight whose positive directions pick one chart gets it.
+    eligible = 0
+    for v in product(range(-window, window + 1), repeat=n):
+        positives = halfspace_positives(n, v) if any(v) else ()
+        if len(positives) < n:
+            continue
+        eligible += 1
+        assert is_acyclic(total_fiber(_substituted_weight_cube(n, v, positives))), v
+    assert eligible
+
+
 def test_substituted_weight_cube_rejects_foreign_weights():
     with pytest.raises(CertificateError):
         _substituted_weight_cube(2, (-1, -1), (1, 2))

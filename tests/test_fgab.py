@@ -13,10 +13,11 @@ from thrcalc.fgab import (
     Mat, snf, solve_left, group, free_group, hom, identity_hom,
     kernel, is_exact, inverse,
     lift_through, direct_sum, tensor,
-    vstack, blocks, kron,
+    vstack, kron,
 )
 from thrcalc.mackey import fixed_point_mackey
 
+from conftest import abelian_groups, matrices
 from helpers import reference_snf, solve_left_is_exact
 
 
@@ -144,6 +145,31 @@ def test_reduce_and_elements():
     assert len({g.reduce(e) for e in els}) == 4
     z6 = group(2, [[2, 0], [0, 3]])
     assert len(z6.elements()) == 6
+
+
+@st.composite
+def group_elements(draw):
+    """A group, an element ``x`` and a relation ``r`` of it."""
+    g = draw(abelian_groups())
+    x = tuple(draw(st.lists(st.integers(-9, 9), min_size=g.n_gens, max_size=g.n_gens)))
+    coeffs = draw(st.lists(st.integers(-3, 3), min_size=g.relations.rows,
+                           max_size=g.relations.rows))
+    r = tuple(sum(c * row[j] for c, row in zip(coeffs, g.relations.data))
+              for j in range(g.n_gens))
+    return g, x, r
+
+
+@settings(max_examples=200, deadline=None)
+@given(group_elements())
+def test_reduce_is_a_coset_representative(case):
+    """``reduce(x)`` differs from ``x`` by a relation, and is the same for
+    every element of the coset of ``x``."""
+    g, x, r = case
+    rep = g.reduce(x)
+    diff = tuple(a - b for a, b in zip(rep, x))
+    assert solve_left(g.relations, [diff])[0] is not None
+    assert g.reduce(tuple(a + b for a, b in zip(x, r))) == rep
+    assert g._reduce_rows(Mat([x, rep], cols=g.n_gens)).data == (rep, rep)
 
 
 def test_hom_well_definedness_enforced():
@@ -321,12 +347,6 @@ def test_tensor_symmetry_and_values():
     assert tensor(free_group(2), group(1, [[3]])) == group(2, [[3, 0], [0, 3]])
 
 
-def matrices(rows, cols):
-    entries = st.lists(st.integers(-5, 5), min_size=cols, max_size=cols)
-    return st.lists(entries, min_size=rows, max_size=rows).map(
-        lambda data: Mat(data, cols=cols))
-
-
 @st.composite
 def kron_factors(draw):
     """``a, c`` and ``b, d`` with ``a @ c`` and ``b @ d`` defined."""
@@ -341,42 +361,6 @@ def kron_factors(draw):
 def test_kron_mixed_product_rule(factors):
     a, b, c, d = factors
     assert kron(a, b) @ kron(c, d) == kron(a @ c, b @ d)
-
-
-@st.composite
-def block_layouts(draw):
-    """Row and column layouts, with a random subset of blocks filled."""
-    heights = draw(st.lists(st.integers(0, 3), min_size=1, max_size=3))
-    widths = draw(st.lists(st.integers(0, 3), min_size=1, max_size=3))
-    entries = {}
-    for i, h in enumerate(heights):
-        for j, w in enumerate(widths):
-            if draw(st.booleans()):
-                entries[f"r{i}", f"c{j}"] = draw(matrices(h, w))
-    return heights, widths, entries
-
-
-@settings(max_examples=100, deadline=None)
-@given(block_layouts())
-def test_blocks_match_explicit_concatenation(case):
-    heights, widths, entries = case
-    rows = [(f"r{i}", h) for i, h in enumerate(heights)]
-    cols = [(f"c{j}", w) for j, w in enumerate(widths)]
-    expected = []
-    for i, h in enumerate(heights):
-        parts = [entries.get((f"r{i}", f"c{j}"), Mat.zeros(h, w))
-                 for j, w in enumerate(widths)]
-        for k in range(h):
-            expected.append(sum((part.data[k] for part in parts), ()))
-    assert blocks(rows, cols, entries) == Mat(expected, cols=sum(widths))
-
-
-def test_blocks_reject_a_block_of_the_wrong_shape():
-    layout = [("x", 2), ("y", 1)]
-    with pytest.raises(ValueError, match=r"block \('y', 'x'\) is 2 x 2, expected 1 x 2"):
-        blocks(layout, layout, {("y", "x"): Mat.identity(2)})
-    with pytest.raises(ValueError):
-        blocks(layout, layout, {("x", "y"): Mat.zeros(2, 2)})
 
 
 # ---------------------------------------------------------------------------

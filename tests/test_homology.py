@@ -11,12 +11,16 @@ from hypothesis import strategies as st
 
 from thrcalc.dihedral import circle_model, dihedral_nerve_piece, fixed_subset, sd_sigma
 from thrcalc.errors import SpecError
-from thrcalc import fgab, selftest
+from thrcalc import cubes, fgab, selftest
+from thrcalc import homology as homology_module
 from thrcalc.cubes import CubeDiagram
-from thrcalc.fgab import Mat, group, free_group
+from thrcalc.fgab import Mat, group, free_group, kron
 from thrcalc.homology import (
     ChainComplex,
     ChainMap,
+    _assemble,
+    _kron,
+    _tensor_matrices,
     connecting_hom,
     fiber_les_report,
     fiber_map,
@@ -30,6 +34,7 @@ from thrcalc.homology import (
 )
 from thrcalc.involutive_algebra import monoid_nat
 
+from conftest import matrices
 from helpers import euler_characteristic, full_chains, shift, tensor_chain_map
 
 Z = free_group(1)
@@ -437,6 +442,112 @@ def test_tensor_chain_map_is_functorial():
     expected = tensor_chain_map(ff, g)
     for q in t.source.support:
         assert t.map(q) @ t.map(q) == expected.map(q)
+
+
+# ---------------------------------------------------------------------------
+# block assembly on sparse rows
+# ---------------------------------------------------------------------------
+
+
+def _sparse(m):
+    return [{j: a for j, a in enumerate(row) if a} for row in m.data]
+
+
+@st.composite
+def block_layouts(draw):
+    """Row and column layouts, with a random subset of blocks filled, each
+    with a random sign."""
+    heights = draw(st.lists(st.integers(0, 3), min_size=1, max_size=3))
+    widths = draw(st.lists(st.integers(0, 3), min_size=1, max_size=3))
+    entries = {}
+    for i, h in enumerate(heights):
+        for j, w in enumerate(widths):
+            if draw(st.booleans()):
+                entries[f"r{i}", f"c{j}"] = (draw(st.sampled_from((1, -1))),
+                                             draw(matrices(h, w)))
+    return heights, widths, entries
+
+
+@settings(max_examples=100, deadline=None)
+@given(block_layouts())
+def test_assemble_matches_explicit_concatenation(case):
+    heights, widths, entries = case
+    rows = [(f"r{i}", h) for i, h in enumerate(heights)]
+    cols = [(f"c{j}", w) for j, w in enumerate(widths)]
+    expected = []
+    for i, h in enumerate(heights):
+        parts = []
+        for j, w in enumerate(widths):
+            sign, m = entries.get((f"r{i}", f"c{j}"), (1, Mat.zeros(h, w)))
+            parts.append(m.scale(sign))
+        for k in range(h):
+            expected.append(sum((part.data[k] for part in parts), ()))
+    sparse = {key: (sign, _sparse(m)) for key, (sign, m) in entries.items()}
+    assert _assemble(rows, cols, sparse) == _sparse(Mat(expected, cols=sum(widths)))
+
+
+def test_assemble_rejects_a_block_of_the_wrong_shape():
+    layout = [("x", 2), ("y", 1)]
+    with pytest.raises(ValueError, match=r"block \('y', 'x'\) does not fit 1 x 2"):
+        _assemble(layout, layout, {("y", "x"): (1, _sparse(Mat.identity(2)))})
+    with pytest.raises(ValueError, match=r"block \('x', 'y'\) does not fit 2 x 1"):
+        _assemble(layout, layout, {("x", "y"): (-1, _sparse(Mat.identity(2)))})
+
+
+@st.composite
+def kron_pairs(draw):
+    n, k, p, l = (draw(st.integers(0, 3)) for _ in range(4))
+    return draw(matrices(n, k)), draw(matrices(p, l))
+
+
+@settings(max_examples=100, deadline=None)
+@given(kron_pairs())
+def test_sparse_kron_matches_kron(pair):
+    a, b = pair
+    assert _kron(_sparse(a), _sparse(b), b.cols) == _sparse(kron(a, b))
+    assert _kron(None, _sparse(b), b.cols) is None
+
+
+def test_no_chain_builder_reads_a_dense_matrix(monkeypatch):
+    """Under ``selftest.run_all()`` and ``p1_report(4)``, every chain
+    builder assembles sparse rows: none reads ``diff`` or ``map`` or builds
+    a ``Mat``, anywhere below it."""
+    builders = {f.__code__ for f in (
+        mapping_fiber, fiber_map, tensor_complex, _tensor_matrices,
+        cubes.punctured_limit, cubes.comparison, cubes._induced_fiber_map,
+        cubes._block_map)}
+    real_init, real_of, real_mat = Mat.__init__, Mat._of, homology_module._mat
+    seen, under = Counter(), Counter()
+
+    def record(what):
+        seen[what] += 1
+        frame = sys._getframe(2)
+        while frame is not None:
+            if frame.f_code in builders:
+                under[what, frame.f_code.co_name] += 1
+            frame = frame.f_back
+
+    def init(self, *args, **kwargs):
+        record("Mat")
+        real_init(self, *args, **kwargs)
+
+    def of(data, cols):
+        record("Mat")
+        return real_of(data, cols)
+
+    def mat(*args):
+        record("diff or map")
+        return real_mat(*args)
+
+    monkeypatch.setattr(Mat, "__init__", init)
+    monkeypatch.setattr(Mat, "_of", staticmethod(of))
+    monkeypatch.setattr(homology_module, "_mat", mat)
+    with redirect_stdout(io.StringIO()):
+        assert all(outcome.ok for outcome in selftest.run_all())
+        assert cubes.p1_report(4).ok
+    monkeypatch.undo()
+    assert seen["Mat"] and seen["diff or map"]  # the recording sees both
+    assert under == {}
 
 
 @settings(max_examples=25, deadline=None)
