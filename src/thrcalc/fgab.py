@@ -20,6 +20,9 @@ Conventions
   nothing past that product.  Zero and repeated relation rows are dropped
   before factoring only where neither U nor V is read; ``FgAbGroup`` keeps
   them, as ``reduce`` reads its V and dropping rows can change it.
+* Work is skipped only where its outcome is known: ``snf`` returns a
+  matrix already in Smith form with the identity transforms its steps
+  would build, and ``is_exact`` does not test a joint with a trivial middle.
 * ``Mat(...)`` converts every entry with ``int`` and checks the shape: it
   is where loaders, user input and other modules enter.  A matrix derived
   here from other ``Mat``s (products, sums, Smith forms, kernels)
@@ -254,6 +257,17 @@ def snf(m, u_cols=None):
     starts after t, and the pivot column is scanned again only after a
     column combination, the one operation that can refill it.
 
+    A matrix already in Smith form (zero off the diagonal, positive
+    diagonal entries each dividing the next, then zeros; zero and empty
+    matrices included) is returned at once, with U the identity at the
+    tracked width and V the identity.  That is what the steps return on
+    it: each pivot is the next diagonal entry, the first entry of least
+    magnitude, with nothing to clear or sweep and no sign to flip.
+
+    >>> m = Mat([[2, 0, 0], [0, 6, 0]])
+    >>> s, u, v = snf(m, 1)
+    >>> s == m, u, v == Mat.identity(3)
+    (True, Mat([[1], [0]], cols=1), True)
     >>> s, u, v = snf(Mat([[2, 0], [0, 3]]))
     >>> [s.data[i][i] for i in range(2)]
     [1, 6]
@@ -267,6 +281,8 @@ def snf(m, u_cols=None):
     """
     r, c = m.rows, m.cols
     width = r if u_cols is None else min(u_cols, r)
+    if _in_smith_form(m):
+        return m, vstack(Mat.identity(width), Mat.zeros(r - width, width)), Mat.identity(c)
     a = [list(row) for row in m.data]
     u = [[int(i == j) for j in range(width)] for i in range(r)]
     v = [[int(i == j) for j in range(c)] for i in range(c)]
@@ -357,6 +373,28 @@ def snf(m, u_cols=None):
                 arr[i] = [-x for x in arr[i]]
     return (Mat._of(tuple(map(tuple, a)), c), Mat._of(tuple(map(tuple, u)), width),
             Mat._of(tuple(map(tuple, v)), c))
+
+
+def _in_smith_form(m):
+    """Whether ``m`` is its own Smith form: each row is zero or has one
+    nonzero entry, on the diagonal, and the diagonal is positive entries,
+    each dividing the next, then zeros.
+
+    >>> [_in_smith_form(Mat(d)) for d in ([[1, 0], [0, 2]], [[2, 0], [0, 3]], [[0, 0], [0, 2]])]
+    [True, False, False]
+    """
+    prev = 1
+    for i, row in enumerate(m.data):
+        if not any(row):
+            prev = 0
+            continue
+        if not prev or i >= m.cols:
+            return False
+        d = row[i]
+        if d <= 0 or d % prev or row.count(0) != m.cols - 1:
+            return False
+        prev = d
+    return True
 
 
 def _least_entry(a, live):
@@ -777,16 +815,31 @@ def is_exact(seq):
     left is the other direction, every kernel row in the image lattice, one
     ``snf`` of that lattice that tracks no column of U.
 
+    A joint whose middle is trivial (``a.target`` and ``b.source`` both
+    are) is exact and is not tested once it is composable.  The image
+    lattice holds the middle relations, which span every row, so the
+    kernel lies in it.  The composite is zero because ``b`` is well
+    defined, so it sends every row, a sum of relations of its trivial
+    source, into the relation lattice of its target.  Every ``GroupHom``
+    is well defined: it is checked at construction or derived from
+    checked homs.  A skipped joint could not fail, so the report names
+    the same first failure.
+
     >>> z = free_group(1); z2 = group(1, [[2]])
     >>> bool(is_exact([hom(z, z, [[2]]), hom(z, z2, [[1]])]))
     True
     >>> bool(is_exact([hom(z, z, [[4]]), hom(z, z2, [[1]])]))
     False
+    >>> zero = group(1, [[1]])
+    >>> bool(is_exact([hom(z, zero, [[3]]), hom(zero, z2, [[0]])]))
+    True
     """
     for a, b in zip(seq, seq[1:]):
         if a.target.n_gens != b.source.n_gens:
             return ExactnessReport(False, "sequence is not composable")
         mid = a.target
+        if mid.is_trivial() and b.source.is_trivial():
+            continue
         comp = a.then(b)
         if not comp.is_zero_map():
             return ExactnessReport(False, "composite is nonzero")

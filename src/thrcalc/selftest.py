@@ -9,7 +9,7 @@ apart.
 import random
 import time
 from dataclasses import dataclass
-from itertools import combinations
+from itertools import combinations, product
 from math import gcd
 
 from . import mackey as mackey_module
@@ -375,10 +375,11 @@ def _determinantal_divisors(m):
     divisors = []
     for k in range(1, n + 1):
         g = 0
-        for rows in combinations(range(m.rows), k):
-            for cols in combinations(range(m.cols), k):
-                sub = Mat([tuple(m.data[i][j] for j in cols) for i in rows], cols=k)
-                g = gcd(g, sub.det())
+        for rows, cols in product(combinations(range(m.rows), k), combinations(range(m.cols), k)):
+            sub = Mat([tuple(m.data[i][j] for j in cols) for i in rows], cols=k)
+            g = gcd(g, sub.det())
+            if g == 1:  # no later minor can change it
+                break
         divisors.append(abs(g))
     return divisors
 

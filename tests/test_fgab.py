@@ -2,13 +2,14 @@ import io
 import itertools
 import random
 import sys
+from collections import Counter
 from contextlib import redirect_stdout
 from math import gcd
 
 import pytest
 from hypothesis import given, settings, strategies as st
 
-from thrcalc import fgab, homology, selftest
+from thrcalc import fgab, homology, selftest, thr_pi0
 from thrcalc.fgab import (
     Mat, snf, solve_left, group, free_group, hom, identity_hom,
     kernel, is_exact, inverse,
@@ -409,6 +410,156 @@ def test_snf_makes_the_reference_operations(m):
         assert snf(m, k) == reference_snf(m, k)
 
 
+# Matrices already in Smith form, and near misses: a diagonal out of
+# order, a zero before a positive entry, a negative entry, an entry off the
+# diagonal.
+_SMITH_FORMS = (
+    Mat([[0, 0], [0, 0]]), Mat([], cols=3), Mat([[], [], []], cols=0), Mat.identity(3),
+    Mat([[1, 0, 0, 0], [0, 2, 0, 0], [0, 0, 6, 0], [0, 0, 0, 0]]),
+    Mat([[1, 0], [0, 3], [0, 0], [0, 0]]), Mat([[2, 0, 0, 0], [0, 4, 0, 0]]),
+)
+_NEAR_MISSES = (
+    Mat([[2, 0], [0, 3]]), Mat([[0, 0], [0, 2]]), Mat([[-1, 0], [0, 2]]),
+    Mat([[1, 0, 0], [0, 2, 1]]), Mat([[1, 0], [0, 2], [3, 0]]),
+)
+
+
+@pytest.mark.parametrize("m", _SMITH_FORMS + _NEAR_MISSES)
+def test_snf_matches_the_reference_on_smith_forms_and_near_misses(m):
+    for k in (None, *range(m.rows + 2)):
+        assert snf(m, k) == reference_snf(m, k)
+    assert (snf(m)[0] == m) == (m in _SMITH_FORMS)
+
+
+@st.composite
+def smith_forms(draw):
+    """Matrices up to 5 x 5 in Smith form, often with one defect: an entry
+    moved off or onto the diagonal, a negated or a swapped diagonal pair."""
+    r, c = draw(st.integers(0, 5)), draw(st.integers(0, 5))
+    diag, d = [], 1
+    for _ in range(draw(st.integers(0, min(r, c)))):
+        d *= draw(st.sampled_from((1, 1, 2, 3)))
+        diag.append(d)
+    data = [[diag[i] if i == j and i < len(diag) else 0 for j in range(c)] for i in range(r)]
+    kind = draw(st.integers(0, 3))
+    if kind == 1 and r and c:
+        data[draw(st.integers(0, r - 1))][draw(st.integers(0, c - 1))] = draw(st.integers(-3, 3))
+    elif kind == 2 and diag:
+        i = draw(st.integers(0, len(diag) - 1))
+        data[i][i] = -diag[i]
+    elif kind == 3 and min(r, c) >= 2:
+        i = draw(st.integers(0, min(r, c) - 2))
+        data[i][i], data[i + 1][i + 1] = data[i + 1][i + 1], data[i][i]
+    return Mat(data, cols=c)
+
+
+@settings(max_examples=150, deadline=None)
+@given(smith_forms())
+def test_snf_returns_smith_forms_as_the_reference_does(m):
+    """On a matrix already in Smith form, the early return gives the S, U
+    and V that the steps give; on every other matrix the steps run."""
+    for k in (None, *range(m.rows + 2)):
+        assert snf(m, k) == reference_snf(m, k)
+    assert fgab._in_smith_form(m) == (reference_snf(m)[0] == m)
+
+
+def _trivial_group(draw, n):
+    """A trivial group on ``n`` generators: unimodular relations, made
+    from the identity by row additions, sometimes with a redundant row."""
+    rows = [[int(i == j) for j in range(n)] for i in range(n)]
+    for _ in range(draw(st.integers(0, 2 * n))):
+        i, j = draw(st.integers(0, n - 1)), draw(st.integers(0, n - 1))
+        if i != j:
+            k = draw(st.integers(-2, 2))
+            rows[i] = [x + k * y for x, y in zip(rows[i], rows[j])]
+    if n and draw(st.booleans()):
+        rows.append(rows[draw(st.integers(0, n - 1))])
+    return group(n, rows)
+
+
+@st.composite
+def sequences_through_trivial_groups(draw):
+    """Sequences of three or four homs in which some groups are trivial
+    presentations with generators.  A map out of a trivial group sends each
+    generator into the relation lattice of its target, a map into one is
+    any matrix, and a map between two other groups is made well defined by
+    adding the images of the source relations to the target relations."""
+    entries = st.integers(-2, 2)
+    groups = [_trivial_group(draw, draw(st.integers(1, 3))) if draw(st.booleans())
+              else draw(abelian_groups())]
+    seq = []
+    for _ in range(draw(st.integers(3, 4))):
+        src = groups[-1]
+        n = draw(st.integers(0, 3))
+        if draw(st.booleans()):
+            tgt = _trivial_group(draw, n)
+            mat = draw(matrices(src.n_gens, n))
+        elif src.is_trivial():
+            tgt = draw(abelian_groups(max_gens=3))
+            n = tgt.n_gens
+            coeffs = draw(matrices(src.n_gens, tgt.relations.rows))
+            mat = coeffs @ tgt.relations
+        else:
+            mat = Mat(draw(st.lists(st.lists(entries, min_size=n, max_size=n),
+                                    min_size=src.n_gens, max_size=src.n_gens)), cols=n)
+            tgt = group(n, vstack(draw(matrices(draw(st.integers(0, 2)), n)),
+                                  src.relations @ mat))
+        seq.append(hom(src, tgt, mat))
+        groups.append(tgt)
+    return seq
+
+
+@settings(max_examples=150, deadline=None)
+@given(sequences_through_trivial_groups())
+def test_is_exact_matches_the_solve_left_route_through_trivial_groups(seq):
+    got, want = is_exact(seq), solve_left_is_exact(seq)
+    assert (got.ok, got.detail) == (want.ok, want.detail)
+
+
+def test_shortcuts_skip_only_work_whose_outcome_is_known(monkeypatch):
+    """Under ``selftest.run_all()``, ``is_exact`` builds no kernel lattice
+    at a joint whose middle is trivial, and ``snf`` searches for no pivot
+    in a matrix already in Smith form; both kinds of input occur."""
+    real_snf, real_is_exact = fgab.snf, fgab.is_exact
+    real_kernel, real_least = fgab._kernel_lattice, fgab._least_entry
+    seen = Counter()
+
+    def in_smith_form(m):
+        return reference_snf(m, 0)[0] == m
+
+    def recording_snf(m, u_cols=None):
+        seen["Smith-form inputs"] += in_smith_form(m)
+        return real_snf(m, u_cols)
+
+    def recording_is_exact(seq):
+        seen["trivial joints"] += sum(a.target.is_trivial() and b.source.is_trivial()
+                                      for a, b in zip(seq, seq[1:]))
+        return real_is_exact(seq)
+
+    def kernel_lattice(f):
+        caller = sys._getframe(1)
+        if caller.f_code is real_is_exact.__code__:
+            a, b = caller.f_locals["a"], caller.f_locals["b"]
+            seen["kernels at trivial joints"] += a.target.is_trivial() and b.source.is_trivial()
+        return real_kernel(f)
+
+    def least_entry(a, live):
+        seen["pivots in Smith forms"] += in_smith_form(sys._getframe(1).f_locals["m"])
+        return real_least(a, live)
+
+    for module in (fgab, homology, selftest):
+        monkeypatch.setattr(module, "snf", recording_snf)
+    for module in (fgab, homology, thr_pi0):
+        monkeypatch.setattr(module, "is_exact", recording_is_exact)
+    monkeypatch.setattr(fgab, "_kernel_lattice", kernel_lattice)
+    monkeypatch.setattr(fgab, "_least_entry", least_entry)
+    with redirect_stdout(io.StringIO()):
+        assert all(outcome.ok for outcome in selftest.run_all())
+    monkeypatch.undo()
+    assert seen["kernels at trivial joints"] == seen["pivots in Smith forms"] == 0
+    assert seen["trivial joints"] > 0 and seen["Smith-form inputs"] > 0
+
+
 @pytest.fixture
 def combine_calls(monkeypatch):
     """The coefficient rows ``fgab._combine`` is called with, in order."""
@@ -489,6 +640,13 @@ def test_is_exact_matches_the_solve_left_route_on_every_outcome():
         [hom(free_group(1), free_group(1), [[4]]), hom(free_group(1), group(1, [[2]]), [[1]])],
         [hom(free_group(1), free_group(1), [[1]]), hom(free_group(1), free_group(1), [[1]])],
         [hom(free_group(1), free_group(2), [[1, 0]]), hom(free_group(1), free_group(1), [[1]])],
+        # a.target and b.source differ and only one of them is trivial: the
+        # joint is tested, as only a joint with both trivial is exact outright
+        [hom(free_group(1), group(1, [[1]]), [[1]]), hom(free_group(1), group(1, [[2]]), [[1]])],
+        [hom(free_group(1), group(1, [[1]]), [[1]]), hom(free_group(1), group(1, [[2]]), [[2]])],
+        [hom(free_group(1), free_group(1), [[2]]), hom(group(1, [[1]]), group(1, [[2]]), [[0]])],
+        [hom(free_group(1), group(2, [[1, 1], [0, 1]]), [[1, 0]]),
+         hom(free_group(2), group(1, [[2]]), [[1], [0]])],
     ]
     details = []
     for seq in cases:
@@ -496,7 +654,9 @@ def test_is_exact_matches_the_solve_left_route_on_every_outcome():
         assert (got.ok, got.detail) == (want.ok, want.detail)
         details.append(got.detail)
     assert details == ["exact at every joint", "kernel element (-2,) is not in the image",
-                       "composite is nonzero", "sequence is not composable"]
+                       "composite is nonzero", "sequence is not composable",
+                       "composite is nonzero", "exact at every joint",
+                       "kernel element (1,) is not in the image", "composite is nonzero"]
 
 
 # The callers that keep fewer columns of U than the matrix has rows, with

@@ -18,6 +18,7 @@ from thrcalc.fgab import Mat, group, free_group, kron
 from thrcalc.homology import (
     ChainComplex,
     ChainMap,
+    MappingFiber,
     _assemble,
     _kron,
     _tensor_matrices,
@@ -206,6 +207,24 @@ def test_fiber_of_multiplication_has_negative_degree_torsion():
     assert homology(fib.complex, -1) == group(1, [[2]])
     report = fiber_les_report(fib)
     assert report.ok, report.detail
+
+
+@pytest.mark.parametrize("c, recorded, built, detail", [
+    (ChainComplex({0: 1}, {}), 1, 2, "composite is nonzero"),
+    (mult_complex(2), 1, 2, "composite is nonzero"),
+    (mult_complex(2), 2, 1, "kernel element (-1,) is not in the image"),
+])
+def test_fiber_of_another_map_fails_its_sequence(c, recorded, built, detail):
+    """The fiber of ``built * id`` recorded with ``recorded * id``: its long
+    sequence is not exact.  Most joints before the first failure have a
+    trivial middle, which ``is_exact`` skips; in the third case the failing
+    joint starts at a trivial group, right after a skipped joint."""
+    def times(k):
+        return ChainMap(c, c, {q: [[k]] for q in c.support})
+
+    fib = MappingFiber(times(recorded), mapping_fiber(times(built)).complex)
+    report = fiber_les_report(fib)
+    assert (report.ok, report.detail) == (False, detail)
 
 
 def test_cone_of_iso_is_acyclic_and_detects_non_iso():
