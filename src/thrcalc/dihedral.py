@@ -40,6 +40,7 @@ from __future__ import annotations
 from collections.abc import Sequence
 from dataclasses import dataclass
 from math import comb
+from operator import add
 
 from .errors import CertificateError, InfeasibleError, SpecError
 from .involutive_algebra import (
@@ -174,6 +175,14 @@ class TruncDihedralSet:
         if not (1 <= q <= self.q_max and 0 <= i <= q):
             raise SpecError(f"face d_{i} undefined in degree {q}")
         return self._face(q, i, x)
+
+    def faces(self, q, x):
+        """The faces ``d_0 x, ..., d_q x`` of a ``q``-simplex, in order,
+        through the face rule of the object with the degree checked once."""
+        if not 1 <= q <= self.q_max:
+            raise SpecError(f"faces undefined in degree {q}")
+        face = self._face
+        return [face(q, i, x) for i in range(q + 1)]
 
     def degeneracy(self, q, i, x):
         if not (0 <= q < self.q_max and 0 <= i <= q):
@@ -413,7 +422,7 @@ def _levelwise_identities(x, q, s):
 
 
 def _vec_add(a, b):
-    return tuple(x + y for x, y in zip(a, b))
+    return tuple(map(add, a, b))
 
 
 def _l1(v):

@@ -39,6 +39,8 @@ from __future__ import annotations
 
 import itertools
 
+from .errors import SpecError
+
 
 def _xgcd(a, b):
     """Extended gcd: returns (g, x, y) with g = a*x + b*y and g >= 0.
@@ -815,15 +817,19 @@ def is_exact(seq):
     left is the other direction, every kernel row in the image lattice, one
     ``snf`` of that lattice that tracks no column of U.
 
-    A joint whose middle is trivial (``a.target`` and ``b.source`` both
-    are) is exact and is not tested once it is composable.  The image
-    lattice holds the middle relations, which span every row, so the
-    kernel lies in it.  The composite is zero because ``b`` is well
-    defined, so it sends every row, a sum of relations of its trivial
-    source, into the relation lattice of its target.  Every ``GroupHom``
-    is well defined: it is checked at construction or derived from
-    checked homs.  A skipped joint could not fail, so the report names
-    the same first failure.
+    ``a.target`` and ``b.source`` must be one presentation, the same
+    object or equal relations, since each direction reads the middle
+    relations off one side; a joint whose sides have as many generators
+    but different relations raises SpecError.
+
+    A joint whose middle is trivial is exact and is not tested once it is
+    composable.  The image lattice holds the middle relations, which span
+    every row, so the kernel lies in it.  The composite is zero because
+    ``b`` is well defined, so it sends every row, a sum of relations of
+    its trivial source, into the relation lattice of its target.  Every
+    ``GroupHom`` is well defined: it is checked at construction or derived
+    from checked homs.  A skipped joint could not fail, so the report
+    names the same first failure.
 
     >>> z = free_group(1); z2 = group(1, [[2]])
     >>> bool(is_exact([hom(z, z, [[2]]), hom(z, z2, [[1]])]))
@@ -834,11 +840,14 @@ def is_exact(seq):
     >>> bool(is_exact([hom(z, zero, [[3]]), hom(zero, z2, [[0]])]))
     True
     """
-    for a, b in zip(seq, seq[1:]):
+    for n, (a, b) in enumerate(zip(seq, seq[1:]), 1):
         if a.target.n_gens != b.source.n_gens:
             return ExactnessReport(False, "sequence is not composable")
         mid = a.target
-        if mid.is_trivial() and b.source.is_trivial():
+        if mid is not b.source and mid.relations != b.source.relations:
+            raise SpecError(f"joint {n}: the maps meet in two different "
+                            "presentations of the middle group")
+        if mid.is_trivial():
             continue
         comp = a.then(b)
         if not comp.is_zero_map():

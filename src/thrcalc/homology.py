@@ -14,12 +14,15 @@ degrees.
 Homology in each degree is a finitely generated abelian group read off
 the elementary divisors of the two differentials at that degree, found by
 eliminating unit pivots on sparse rows and checked against ranks over
-``F_2``.  Presented on a basis of the cycle lattice, it carries the
-homomorphisms that chain maps induce, and the mapping fiber of a chain
-map comes with the map and an exactness check for the resulting long
-sequence; its projection to the source is built where it is read.  Both
-routes are memoized on the complex: each differential is reduced, and
-each degree presented, at most once.
+``F_2``.  A complex is reduced from the top degree down, and each
+differential first drops the rows that the pivots of the one above it
+paired (clearing); each route clears with its own pivots.  Presented on
+a basis of the cycle lattice, it carries the homomorphisms that chain
+maps induce, and the mapping fiber of a chain map comes with the map and
+an exactness check for the resulting long sequence; its projection to
+the source is built where it is read.  Both routes are memoized on the
+complex: each differential is reduced, and each degree presented, at
+most once.
 """
 
 from __future__ import annotations
@@ -57,7 +60,7 @@ class ChainComplex:
             if r < 0:
                 raise SpecError(f"negative rank {r} in degree {q}")
         self._rows, self._mats = {}, {}
-        self._divisors = {}  # degree -> elementary divisors, see _divisors
+        self._divisors = {}  # degree -> (divisors, unit pivots, F_2 pivots), see _divisors
         self._presented = {}  # degree -> (group, cycle basis, its solver), see _homology_data
         for q, m in diffs.items():
             rows = _sparse_rows(m, self.rank(q), self.rank(q - 1),
@@ -272,26 +275,57 @@ def homology(c, q):
 def _divisors(c, q):
     """The elementary divisors of ``c.diff(q)``, memoized on ``c``.
 
-    Raises CertificateError unless as many of them are odd as the rank of
-    the differential over ``F_2``, computed apart on bitset rows."""
+    The complex is reduced from the top degree down, with clearing (the
+    twist of Chen-Kerber, *Persistent homology computation with a twist*,
+    2011): every differential from ``c.hi`` down to ``d_{q+1}`` is reduced
+    first, and ``d_q`` drops the rows whose ``q``-simplex was a pivot column
+    of ``d_{q+1}``.  The memo keeps, beside each degree's divisors, its unit
+    pivots and its ``F_2`` echelon pivots, and each route clears with its
+    own.  Dropping a row changes no divisor and no rank: for a unit pivot
+    ``(s, t)``, the reduced row of ``s`` is an integral combination of rows
+    of ``d_{q+1}``, with a unit at ``t`` and zeros at the earlier pivot
+    columns, so ``d d = 0`` writes row ``t`` of ``d_q`` as an integral
+    combination of kept rows and rows of later pivot columns, and by
+    reverse induction every dropped row lies in the lattice of the kept
+    ones.  Over ``F_2`` an echelon row is zero left of its pivot column, and
+    the same induction runs from the rightmost pivot column.
+
+    Raises CertificateError unless as many divisors are odd as the rank of
+    the differential over ``F_2``, computed apart on bitset rows.  The
+    degrees reduced by one call are checked from the bottom up and kept
+    only once all pass, so a failure names the lowest one."""
     found = c._divisors.get(q)
     if found is None:
-        rows = c._rows.get(q, ())
-        found = _elementary_divisors(rows)
-        odd = sum(e % 2 for e in found)
-        rank2 = _rank_mod2(rows)
-        if odd != rank2:
-            raise CertificateError(
-                f"differential in degree {q}: {len(found)} elementary "
-                f"divisors, {odd} of them odd, but rank {rank2} over F_2"
-            )
-        c._divisors[q] = found
-    return found
+        top = q
+        while top < c.hi and top + 1 not in c._divisors:
+            top += 1
+        _, units, echelon = c._divisors.get(top + 1, ((), (), ()))
+        reduced = []
+        for p in range(top, q - 1, -1):
+            rows = c._rows.get(p, ())
+            # each route drops the rows that its own pivots above paired
+            kept = [row for i, row in enumerate(rows) if i not in units]
+            kept2 = [row for i, row in enumerate(rows) if i not in echelon]
+            units, echelon = set(), set()  # the pivots of d_p, for d_{p-1}
+            divisors = _elementary_divisors(kept, units)
+            reduced.append((p, divisors, units, echelon, _rank_mod2(kept2, echelon)))
+        for p, divisors, _, _, rank2 in reversed(reduced):
+            odd = sum(e % 2 for e in divisors)
+            if odd != rank2:
+                raise CertificateError(
+                    f"differential in degree {p}: {len(divisors)} elementary "
+                    f"divisors, {odd} of them odd, but rank {rank2} over F_2"
+                )
+        for p, divisors, units, echelon, _ in reduced:
+            c._divisors[p] = (divisors, units, echelon)
+        found = c._divisors[q]
+    return found[0]
 
 
-def _elementary_divisors(rows):
+def _elementary_divisors(rows, pivots=None):
     """The nonzero elementary divisors, in increasing order, of the matrix
-    of sparse ``rows``.
+    of sparse ``rows``; the column of each unit pivot is added to the set
+    ``pivots`` when one is given.
 
     Unit pivots are eliminated first (Kaczynski-Mrozek-Slusarek): each one
     contributes a divisor 1 and leaves the Schur complement, which stays
@@ -321,6 +355,8 @@ def _elementary_divisors(rows):
         if pivot is None:
             continue  # left to the residue unless an elimination changes it
         units += 1
+        if pivots is not None:
+            pivots.add(pivot)
         del live[i]
         for j in row:
             where[j].discard(i)
@@ -351,14 +387,16 @@ def _elementary_divisors(rows):
     return (1,) * units + residue
 
 
-def _rank_mod2(rows):
+def _rank_mod2(rows, pivots=None):
     """The rank over ``F_2`` of the matrix of sparse ``rows``, by
-    elimination on rows packed into Python ints.
+    elimination on rows packed into Python ints; the pivot column of each
+    echelon row (its lowest column) is added to the set ``pivots`` when one
+    is given.
 
     >>> _rank_mod2([{0: 1, 1: 1}, {0: 1, 1: -1}])
     1
     """
-    pivots = {}  # lowest set bit -> the row that has it
+    echelon = {}  # lowest set bit -> the row that has it
     for row in rows:
         bits = 0
         for j, a in row.items():
@@ -366,12 +404,14 @@ def _rank_mod2(rows):
                 bits |= 1 << j
         while bits:
             low = bits & -bits
-            other = pivots.get(low)
+            other = echelon.get(low)
             if other is None:
-                pivots[low] = bits
+                echelon[low] = bits
                 break
             bits ^= other
-    return len(pivots)
+    if pivots is not None:
+        pivots.update(low.bit_length() - 1 for low in echelon)
+    return len(echelon)
 
 
 def homology_table(c, degrees):
@@ -601,13 +641,14 @@ def _chains(x, bases):
         if not bases[q] or not bases[q - 1]:
             continue
         below = index[q - 1]
+        signs = [-1 if i % 2 else 1 for i in range(q + 1)]
         rows = []
         for s in bases[q]:
             row = {}
-            for i in range(q + 1):
-                j = below.get(x.face(q, i, s))
+            for sign, face in zip(signs, x.faces(q, s)):
+                j = below.get(face)
                 if j is not None:
-                    row[j] = row.get(j, 0) + (-1 if i % 2 else 1)
+                    row[j] = row.get(j, 0) + sign
             rows.append(row)
         diffs[q] = rows
     return ChainComplex(ranks, diffs)

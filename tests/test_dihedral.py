@@ -198,6 +198,18 @@ def test_validate_structure_reports_broken_rotation():
     assert "t" in report.detail
 
 
+def test_faces_are_the_checked_faces_in_order():
+    piece = dihedral_nerve_piece(NAT, ((4,),), 4)
+    circle = circle_model(3)
+    for x in (piece, circle):
+        for q in range(1, x.q_max + 1):
+            for s in x.simplices[q]:
+                assert x.faces(q, s) == [x.face(q, i, s) for i in range(q + 1)]
+    for q in (-1, 0, 5):
+        with pytest.raises(SpecError, match=f"faces undefined in degree {q}"):
+            piece.faces(q, piece.simplices[0][0])
+
+
 def test_structure_map_bounds_are_enforced():
     p = dihedral_nerve_piece(NAT, ((1,),), 1)
     with pytest.raises(SpecError):

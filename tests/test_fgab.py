@@ -16,6 +16,7 @@ from thrcalc.fgab import (
     lift_through, direct_sum, tensor,
     vstack, kron,
 )
+from thrcalc.errors import SpecError
 from thrcalc.mackey import fixed_point_mackey
 
 from conftest import abelian_groups, matrices
@@ -640,13 +641,8 @@ def test_is_exact_matches_the_solve_left_route_on_every_outcome():
         [hom(free_group(1), free_group(1), [[4]]), hom(free_group(1), group(1, [[2]]), [[1]])],
         [hom(free_group(1), free_group(1), [[1]]), hom(free_group(1), free_group(1), [[1]])],
         [hom(free_group(1), free_group(2), [[1, 0]]), hom(free_group(1), free_group(1), [[1]])],
-        # a.target and b.source differ and only one of them is trivial: the
-        # joint is tested, as only a joint with both trivial is exact outright
-        [hom(free_group(1), group(1, [[1]]), [[1]]), hom(free_group(1), group(1, [[2]]), [[1]])],
-        [hom(free_group(1), group(1, [[1]]), [[1]]), hom(free_group(1), group(1, [[2]]), [[2]])],
-        [hom(free_group(1), free_group(1), [[2]]), hom(group(1, [[1]]), group(1, [[2]]), [[0]])],
-        [hom(free_group(1), group(2, [[1, 1], [0, 1]]), [[1, 0]]),
-         hom(free_group(2), group(1, [[2]]), [[1], [0]])],
+        # two objects with equal relations meet at the joint
+        [hom(free_group(1), free_group(1), [[2]]), hom(free_group(1), group(1, [[2]]), [[1]])],
     ]
     details = []
     for seq in cases:
@@ -655,8 +651,30 @@ def test_is_exact_matches_the_solve_left_route_on_every_outcome():
         details.append(got.detail)
     assert details == ["exact at every joint", "kernel element (-2,) is not in the image",
                        "composite is nonzero", "sequence is not composable",
-                       "composite is nonzero", "exact at every joint",
-                       "kernel element (1,) is not in the image", "composite is nonzero"]
+                       "exact at every joint"]
+
+
+def test_is_exact_refuses_a_joint_between_two_presentations():
+    """Each direction of the joint test reads the middle relations off one
+    side, so sides with as many generators and different relations are
+    refused.  The first sequence was reported exact, though ``Z/2 -> Z/4``
+    is not a joint (the image element ``(2,)`` is not in the kernel); in
+    the others only one side of the joint is trivial."""
+    zero = group(0, Mat([], cols=0))
+    z, z2, z4 = free_group(1), group(1, [[2]]), group(1, [[4]])
+    assert solve_left_is_exact([hom(zero, z2, Mat.zeros(0, 1)), hom(z4, z4, [[1]])]).detail \
+        == "image element (2,) is not in the kernel"
+    cases = [
+        [hom(zero, z2, Mat.zeros(0, 1)), hom(z4, z4, [[1]])],
+        [hom(z, group(1, [[1]]), [[1]]), hom(z, z2, [[1]])],
+        [hom(z, group(1, [[1]]), [[1]]), hom(z, z2, [[2]])],
+        [hom(z, z, [[2]]), hom(group(1, [[1]]), z2, [[0]])],
+        [hom(z, group(2, [[1, 1], [0, 1]]), [[1, 0]]), hom(free_group(2), z2, [[1], [0]])],
+        [hom(z, z, [[1]]), hom(z, z, [[0]]), hom(z2, z2, [[1]])],
+    ]
+    for seq in cases:
+        with pytest.raises(SpecError, match=f"joint {len(seq) - 1}: .* two different"):
+            is_exact(seq)
 
 
 # The callers that keep fewer columns of U than the matrix has rows, with
