@@ -563,8 +563,9 @@ class FgAbGroup:
     def _first_nonzero_row(self, m):
         """Index of the first row of ``m`` (``n_gens`` wide) that is not zero
         in the group, or None.  Each distinct row is multiplied by the basis
-        change once, up to the first that is not zero; a repeat of a row
-        already tested comes after it, so it cannot be first."""
+        change once (not at all when it is the identity), up to the first
+        that is not zero; a repeat of a row already tested comes after it,
+        so it cannot be first."""
         if m.cols != self.n_gens:
             raise ValueError(f"shape mismatch {m.rows}x{m.cols} @ {self.n_gens}x{self.n_gens}")
         vdata, tested = self._v.data, set()
@@ -572,8 +573,9 @@ class FgAbGroup:
             if row in tested:
                 continue
             tested.add(row)
-            if any(a % d if d else a
-                   for a, d in zip(_combine(row, vdata, self.n_gens), self._diag)):
+            if not self._plain:
+                row = _combine(row, vdata, self.n_gens)
+            if any(a % d if d else a for a, d in zip(row, self._diag)):
                 return i
         return None
 

@@ -28,6 +28,8 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 from fractions import Fraction
+from math import lcm
+from operator import mul
 
 from .errors import InfeasibleError, SpecError
 from .fgab import (
@@ -383,7 +385,7 @@ class AffineMonoid:
     generator).
     """
 
-    __slots__ = ("rank", "generators", "w", "_w_cols")
+    __slots__ = ("rank", "generators", "w", "_w_cols", "_searches")
 
     def __init__(self, generators, w=None, rank=None):
         generators = tuple(tuple(g) for g in generators)
@@ -410,6 +412,9 @@ class AffineMonoid:
         self.generators = generators
         self.w = w
         self._w_cols = tuple(zip(*w.data))
+        # tuple length -> the _FiberSearch of M^length summing to M, so each
+        # length computes its weight data once; see _search
+        self._searches = {}
         for g in generators:
             img = self.apply_w(g)
             if self.contains(img) is None:
@@ -433,12 +438,22 @@ class AffineMonoid:
         v = tuple(v)
         if len(v) != self.rank:
             raise SpecError(f"membership: vector {v} does not have rank {self.rank}")
-        found = _enumerate_fiber(
-            self.generators, Mat.identity(self.rank), v, limit=1
-        )
+        found = self._search(1)(v, limit=1)
         if not found:
             return None
         return found[0][1]
+
+    def _search(self, length):
+        """The memoized :class:`_FiberSearch` for ``length``-tuples of
+        elements summing to a weight: the generators of ``M^length`` (each
+        slot's in turn) under the map that sums the slots."""
+        search = self._searches.get(length)
+        if search is None:
+            slots = Mat.identity(length)
+            gens = kron(slots, Mat(self.generators, cols=self.rank)).data
+            summing = kron(Mat([[1]] * length, cols=1), Mat.identity(self.rank))
+            search = self._searches[length] = _FiberSearch(gens, summing)
+        return search
 
     def __repr__(self):
         return (
@@ -531,7 +546,14 @@ def _weight_data(gens, weight):
     Returns ``(unit_idx, partner, point_idx, lam)`` where ``lam`` is a
     tuple of Fractions on the weight target with ``lam . (g W) >= 1`` for
     every pointed generator and ``lam`` vanishing on the weight images of
-    the units.
+    the units.  A :class:`_FiberSearch` computes it once, and an
+    :class:`AffineMonoid` keeps one search per tuple length, so each
+    monoid computes it once per length.  The search scales ``lam`` to
+    integers (:func:`_scaled`); on ``N`` generated by 2 and 3 it is
+    ``(1/2,)``, which scales to ``(1,)``:
+
+    >>> _weight_data(((2,), (3,)), Mat.identity(1))
+    ([], {}, [0, 1], (Fraction(1, 2),))
 
     Raises:
         InfeasibleError: if some nonzero unit combination has weight zero
@@ -583,6 +605,130 @@ def _weight_data(gens, weight):
     return unit_idx, partner, point_idx, lam
 
 
+def _scaled(lam):
+    """``lam`` times the least common multiple of its denominators.
+
+    On integer vectors it is an integer functional, a positive multiple of
+    ``lam``, so every cost and budget of a search is scaled by one common
+    denominator and the bound ``remaining // cost`` is the bound
+    ``floor(remaining / cost)`` of the unscaled search.
+
+    >>> _scaled((Fraction(1, 2), Fraction(2, 3), Fraction(0)))
+    (3, 4, 0)
+    """
+    scale = lcm(*(x.denominator for x in lam))
+    return tuple(x.numerator * (scale // x.denominator) for x in lam)
+
+
+class _FiberSearch:
+    """The monoid elements of each weight under one weight map.
+
+    ``gens`` are ambient integer vectors and ``weight`` an integer matrix
+    mapping the ambient lattice to ``Z^m``.  The first search that needs
+    them computes, once, everything that does not depend on the target
+    weight: :func:`_weight_data`, the factored unit lattice, and the cost
+    of each pointed generator under the functional scaled to integers.
+    Nothing is kept when :func:`_weight_data` raises, so every search
+    raises its ``InfeasibleError`` again.
+
+    Calling the search with a target weight ``v`` returns what
+    :func:`_enumerate_fiber` returns.
+    """
+
+    __slots__ = ("gens", "weight", "_plan")
+
+    def __init__(self, gens, weight):
+        self.gens = gens
+        self.weight = weight
+        self._plan = None  # see plan
+
+    def plan(self):
+        """``(unit_idx, partner, point_idx, lam, scaled lam, costs, unit
+        solver)``, computed on the first call; ``costs`` lists the scaled
+        cost of each generator of ``point_idx``, in order."""
+        if self._plan is None:
+            gens, weight = self.gens, self.weight
+            unit_idx, partner, point_idx, lam = _weight_data(gens, weight)
+            bw = Mat([_vecmat(gens[i], weight) for i in unit_idx], cols=weight.cols)
+            scaled = _scaled(lam)
+            costs = [sum(map(mul, scaled, _vecmat(gens[i], weight))) for i in point_idx]
+            # bw is factored by the first settle that solves, for every later one
+            self._plan = (unit_idx, partner, point_idx, lam, scaled, costs, _LeftSolver(bw))
+        return self._plan
+
+    def __call__(self, v, limit=None):
+        gens, weight = self.gens, self.weight
+        v = tuple(v)
+        rank = len(gens[0]) if gens else weight.rows
+        if weight.rows != rank or len(v) != weight.cols:
+            raise SpecError(
+                f"weight map shape {weight.rows} x {weight.cols} does not match "
+                f"ambient rank {rank} and target {v}"
+            )
+        if not gens:
+            return [(tuple([0] * rank), ())] if not any(v) else []
+        unit_idx, partner, point_idx, _, scaled, costs, unit_solver = self.plan()
+        budget = sum(map(mul, scaled, v))
+        found = {}
+
+        def settle(current, counts):
+            """Solve the residual weight in the unit lattice; record a hit."""
+            cur_w = _vecmat(current, weight)
+            z = tuple(a - b for a, b in zip(v, cur_w))
+            if unit_idx:
+                coeffs = unit_solver.solve([z])[0]
+                if coeffs is None:
+                    return
+            else:
+                if any(z):
+                    return
+                coeffs = ()
+            x = list(current)
+            cert = list(counts)
+            for ci, gi_idx in zip(coeffs, unit_idx):
+                g = gens[gi_idx]
+                for t in range(rank):
+                    x[t] += ci * g[t]
+                if ci >= 0:
+                    cert[gi_idx] += ci
+                else:
+                    cert[partner[gi_idx]] += -ci
+            x = tuple(x)
+            if x not in found:
+                found[x] = tuple(cert)
+
+        last = len(point_idx) - 1
+
+        def rec(pos, remaining, current, counts):
+            i, cost = point_idx[pos], costs[pos]
+            g = gens[i]
+            if pos == last:
+                # a hit spends the whole budget, so the last count is solved
+                c, rest = divmod(remaining, cost)
+                if not rest:
+                    counts[i] = c
+                    settle(tuple(cu + c * gv for cu, gv in zip(current, g)), counts)
+                    counts[i] = 0
+                return
+            for c in range(remaining // cost + 1):
+                if limit is not None and len(found) >= limit:
+                    return
+                counts[i] = c
+                rec(
+                    pos + 1,
+                    remaining - c * cost,
+                    tuple(cu + c * gv for cu, gv in zip(current, g)),
+                    counts,
+                )
+            counts[i] = 0
+
+        if not point_idx:
+            settle(tuple([0] * rank), [0] * len(gens))
+        elif budget >= 0:
+            rec(0, budget, tuple([0] * rank), [0] * len(gens))
+        return sorted(found.items())
+
+
 def _enumerate_fiber(gens, weight, v, limit=None):
     """All monoid elements of a given weight, as ``(vector, certificate)``
     pairs, deduplicated and sorted lexicographically by vector.
@@ -591,95 +737,39 @@ def _enumerate_fiber(gens, weight, v, limit=None):
     mapping the ambient lattice to ``Z^m``, ``v`` the target weight.
     ``limit`` stops the search early once that many distinct vectors are
     found (used for membership tests).
+
+    The search runs over the counts of the pointed generators, in
+    lexicographic order, and settles the rest of the weight in the unit
+    lattice.  The functional ``lam`` of :func:`_weight_data` vanishes on
+    the weights of the units, so every element found spends exactly the
+    budget ``lam . v``: the costs and the budget are integers scaled by
+    one common denominator (:func:`_scaled`), each count but the last runs
+    up to ``remaining // cost``, and the last is ``remaining / cost`` when
+    that divides.  The first certificate found for a vector is kept.  On
+    ``N`` generated by 2 and 3, ``lam = (1/2,)`` scales to ``(1,)``, the
+    costs ``1`` and ``3/2`` to ``2`` and ``3``, and the budget of weight 7
+    to ``7``:
+
+    >>> _enumerate_fiber(((2,), (3,)), Mat.identity(1), (7,))
+    [((7,), (2, 1))]
+
+    Each call computes the weight data afresh; an :class:`AffineMonoid`
+    keeps one :class:`_FiberSearch` per tuple length instead.
     """
-    v = tuple(v)
-    rank = len(gens[0]) if gens else weight.rows
-    m = weight.cols
-    if weight.rows != rank or len(v) != m:
-        raise SpecError(
-            f"weight map shape {weight.rows} x {weight.cols} does not match "
-            f"ambient rank {rank} and target {v}"
-        )
-    if not gens:
-        return [(tuple([0] * rank), ())] if not any(v) else []
-
-    unit_idx, partner, point_idx, lam = _weight_data(gens, weight)
-    unit_rows = [gens[i] for i in unit_idx]
-    bw = Mat([_vecmat(g, weight) for g in unit_rows], cols=m)
-    unit_solver = _LeftSolver(bw)  # factors bw once, for every settle
-    images = {i: _vecmat(gens[i], weight) for i in point_idx}
-    costs = {
-        i: sum(lam[t] * images[i][t] for t in range(m)) for i in point_idx
-    }
-    budget = sum(lam[t] * v[t] for t in range(m))
-
-    found = {}
-
-    def settle(current, counts):
-        """Solve the residual weight in the unit lattice; record a hit."""
-        cur_w = _vecmat(current, weight)
-        z = tuple(a - b for a, b in zip(v, cur_w))
-        if unit_rows:
-            coeffs = unit_solver.solve([z])[0]
-            if coeffs is None:
-                return
-        else:
-            if any(z):
-                return
-            coeffs = ()
-        x = list(current)
-        cert = list(counts)
-        for ci, gi_idx in zip(coeffs, unit_idx):
-            g = gens[gi_idx]
-            for t in range(rank):
-                x[t] += ci * g[t]
-            if ci >= 0:
-                cert[gi_idx] += ci
-            else:
-                cert[partner[gi_idx]] += -ci
-        x = tuple(x)
-        if x not in found:
-            found[x] = tuple(cert)
-
-    def rec(pos, remaining, current, counts):
-        if limit is not None and len(found) >= limit:
-            return
-        if pos == len(point_idx):
-            settle(current, counts)
-            return
-        i = point_idx[pos]
-        cost = costs[i]
-        cmax = int(remaining / cost)
-        g = gens[i]
-        for c in range(cmax + 1):
-            if limit is not None and len(found) >= limit:
-                return
-            counts[i] = c
-            rec(
-                pos + 1,
-                remaining - c * cost,
-                tuple(cu + c * gv for cu, gv in zip(current, g)),
-                counts,
-            )
-        counts[i] = 0
-
-    if budget >= 0 or not point_idx:
-        rec(0, budget if budget >= 0 else Fraction(0), tuple([0] * rank), [0] * len(gens))
-    return sorted(found.items())
+    return _FiberSearch(gens, weight)(v, limit)
 
 
 def weight_tuples(monoid, v, length):
     """All ``length``-tuples of monoid elements summing to ``v``.
 
     This is the fiber enumeration for the product monoid ``M^length`` with
-    the summing map; it returns plain tuples of vectors, sorted.
+    the summing map, by the search the monoid keeps for ``length``; it
+    returns plain tuples of vectors, sorted.
     """
     if length == 0:
         return [()] if not any(tuple(v)) else []
     rank = monoid.rank
-    gens = kron(Mat.identity(length), Mat(monoid.generators, cols=rank)).data
-    big_weight = kron(Mat([[1]] * length, cols=1), Mat.identity(rank))
-    pairs = _enumerate_fiber(gens, big_weight, v)
+    pairs = monoid._search(length)(v)
     out = []
     for x, _cert in pairs:
         out.append(tuple(x[s * rank : (s + 1) * rank] for s in range(length)))
@@ -692,7 +782,7 @@ def pointedness_functional(monoid):
     For a monoid without units this gives the bound ``sum of certificate
     multiplicities <= floor(lam . v)`` used to certify truncations.
     """
-    _, _, _, lam = _weight_data(monoid.generators, Mat.identity(monoid.rank))
+    _, _, _, lam, *_ = monoid._search(1).plan()
     return lam
 
 

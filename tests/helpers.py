@@ -8,6 +8,7 @@ objects the tests draw from.
 
 import functools
 from dataclasses import dataclass
+from fractions import Fraction
 
 from thrcalc import dihedral
 from thrcalc.cubes import tensor_cube, total_fiber
@@ -25,6 +26,7 @@ from thrcalc.errors import SpecError
 from thrcalc.fgab import (
     ExactnessReport,
     Mat,
+    _vecmat,
     _xgcd,
     group,
     hom,
@@ -49,6 +51,7 @@ from thrcalc.involutive_algebra import (
     RingHom,
     _enumerate_fiber,
     _unit_vec,
+    _weight_data,
     elements_in_ball,
     make_ring,
 )
@@ -455,6 +458,108 @@ def loop_frobenius(ring2):
                     f"frobenius: matrix disagrees with squaring at {x}"
                 )
     return phi
+
+
+# The weight-fiber search as it was before it ran on integers: Fraction
+# costs and budget, every count looped up to ``int(remaining / cost)``,
+# the weight data computed on every call.
+
+
+def fraction_enumerate_fiber(gens, weight, v, limit=None):
+    """``_enumerate_fiber`` in ``Fraction`` arithmetic, statement for
+    statement as it was, except that each settle calls ``solve_left``
+    (the same solutions, from a factorization of its own)."""
+    v = tuple(v)
+    rank = len(gens[0]) if gens else weight.rows
+    m = weight.cols
+    if weight.rows != rank or len(v) != m:
+        raise SpecError(
+            f"weight map shape {weight.rows} x {weight.cols} does not match "
+            f"ambient rank {rank} and target {v}"
+        )
+    if not gens:
+        return [(tuple([0] * rank), ())] if not any(v) else []
+
+    unit_idx, partner, point_idx, lam = _weight_data(gens, weight)
+    unit_rows = [gens[i] for i in unit_idx]
+    bw = Mat([_vecmat(g, weight) for g in unit_rows], cols=m)
+    images = {i: _vecmat(gens[i], weight) for i in point_idx}
+    costs = {
+        i: sum(lam[t] * images[i][t] for t in range(m)) for i in point_idx
+    }
+    budget = sum(lam[t] * v[t] for t in range(m))
+
+    found = {}
+
+    def settle(current, counts):
+        cur_w = _vecmat(current, weight)
+        z = tuple(a - b for a, b in zip(v, cur_w))
+        if unit_rows:
+            coeffs = solve_left(bw, [z])[0]
+            if coeffs is None:
+                return
+        else:
+            if any(z):
+                return
+            coeffs = ()
+        x = list(current)
+        cert = list(counts)
+        for ci, gi_idx in zip(coeffs, unit_idx):
+            g = gens[gi_idx]
+            for t in range(rank):
+                x[t] += ci * g[t]
+            if ci >= 0:
+                cert[gi_idx] += ci
+            else:
+                cert[partner[gi_idx]] += -ci
+        x = tuple(x)
+        if x not in found:
+            found[x] = tuple(cert)
+
+    def rec(pos, remaining, current, counts):
+        if limit is not None and len(found) >= limit:
+            return
+        if pos == len(point_idx):
+            settle(current, counts)
+            return
+        i = point_idx[pos]
+        cost = costs[i]
+        cmax = int(remaining / cost)
+        g = gens[i]
+        for c in range(cmax + 1):
+            if limit is not None and len(found) >= limit:
+                return
+            counts[i] = c
+            rec(
+                pos + 1,
+                remaining - c * cost,
+                tuple(cu + c * gv for cu, gv in zip(current, g)),
+                counts,
+            )
+        counts[i] = 0
+
+    if budget >= 0 or not point_idx:
+        rec(0, budget if budget >= 0 else Fraction(0), tuple([0] * rank), [0] * len(gens))
+    return sorted(found.items())
+
+
+def fraction_weight_tuples(monoid, v, length):
+    """``weight_tuples`` by :func:`fraction_enumerate_fiber`."""
+    if length == 0:
+        return [()] if not any(tuple(v)) else []
+    rank = monoid.rank
+    gens = kron(Mat.identity(length), Mat(monoid.generators, cols=rank)).data
+    big_weight = kron(Mat([[1]] * length, cols=1), Mat.identity(rank))
+    pairs = fraction_enumerate_fiber(gens, big_weight, v)
+    return sorted(tuple(x[s * rank : (s + 1) * rank] for s in range(length))
+                  for x, _cert in pairs)
+
+
+def fraction_contains(monoid, v):
+    """``AffineMonoid.contains`` by :func:`fraction_enumerate_fiber`."""
+    found = fraction_enumerate_fiber(
+        monoid.generators, Mat.identity(monoid.rank), tuple(v), limit=1)
+    return found[0][1] if found else None
 
 
 def reference_snf(m, u_cols=None):

@@ -584,16 +584,36 @@ def test_a_product_computes_each_distinct_row_once(combine_calls):
 
 
 def test_first_nonzero_row_tests_each_distinct_row_once(combine_calls):
-    g = group(2, [[2, 0]])  # Z/2 + Z
+    g = group(2, [[2, 4]])  # Z + Z/2, with a basis change V that is not I
+    assert not g._plain
     combine_calls.clear()
-    rows = Mat([[2, 0], [0, 0], [2, 0], [4, 0], [1, 0], [0, 0], [1, 0]])
+    rows = Mat([[2, 4], [0, 0], [2, 4], [4, 8], [1, 2], [0, 0], [1, 2]])
     assert g._first_nonzero_row(rows) == 4
-    assert sorted(combine_calls) == [(0, 0), (1, 0), (2, 0), (4, 0)]
+    assert sorted(combine_calls) == [(0, 0), (1, 2), (2, 4), (4, 8)]
     # a failing row that repeats an earlier failing row: the first is reported
-    assert g._first_nonzero_row(Mat([[0, 3], [2, 0], [0, 3], [0, 1]])) == 0
-    assert g._first_nonzero_row(Mat([[2, 0], [0, 0], [2, 0], [-2, 0]])) is None
-    with pytest.raises(ValueError, match="shape mismatch"):
-        g._first_nonzero_row(Mat([[1, 0, 0]]))
+    assert g._first_nonzero_row(Mat([[0, 3], [2, 4], [0, 3], [0, 1]])) == 0
+    assert g._first_nonzero_row(Mat([[2, 4], [0, 0], [2, 4], [-2, -4]])) is None
+    # where V is the identity, no row is multiplied by it
+    plain = group(2, [[2, 0]])  # Z/2 + Z
+    assert plain._plain
+    combine_calls.clear()
+    assert plain._first_nonzero_row(Mat([[2, 0], [0, 0], [2, 0], [4, 0], [1, 0]])) == 4
+    assert combine_calls == []
+    for h in (g, plain):
+        with pytest.raises(ValueError, match="shape mismatch"):
+            h._first_nonzero_row(Mat([[1, 0, 0]]))
+
+
+@settings(max_examples=100, deadline=None)
+@given(abelian_groups(), st.data())
+def test_first_nonzero_row_is_the_explicit_product_route(g, data):
+    """The index ``_first_nonzero_row`` finds, with its product by V
+    skipped where V is the identity, is the first row of ``m @ V`` that
+    is not zero modulo the Smith diagonal."""
+    m = data.draw(matrices(data.draw(st.integers(0, 5)), g.n_gens))
+    explicit = next((i for i, row in enumerate((m @ g._v).data)
+                     if any(a % d if d else a for a, d in zip(row, g._diag))), None)
+    assert g._first_nonzero_row(m) == explicit
 
 
 @st.composite

@@ -1,15 +1,24 @@
 """Tests for rings with involution, affine monoids and weight fibers."""
 
+import io
+import sys
+from collections import Counter
+from contextlib import redirect_stdout
+
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from thrcalc import cli, selftest
+from thrcalc import involutive_algebra as ia
 from thrcalc.errors import InfeasibleError, SpecError
 from thrcalc.fgab import FgAbGroup, Mat, group, kron
 from thrcalc.involutive_algebra import (
     AffineMonoid,
     InvolutiveRing,
+    _enumerate_fiber,
     _unit_vec,
+    _weight_data,
     elements_in_ball,
     frobenius,
     is_surjective_on_finite,
@@ -32,6 +41,9 @@ from thrcalc.involutive_algebra import (
 from helpers import (
     MonoidElement,
     elements_of_weight,
+    fraction_contains,
+    fraction_enumerate_fiber,
+    fraction_weight_tuples,
     loop_frobenius,
     loop_make_ring,
     loop_ring_hom,
@@ -472,6 +484,107 @@ def test_product_monoid():
     assert pm.rank == 2
     assert pm.apply_w((3, -4)) == (-3, 4)
     assert pm.contains((5, -5)) is not None
+
+
+# Generator sets with their involutions (None for the identity): N, N^2,
+# N generated by 2 and 3, Z, Z with sigma, N^2 with the swap, Z x N.
+FIBER_CATALOG = [
+    ([(1,)], None),
+    ([(1, 0), (0, 1)], None),
+    ([(2,), (3,)], None),
+    ([(1,), (-1,)], None),
+    ([(1,), (-1,)], [[-1]]),
+    ([(1, 0), (0, 1)], [[0, 1], [1, 0]]),
+    ([(1, 0), (-1, 0), (0, 1)], None),
+]
+
+
+@st.composite
+def generator_sets(draw):
+    """A catalog entry, or up to three generators in ``N^rank`` (rank at
+    most 3, entries at most 3) beside up to two unit pairs ``+-e_i``, with
+    the identity involution."""
+    if draw(st.booleans()):
+        return draw(st.sampled_from(FIBER_CATALOG))
+    rank = draw(st.integers(1, 3))
+    vector = st.tuples(*[st.integers(0, 3)] * rank).filter(any)
+    gens = draw(st.lists(vector, min_size=1, max_size=3))
+    for i in draw(st.lists(st.integers(0, rank - 1), unique=True, max_size=2)):
+        unit = _unit_vec(rank, i)
+        gens += [unit, tuple(-c for c in unit)]
+    return gens, None
+
+
+def _outcome(search, *args):
+    """What ``search`` returns, or the message of its ``InfeasibleError``."""
+    try:
+        return search(*args)
+    except InfeasibleError as exc:
+        return f"InfeasibleError: {exc}"
+
+
+@settings(max_examples=150, deadline=None)
+@given(generator_sets(), st.data())
+def test_fiber_search_matches_the_fraction_search(spec, data):
+    """The integer search gives what the ``Fraction`` search of
+    ``tests/helpers.py`` gives: the sorted ``(vector, certificate)`` pairs
+    and the ``limit=1`` certificate of ``_enumerate_fiber`` under a small
+    weight map, ``weight_tuples`` at several lengths and ``contains`` on
+    one monoid (so its memoized searches are read again), the pointedness
+    functional, and each ``InfeasibleError`` message."""
+    gens, w = spec
+    rank = len(gens[0])
+    m = data.draw(st.integers(1, 2))
+    weight = data.draw(st.sampled_from([
+        Mat.identity(rank),
+        Mat(data.draw(st.lists(st.lists(st.integers(-1, 2), min_size=m, max_size=m),
+                               min_size=rank, max_size=rank)), cols=m),
+    ]))
+    v = data.draw(st.tuples(*[st.integers(-2, 3)] * weight.cols))
+    for limit in (None, 1):
+        assert _outcome(_enumerate_fiber, gens, weight, v, limit) == _outcome(
+            fraction_enumerate_fiber, gens, weight, v, limit)
+
+    try:
+        monoid = AffineMonoid(gens, w=w)
+    except InfeasibleError as exc:  # a generator in the unit span
+        assert f"InfeasibleError: {exc}" == _outcome(
+            fraction_enumerate_fiber, gens, Mat.identity(rank), gens[0], 1)
+        return
+    assert _outcome(pointedness_functional, monoid) == _outcome(
+        lambda: _weight_data(monoid.generators, Mat.identity(rank))[3])
+    point = st.tuples(*[st.integers(-1, 2)] * rank)
+    for length in data.draw(st.lists(st.integers(0, 3), min_size=1, max_size=4)):
+        u = data.draw(point)
+        assert _outcome(weight_tuples, monoid, u, length) == _outcome(
+            fraction_weight_tuples, monoid, u, length)
+        assert monoid.contains(u) == fraction_contains(monoid, u)
+
+
+def test_each_monoid_computes_its_weight_data_once_per_length(monkeypatch):
+    """Under ``nerve monoid_nat --weight 6 --homology --fixed-pi0`` and
+    ``selftest.run_all()``, ``_weight_data`` runs at most once per monoid
+    object and tuple length (the length is the weight map's height over
+    the rank); the monoid is the nearest one on the stack."""
+    calls = Counter()  # holds the monoids, so their ids are not reused
+    real = ia._weight_data
+
+    def recording(gens, weight):
+        frame = sys._getframe(1)
+        while not any(isinstance(x, AffineMonoid) for x in frame.f_locals.values()):
+            frame = frame.f_back
+        monoid = next(x for x in frame.f_locals.values() if isinstance(x, AffineMonoid))
+        calls[monoid, weight.rows // monoid.rank] += 1
+        return real(gens, weight)
+
+    monkeypatch.setattr(ia, "_weight_data", recording)
+    with redirect_stdout(io.StringIO()):
+        assert cli.main(["nerve", "tests/data/monoid_nat.yaml", "--weight", "6",
+                         "--homology", "--fixed-pi0"]) == 0
+        assert all(outcome.ok for outcome in selftest.run_all())
+    monkeypatch.undo()
+    assert {length for _, length in calls} >= {1, 2}  # the recording sees the searches
+    assert max(calls.values()) == 1
 
 
 @settings(max_examples=60, deadline=None)
