@@ -293,20 +293,26 @@ def _induced_fiber_map(q_cube, direction):
 
 def tfib_recursion_check(q_cube):
     """For each direction: tfib(cube) -> tfib(front) -> tfib(back) is a fiber
-    sequence on homology, verified through the induced map of fibers."""
+    sequence on homology, verified through the induced map of fibers.
+
+    The groups of the sequences and of the iterated fibers are presented
+    on cycle bases, each distinct ``_presentation_key`` once per call: the
+    faces of one cube repeat their differentials.  ``homology(tfib, q)``,
+    the second route, reads the elementary divisors of tfib alone."""
     tfib = total_fiber(q_cube)
+    shared = {}  # presentations by content, for this call only
     results = []
     for direction in range(q_cube.dimension):
         fib = mapping_fiber(_induced_fiber_map(q_cube, direction))
         iterated = fib.complex
-        les = fiber_les_report(fib)
+        les = fiber_les_report(fib, shared)
         lo = tfib.lo
         hi = tfib.hi
         if iterated.support:
             lo = min(lo, iterated.lo)
             hi = max(hi, iterated.hi)
         match = all(
-            homology(tfib, q) == _homology_data(iterated, q)[0]
+            homology(tfib, q) == _homology_data(iterated, q, shared)[0]
             for q in range(lo, hi + 1)
         )
         results.append((direction, match, les.ok))

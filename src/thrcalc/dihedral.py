@@ -1121,12 +1121,13 @@ def _periodic_tuples(monoid, total, r, period):
     return [b * r for b in weight_tuples(monoid, block, period)]
 
 
-def power_map_fixed_iso_check(j, r, q_max):
+def power_map_fixed_iso_check(nat, j, r, q_max):
     """Verify that r-fold concatenation identifies the weight-``j`` nerve
-    piece of the nonnegative integers with the ``C_r``-fixed simplices of
-    the r-fold subdivision of the weight-``rj`` piece, compatibly with all
-    structure maps — and that the fixed simplices are empty for the
-    weights strictly between multiples of ``r``.
+    piece of the nonnegative integers ``nat`` (``monoid_nat()``, passed in
+    so that callers share its weight-fiber memo) with the ``C_r``-fixed
+    simplices of the r-fold subdivision of the weight-``rj`` piece,
+    compatibly with all structure maps — and that the fixed simplices are
+    empty for the weights strictly between multiples of ``r``.
 
     A simplex of ``sd_r`` is fixed by its rotation exactly when its entries
     repeat with period ``q + 1``, so the fixed simplices are enumerated as
@@ -1134,11 +1135,8 @@ def power_map_fixed_iso_check(j, r, q_max):
     weight and ``sub.rotate(q, s) == s`` before the comparison with the
     image of the power map.
     """
-    from .involutive_algebra import monoid_nat
-
     if j < 0 or r < 1:
         raise SpecError("need j >= 0 and r >= 1")
-    nat = monoid_nat()
     big_depth = r * (q_max + 1) - 1
     small = dihedral_nerve_piece(nat, ((j,),), q_max)
     big = dihedral_nerve_piece(nat, ((r * j,),), big_depth)

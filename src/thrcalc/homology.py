@@ -22,7 +22,12 @@ maps induce, and the mapping fiber of a chain map comes with the map and
 an exactness check for the resulting long sequence; its projection to
 the source is built where it is read.  Both routes are memoized on the
 complex: each differential is reduced, and each degree presented, at
-most once.
+most once.  The presentation alone can also be shared between complexes
+by content, through a table that a caller keeps for one computation
+(``cubes.tfib_recursion_check`` keeps one per call): it is a function of
+the ranks and differentials around its degree, so complexes that agree
+there get the same one.  The divisor route is never shared, so it stays
+a check on the presentations.
 """
 
 from __future__ import annotations
@@ -227,15 +232,57 @@ def _stored(x, q):
 # ---------------------------------------------------------------------------
 
 
-def _homology_data(c, q):
+def _homology_data(c, q, shared=None):
     """The homology group at ``q``, the cycle basis (rows in ``C_q``) on
     which it is presented and a ``_LeftSolver`` for that basis, memoized on
     ``c``: the basis is factored at most once, for the relations and for
-    every map into this degree's homology."""
+    every map into this degree's homology.
+
+    ``shared``, a dict kept by the caller, also shares presentations
+    between complexes: a degree whose ``_presentation_key`` is in it gets
+    the same ``(group, cycle basis, solver)``, and a new one is stored
+    there as well as on ``c``.  This is sound because ``_presentation``
+    reads nothing of ``c`` but what the key holds, so the shared triple is
+    the one it would build for ``c``; its solver is then factored once for
+    every complex that has it."""
     found = c._presented.get(q)
     if found is None:
-        found = c._presented[q] = _presentation(c, q)
+        if shared is None:
+            found = _presentation(c, q)
+        else:
+            key = _presentation_key(c, q)
+            found = shared.get(key)
+            if found is None:
+                found = shared[key] = _presentation(c, q)
+        c._presented[q] = found
     return found
+
+
+def _presentation_key(c, q):
+    """All that ``_presentation(c, q)`` reads of ``c``, as a hashable key:
+    the ranks in degrees ``q - 1``, ``q`` and ``q + 1`` and the sparse rows
+    of ``d_q`` and ``d_{q+1}``; every degree of rank 0 has the one key
+    ``()``, since its presentation reads nothing."""
+    if not c.rank(q):
+        return ()
+    return (c.rank(q - 1), c.rank(q), c.rank(q + 1),
+            _frozen_rows(c, q), _frozen_rows(c, q + 1))
+
+
+def _frozen_rows(c, q):
+    """The stored sparse rows of ``d_q`` as one flat tuple, each row's
+    length and then its ``column, entry`` pairs in stored order (None if
+    zero).  Equal tuples mean equal rows; one flat tuple per matrix keeps
+    a key far smaller than a set per row would."""
+    rows = c._rows.get(q)
+    if rows is None:
+        return None
+    flat = []
+    for row in rows:
+        flat.append(len(row))
+        for item in row.items():
+            flat.extend(item)
+    return tuple(flat)
 
 
 def _presentation(c, q):
@@ -464,10 +511,11 @@ def identity_chain_map(c):
     return ChainMap(c, c, {q: _identity_rows(c.rank(q)) for q in c.support})
 
 
-def induced_hom(f, q):
-    """The homomorphism on degree-``q`` homology induced by a chain map."""
-    hs, cycles_s, _ = _homology_data(f.source, q)
-    ht, cycles_t, solver = _homology_data(f.target, q)
+def induced_hom(f, q, shared=None):
+    """The homomorphism on degree-``q`` homology induced by a chain map;
+    ``shared`` is passed to ``_homology_data``."""
+    hs, cycles_s, _ = _homology_data(f.source, q, shared)
+    ht, cycles_t, solver = _homology_data(f.target, q, shared)
     images = (cycles_s @ f.map(q)).data
     rows = solver.solve(images) if cycles_t.rows else [()] * len(images)
     for image, coeffs in zip(images, rows):
@@ -524,13 +572,14 @@ def mapping_fiber(f):
     return MappingFiber(f, fib)
 
 
-def connecting_hom(fib, q):
+def connecting_hom(fib, q, shared=None):
     """The map ``H_{q+1}(target) -> H_q(fiber)`` sending a cycle ``z`` to
     ``(0, z)``; with the projection and the map itself this makes the
-    homology of the fiber sequence exact."""
+    homology of the fiber sequence exact.  ``shared`` is passed to
+    ``_homology_data``."""
     f = fib.map
-    ht, cycles_t, _ = _homology_data(f.target, q + 1)
-    hf, cycles_f, solver = _homology_data(fib.complex, q)
+    ht, cycles_t, _ = _homology_data(f.target, q + 1, shared)
+    hf, cycles_f, solver = _homology_data(fib.complex, q, shared)
     pad = (0,) * f.source.rank(q)
     vecs = [pad + row for row in cycles_t.data]
     rows = solver.solve(vecs) if cycles_f.rows else [()] * len(vecs)
@@ -539,18 +588,19 @@ def connecting_hom(fib, q):
     return hom(ht, hf, Mat(rows, cols=cycles_f.rows))
 
 
-def fiber_les_report(fib):
+def fiber_les_report(fib, shared=None):
     """Exactness of the long sequence
     ``... -> H_{q+1}(D) -> H_q(fib) -> H_q(C) -> H_q(D) -> ...``
     of the fiber ``fib`` of ``fib.map: C -> D``, over the support range of
-    the fiber, widened by one on each side."""
+    the fiber, widened by one on each side.  Every group is presented by
+    ``_homology_data``, which ``shared`` is passed to."""
     lo, hi = fib.complex.lo - 1, fib.complex.hi + 1
     proj = fib.proj
     seq = []
     for q in range(hi, lo - 1, -1):
-        seq.append(connecting_hom(fib, q))
-        seq.append(induced_hom(proj, q))
-        seq.append(induced_hom(fib.map, q))
+        seq.append(connecting_hom(fib, q, shared))
+        seq.append(induced_hom(proj, q, shared))
+        seq.append(induced_hom(fib.map, q, shared))
     return is_exact(seq)
 
 

@@ -220,9 +220,10 @@ def _criterion_nerve_homology_and_fixed_points():
 
 
 def _criterion_power_maps():
+    nat = monoid_nat()
     for j in range(0, 4):
         for r in range(1, 4):
-            witness = power_map_fixed_iso_check(j, r, 3)
+            witness = power_map_fixed_iso_check(nat, j, r, 3)
             if not witness.ok:
                 return False, f"(j={j}, r={r}): {witness.detail}"
     return True, "all (j, r) with 0 <= j <= 3, 1 <= r <= 3 at depth 3"
@@ -426,10 +427,11 @@ def _criterion_structural_suites():
         report = tfib_recursion_check(cube)
         if not report.ok:
             return False, f"recursion fails on random cube {index}: {report.detail}"
+    nat = monoid_nat()
     pairs = (
-        (monoid_nat(), monoid_nat(), ((1,), (1,)), 3, None),
-        (monoid_nat(), trivial_monoid(), ((2,), (0,)), 3, None),
-        (monoid_nat(), monoid_int_sigma(), ((2,), (0,)), 2, 4),
+        (nat, nat, ((1,), (1,)), 3, None),
+        (nat, trivial_monoid(), ((2,), (0,)), 3, None),
+        (nat, monoid_int_sigma(), ((2,), (0,)), 2, 4),
     )
     for m, l, pair, q_max, window in pairs:
         witness = shuffle_iso_check(m, l, pair, q_max, window=window)

@@ -1,6 +1,7 @@
 """Tests for cube diagrams, total fibers and the projective-space reports."""
 
 import io
+import random
 import sys
 from collections import Counter
 from contextlib import redirect_stdout
@@ -55,6 +56,7 @@ from thrcalc.homology import (
 from thrcalc.involutive_algebra import pointedness_functional
 
 from helpers import smash_cube_check
+from test_sparse_homology import torsion_complexes
 
 Z = free_group(1)
 
@@ -311,18 +313,152 @@ def test_recursion_check_fails_on_a_wrong_group(monkeypatch):
     assert "homology != iterated fiber" in report.detail
 
 
+def _content(c, q):
+    """What ``_presentation(c, q)`` reads of ``c``, written out apart from
+    ``homology._presentation_key``: the ranks around ``q`` and the dense
+    differentials at ``q`` and ``q + 1``; nothing in a degree of rank 0."""
+    if not c.rank(q):
+        return ()
+    return c.rank(q - 1), c.rank(q), c.rank(q + 1), c.diff(q), c.diff(q + 1)
+
+
 def test_recursion_check_presents_each_group_once(monkeypatch):
-    built = []
+    """Under ``selftest.run_all()``, each ``tfib_recursion_check`` presents
+    each degree of each complex at most once, and each content at most
+    once: complexes with the same ranks and differentials around a degree
+    share one presentation within a check."""
+    checks, current = [], [None]
     present = homology_module._presentation
+    real_check = cubes.tfib_recursion_check
 
     def counting(c, q):
-        built.append((c, q))  # holds c, so no other complex takes its id
+        if current[0] is not None:
+            current[0].append((c, q))  # holds c, so no other complex takes its id
         return present(c, q)
 
+    def check(cube):
+        current[0] = []
+        checks.append(current[0])
+        try:
+            return real_check(cube)
+        finally:
+            current[0] = None
+
     monkeypatch.setattr(homology_module, "_presentation", counting)
-    assert tfib_recursion_check(origin_cube(2)).ok
-    keys = [(id(c), q) for c, q in built]
-    assert keys and len(keys) == len(set(keys))
+    monkeypatch.setattr(selftest, "tfib_recursion_check", check)
+    with redirect_stdout(io.StringIO()):
+        assert all(outcome.ok for outcome in selftest.run_all())
+    monkeypatch.undo()
+    assert len(checks) == 50 and all(checks)
+    for built in checks:
+        keys = [(id(c), q) for c, q in built]
+        assert len(keys) == len(set(keys))
+        contents = Counter(_content(c, q) for c, q in built)
+        assert max(contents.values()) == 1
+
+
+def test_each_check_keeps_its_own_presentations(monkeypatch):
+    """The shared presentations live for one check: a second check of an
+    equal cube presents as many groups as the first.  The second route,
+    ``homology(tfib, q)``, reads tfib's elementary divisors and never a
+    presentation."""
+    counts, fibers = [], []
+    present = homology_module._presentation
+    real_total = cubes.total_fiber
+
+    def counting(c, q):
+        counts[-1] += 1
+        return present(c, q)
+
+    def total(q_cube):
+        fibers.append(real_total(q_cube))
+        return fibers[-1]
+
+    monkeypatch.setattr(homology_module, "_presentation", counting)
+    monkeypatch.setattr(cubes, "total_fiber", total)
+    for _ in range(2):
+        counts.append(0)
+        assert tfib_recursion_check(origin_cube(2)).ok
+    assert counts[0] == counts[1] > 0
+    assert len(fibers) == 2
+    assert all(tfib._divisors and not tfib._presented for tfib in fibers)
+
+
+def _fresh(c):
+    """A new complex equal to ``c``, with no memo."""
+    return ChainComplex({q: c.rank(q) for q in c.support}, dict(c._rows))
+
+
+def _scalar(c, k):
+    return ChainMap(c, c, {q: [{i: k} for i in range(c.rank(q))] for q in c.support})
+
+
+@st.composite
+def shared_table_cases(draw):
+    """A recipe for a fresh cube or mapping fiber on each call: a cube of
+    ``selftest.random_small_cubes``, the tensor square or the 1-cube of
+    scalar maps on small random complexes with torsion, or the mapping
+    fiber of a scalar map on one."""
+    kind = draw(st.sampled_from(["zoo", "tensor", "line", "fiber"]))
+    if kind == "zoo":
+        seed = draw(st.integers(0, 2**16))
+        return kind, lambda: selftest.random_small_cubes(random.Random(seed), 1)[0]
+    # small factors: see complexes_to_clear in test_sparse_homology.py
+    n, size = (2, 3) if kind == "tensor" else (1, 6)
+    drawn = [(draw(torsion_complexes(top=2, size=size))[0], draw(st.integers(-3, 3)))
+             for _ in range(n)]
+
+    def scalars():
+        return [_scalar(_fresh(c), k) for c, k in drawn]
+
+    if kind == "tensor":
+        return kind, lambda: tensor_cube(scalars())
+    if kind == "line":
+        return kind, lambda: cube_of_map(scalars()[0])
+    return kind, lambda: mapping_fiber(scalars()[0])
+
+
+@settings(max_examples=60, deadline=None)
+@given(shared_table_cases())
+def test_shared_presentations_change_no_verdict(case):
+    """``tfib_recursion_check`` and ``fiber_les_report`` give the same
+    verdict and detail with the shared table as without it; every complex
+    that reads the table gets what a fresh ``_presentation`` builds for it
+    (the same relations and cycle basis), and complexes that share a key
+    have the same content."""
+    kind, build = case
+    lookups, tables = [], []
+    real_key = homology_module._presentation_key
+    real_les = homology_module.fiber_les_report
+
+    def key(c, q):
+        lookups.append((c, q, real_key(c, q)))
+        return lookups[-1][2]
+
+    def les(fib, shared):
+        tables.append(shared)
+        return real_les(fib, shared)
+
+    with pytest.MonkeyPatch.context() as mp:
+        mp.setattr(homology_module, "_presentation_key", key)
+        mp.setattr(cubes, "fiber_les_report", les)
+        got = les(build(), {}) if kind == "fiber" else tfib_recursion_check(build())
+    with pytest.MonkeyPatch.context() as mp:
+        mp.setattr(cubes, "fiber_les_report", lambda fib, shared: real_les(fib))
+        mp.setattr(cubes, "_homology_data",
+                   lambda c, q, shared: homology_module._homology_data(c, q))
+        want = real_les(build()) if kind == "fiber" else tfib_recursion_check(build())
+    assert (got.ok, got.detail) == (want.ok, want.detail)
+    assert tables and all(table is tables[0] for table in tables)
+    by_key = {}
+    for c, q, k in lookups:
+        assert c._presented[q] is tables[0][k]
+        group_, cycles, _ = c._presented[q]
+        fresh_group, fresh_cycles, _ = homology_module._presentation(c, q)
+        assert group_.relations == fresh_group.relations
+        assert cycles == fresh_cycles
+        by_key.setdefault(k, set()).add(_content(c, q))
+    assert all(len(contents) == 1 for contents in by_key.values())
 
 
 # ---------------------------------------------------------------------------

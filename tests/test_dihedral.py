@@ -450,30 +450,30 @@ def test_fixed_subset_closure_failure_is_a_certificate_error():
 
 
 def test_power_map_weight_one_square():
-    witness = power_map_fixed_iso_check(1, 2, 2)
+    witness = power_map_fixed_iso_check(NAT, 1, 2, 2)
     assert witness.ok, witness.detail
     assert witness.degree_counts == (1, 2, 3)
     assert witness.empty_weights == (3,)
 
 
 def test_power_map_weight_zero():
-    witness = power_map_fixed_iso_check(0, 3, 2)
+    witness = power_map_fixed_iso_check(NAT, 0, 3, 2)
     assert witness.ok, witness.detail
     assert witness.degree_counts == (1, 1, 1)
     assert witness.empty_weights == (1, 2)
 
 
 def test_power_map_degenerate_order_one():
-    witness = power_map_fixed_iso_check(2, 1, 2)
+    witness = power_map_fixed_iso_check(NAT, 2, 1, 2)
     assert witness.ok, witness.detail
     assert witness.empty_weights == ()
 
 
 def test_power_map_rejects_bad_arguments():
     with pytest.raises(SpecError):
-        power_map_fixed_iso_check(-1, 2, 2)
+        power_map_fixed_iso_check(NAT, -1, 2, 2)
     with pytest.raises(SpecError):
-        power_map_fixed_iso_check(1, 0, 2)
+        power_map_fixed_iso_check(NAT, 1, 0, 2)
 
 
 # ---------------------------------------------------------------------------
@@ -490,7 +490,7 @@ def _sign_splitting():
 
 
 def _power_map():
-    return power_map_fixed_iso_check(1, 2, 2)
+    return power_map_fixed_iso_check(NAT, 1, 2, 2)
 
 
 @pytest.mark.parametrize("check, broken_piece, attr, detail", [

@@ -168,7 +168,7 @@ def test_direct_fixed_tuples_match_the_filtered_subdivision(j, r, q_max):
         for weight in range(r * j + 1, r * j + r):
             direct = _periodic_tuples(NAT, (weight,), r, q + 1)
             assert direct == _composition_scan(weight, slots, q + 1) == []
-    witness = power_map_fixed_iso_check(j, r, q_max)
+    witness = power_map_fixed_iso_check(NAT, j, r, q_max)
     assert witness.ok, witness.detail
     assert witness.degree_counts == tuple(counts)
     assert witness.empty_weights == tuple(range(r * j + 1, r * j + r))
