@@ -61,7 +61,13 @@ from .involutive_algebra import (
     ring_map_from_description,
 )
 from .selftest import run_all
-from .thr_pi0 import alpha_report, pi0_thr, ses_check, verify_base_change
+from .thr_pi0 import (
+    alpha_report,
+    mod2_frobenius,
+    pi0_thr,
+    ses_check,
+    verify_base_change,
+)
 
 SCHEMA_VERSION = 1
 
@@ -122,8 +128,9 @@ def cmd_pi0thr(args):
     path = args.ring
     ring = ring_from_description(_load(path), where=path)
     result = pi0_thr(ring)
-    alpha = alpha_report(result)
-    ses = ses_check(result)
+    frob = mod2_frobenius(ring)
+    alpha = alpha_report(result, frob)
+    ses = ses_check(result, frob)
     mk = result.mackey
     payload = {
         "schema_version": SCHEMA_VERSION,

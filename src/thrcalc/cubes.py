@@ -15,10 +15,10 @@ replacement of one by a finite model is recorded by name in the report
 entry that used it (the ``substitutions`` field).
 """
 
-from dataclasses import dataclass
 from itertools import combinations, product
 from math import comb
 from types import SimpleNamespace
+from typing import NamedTuple
 
 from .dihedral import circle_model, dihedral_nerve_piece, pointedness_bound
 from .errors import CertificateError, SpecError
@@ -264,8 +264,7 @@ def total_fiber(q_cube):
 # ---------------------------------------------------------------------------
 
 
-@dataclass(frozen=True)
-class RecursionReport:
+class RecursionReport(NamedTuple):
     ok: bool
     detail: str
 
@@ -374,8 +373,7 @@ def _compound_matrices(a, reduced):
 # ---------------------------------------------------------------------------
 
 
-@dataclass(frozen=True)
-class WeightEntry:
+class WeightEntry(NamedTuple):
     weight: object
     chart: str
     method: str
@@ -384,8 +382,7 @@ class WeightEntry:
     acyclic: bool
 
 
-@dataclass(frozen=True)
-class P1Report:
+class P1Report(NamedTuple):
     window: int
     entries: tuple
     ok: bool
@@ -422,6 +419,7 @@ def p1_report(window):
     construction and the answer rests on ``SUB_POSITIVE_CONE`` alone."""
     if window < 1:
         raise SpecError("weight window must be at least 1")
+    charts = {sign: _nat_chart(sign) for sign in (1, -1)}
     entries = []
     for j in range(-window, window + 1):
         if j == 0:
@@ -433,7 +431,7 @@ def p1_report(window):
         else:
             sign = 1 if j > 0 else -1
             chart = "x >= 0" if j > 0 else "x <= 0"
-            piece = _nerve_piece_chains(_nat_chart(sign), (j,)).complex
+            piece = _nerve_piece_chains(charts[sign], (j,)).complex
             empty = ChainComplex({}, {})
             square = cospan_square(
                 identity_chain_map(piece), ChainMap(empty, piece, {})
@@ -466,16 +464,14 @@ def p1_report(window):
 # ---------------------------------------------------------------------------
 
 
-@dataclass(frozen=True)
-class SummandEntry:
+class SummandEntry(NamedTuple):
     name: str
     input_degree: int
     homology: dict
     label: str
 
 
-@dataclass(frozen=True)
-class PsigmaReport:
+class PsigmaReport(NamedTuple):
     cartesian: bool
     mutation_breaks: bool
     summands: tuple
@@ -594,8 +590,7 @@ def psigma_report():
 # ---------------------------------------------------------------------------
 
 
-@dataclass(frozen=True)
-class HMapReport:
+class HMapReport(NamedTuple):
     homology: dict
     ok: bool
 
@@ -661,16 +656,20 @@ def _in_chart(n, missing, v):
     return True
 
 
-def _substituted_weight_cube(n, v, positives):
+def _substituted_weight_cube(n, v, positives, charts=None):
     """The chart cube at weight ``v`` after replacing every entry by its
     image under the cone equivalences in the positive directions.
 
     Only called when the positive directions determine a single chart, so
     that every remaining entry is either empty or a finite piece of that
-    chart's nerve.
+    chart's nerve.  ``charts`` holds the chart monoids of ``P^n`` already
+    built by the caller, by missing direction; the one built here joins it.
     """
     missing = next(m for m in range(1, n + 2) if m not in positives)
-    monoid = chart_monoid(n, missing)
+    charts = {} if charts is None else charts
+    if missing not in charts:
+        charts[missing] = chart_monoid(n, missing)
+    monoid = charts[missing]
     if not _in_chart(n, missing, v):
         raise CertificateError(f"weight {v} escaped its certified chart")
     piece = _nerve_piece_chains(monoid, v).complex
@@ -710,8 +709,7 @@ def origin_cube(n):
     return CubeDiagram(n + 1, lambda eps: torus_model(bases[eps].rows, reduced=True), edge)
 
 
-@dataclass(frozen=True)
-class OriginEntry:
+class OriginEntry(NamedTuple):
     homology: dict
     assembled_rank: int
     parity_ok: bool
@@ -719,8 +717,7 @@ class OriginEntry:
     ok: bool
 
 
-@dataclass(frozen=True)
-class PnReport:
+class PnReport(NamedTuple):
     n: int
     window: int
     entries: tuple
@@ -745,6 +742,7 @@ def pn_report(n, window):
         raise SpecError("n must be between 1 and 4")
     if window < 1:
         raise SpecError("weight window must be at least 1")
+    charts = {}  # chart monoids by missing direction, for this call only
     entries = []
     ok = True
     for v in product(range(-window, window + 1), repeat=n):
@@ -757,7 +755,7 @@ def pn_report(n, window):
             )
         chart = f"direction {positives[0]}"
         if len(positives) >= n and sum(abs(x) for x in v) <= 3:
-            cube = _substituted_weight_cube(n, v, positives)
+            cube = _substituted_weight_cube(n, v, positives, charts)
             fib = total_fiber(cube)
             table = homology_table(fib, fib.support)
             entry = WeightEntry(

@@ -38,9 +38,9 @@ tuples instead.
 from __future__ import annotations
 
 from collections.abc import Sequence
-from dataclasses import dataclass
 from math import comb
 from operator import add
+from typing import NamedTuple
 
 from .errors import CertificateError, InfeasibleError, SpecError
 from .involutive_algebra import (
@@ -251,8 +251,7 @@ class TruncDihedralSet:
 # ---------------------------------------------------------------------------
 
 
-@dataclass(frozen=True)
-class StructureReport:
+class StructureReport(NamedTuple):
     ok: bool
     detail: str = "all identities hold"
 
@@ -990,8 +989,7 @@ def pi0(x):
 # ---------------------------------------------------------------------------
 
 
-@dataclass(frozen=True)
-class ComparisonWitness:
+class ComparisonWitness(NamedTuple):
     ok: bool
     degree_counts: tuple
     detail: str = "bijective and structure-compatible"
@@ -1100,8 +1098,7 @@ def shuffle_iso_check(m, l, pair, q_max, window=None):
 # ---------------------------------------------------------------------------
 
 
-@dataclass(frozen=True)
-class PowerMapWitness:
+class PowerMapWitness(NamedTuple):
     ok: bool
     degree_counts: tuple
     empty_weights: tuple

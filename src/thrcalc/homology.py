@@ -33,8 +33,8 @@ a check on the presentations.
 from __future__ import annotations
 
 from collections import defaultdict
-from dataclasses import dataclass
 from heapq import heapify, heappop, heappush
+from typing import NamedTuple
 
 from .errors import CertificateError, SpecError
 from .fgab import (
@@ -531,8 +531,7 @@ def induced_hom(f, q, shared=None):
 # ---------------------------------------------------------------------------
 
 
-@dataclass(frozen=True)
-class MappingFiber:
+class MappingFiber(NamedTuple):
     """The fiber ``complex`` of ``map: C -> D``; ``proj``, its projection
     to ``C``, is built from sparse identity rows on each read."""
 
@@ -674,8 +673,7 @@ def _tensor_matrices(f, g):
 # ---------------------------------------------------------------------------
 
 
-@dataclass(frozen=True)
-class SimplicialChains:
+class SimplicialChains(NamedTuple):
     complex: ChainComplex
     basis: tuple  # per degree, the ordered tuple of basis simplices
     valid_hi: object  # highest degree with correct homology, or None for all

@@ -26,10 +26,10 @@ instead of silently truncating.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
 from fractions import Fraction
 from math import lcm
 from operator import mul
+from typing import NamedTuple
 
 from .errors import InfeasibleError, SpecError
 from .fgab import (
@@ -245,8 +245,7 @@ def _apply(f, xs):
     return f.target._reduce_rows(xs @ f.matrix)
 
 
-@dataclass(frozen=True)
-class RingHom:
+class RingHom(NamedTuple):
     """A checked homomorphism of rings with involution."""
 
     source: InvolutiveRing

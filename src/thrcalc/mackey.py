@@ -21,7 +21,7 @@ exactly and all axioms are re-verified on the result.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
+from typing import NamedTuple
 
 from .errors import SpecError
 from .fgab import (
@@ -45,8 +45,7 @@ from .involutive_algebra import _unit_vec
 double_coset_verifications = 0
 
 
-@dataclass(frozen=True)
-class MackeyZ2:
+class MackeyZ2(NamedTuple):
     """A Mackey functor for the order-two group; build via :func:`make_mackey`."""
 
     e: FgAbGroup
@@ -135,8 +134,7 @@ def burnside_mackey():
 # ---------------------------------------------------------------------------
 
 
-@dataclass(frozen=True)
-class MackeyHom:
+class MackeyHom(NamedTuple):
     """A morphism of Mackey functors; build via :func:`mackey_hom`."""
 
     source: MackeyZ2
@@ -180,8 +178,7 @@ def mackey_direct_sum(m, n):
 # ---------------------------------------------------------------------------
 
 
-@dataclass(frozen=True)
-class ModuleStructure:
+class ModuleStructure(NamedTuple):
     """An action of a ring with involution on both levels of a Mackey
     functor; build via :func:`module_structure`."""
 
@@ -255,8 +252,7 @@ def module_structure(ring, mackey, rows_e, rows_g, where="module"):
     return ms
 
 
-@dataclass(frozen=True)
-class BaseChangeResult:
+class BaseChangeResult(NamedTuple):
     """Levels of a module Mackey functor tensored over the acting ring, each
     presented in ``kron``'s coordinates on (old generator, B generator)."""
 

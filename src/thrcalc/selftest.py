@@ -8,14 +8,15 @@ apart.
 
 import random
 import time
-from dataclasses import dataclass
 from itertools import combinations, product
 from math import gcd
+from typing import NamedTuple
 
 from . import mackey as mackey_module
 from .cubes import (
     CubeDiagram,
     _substituted_weight_cube,
+    comparison,
     cospan_square,
     h_map_cofiber_check,
     origin_cube,
@@ -24,6 +25,7 @@ from .cubes import (
     psigma_report,
     tensor_cube,
     tfib_recursion_check,
+    torus_map,
 )
 from .dihedral import (
     circle_model,
@@ -65,6 +67,7 @@ from .mackey import (
 )
 from .thr_pi0 import (
     alpha_report,
+    mod2_frobenius,
     pi0_thr,
     ses_check,
     unit_comparison,
@@ -73,16 +76,14 @@ from .thr_pi0 import (
 from .mackey import is_mackey_iso
 
 
-@dataclass(frozen=True)
-class Criterion:
+class Criterion(NamedTuple):
     number: int
     name: str
     budget: object  # seconds, or None for untimed checks
     run: object
 
 
-@dataclass(frozen=True)
-class CriterionOutcome:
+class CriterionOutcome(NamedTuple):
     number: int
     name: str
     ok: bool
@@ -127,8 +128,9 @@ def _criterion_integers():
 def _criterion_dual_numbers():
     result = pi0_thr(ring_dual_numbers_F2())
     g = result.mackey.g
-    alpha = alpha_report(result)
-    ses = ses_check(result)  # raises CertificateError on any failure
+    frob = mod2_frobenius(result.ring)
+    alpha = alpha_report(result, frob)
+    ses = ses_check(result, frob)  # raises CertificateError on any failure
     checks = (
         g.free_rank == 0 and g.invariant_factors == (2, 2, 2, 2),
         not alpha.is_iso,
@@ -304,8 +306,6 @@ def _fiber_catalog():
     circle = ChainComplex({0: 1, 1: 1}, {})
     maps.append(ChainMap(point, circle, {0: [[1]]}))
     maps.append(ChainMap(point, point, {0: [[6]]}))
-    from .cubes import comparison, torus_map
-
     maps.append(torus_map(Mat([(2, 0), (1, 3)], cols=2)))
     maps.append(comparison(origin_cube(2)))
     maps.append(comparison(_substituted_weight_cube(2, (1, 1), (1, 2))))
@@ -350,6 +350,7 @@ def random_small_cubes(rng, count):
         ChainMap(point, circle, {0: [[1]]}),
         ChainMap(point, circle, {0: [[1]]}),
     )
+    charts = {}  # the chart monoid of the report cubes, built once
     cubes = []
     while len(cubes) < count:
         kind = rng.randrange(3)
@@ -365,7 +366,7 @@ def random_small_cubes(rng, count):
             if pick == 0:
                 cubes.append(origin_cube(rng.randrange(1, 3)))
             elif pick == 1:
-                cubes.append(_substituted_weight_cube(2, (1, 1), (1, 2)))
+                cubes.append(_substituted_weight_cube(2, (1, 1), (1, 2), charts))
             else:
                 cubes.append(cospan_square(*legs))
     return cubes

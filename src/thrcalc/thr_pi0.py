@@ -26,7 +26,7 @@ independently and any disagreement raises :class:`CertificateError`.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
+from typing import NamedTuple
 
 from .errors import CertificateError, SpecError
 from .fgab import (
@@ -84,8 +84,7 @@ def t_span_rows(ring):
     return -_slide_rows(ring, coeffs)
 
 
-@dataclass(frozen=True)
-class Pi0Thr:
+class Pi0Thr(NamedTuple):
     """The computed Mackey functor with its ring action.
 
     ``mackey.e`` is the ring's additive group; ``mackey.g`` is presented on
@@ -145,21 +144,29 @@ def unit_comparison(result):
     )
 
 
-def frobenius_twisted_square(ring):
+def mod2_frobenius(ring):
+    """``(ring mod 2, its Frobenius)``, built once per ring and passed to
+    both :func:`alpha_report` and :func:`ses_check`; each builds its own
+    when given none."""
+    r2 = mod2(ring)
+    return r2, frobenius(r2)
+
+
+def frobenius_twisted_square(ring, frob=None):
     """The quotient of ``A/2 (x) A/2`` by moving Frobenius images across
     the tensor sign: relations ``phi(c) x (x) y - x (x) phi(c) y``.
 
-    Returns ``(ring mod 2, the quotient group)``; the quotient is presented
-    on the same tensor generators as ``A/2 (x) A/2``.
+    ``frob`` is :func:`mod2_frobenius` of ``ring``, built here when not
+    given.  Returns ``(ring mod 2, the quotient group)``; the quotient is
+    presented on the same tensor generators as ``A/2 (x) A/2``.
     """
-    r2 = mod2(ring)
+    r2, phi = frob or mod2_frobenius(ring)
     t = tensor(r2.add, r2.add)
-    moved = _slide_rows(r2, _images(frobenius(r2)).data)
+    moved = _slide_rows(r2, _images(phi).data)
     return r2, group(t.n_gens, vstack(t.relations, moved))
 
 
-@dataclass(frozen=True)
-class SesReport:
+class SesReport(NamedTuple):
     """The verified short exact sequence through the fixed level."""
 
     doubled_ideal: object
@@ -170,7 +177,7 @@ class SesReport:
         return bool(self.exactness)
 
 
-def ses_check(result):
+def ses_check(result, frob=None):
     """Verify ``0 -> 2A -> fixed level -> twisted square -> 0`` exactly.
 
     The doubled ideal is presented as ``A / ker(mult by 2)``; its map into
@@ -179,7 +186,7 @@ def ses_check(result):
     :func:`is_exact` over the sequence, with the zero group at both ends,
     computes injectivity, exactness in the middle and surjectivity; any
     failure raises :class:`CertificateError` naming the first element
-    outside an image.
+    outside an image.  ``frob`` is as for :func:`frobenius_twisted_square`.
     """
     ring = result.ring
     a = ring.add
@@ -190,7 +197,7 @@ def ses_check(result):
     # Present the doubled ideal as A / ker(mult by 2); the transfer matrix
     # a -> 2a (x) 1 then descends to its embedding into the fixed level.
     two_a = group(n, vstack(a.relations, Mat(_kernel_rows(ring), cols=n)))
-    _, twisted = frobenius_twisted_square(ring)
+    _, twisted = frobenius_twisted_square(ring, frob)
     report = is_exact([
         hom(zero, two_a, Mat.zeros(0, n)),
         hom(two_a, g, result.mackey.tran.matrix),
@@ -211,21 +218,21 @@ def _kernel_rows(ring):
     return [incl.matrix.row(i) for i in range(incl.matrix.rows)]
 
 
-@dataclass(frozen=True)
-class AlphaReport:
+class AlphaReport(NamedTuple):
     """Whether the unit comparison hits the whole fixed level."""
 
     is_iso: bool
     frobenius_surjective: bool
 
 
-def alpha_report(result):
+def alpha_report(result, frob=None):
     """Decide whether ``a -> 1 (x) a`` is an isomorphism onto the fixed
     level, by two independent routes.
 
     Route one inverts the map directly over the presentations.  Route two
-    tests surjectivity of the Frobenius of ``A/2``, which is equivalent.
-    Disagreement raises :class:`CertificateError`.
+    tests surjectivity of the Frobenius of ``A/2`` (``frob``, as for
+    :func:`frobenius_twisted_square`), which is equivalent.  Disagreement
+    raises :class:`CertificateError`.
     """
     ring = result.ring
     n = ring.n_gens
@@ -233,7 +240,7 @@ def alpha_report(result):
         ring.add, result.mackey.g, kron(Mat.row_vector(ring.one), Mat.identity(n))
     )
     direct = inverse(alpha) is not None
-    phi = frobenius(mod2(ring))
+    _, phi = frob or mod2_frobenius(ring)
     surj = is_surjective_on_finite(phi)
     if direct != surj:
         raise CertificateError(
@@ -243,8 +250,7 @@ def alpha_report(result):
     return AlphaReport(direct, surj)
 
 
-@dataclass(frozen=True)
-class BaseChangeReport:
+class BaseChangeReport(NamedTuple):
     """Outcome of comparing extension of scalars with direct computation."""
 
     is_iso: bool

@@ -7,7 +7,8 @@ from pathlib import Path
 
 import pytest
 
-from thrcalc import cli
+from thrcalc import cli, selftest
+from thrcalc import involutive_algebra as ia
 from thrcalc.selftest import CriterionOutcome
 
 DATA = "tests/data"
@@ -61,6 +62,25 @@ def test_pi0thr_dual_numbers_structured(capsys):
     assert payload["alpha_is_iso"] is False
     assert payload["frobenius_surjective"] is False
     assert payload["ses_exact"] is True
+
+
+def test_pi0thr_builds_the_mod2_ring_once(capsys, monkeypatch):
+    """``alpha_report`` and ``ses_check`` share one mod-2 ring and its
+    Frobenius, in ``pi0thr`` and in selftest criterion 2."""
+    built = []
+    real = ia.make_ring
+
+    def recording(*args, **kwargs):
+        built.append(kwargs.get("where"))
+        return real(*args, **kwargs)
+
+    monkeypatch.setattr(ia, "make_ring", recording)
+    code, _, _ = run(capsys, "pi0thr", f"{DATA}/ring_f2t.yaml")
+    assert code == 0
+    assert built.count("mod2") == 1
+    built.clear()
+    assert selftest.run_criterion(selftest.CRITERIA[1]).ok
+    assert built.count("mod2") == 1
 
 
 @pytest.mark.parametrize("orders, table, unit, levels", [
@@ -415,10 +435,8 @@ def test_projective_invalid_n_exits_2(capsys):
 
 
 def test_projective_failed_certificate_exits_4(capsys, monkeypatch):
-    import dataclasses
-
     real = cli.pn_report(2, 1)
-    broken = dataclasses.replace(real, ok=False)
+    broken = real._replace(ok=False)
     monkeypatch.setattr(cli, "pn_report", lambda n, window: broken)
     code, payload, _ = run_json(capsys, "projective", "2")
     assert code == 4

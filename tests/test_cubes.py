@@ -13,6 +13,7 @@ from hypothesis import strategies as st
 
 from thrcalc import cubes, selftest
 from thrcalc import homology as homology_module
+from thrcalc import involutive_algebra as ia
 from thrcalc.cubes import (
     CubeDiagram,
     PSIGMA_RESTRICTION,
@@ -753,6 +754,27 @@ def test_chain_route_is_acyclic_on_every_chain_eligible_weight(n, window):
 def test_substituted_weight_cube_rejects_foreign_weights():
     with pytest.raises(CertificateError):
         _substituted_weight_cube(2, (-1, -1), (1, 2))
+
+
+@pytest.mark.parametrize("build", [
+    lambda: p1_report(3),
+    lambda: pn_report(2, 3),
+    lambda: selftest.random_small_cubes(random.Random(0), 50),
+], ids=["p1_report", "pn_report", "random_small_cubes"])
+def test_each_call_builds_one_monoid_per_chart(build, monkeypatch):
+    """One call computes ``_weight_data`` at most once per generator set
+    and weight map: every weight of a chart reads the same chart monoid."""
+    calls = Counter()
+    real = ia._weight_data
+
+    def recording(gens, weight):
+        calls[tuple(map(tuple, gens)), weight.data] += 1
+        return real(gens, weight)
+
+    monkeypatch.setattr(ia, "_weight_data", recording)
+    build()
+    assert calls  # the recording sees the chart searches
+    assert max(calls.values()) == 1
 
 
 # ---------------------------------------------------------------------------

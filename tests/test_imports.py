@@ -1,14 +1,20 @@
-"""Every name a module of the package imports is used in that module, every
-public name of the package is reached from the command line, and every
-field of a package class is read somewhere."""
+"""Every name a module of the package imports is used in that module, the
+package starts up without the modules that generate code or inspect it,
+every public name of the package is reached from the command line, and
+every field of a package class is read somewhere."""
 
 import ast
+import subprocess
+import sys
 from pathlib import Path
 
 import pytest
 
 ROOT = Path(__file__).resolve().parent.parent
 PACKAGE = ROOT / "src" / "thrcalc"
+# Modules that ``import thrcalc.cli`` must not load: ``dataclasses`` costs
+# about 1 ms per record to generate its methods and pulls in ``inspect``.
+STARTUP_HEAVY = {"dataclasses", "inspect"}
 
 
 def unused_imports(source):
@@ -32,6 +38,57 @@ def test_the_scan_finds_an_unused_import():
 @pytest.mark.parametrize("path", sorted(PACKAGE.glob("*.py")), ids=lambda p: p.name)
 def test_module_imports_only_names_it_uses(path):
     assert unused_imports(path.read_text()) == []
+
+
+def imported_modules(tree):
+    """The modules imported anywhere in the syntax tree ``tree``;
+    ``from .x import y`` counts as ``x``."""
+    out = set()
+    for node in ast.walk(tree):
+        if isinstance(node, ast.Import):
+            out.update(a.name for a in node.names)
+        elif isinstance(node, ast.ImportFrom) and node.module:
+            out.add(node.module)
+    return out
+
+
+def nested_imports(source):
+    """The modules ``source`` imports inside a function."""
+    return set().union(*(imported_modules(node) for node in ast.walk(ast.parse(source))
+                         if isinstance(node, ast.FunctionDef)))
+
+
+def test_the_scans_find_an_import():
+    source = ("import dataclasses as dc\nfrom typing import NamedTuple\n\n"
+              "def load():\n    if True:\n        import yaml\n")
+    assert imported_modules(ast.parse(source)) == {"dataclasses", "typing", "yaml"}
+    assert nested_imports(source) == {"yaml"}
+
+
+def test_no_module_imports_a_startup_heavy_module():
+    heavy = {path.name: imported_modules(ast.parse(path.read_text())) & STARTUP_HEAVY
+             for path in PACKAGE.glob("*.py")}
+    assert {name: found for name, found in heavy.items() if found} == {}
+
+
+def test_only_the_yaml_parser_is_imported_inside_a_function():
+    # PyYAML is read only by ``load_description``; any other import is paid
+    # once at start-up rather than moved into the first command
+    assert set().union(*(nested_imports(path.read_text())
+                         for path in PACKAGE.glob("*.py"))) == {"yaml"}
+
+
+def test_importing_the_cli_adds_no_startup_heavy_module():
+    code = ("import sys\n"
+            f"sys.path.insert(0, {str(PACKAGE.parent)!r})\n"
+            "bare = set(sys.modules)\n"
+            "import thrcalc.cli\n"
+            "print(*sorted(set(sys.modules) - bare))\n")
+    run = subprocess.run([sys.executable, "-c", code], capture_output=True,
+                         text=True, check=True)
+    added = set(run.stdout.split())
+    assert "thrcalc.cli" in added
+    assert added & STARTUP_HEAVY == set()
 
 
 def _relative_imports(nodes):
@@ -115,15 +172,22 @@ def test_every_public_name_is_reached_from_the_cli_or_selftest():
     assert unreached(sources) == []
 
 
-def _is_dataclass(decorator):
-    func = decorator.func if isinstance(decorator, ast.Call) else decorator
-    return getattr(func, "id", getattr(func, "attr", None)) == "dataclass"
+def _name(node):
+    node = node.func if isinstance(node, ast.Call) else node
+    return getattr(node, "id", getattr(node, "attr", None))
+
+
+def _is_record(cls):
+    """Whether ``cls`` is a ``NamedTuple`` subclass or a ``@dataclass``."""
+    return (any(_name(b) == "NamedTuple" for b in cls.bases)
+            or any(_name(d) == "dataclass" for d in cls.decorator_list))
 
 
 def unread_fields(package, readers):
-    """``Class.field`` for every dataclass field and ``__slots__`` name of
-    the classes in the ``package`` sources that no source in ``readers``
-    reads as an attribute; the match is by name alone."""
+    """``Class.field`` for every record field (of a ``NamedTuple`` or a
+    dataclass) and ``__slots__`` name of the classes in the ``package``
+    sources that no source in ``readers`` reads as an attribute; the match
+    is by name alone."""
     read = {n.attr for source in readers for n in ast.walk(ast.parse(source))
             if isinstance(n, ast.Attribute) and isinstance(n.ctx, ast.Load)}
     out = []
@@ -132,7 +196,7 @@ def unread_fields(package, readers):
             if not isinstance(cls, ast.ClassDef):
                 continue
             names = []
-            if any(_is_dataclass(d) for d in cls.decorator_list):
+            if _is_record(cls):
                 names += [s.target.id for s in cls.body if isinstance(s, ast.AnnAssign)]
             for s in cls.body:
                 if isinstance(s, ast.Assign) and any(
@@ -143,13 +207,15 @@ def unread_fields(package, readers):
 
 
 def test_the_scan_finds_an_unread_field():
-    package = ("from dataclasses import dataclass\n\n"
+    package = ("from dataclasses import dataclass\nfrom typing import NamedTuple\n\n"
                "@dataclass(frozen=True)\nclass Report:\n    ok: bool\n    detail: str\n\n"
+               "class Entry(NamedTuple):\n    name: str\n    rank: int = 0\n\n"
                "class Box:\n    __slots__ = ('size', '_spare')\n\n"
                "class Plain:\n    label: str\n")
-    reader = "def show(r, b):\n    b._spare = r.detail\n    return r.ok, b.size\n"
-    # ``_spare`` is only stored and ``label`` is no dataclass field
-    assert unread_fields([package], [reader]) == ["Box._spare"]
+    reader = "def show(r, b, e):\n    b._spare = r.detail\n    return r.ok, b.size, e.rank\n"
+    # ``_spare`` is only stored, ``Entry.name`` is never read and ``label``
+    # is no record field
+    assert unread_fields([package], [reader]) == ["Box._spare", "Entry.name"]
 
 
 def test_every_field_is_read():

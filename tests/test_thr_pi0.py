@@ -98,7 +98,7 @@ def test_ses_check_raises_when_the_sequence_breaks(monkeypatch):
         # a twisted square that kills every generator: the whole fixed
         # level is the kernel, and 2A = 0 is not all of it
         with monkeypatch.context() as patch:
-            patch.setattr(thr_pi0, "frobenius_twisted_square", lambda ring: (
+            patch.setattr(thr_pi0, "frobenius_twisted_square", lambda ring, frob: (
                 None, group(ring.n_gens ** 2, Mat.identity(ring.n_gens ** 2))))
             with pytest.raises(CertificateError):
                 ses_check(result)
