@@ -33,11 +33,31 @@ Conventions
   from a tensor of matrices is the ``kron`` of those matrices.
 * Block matrices of complexes and chain maps are assembled on sparse rows
   in ``homology``; a direct sum here pads its two summands itself.
+* Integer rows are worked on whole.  A row combination starts from its
+  first nonzero term (the stored row itself for a coefficient 1) and adds
+  or subtracts a whole row for a ``±1`` multiple; only other coefficients
+  multiply entry by entry.  Sums, differences, negatives, multiples and
+  ``kron`` build each row with one ``map`` over an ``operator`` function.
+* Membership reads the Smith diagonal in three slices.  By the
+  divisibility chain it lists the units, then the invariant factors, then
+  zeros, and a group records where the units end and where the free part
+  starts.  A coordinate on a unit is zero in the group, one on a factor is
+  taken modulo it, and one on the free part is kept (``reduce``) or tested
+  for zero (``_first_nonzero_row`` and ``solve_left``):
+
+  >>> g = group(4, [[1, 0, 0, 0], [0, 2, 0, 0], [0, 0, 0, 0]])
+  >>> g._diag, g._units, g._free
+  ((1, 2, 0, 0), 1, 2)
+  >>> g.reduce((5, 3, -1, 7))
+  (0, 1, -1, 7)
+  >>> g._first_nonzero_row(Mat([[9, 4, 0, 0], [0, 0, 0, 1]]))
+  1
 """
 
 from __future__ import annotations
 
 import itertools
+from operator import add, floordiv, mod, mul, neg, sub
 
 from .errors import SpecError
 
@@ -78,7 +98,7 @@ class Mat:
     __slots__ = ("rows", "cols", "data")
 
     def __init__(self, data, cols=None):
-        data = tuple(tuple(int(x) for x in row) for row in data)
+        data = tuple(tuple(map(int, row)) for row in data)
         self.rows = len(data)
         if data:
             widths = {len(row) for row in data}
@@ -133,22 +153,23 @@ class Mat:
     def __add__(self, other):
         if (self.rows, self.cols) != (other.rows, other.cols):
             raise ValueError("shape mismatch")
-        return Mat._of(tuple(tuple(a + b for a, b in zip(r1, r2))
-                             for r1, r2 in zip(self.data, other.data)), self.cols)
+        return Mat._of(tuple(tuple(map(add, r1, r2)) for r1, r2 in zip(self.data, other.data)),
+                       self.cols)
 
     def __sub__(self, other):
         if (self.rows, self.cols) != (other.rows, other.cols):
             raise ValueError("shape mismatch")
-        return Mat._of(tuple(tuple(a - b for a, b in zip(r1, r2))
-                             for r1, r2 in zip(self.data, other.data)), self.cols)
+        return Mat._of(tuple(tuple(map(sub, r1, r2)) for r1, r2 in zip(self.data, other.data)),
+                       self.cols)
 
     def __neg__(self):
-        return Mat._of(tuple(tuple(-a for a in row) for row in self.data), self.cols)
+        return Mat._of(tuple(tuple(map(neg, row)) for row in self.data), self.cols)
 
     def scale(self, k):
+        data = tuple(tuple(map(mul, itertools.repeat(k), row)) for row in self.data)
         if type(k) is not int:  # a bool or another number: convert as Mat(...) does
-            return Mat([[k * a for a in row] for row in self.data], cols=self.cols)
-        return Mat._of(tuple(tuple(k * a for a in row) for row in self.data), self.cols)
+            return Mat(data, cols=self.cols)
+        return Mat._of(data, self.cols)
 
     def __eq__(self, other):
         return isinstance(other, Mat) and self.cols == other.cols and self.data == other.data
@@ -194,12 +215,24 @@ class Mat:
 
 def _combine(coeffs, rows, width):
     """``sum(c * row)`` over paired ``coeffs`` and ``rows``, as a tuple of
-    ``width`` entries (all zero for no nonzero coefficient)."""
-    acc = (0,) * width
+    ``width`` entries (all zero for no nonzero coefficient).
+
+    A ``±1`` multiple adds or subtracts the whole row; the sum starts from
+    the first nonzero term, which is the stored row itself for ``c == 1``.
+    """
+    acc = None
     for c, row in zip(coeffs, rows):
-        if c:
+        if not c:
+            continue
+        if acc is None:
+            acc = row if c == 1 else tuple(map(c.__mul__, row))
+        elif c == 1:
+            acc = list(map(add, acc, row))
+        elif c == -1:
+            acc = list(map(sub, acc, row))
+        else:
             acc = [a + c * b for a, b in zip(acc, row)]
-    return tuple(acc)
+    return (0,) * width if acc is None else tuple(acc)
 
 
 def _vecmat(x, m):
@@ -223,7 +256,7 @@ def kron(a, b):
     >>> kron(Mat([[1, 2]]), Mat.identity(2))
     Mat([[1, 0, 2, 0], [0, 1, 0, 2]], cols=4)
     """
-    return Mat._of(tuple(tuple(x * y for x in ra for y in rb)
+    return Mat._of(tuple(tuple(itertools.starmap(mul, itertools.product(ra, rb)))
                          for ra in a.data for rb in b.data), a.cols * b.cols)
 
 
@@ -455,19 +488,20 @@ class _LeftSolver:
         if not ys:
             return []
         m = self.m
-        k = min(m.rows, m.cols)
         if self._factors is None:
             s, u, v = snf(m, self.keep)
-            diag = [s.data[i][i] for i in range(k)] + [0] * (m.cols - k)
-            self._factors = diag, u, v
-        diag, u, v = self._factors
-        pad = (0,) * (m.rows - k)
+            diag = tuple(s.data[i][i] for i in range(min(m.rows, m.cols)))
+            # units, then factors >= 2, then zeros (the divisibility chain)
+            units, free = diag.count(1), len(diag) - diag.count(0)
+            self._factors = units, free, diag[units:free], u, v
+        units, free, torsion, u, v = self._factors
+        pad = (0,) * (m.rows - free)
         ws = []
         for z in (Mat(ys, cols=m.cols) @ v).data:
-            if any(zi % d if d else zi for d, zi in zip(diag, z)):
+            if any(z[free:]) or any(map(mod, z[units:free], torsion)):
                 ws.append(None)
             else:
-                ws.append(tuple(z[i] // diag[i] if diag[i] else 0 for i in range(k)) + pad)
+                ws.append(z[:units] + tuple(map(floordiv, z[units:free], torsion)) + pad)
         xs = iter((Mat._of(tuple(w for w in ws if w is not None), m.rows) @ u).data)
         return [None if w is None else next(xs) for w in ws]
 
@@ -515,7 +549,7 @@ class FgAbGroup:
     """
 
     __slots__ = ("n_gens", "relations", "invariant_factors", "free_rank",
-                 "_v", "_vinv", "_diag", "_plain")
+                 "_v", "_vinv", "_diag", "_plain", "_units", "_free")
 
     def __init__(self, n_gens, relations):
         if relations.cols != n_gens:
@@ -524,13 +558,17 @@ class FgAbGroup:
         self.relations = relations
         s, _, v = snf(relations, 0)
         k = min(relations.rows, n_gens)
-        diag = [s.data[i][i] if i < k else 0 for i in range(n_gens)]
-        self._diag = tuple(diag)
+        diag = tuple(s.data[i][i] if i < k else 0 for i in range(n_gens))
+        self._diag = diag
         self._v = v
         self._vinv = None  # inverse of _v, built where it is first needed
         self._plain = v == Mat.identity(n_gens)  # then reduce skips V
-        self.invariant_factors = tuple(d for d in diag if d >= 2)
-        self.free_rank = sum(1 for d in diag if d == 0)
+        # The divisibility chain orders the diagonal: units, then the
+        # invariant factors, then zeros from index ``_free`` on.
+        self.free_rank = diag.count(0)
+        self._units = diag.count(1)
+        self._free = n_gens - self.free_rank
+        self.invariant_factors = diag[self._units:self._free]
 
     def reduce(self, x):
         """Canonical representative of the coset of x (a length-n tuple):
@@ -543,17 +581,22 @@ class FgAbGroup:
         if len(x) != self.n_gens:
             raise ValueError("element length mismatch")
         if self._plain:
-            return tuple(a % d if d else a for a, d in zip(map(int, x), self._diag))
+            return self._residue(tuple(map(int, x)))
         return self._reduce_rows(Mat.row_vector(x)).data[0]
+
+    def _residue(self, y):
+        """``y`` (Smith coordinates, a tuple of ints) modulo the diagonal:
+        zero on the units, each torsion entry modulo its factor, the free
+        entries as they are."""
+        u, f = self._units, self._free
+        return (0,) * u + tuple(map(mod, y[u:f], self.invariant_factors)) + y[f:]
 
     def _reduce_rows(self, m):
         """``reduce`` of every row of ``m`` (``n_gens`` wide), as a ``Mat``:
         one product with the basis change and one with its inverse (none
         when it is the identity), each distinct row once."""
-        diag = self._diag
         rows = m if self._plain else m @ self._v
-        out = Mat._of(tuple(tuple(a % d if d else a for a, d in zip(row, diag))
-                            for row in rows.data), self.n_gens)
+        out = Mat._of(tuple(map(self._residue, rows.data)), self.n_gens)
         if self._plain:
             return out
         if self._vinv is None:
@@ -569,13 +612,14 @@ class FgAbGroup:
         if m.cols != self.n_gens:
             raise ValueError(f"shape mismatch {m.rows}x{m.cols} @ {self.n_gens}x{self.n_gens}")
         vdata, tested = self._v.data, set()
+        u, f, torsion = self._units, self._free, self.invariant_factors
         for i, row in enumerate(m.data):
             if row in tested:
                 continue
             tested.add(row)
             if not self._plain:
                 row = _combine(row, vdata, self.n_gens)
-            if any(a % d if d else a for a, d in zip(row, self._diag)):
+            if any(row[f:]) or any(map(mod, row[u:f], torsion)):
                 return i
         return None
 

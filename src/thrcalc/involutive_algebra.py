@@ -364,12 +364,6 @@ def frobenius(ring2):
     return phi
 
 
-def is_surjective_on_finite(f):
-    """Whether a group homomorphism between finite groups is surjective."""
-    hit = {f.target.reduce(f.apply(x)) for x in f.source.elements()}
-    return len(hit) == f.target.order()
-
-
 # ---------------------------------------------------------------------------
 # affine monoids
 # ---------------------------------------------------------------------------

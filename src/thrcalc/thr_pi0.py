@@ -47,7 +47,6 @@ from .involutive_algebra import (
     InvolutiveRing,
     _unit_vec,
     frobenius,
-    is_surjective_on_finite,
     mod2,
 )
 from .mackey import (
@@ -231,8 +230,8 @@ def alpha_report(result, frob=None):
 
     Route one inverts the map directly over the presentations.  Route two
     tests surjectivity of the Frobenius of ``A/2`` (``frob``, as for
-    :func:`frobenius_twisted_square`), which is equivalent.  Disagreement
-    raises :class:`CertificateError`.
+    :func:`frobenius_twisted_square`), which is equivalent, by
+    :func:`_is_onto`.  Disagreement raises :class:`CertificateError`.
     """
     ring = result.ring
     n = ring.n_gens
@@ -241,13 +240,27 @@ def alpha_report(result, frob=None):
     )
     direct = inverse(alpha) is not None
     _, phi = frob or mod2_frobenius(ring)
-    surj = is_surjective_on_finite(phi)
+    surj = _is_onto(phi)
     if direct != surj:
         raise CertificateError(
             "unit comparison invertibility disagrees with Frobenius "
             f"surjectivity: direct={direct}, frobenius={surj}"
         )
     return AlphaReport(direct, surj)
+
+
+def _is_onto(f):
+    """Whether the homomorphism ``f`` is surjective: its cokernel, the
+    target modulo the images of the source generators, is trivial.  One
+    Smith form of ``target.n_gens`` columns decides it, where listing the
+    image of a finite group takes as many steps as the group has elements.
+
+    >>> z = free_group(1)
+    >>> _is_onto(hom(z, group(1, [[4]]), [[3]])), _is_onto(hom(z, z, [[2]]))
+    (True, False)
+    """
+    target = f.target
+    return group(target.n_gens, vstack(target.relations, f.matrix)).is_trivial()
 
 
 class BaseChangeReport(NamedTuple):

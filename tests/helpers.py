@@ -26,6 +26,7 @@ from thrcalc.errors import SpecError
 from thrcalc.fgab import (
     ExactnessReport,
     Mat,
+    _unimodular_inverse,
     _vecmat,
     _xgcd,
     group,
@@ -460,6 +461,13 @@ def loop_frobenius(ring2):
     return phi
 
 
+def is_surjective_on_finite(f):
+    """Whether a homomorphism between finite groups is surjective, by
+    listing the image of every element of the source."""
+    hit = {f.target.reduce(f.apply(x)) for x in f.source.elements()}
+    return len(hit) == f.target.order()
+
+
 # The weight-fiber search as it was before it ran on integers: Fraction
 # costs and budget, every count looped up to ``int(remaining / cost)``,
 # the weight data computed on every call.
@@ -658,6 +666,73 @@ def reference_snf(m, u_cols=None):
                 arr[i] = [-x for x in arr[i]]
     return (Mat._of(tuple(map(tuple, a)), c), Mat._of(tuple(map(tuple, u)), width),
             Mat._of(tuple(map(tuple, v)), c))
+
+
+# The integer row kernels of ``fgab`` as they were before they ran on
+# whole rows: one generator expression per row, and each coordinate taken
+# modulo its Smith diagonal entry ``d`` (kept as it is where ``d == 0``).
+
+
+def generator_combine(coeffs, rows, width):
+    """``fgab._combine``: every nonzero term multiplied and added entry by
+    entry, starting from the zero row."""
+    acc = (0,) * width
+    for c, row in zip(coeffs, rows):
+        if c:
+            acc = [a + c * b for a, b in zip(acc, row)]
+    return tuple(acc)
+
+
+def generator_add(m, other):
+    return Mat._of(tuple(tuple(a + b for a, b in zip(r1, r2))
+                         for r1, r2 in zip(m.data, other.data)), m.cols)
+
+
+def generator_sub(m, other):
+    return Mat._of(tuple(tuple(a - b for a, b in zip(r1, r2))
+                         for r1, r2 in zip(m.data, other.data)), m.cols)
+
+
+def generator_neg(m):
+    return Mat._of(tuple(tuple(-a for a in row) for row in m.data), m.cols)
+
+
+def generator_scale(m, k):
+    if type(k) is not int:
+        return Mat([[k * a for a in row] for row in m.data], cols=m.cols)
+    return Mat._of(tuple(tuple(k * a for a in row) for row in m.data), m.cols)
+
+
+def generator_kron(a, b):
+    return Mat._of(tuple(tuple(x * y for x in ra for y in rb)
+                         for ra in a.data for rb in b.data), a.cols * b.cols)
+
+
+def generator_product(m, other):
+    """``m @ other`` through :func:`generator_combine`."""
+    return Mat._of(tuple(generator_combine(row, other.data, other.cols) for row in m.data),
+                   other.cols)
+
+
+def generator_reduce(g, x):
+    """``FgAbGroup.reduce``: ``((x V) mod d) V^-1`` entry by entry."""
+    return generator_reduce_rows(g, Mat.row_vector(x)).data[0]
+
+
+def generator_reduce_rows(g, m):
+    """``FgAbGroup._reduce_rows`` through the explicit products with V and
+    its inverse (the inverse from ``snf`` bookkeeping, as ``fgab`` does)."""
+    rows = generator_product(m, g._v)
+    out = Mat._of(tuple(tuple(a % d if d else a for a, d in zip(row, g._diag))
+                        for row in rows.data), g.n_gens)
+    return generator_product(out, _unimodular_inverse(g._v))
+
+
+def generator_first_nonzero_row(g, m):
+    """``FgAbGroup._first_nonzero_row``: the first row of ``m V`` with a
+    coordinate that its diagonal entry does not divide."""
+    return next((i for i, row in enumerate(generator_product(m, g._v).data)
+                 if any(a % d if d else a for a, d in zip(row, g._diag))), None)
 
 
 def full_chains(x):

@@ -4,6 +4,7 @@ import random
 import sys
 from collections import Counter
 from contextlib import redirect_stdout
+from fractions import Fraction
 from math import gcd
 
 import pytest
@@ -19,6 +20,7 @@ from thrcalc.fgab import (
 from thrcalc.errors import SpecError
 from thrcalc.mackey import fixed_point_mackey
 
+import helpers
 from conftest import abelian_groups, matrices
 from helpers import reference_snf, solve_left_is_exact
 
@@ -760,3 +762,157 @@ def test_no_caller_tracks_more_of_u_than_it_keeps(monkeypatch):
             assert (module_name, code.co_name) in _KEEP_ALL and u_cols == rows, where
     assert askers >= _FULL_U
     assert narrowed == set(_KEPT)
+
+
+# ---------------------------------------------------------------------------
+# the row kernels against their entry-by-entry forms
+# ---------------------------------------------------------------------------
+
+# Entries as the workloads meet them: mostly zero, often +-1, some other
+# small values, and a few wider than a machine word.
+kernel_entries = st.one_of(
+    st.sampled_from([0, 0, 0, 1, -1]),
+    st.integers(-6, 6),
+    st.integers(2 ** 64, 2 ** 70).flatmap(lambda x: st.sampled_from([x, -x])),
+)
+
+
+def kernel_matrices(rows, cols):
+    entries = st.lists(kernel_entries, min_size=cols, max_size=cols)
+    return st.lists(entries, min_size=rows, max_size=rows).map(
+        lambda data: Mat(data, cols=cols))
+
+
+def assert_int_rows(m):
+    assert type(m.data) is tuple
+    assert all(type(row) is tuple and len(row) == m.cols for row in m.data)
+    assert all(type(x) is int for row in m.data for x in row)
+
+
+@st.composite
+def combine_cases(draw):
+    width = draw(st.integers(0, 6))
+    rows = draw(kernel_matrices(draw(st.integers(0, 6)), width))
+    coeffs = tuple(draw(st.lists(kernel_entries, min_size=rows.rows, max_size=rows.rows)))
+    return coeffs, rows, width
+
+
+@settings(max_examples=300, deadline=None)
+@given(combine_cases())
+def test_combine_is_the_entry_by_entry_sum(case):
+    coeffs, rows, width = case
+    got = fgab._combine(coeffs, rows.data, width)
+    assert got == helpers.generator_combine(coeffs, rows.data, width)
+    assert type(got) is tuple and len(got) == width
+    assert all(type(x) is int for x in got)
+
+
+def test_combine_starts_from_the_stored_row():
+    rows = ((1, 2, 3), (4, 5, 6), (7, 8, 9))
+    assert fgab._combine((0, 1, 0), rows, 3) is rows[1]  # rows are immutable tuples
+    assert fgab._combine((0, -1, 0), rows, 3) == (-4, -5, -6)
+    assert fgab._combine((1, -1, 2), rows, 3) == (11, 13, 15)
+    assert fgab._combine((0, 0, 0), rows, 3) == (0, 0, 0)
+    assert fgab._combine((), (), 2) == (0, 0)
+
+
+@st.composite
+def matrix_pairs(draw):
+    r, c = draw(st.integers(0, 4)), draw(st.integers(0, 4))
+    return draw(kernel_matrices(r, c)), draw(kernel_matrices(r, c))
+
+
+@settings(max_examples=200, deadline=None)
+@given(matrix_pairs(), st.one_of(kernel_entries, st.booleans(),
+                                 st.fractions(-4, 4, max_denominator=3)))
+def test_elementwise_ops_are_the_entry_by_entry_forms(pair, k):
+    a, b = pair
+    for got, want in [(a + b, helpers.generator_add(a, b)),
+                      (a - b, helpers.generator_sub(a, b)),
+                      (-a, helpers.generator_neg(a)),
+                      (a.scale(k), helpers.generator_scale(a, k)),
+                      (fgab.kron(a, b), helpers.generator_kron(a, b))]:
+        assert got == want and got.cols == want.cols
+        assert_int_rows(got)
+
+
+def test_elementwise_ops_keep_their_shape_errors():
+    a, b = Mat([[1, 2]]), Mat([[1, 2, 3]])
+    for op in (lambda: a + b, lambda: a - b, lambda: Mat([[1]]) + Mat([[1], [2]])):
+        with pytest.raises(ValueError, match="^shape mismatch$"):
+            op()
+
+
+def test_scale_converts_as_the_public_constructor_does():
+    m = Mat([[1, -2], [3, 0]])
+    for k, want in [(True, ((1, -2), (3, 0))), (False, ((0, 0), (0, 0))),
+                    (Fraction(4, 2), ((2, -4), (6, 0))), (Fraction(1, 2), ((0, -1), (1, 0)))]:
+        got = m.scale(k)
+        assert got.data == want
+        assert_int_rows(got)
+
+
+@st.composite
+def groups_with_every_part(draw):
+    """A group with units, invariant factors and a free part in its Smith
+    diagonal, presented in a basis moved by a few elementary operations
+    (so that its V is not always the identity) and with a redundant row."""
+    units = draw(st.integers(1, 2))
+    factors = [2 * draw(st.integers(1, 3))]
+    if draw(st.booleans()):
+        factors.append(factors[-1] * draw(st.integers(2, 3)))
+    free = draw(st.integers(1, 2))
+    n = units + len(factors) + free
+    diag = [1] * units + factors
+    rows = [[d if j == i else 0 for j in range(n)] for i, d in enumerate(diag)]
+    for _ in range(draw(st.integers(0, 3))):  # column operations change the basis
+        i, j = draw(st.permutations(range(n)))[:2]
+        c = draw(st.sampled_from([1, -1, 2]))
+        for row in rows:
+            row[j] += c * row[i]
+    rows.append([sum(col) for col in zip(*rows)])
+    return group(n, rows)
+
+
+kernel_groups = st.one_of(abelian_groups(max_gens=4, max_rels=4), groups_with_every_part())
+
+
+def test_a_group_records_where_its_units_and_free_part_start():
+    g = group(5, [[1, 0, 0, 0, 0], [0, 2, 0, 0, 0], [0, 0, 6, 0, 0], [1, 2, 6, 0, 0]])
+    assert g._diag == (1, 2, 6, 0, 0)
+    assert (g._units, g._free, g.invariant_factors, g.free_rank) == (1, 3, (2, 6), 2)
+    assert g.reduce((5, 3, -1, 7, -8)) == (0, 1, 5, 7, -8)
+
+
+@settings(max_examples=200, deadline=None)
+@given(kernel_groups, st.data())
+def test_membership_is_the_entry_by_entry_form(g, data):
+    diag = g._diag
+    k = g._units
+    assert diag[:k] == (1,) * k and diag[g._free:] == (0,) * g.free_rank
+    assert diag[k:g._free] == g.invariant_factors
+    m = data.draw(kernel_matrices(data.draw(st.integers(0, 4)), g.n_gens))
+    # rows that lie in the relation lattice, so that some tests find no row
+    m = vstack(m, g.relations.scale(data.draw(st.integers(-2, 2))))
+    assert g._reduce_rows(m) == helpers.generator_reduce_rows(g, m)
+    assert_int_rows(g._reduce_rows(m))
+    assert g._first_nonzero_row(m) == helpers.generator_first_nonzero_row(g, m)
+    for row in m.data:
+        got = g.reduce(row)
+        assert got == helpers.generator_reduce(g, row)
+        assert type(got) is tuple and all(type(x) is int for x in got)
+
+
+@settings(max_examples=150, deadline=None)
+@given(kernel_groups, st.data())
+def test_solve_left_reads_the_smith_diagonal_in_slices(g, data):
+    """A solution solves, and a row without one is outside the lattice."""
+    m = g.relations
+    ys = data.draw(kernel_matrices(data.draw(st.integers(1, 4)), g.n_gens))
+    ys = vstack(ys, m.scale(data.draw(st.integers(-2, 2))))
+    for y, x in zip(ys.data, solve_left(m, ys.data)):
+        if x is None:
+            assert helpers.generator_first_nonzero_row(g, Mat([y])) == 0
+        else:
+            assert fgab._vecmat(x, m) == y
+            assert type(x) is tuple and all(type(a) is int for a in x)

@@ -21,7 +21,6 @@ from thrcalc.involutive_algebra import (
     _weight_data,
     elements_in_ball,
     frobenius,
-    is_surjective_on_finite,
     make_ring,
     mod2,
     monoid_from_description,
@@ -44,6 +43,7 @@ from helpers import (
     fraction_contains,
     fraction_enumerate_fiber,
     fraction_weight_tuples,
+    is_surjective_on_finite,
     loop_frobenius,
     loop_make_ring,
     loop_ring_hom,

@@ -8,6 +8,8 @@ from thrcalc import thr_pi0
 from thrcalc.errors import CertificateError, SpecError
 from thrcalc.fgab import Mat, group, solve_left, tensor, vstack
 from thrcalc.involutive_algebra import (
+    _unit_vec,
+    make_ring,
     mod2,
     ring_F2,
     ring_F4,
@@ -27,7 +29,7 @@ from thrcalc.thr_pi0 import (
     verify_base_change,
 )
 
-from helpers import pure_tensor, ring_gaussian_integers
+from helpers import is_surjective_on_finite, pure_tensor, ring_gaussian_integers
 
 
 def test_integers_give_the_constant_mackey_functor():
@@ -197,3 +199,27 @@ def test_certified_reports_are_internally_consistent(idx):
     # Both calls raise CertificateError on any internal disagreement.
     assert bool(ses_check(result))
     alpha_report(result)
+
+
+def truncated_polynomials(m, k):
+    """``(Z/m)[t]/(t^k)`` on ``1, t, ..., t^(k-1)``, trivial involution
+    (``m = 0`` for ``Z``)."""
+    table = [[_unit_vec(k, i + j) if i + j < k else (0,) * k for j in range(k)]
+             for i in range(k)]
+    add = group(k, [[m * int(i == j) for j in range(k)] for i in range(k)] if m else [])
+    return make_ring(add, table, _unit_vec(k, 0), None)
+
+
+@pytest.mark.parametrize("ring", SMALL_RINGS, ids=lambda r: repr(r.add))
+def test_frobenius_cokernel_route_matches_the_enumeration(ring):
+    """The second route of ``alpha_report`` (the cokernel of the Frobenius
+    is trivial) decides what listing its image decides."""
+    _, phi = thr_pi0.mod2_frobenius(ring)
+    assert thr_pi0._is_onto(phi) == is_surjective_on_finite(phi)
+
+
+# mod-2 groups of at most 2^10 elements, the zero group for odd m
+@pytest.mark.parametrize("m, k", [(m, k) for m in (0, 2, 3, 4, 6) for k in range(1, 11)])
+def test_frobenius_of_truncated_polynomials_is_onto_only_without_t(m, k):
+    _, phi = thr_pi0.mod2_frobenius(truncated_polynomials(m, k))
+    assert thr_pi0._is_onto(phi) == is_surjective_on_finite(phi) == (m % 2 == 1 or k == 1)
