@@ -17,9 +17,16 @@ Conventions
   the caller keeps: the solution or kernel coordinates it reads, and none
   for invariant factors and lattice membership, which need only S and V.
 * A product computes each distinct row of its left factor once and keeps
-  nothing past that product.  Zero and repeated relation rows are dropped
-  before factoring only where neither U nor V is read; ``FgAbGroup`` keeps
-  them, as ``reduce`` reads its V and dropping rows can change it.
+  nothing past that product.
+* A group factors the lattice its relations span, not the list of rows:
+  zero and repeated rows are dropped, unit pivots of a large enough matrix
+  are eliminated on sparse rows (``_eliminate``, the one elimination here,
+  which the elementary divisors of ``homology`` also use), and only the
+  residue goes to ``snf``.  A group is plain when its relations are zero read in
+  generator coordinates; then ``reduce`` takes each coordinate modulo its
+  Smith diagonal entry.  Only the representatives of plain groups are
+  fixed by the lattice alone; any other group's follow the elimination
+  and the residue's V, and differ from the dense route's by a relation.
 * Work is skipped only where its outcome is known: ``snf`` returns a
   matrix already in Smith form with the identity transforms its steps
   would build, and ``is_exact`` does not test a joint with a trivial middle.
@@ -38,12 +45,14 @@ Conventions
   or subtracts a whole row for a ``±1`` multiple; only other coefficients
   multiply entry by entry.  Sums, differences, negatives, multiples and
   ``kron`` build each row with one ``map`` over an ``operator`` function.
-* Membership reads the Smith diagonal in three slices.  By the
-  divisibility chain it lists the units, then the invariant factors, then
-  zeros, and a group records where the units end and where the free part
-  starts.  A coordinate on a unit is zero in the group, one on a factor is
-  taken modulo it, and one on the free part is kept (``reduce``) or tested
-  for zero (``_first_nonzero_row`` and ``solve_left``):
+* Membership reads the Smith diagonal in three slices, on Smith
+  coordinates: the generator coordinates of a plain group, else the
+  residue's, ``x _to``.  By the divisibility chain the diagonal lists the
+  units, then the invariant factors, then zeros, and a group records
+  where the units end and where the free part starts.  A coordinate on a
+  unit is zero in the group, one on a factor is taken modulo it, and one
+  on the free part is kept (``reduce``) or tested for zero
+  (``_first_nonzero_row`` and ``solve_left``):
 
   >>> g = group(4, [[1, 0, 0, 0], [0, 2, 0, 0], [0, 0, 0, 0]])
   >>> g._diag, g._units, g._free
@@ -57,6 +66,8 @@ Conventions
 from __future__ import annotations
 
 import itertools
+from collections import defaultdict
+from heapq import heapify, heappop, heappush
 from operator import add, floordiv, mod, mul, neg, sub
 
 from .errors import SpecError
@@ -275,22 +286,26 @@ def snf(m, u_cols=None):
     on each column of U on its own, so these are the same columns as in
     the full U.  ``u_cols=0`` gives a ``rows x 0`` U.
 
-    U and V are part of the result, not just S: ``FgAbGroup.reduce`` reads
-    V, so the canonical representatives, the ring tables ``make_ring``
-    reduces and the matrices the calculator prints all follow the exact
-    sequence of unimodular operations made here.  Step t takes as pivot the
-    first entry of least nonzero magnitude, in row-major order, among rows
-    and columns t onwards.  It clears the pivot column by row operations and
-    the pivot row by column operations (an ``_xgcd`` combination where the
-    pivot does not divide the entry), and repeats until both are clear and
-    the pivot divides every entry of the rest, adding to the pivot row the
-    first row with an entry it does not divide.  Shortcuts that keep that
-    sequence: the search stops at the first ``±1``, as nothing is smaller;
-    a ``±1`` pivot divides everything, so it skips the divisibility sweep;
-    an addition of the pivot row or column touches only its nonzero
-    entries.  Rows and columns before t are clear by then, so every scan
-    starts after t, and the pivot column is scanned again only after a
-    column combination, the one operation that can refill it.
+    U and V are part of the result, not just S.  ``FgAbGroup`` factors
+    only the residue of its unit-pivot elimination and reads that
+    residue's V only through ``reduce``: the representatives of a group
+    that is not plain follow the exact sequence of unimodular operations
+    made here.  A plain group's representatives, the ring tables
+    ``make_ring`` reduces among them, do not read V.
+
+    Step t takes as pivot the first entry of least nonzero magnitude, in
+    row-major order, among rows and columns t onwards.  It clears the pivot
+    column by row operations and the pivot row by column operations (an
+    ``_xgcd`` combination where the pivot does not divide the entry), and
+    repeats until both are clear and the pivot divides every entry of the
+    rest, adding to the pivot row the first row with an entry it does not
+    divide.  Shortcuts that keep that sequence: the search stops at the
+    first ``±1``, as nothing is smaller; a ``±1`` pivot divides everything,
+    so it skips the divisibility sweep; an addition of the pivot row or
+    column touches only its nonzero entries.  Rows and columns before t are
+    clear by then, so every scan starts after t, and the pivot column is
+    scanned again only after a column combination, the one operation that
+    can refill it.
 
     A matrix already in Smith form (zero off the diagonal, positive
     diagonal entries each dividing the next, then zeros; zero and empty
@@ -526,12 +541,150 @@ def solve_left(m, ys, keep=None):
     return _LeftSolver(m, keep).solve(ys)
 
 
+def _sparse(data):
+    """Dense integer rows as sparse rows ``{col: coeff}`` of their nonzero
+    entries."""
+    return [dict(zip(itertools.compress(itertools.count(), row), filter(None, row)))
+            for row in data]
+
+
+def _distinct_dense(rows, cols):
+    """The sparse ``rows`` over the columns ``cols``, in order, as a ``Mat``
+    that has each distinct row once."""
+    zeros = itertools.repeat(0)
+    return Mat._of(tuple(dict.fromkeys(tuple(map(row.get, cols, zeros)) for row in rows)),
+                   len(cols))
+
+
+def _eliminate(rows):
+    """Unit-pivot elimination on sparse rows ``{col: coeff}``
+    (Kaczynski-Mrozek-Slusarek): each unit pivot contributes a divisor 1
+    and leaves the Schur complement, which stays integral.  The row taken
+    next is a shortest live row, its pivot the unit entry in its sparsest
+    column, so fill-in stays small (Markowitz).
+
+    Returns ``(steps, live)``.  ``steps`` lists the pivots in the order
+    taken, each as ``(column, sign, rest)``: the pivot row was then ``sign``
+    (1 or -1) at the column plus the sparse row ``rest``, which is zero at
+    every earlier pivot column.  ``live`` lists the rows left without a
+    unit pivot, each nonzero and zero at every pivot column.  The rows of
+    the steps and ``live`` span the lattice of ``rows``.
+
+    >>> _eliminate([{0: 2, 1: 1}, {0: 4, 1: 1}])
+    ([(1, 1, {0: 2})], [{0: 2}])
+    """
+    live = {i: dict(row) for i, row in enumerate(rows) if row}
+    where = defaultdict(set)  # column -> live rows with an entry in it
+    for i, row in live.items():
+        for j in row:
+            where[j].add(i)
+    queue = [(len(row), i) for i, row in live.items()]
+    heapify(queue)
+    steps = []
+    while queue:
+        size, i = heappop(queue)
+        row = live.get(i)
+        if row is None or len(row) != size:
+            continue  # eliminated, or queued again at its new length
+        pivot = min((j for j, a in row.items() if a in (1, -1)),
+                    key=lambda j: len(where[j]), default=None)
+        if pivot is None:
+            continue  # left to the residue unless an elimination changes it
+        del live[i]
+        for j in row:
+            where[j].discard(i)
+        sign = row.pop(pivot)
+        steps.append((pivot, sign, row))
+        for k in where.pop(pivot):
+            other = live[k]
+            factor = other.pop(pivot) * sign
+            for j, a in row.items():
+                b = other.get(j, 0) - factor * a
+                if b:
+                    other[j] = b
+                    where[j].add(k)
+                else:
+                    del other[j]
+                    where[j].discard(k)
+            if other:
+                heappush(queue, (len(other), k))
+            else:
+                del live[k]
+    return steps, list(live.values())
+
+
+def _elementary_divisors(rows, pivots=None):
+    """The nonzero elementary divisors, in increasing order, of the matrix
+    of sparse ``rows``; the column of each unit pivot is added to the set
+    ``pivots`` when one is given.
+
+    ``_eliminate`` takes the unit pivots; ``snf`` factors what is left
+    without a unit pivot (Dumas-Saunders-Villard), on the columns it
+    touches and with its repeated rows dropped: only its divisors are read.
+
+    >>> _elementary_divisors([{0: 1, 1: 1}, {0: 1, 1: -1}])
+    (1, 2)
+    """
+    steps, live = _eliminate(rows)
+    if pivots is not None:
+        pivots.update(p for p, _, _ in steps)
+    residue = ()
+    if live:
+        s = snf(_distinct_dense(live, sorted({j for row in live for j in row})), 0)[0]
+        residue = tuple(
+            d for d in (s.data[n][n] for n in range(min(s.rows, s.cols))) if d
+        )
+    return (1,) * len(steps) + residue
+
+
+def _substitution(n, kept, steps):
+    """Each of ``n`` generators written in the ``kept`` ones, after the
+    ``steps`` of ``_eliminate``, as an ``n x len(kept)`` matrix (None when
+    there are no steps).  Row ``kept[c]`` is the unit vector ``e_c``.  A
+    pivot ``p`` whose row was ``sign x_p + rest`` is ``-sign rest``, with the
+    later pivots in ``rest`` already written so.  Each row differs from
+    its generator by a relation.
+
+    >>> _substitution(3, (0, 2), [(1, -1, {0: 2, 2: 1})]).data
+    ((1, 0), (2, 1), (0, 1))
+    """
+    if not steps:
+        return None
+    at = {j: c for c, j in enumerate(kept)}
+    sub = {}
+    for p, sign, rest in reversed(steps):
+        acc = {}
+        for j, a in rest.items():
+            a *= -sign
+            if j in sub:
+                for c, b in sub[j].items():
+                    acc[c] = acc.get(c, 0) + a * b
+            else:
+                acc[at[j]] = acc.get(at[j], 0) + a
+        sub[p] = acc
+    k = len(kept)
+    unit, zeros = Mat.identity(k).data, itertools.repeat(0)
+    return Mat._of(tuple(unit[at[j]] if j in at else tuple(map(sub[j].get, range(k), zeros))
+                         for j in range(n)), k)
+
+
+# Below this many cells (distinct nonzero relation rows times generators),
+# ``snf`` takes the unit pivots of a group's relations faster than sparse
+# rows can be built and eliminated; measured on the groups that the
+# benchmark workloads build, where the two cross between 342 and 448.
+_ELIMINATION_CELLS = 400
+
+
 class FgAbGroup:
     """A finitely generated abelian group Z^n_gens / (row lattice of relations).
 
+    The group factors the lattice its relations span, not the list of
+    rows.  Zero and repeated rows are dropped; in a matrix of at least
+    ``_ELIMINATION_CELLS`` cells, unit pivots are eliminated on sparse rows
+    by ``_eliminate`` (each eliminated generator becomes a substitution in
+    the kept ones); and only the residue goes to ``snf``.
     The invariant factors (each >= 2, each dividing the next) and the free
-    rank are computed once from the Smith normal form of the relations and
-    cached; equality compares exactly these.
+    rank are computed once and cached; equality compares exactly these.
 
     >>> g = group(2, [[2, 0], [0, 3]])
     >>> g.invariant_factors, g.free_rank
@@ -549,31 +702,61 @@ class FgAbGroup:
     """
 
     __slots__ = ("n_gens", "relations", "invariant_factors", "free_rank",
-                 "_v", "_vinv", "_diag", "_plain", "_units", "_free")
+                 "_plain", "_to", "_v", "_kept", "_back", "_diag", "_units", "_free")
 
     def __init__(self, n_gens, relations):
         if relations.cols != n_gens:
             raise ValueError("relations width != n_gens")
         self.n_gens = n_gens
         self.relations = relations
-        s, _, v = snf(relations, 0)
-        k = min(relations.rows, n_gens)
-        diag = tuple(s.data[i][i] if i < k else 0 for i in range(n_gens))
+        rows = Mat._of(tuple(row for row in dict.fromkeys(relations.data) if any(row)), n_gens)
+        self._plain, self._to, self._v, self._kept, self._back = True, None, None, None, None
+        if _in_smith_form(rows):
+            self._read_diagonal(tuple(rows.data[i][i] if i < rows.rows else 0
+                                      for i in range(n_gens)))
+            return
+        steps, residue, kept = [], rows, tuple(range(n_gens))
+        if (rows.rows * n_gens >= _ELIMINATION_CELLS
+                and any(1 in row or -1 in row for row in rows.data)):
+            steps, live = _eliminate(_sparse(rows.data))
+            pivots = {p for p, _, _ in steps}
+            kept = tuple(j for j in range(n_gens) if j not in pivots)
+            residue = _distinct_dense(live, kept)
+        k = len(kept)
+        diag, v = (0,) * k, None
+        if residue.rows:
+            s, _, v = snf(residue, 0)
+            diag = tuple(s.data[i][i] if i < s.rows else 0 for i in range(k))
+            if v == Mat.identity(k):
+                v = None
+        self._read_diagonal((1,) * len(steps) + diag)
+        # Plain: every relation is zero read in generator coordinates, as
+        # when U relations = S outright (no steps, V the identity).
+        if (v is None and not steps) or self._first_nonzero_row(rows) is None:
+            return
+        sub = _substitution(n_gens, kept, steps)
+        self._plain, self._kept, self._v = False, kept, v
+        self._to = v if sub is None else sub if v is None else sub @ v
+        self._read_diagonal(diag)
+
+    def _read_diagonal(self, diag):
+        """Record ``diag``, the Smith diagonal of the coordinates that
+        membership reads.  The divisibility chain orders it: units, then
+        the invariant factors, then zeros from index ``_free`` on."""
         self._diag = diag
-        self._v = v
-        self._vinv = None  # inverse of _v, built where it is first needed
-        self._plain = v == Mat.identity(n_gens)  # then reduce skips V
-        # The divisibility chain orders the diagonal: units, then the
-        # invariant factors, then zeros from index ``_free`` on.
         self.free_rank = diag.count(0)
         self._units = diag.count(1)
-        self._free = n_gens - self.free_rank
+        self._free = len(diag) - self.free_rank
         self.invariant_factors = diag[self._units:self._free]
 
     def reduce(self, x):
-        """Canonical representative of the coset of x (a length-n tuple):
-        ``((x V) mod d) V^-1``, for the basis change ``V`` of the Smith form
-        and its diagonal ``d``.  It differs from ``x`` by a relation.
+        """Canonical representative of the coset of x (a length-n tuple).
+        It differs from ``x`` by a relation.
+
+        A plain group reads ``x`` as Smith coordinates and reduces it
+        modulo the diagonal.  Otherwise ``x _to`` (the substitutions, then
+        the residue's basis change ``V``) is reduced and mapped back by
+        ``_back_map``.
 
         >>> group(2, [[4, 0], [0, 2]]).reduce((1, 3))
         (1, 1)
@@ -591,34 +774,44 @@ class FgAbGroup:
         u, f = self._units, self._free
         return (0,) * u + tuple(map(mod, y[u:f], self.invariant_factors)) + y[f:]
 
+    def _back_map(self):
+        """From Smith coordinates back to generators: the inverse of the
+        residue's ``V``, its columns placed at the kept generators (zero at
+        the eliminated ones).  Built where it is first needed, and kept."""
+        if self._back is None:
+            kept, gens, zeros = self._kept, range(self.n_gens), itertools.repeat(0)
+            inv = Mat.identity(len(kept)) if self._v is None else _unimodular_inverse(self._v)
+            self._back = Mat._of(tuple(tuple(map(dict(zip(kept, row)).get, gens, zeros))
+                                       for row in inv.data), self.n_gens)
+        return self._back
+
     def _reduce_rows(self, m):
         """``reduce`` of every row of ``m`` (``n_gens`` wide), as a ``Mat``:
-        one product with the basis change and one with its inverse (none
-        when it is the identity), each distinct row once."""
-        rows = m if self._plain else m @ self._v
-        out = Mat._of(tuple(map(self._residue, rows.data)), self.n_gens)
+        one product into Smith coordinates and one back (none for a plain
+        group), each distinct row once."""
         if self._plain:
-            return out
-        if self._vinv is None:
-            self._vinv = _unimodular_inverse(self._v)
-        return out @ self._vinv
+            return Mat._of(tuple(map(self._residue, m.data)), self.n_gens)
+        rows = m @ self._to
+        return Mat._of(tuple(map(self._residue, rows.data)), rows.cols) @ self._back_map()
 
     def _first_nonzero_row(self, m):
         """Index of the first row of ``m`` (``n_gens`` wide) that is not zero
-        in the group, or None.  Each distinct row is multiplied by the basis
-        change once (not at all when it is the identity), up to the first
+        in the group, or None.  Each distinct row is taken to Smith
+        coordinates once (not at all in a plain group), up to the first
         that is not zero; a repeat of a row already tested comes after it,
         so it cannot be first."""
         if m.cols != self.n_gens:
             raise ValueError(f"shape mismatch {m.rows}x{m.cols} @ {self.n_gens}x{self.n_gens}")
-        vdata, tested = self._v.data, set()
+        tested = set()
         u, f, torsion = self._units, self._free, self.invariant_factors
+        if not self._plain:
+            to, width = self._to.data, self._to.cols
         for i, row in enumerate(m.data):
             if row in tested:
                 continue
             tested.add(row)
             if not self._plain:
-                row = _combine(row, vdata, self.n_gens)
+                row = _combine(row, to, width)
             if any(row[f:]) or any(map(mod, row[u:f], torsion)):
                 return i
         return None
@@ -654,14 +847,12 @@ class FgAbGroup:
         """
         if not self.is_finite():
             raise ValueError("infinite group")
-        if self._vinv is None:
-            self._vinv = _unimodular_inverse(self._v)
-        ranges = [range(d if d > 1 else 1) for d in self._diag]
-        seen = {}
-        for y in itertools.product(*ranges):
-            x = _vecmat(y, self._vinv)
-            seen.setdefault(self.reduce(x), x)
-        return sorted(seen.values())
+        # each reduced Smith coordinate vector, mapped back: a representative
+        ys = itertools.product(*map(range, self._diag))
+        if self._plain:
+            return sorted(ys)
+        back = self._back_map()
+        return sorted(_vecmat(y, back) for y in ys)
 
     def __eq__(self, other):
         return (isinstance(other, FgAbGroup)
@@ -835,23 +1026,11 @@ def _first_outside(m, rows):
     of ``m``, or None.
 
     A row lies in the lattice iff it is zero in ``Z^cols / (rows of m)``,
-    which reads only S and V of ``m``: its ``snf`` tracks no column of U
-    (and does not run when ``rows`` has no row).  Nothing reads U or V
-    beyond that test, so zero and repeated rows of ``m``, which leave its
-    lattice as it is, are dropped before factoring."""
+    which a group on the rows of ``m`` tests (and does not build when
+    ``rows`` has no row)."""
     if not rows.rows:
         return None
-    return FgAbGroup(m.cols, _distinct_nonzero_rows(m))._first_nonzero_row(rows)
-
-
-def _distinct_nonzero_rows(m):
-    """``m`` without its zero rows and without repeats of an earlier row:
-    the same row lattice, for factorizations that read neither U nor V.
-
-    >>> _distinct_nonzero_rows(Mat([[0, 0], [1, 2], [0, 0], [1, 2], [3, 4]]))
-    Mat([[1, 2], [3, 4]], cols=2)
-    """
-    return Mat._of(tuple(row for row in dict.fromkeys(m.data) if any(row)), m.cols)
+    return FgAbGroup(m.cols, m)._first_nonzero_row(rows)
 
 
 def is_exact(seq):
@@ -974,15 +1153,15 @@ def direct_sum(g, h):
     return s, i1, i2, p1, p2
 
 
-def tensor(g, h):
-    """Tensor product over Z, presented on generator pairs in ``kron``'s
-    coordinates.
+def tensor_relations(g, h):
+    """Relations of the tensor product over Z of two presented groups, on
+    generator pairs in ``kron``'s coordinates: each relation of ``g``
+    tensored with each generator of ``h``, then each generator of ``g``
+    with each relation of ``h``.
 
-    >>> tensor(group(1, [[2]]), group(1, [[3]])).is_trivial()
-    True
-    >>> tensor(group(1, [[4]]), group(1, [[6]])) == group(1, [[2]])
-    True
+    >>> rels = tensor_relations(group(1, [[4]]), group(1, [[6]]))
+    >>> rels.data, group(1, rels) == group(1, [[2]])
+    (((4,), (6,)), True)
     """
-    rels = vstack(kron(g.relations, Mat.identity(h.n_gens)),
+    return vstack(kron(g.relations, Mat.identity(h.n_gens)),
                   kron(Mat.identity(g.n_gens), h.relations))
-    return group(g.n_gens * h.n_gens, rels)

@@ -32,20 +32,17 @@ a check on the presentations.
 
 from __future__ import annotations
 
-from collections import defaultdict
-from heapq import heapify, heappop, heappush
 from typing import NamedTuple
 
 from .errors import CertificateError, SpecError
 from .fgab import (
     Mat,
     _LeftSolver,
-    _distinct_nonzero_rows,
+    _elementary_divisors,
     group,
     hom,
     is_exact,
     row_kernel,
-    snf,
 )
 
 
@@ -367,71 +364,6 @@ def _divisors(c, q):
             c._divisors[p] = (divisors, units, echelon)
         found = c._divisors[q]
     return found[0]
-
-
-def _elementary_divisors(rows, pivots=None):
-    """The nonzero elementary divisors, in increasing order, of the matrix
-    of sparse ``rows``; the column of each unit pivot is added to the set
-    ``pivots`` when one is given.
-
-    Unit pivots are eliminated first (Kaczynski-Mrozek-Slusarek): each one
-    contributes a divisor 1 and leaves the Schur complement, which stays
-    integral.  The row taken next is a shortest live row, its pivot the
-    unit entry in its sparsest column, so fill-in stays small (Markowitz).
-    ``snf`` factors what is left without a unit pivot (Dumas-Saunders-
-    Villard), its repeated rows dropped: only its divisors are read.
-
-    >>> _elementary_divisors([{0: 1, 1: 1}, {0: 1, 1: -1}])
-    (1, 2)
-    """
-    live = {i: dict(row) for i, row in enumerate(rows) if row}
-    where = defaultdict(set)  # column -> live rows with an entry in it
-    for i, row in live.items():
-        for j in row:
-            where[j].add(i)
-    queue = [(len(row), i) for i, row in live.items()]
-    heapify(queue)
-    units = 0
-    while queue:
-        size, i = heappop(queue)
-        row = live.get(i)
-        if row is None or len(row) != size:
-            continue  # eliminated, or queued again at its new length
-        pivot = min((j for j, a in row.items() if a in (1, -1)),
-                    key=lambda j: len(where[j]), default=None)
-        if pivot is None:
-            continue  # left to the residue unless an elimination changes it
-        units += 1
-        if pivots is not None:
-            pivots.add(pivot)
-        del live[i]
-        for j in row:
-            where[j].discard(i)
-        sign = row.pop(pivot)
-        for k in where.pop(pivot):
-            other = live[k]
-            factor = other.pop(pivot) * sign
-            for j, a in row.items():
-                b = other.get(j, 0) - factor * a
-                if b:
-                    other[j] = b
-                    where[j].add(k)
-                else:
-                    del other[j]
-                    where[j].discard(k)
-            if other:
-                heappush(queue, (len(other), k))
-            else:
-                del live[k]
-    residue = ()
-    if live:
-        cols = sorted(j for j, ks in where.items() if ks)
-        s = snf(_distinct_nonzero_rows(
-            Mat([[row.get(j, 0) for j in cols] for row in live.values()], cols=len(cols))), 0)[0]
-        residue = tuple(
-            d for d in (s.data[n][n] for n in range(min(s.rows, s.cols))) if d
-        )
-    return (1,) * units + residue
 
 
 def _rank_mod2(rows, pivots=None):

@@ -36,7 +36,7 @@ from .fgab import (
     kernel,
     kron,
     lift_through,
-    tensor,
+    tensor_relations,
     vstack,
 )
 from .involutive_algebra import _unit_vec
@@ -271,13 +271,12 @@ def _tensor_level(grp, acts, ring_map):
     relations of ``grp (x) B``, the rows of ``a x (x) y - x (x) f(a) y`` for
     each generator ``a`` of A, one ``kron`` block per ``a``."""
     b = ring_map.target
-    t = tensor(grp, b.add)
     ident_grp, ident_b = Mat.identity(grp.n_gens), Mat.identity(b.n_gens)
-    rels = t.relations
+    rels = tensor_relations(grp, b.add)
     for act, fa in zip(acts, _images(ring_map.add_hom).data):
         mult = b.multiplication_by(fa).matrix
         rels = vstack(rels, kron(_images(act), ident_b) - kron(ident_grp, mult))
-    return group(t.n_gens, rels)
+    return group(grp.n_gens * b.n_gens, rels)
 
 
 def base_change(ms, ring_map):

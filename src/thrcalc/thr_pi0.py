@@ -40,7 +40,7 @@ from .fgab import (
     is_exact,
     kernel,
     kron,
-    tensor,
+    tensor_relations,
     vstack,
 )
 from .involutive_algebra import (
@@ -112,8 +112,7 @@ def pi0_thr(ring):
         )
     a = ring.add
     n = ring.n_gens
-    t = tensor(a, a)
-    g = group(n * n, vstack(t.relations, t_span_rows(ring)))
+    g = group(n * n, vstack(tensor_relations(a, a), t_span_rows(ring)))
 
     res = hom(g, a, [ring.table[i][j] for i in range(n) for j in range(n)])
     ident = Mat.identity(n)
@@ -160,9 +159,8 @@ def frobenius_twisted_square(ring, frob=None):
     presented on the same tensor generators as ``A/2 (x) A/2``.
     """
     r2, phi = frob or mod2_frobenius(ring)
-    t = tensor(r2.add, r2.add)
     moved = _slide_rows(r2, _images(phi).data)
-    return r2, group(t.n_gens, vstack(t.relations, moved))
+    return r2, group(r2.n_gens ** 2, vstack(tensor_relations(r2.add, r2.add), moved))
 
 
 class SesReport(NamedTuple):

@@ -7,6 +7,7 @@ objects the tests draw from.
 """
 
 import functools
+import itertools
 from dataclasses import dataclass
 from fractions import Fraction
 
@@ -33,7 +34,9 @@ from thrcalc.fgab import (
     hom,
     kron,
     row_kernel,
+    snf,
     solve_left,
+    tensor_relations,
     vstack,
 )
 from thrcalc.homology import (
@@ -715,24 +718,79 @@ def generator_product(m, other):
 
 
 def generator_reduce(g, x):
-    """``FgAbGroup.reduce``: ``((x V) mod d) V^-1`` entry by entry."""
+    """``FgAbGroup.reduce`` entry by entry."""
     return generator_reduce_rows(g, Mat.row_vector(x)).data[0]
 
 
+def _mod_diagonal(rows, diag):
+    return tuple(tuple(a % d if d else a for a, d in zip(row, diag)) for row in rows)
+
+
 def generator_reduce_rows(g, m):
-    """``FgAbGroup._reduce_rows`` through the explicit products with V and
-    its inverse (the inverse from ``snf`` bookkeeping, as ``fgab`` does)."""
-    rows = generator_product(m, g._v)
-    out = Mat._of(tuple(tuple(a % d if d else a for a, d in zip(row, g._diag))
-                        for row in rows.data), g.n_gens)
-    return generator_product(out, _unimodular_inverse(g._v))
+    """``FgAbGroup._reduce_rows`` through explicit products: into Smith
+    coordinates by ``_to`` (not at all in a plain group), each entry
+    modulo the diagonal, and back by the inverse of the residue's basis
+    change (from ``snf`` bookkeeping, as ``fgab`` does) with its columns
+    placed at the kept generators."""
+    if g._plain:
+        return Mat._of(_mod_diagonal(m.data, g._diag), g.n_gens)
+    rows = generator_product(m, g._to)
+    k = rows.cols
+    inv = Mat.identity(k) if g._v is None else _unimodular_inverse(g._v)
+    back = Mat._of(tuple(tuple(row[g._kept.index(j)] if j in g._kept else 0
+                               for j in range(g.n_gens)) for row in inv.data), g.n_gens)
+    return generator_product(Mat._of(_mod_diagonal(rows.data, g._diag), k), back)
 
 
 def generator_first_nonzero_row(g, m):
-    """``FgAbGroup._first_nonzero_row``: the first row of ``m V`` with a
-    coordinate that its diagonal entry does not divide."""
-    return next((i for i, row in enumerate(generator_product(m, g._v).data)
+    """``FgAbGroup._first_nonzero_row``: the first row of ``m`` in Smith
+    coordinates with a coordinate that its diagonal entry does not
+    divide."""
+    rows = m if g._plain else generator_product(m, g._to)
+    return next((i for i, row in enumerate(rows.data)
                  if any(a % d if d else a for a, d in zip(row, g._diag))), None)
+
+
+class DenseGroup:
+    """The dense route of a presented group, the second route of
+    ``FgAbGroup``: one ``snf`` of the whole relation matrix, zero and
+    repeated rows included, with membership read through its basis change
+    ``V``.  An element ``x`` is ``x V`` in Smith coordinates; its
+    representative is ``((x V) mod d) V^-1``.  The group is plain where
+    ``V`` is the identity."""
+
+    def __init__(self, n_gens, relations):
+        self.n_gens = n_gens
+        s, _, self.v = snf(relations, 0)
+        k = min(relations.rows, n_gens)
+        self.diag = tuple(s.data[i][i] if i < k else 0 for i in range(n_gens))
+        self.plain = self.v == Mat.identity(n_gens)
+        self.free_rank = self.diag.count(0)
+        self.invariant_factors = tuple(d for d in self.diag if d > 1)
+
+    def reduce_rows(self, m):
+        out = Mat._of(_mod_diagonal(generator_product(m, self.v).data, self.diag), self.n_gens)
+        return generator_product(out, _unimodular_inverse(self.v))
+
+    def reduce(self, x):
+        return self.reduce_rows(Mat.row_vector(x)).data[0]
+
+    def first_nonzero_row(self, m):
+        return next((i for i, row in enumerate(generator_product(m, self.v).data)
+                     if any(a % d if d else a for a, d in zip(row, self.diag))), None)
+
+    def elements(self):
+        """One representative ``y V^-1`` of each element of a finite group,
+        over the reduced Smith coordinates ``y``, sorted."""
+        inv = _unimodular_inverse(self.v)
+        return sorted(generator_combine(y, inv.data, inv.cols)
+                      for y in itertools.product(*(range(d) for d in self.diag)))
+
+
+def tensor(g, h):
+    """The tensor product over Z of two presented groups, as a group on
+    ``fgab.tensor_relations``."""
+    return group(g.n_gens * h.n_gens, tensor_relations(g, h))
 
 
 def full_chains(x):

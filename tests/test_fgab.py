@@ -2,6 +2,7 @@ import io
 import itertools
 import random
 import sys
+from unittest import mock
 from collections import Counter
 from contextlib import redirect_stdout
 from fractions import Fraction
@@ -14,7 +15,7 @@ from thrcalc import fgab, homology, selftest, thr_pi0
 from thrcalc.fgab import (
     Mat, snf, solve_left, group, free_group, hom, identity_hom,
     kernel, is_exact, inverse,
-    lift_through, direct_sum, tensor,
+    lift_through, direct_sum,
     vstack, kron,
 )
 from thrcalc.errors import SpecError
@@ -22,7 +23,7 @@ from thrcalc.mackey import fixed_point_mackey
 
 import helpers
 from conftest import abelian_groups, matrices
-from helpers import reference_snf, solve_left_is_exact
+from helpers import DenseGroup, reference_snf, solve_left_is_exact, tensor
 
 
 def minor_gcd_invariants(m):
@@ -550,7 +551,7 @@ def test_shortcuts_skip_only_work_whose_outcome_is_known(monkeypatch):
         seen["pivots in Smith forms"] += in_smith_form(sys._getframe(1).f_locals["m"])
         return real_least(a, live)
 
-    for module in (fgab, homology, selftest):
+    for module in (fgab, selftest):
         monkeypatch.setattr(module, "snf", recording_snf)
     for module in (fgab, homology, thr_pi0):
         monkeypatch.setattr(module, "is_exact", recording_is_exact)
@@ -609,13 +610,13 @@ def test_first_nonzero_row_tests_each_distinct_row_once(combine_calls):
 @settings(max_examples=100, deadline=None)
 @given(abelian_groups(), st.data())
 def test_first_nonzero_row_is_the_explicit_product_route(g, data):
-    """The index ``_first_nonzero_row`` finds, with its product by V
-    skipped where V is the identity, is the first row of ``m @ V`` that
-    is not zero modulo the Smith diagonal."""
+    """The index ``_first_nonzero_row`` finds, with its product into Smith
+    coordinates skipped in a plain group, is the first row of ``m`` that
+    the dense route, through the ``V`` of one ``snf`` of every relation
+    row, finds outside the lattice."""
     m = data.draw(matrices(data.draw(st.integers(0, 5)), g.n_gens))
-    explicit = next((i for i, row in enumerate((m @ g._v).data)
-                     if any(a % d if d else a for a, d in zip(row, g._diag))), None)
-    assert g._first_nonzero_row(m) == explicit
+    dense = DenseGroup(g.n_gens, g.relations)
+    assert g._first_nonzero_row(m) == dense.first_nonzero_row(m)
 
 
 @st.composite
@@ -703,7 +704,7 @@ def test_is_exact_refuses_a_joint_between_two_presentations():
 # how many they keep, read off the caller's locals.
 _KEPT = {
     fgab.FgAbGroup.__init__.__code__: lambda local: 0,
-    homology._elementary_divisors.__code__: lambda local: 0,
+    fgab._elementary_divisors.__code__: lambda local: 0,
     fgab.kernel.__code__: lambda local: local["sub"].rows,
     fgab._kernel_lattice.__code__: lambda local: local["f"].source.n_gens,
     fgab.inverse.__code__: lambda local: local["f"].source.n_gens,
@@ -739,13 +740,15 @@ def test_no_caller_tracks_more_of_u_than_it_keeps(monkeypatch):
                      m.rows, u_cols))
         return real(m, u_cols)
 
-    for module in (fgab, homology, selftest):
+    for module in (fgab, selftest):
         monkeypatch.setattr(module, "snf", recording)
     with redirect_stdout(io.StringIO()):
         assert all(outcome.ok for outcome in selftest.run_all())
     # run_all lifts only into free groups; this lift goes into (Z/2)^2
     a = group(2, [[2, 0], [0, 2]])
     fixed_point_mackey(a, hom(a, a, [[0, 1], [1, 0]]))
+    # nor does it read a representative through a residue's basis change
+    group(2, [[2, 4]]).reduce((1, 1))
     monkeypatch.undo()
 
     askers, narrowed = set(), set()
@@ -877,6 +880,14 @@ def groups_with_every_part(draw):
 kernel_groups = st.one_of(abelian_groups(max_gens=4, max_rels=4), groups_with_every_part())
 
 
+def eliminating(every):
+    """A context in which a group eliminates the unit pivots of every
+    relation matrix (``every``), or only of those at least
+    ``_ELIMINATION_CELLS`` large, as outside it."""
+    return mock.patch.object(fgab, "_ELIMINATION_CELLS",
+                             0 if every else fgab._ELIMINATION_CELLS)
+
+
 def test_a_group_records_where_its_units_and_free_part_start():
     g = group(5, [[1, 0, 0, 0, 0], [0, 2, 0, 0, 0], [0, 0, 6, 0, 0], [1, 2, 6, 0, 0]])
     assert g._diag == (1, 2, 6, 0, 0)
@@ -885,8 +896,10 @@ def test_a_group_records_where_its_units_and_free_part_start():
 
 
 @settings(max_examples=200, deadline=None)
-@given(kernel_groups, st.data())
-def test_membership_is_the_entry_by_entry_form(g, data):
+@given(kernel_groups, st.booleans(), st.data())
+def test_membership_is_the_entry_by_entry_form(g, every, data):
+    with eliminating(every):
+        g = group(g.n_gens, g.relations)
     diag = g._diag
     k = g._units
     assert diag[:k] == (1,) * k and diag[g._free:] == (0,) * g.free_rank
@@ -916,3 +929,96 @@ def test_solve_left_reads_the_smith_diagonal_in_slices(g, data):
         else:
             assert fgab._vecmat(x, m) == y
             assert type(x) is tuple and all(type(a) is int for a in x)
+
+
+# ---------------------------------------------------------------------------
+# the factored lattice against the dense route
+# ---------------------------------------------------------------------------
+
+
+@st.composite
+def presentations(draw):
+    """Relations of a group with units, invariant factors and a free part,
+    in a basis moved by elementary column operations and a permutation,
+    the rows mixed by row operations, with zero and repeated rows among
+    them, in any order."""
+    diag = [1] * draw(st.integers(0, 3))
+    for _ in range(draw(st.integers(0, 2))):
+        diag.append((diag[-1] if diag else 1) * draw(st.integers(2, 4)))
+    n = len(diag) + draw(st.integers(0, 2))
+    rows = [[d if j == i else 0 for j in range(n)] for i, d in enumerate(diag)]
+    coeffs = st.sampled_from([1, -1, 2, -2, 3])
+    if n >= 2:
+        for _ in range(draw(st.integers(0, 4))):  # column operations move the basis
+            i, j = draw(st.permutations(range(n)))[:2]
+            c = draw(coeffs)
+            for row in rows:
+                row[j] += c * row[i]
+        if draw(st.booleans()):
+            perm = draw(st.permutations(range(n)))
+            rows = [[row[p] for p in perm] for row in rows]
+    if len(rows) >= 2:
+        for _ in range(draw(st.integers(0, 3))):  # row operations keep the lattice
+            i, j = draw(st.permutations(range(len(rows))))[:2]
+            c = draw(coeffs)
+            rows[j] = [a + c * b for a, b in zip(rows[j], rows[i])]
+    rows += [[0] * n] * draw(st.integers(0, 2))
+    rows += [rows[draw(st.integers(0, len(rows) - 1))] for _ in range(draw(st.integers(0, 3)))
+             if rows]
+    return Mat(draw(st.permutations(rows)), cols=n)
+
+
+@settings(max_examples=300, deadline=None)
+@given(st.one_of(presentations(), abelian_groups(4, 5).map(lambda g: g.relations)),
+       st.booleans(), st.data())
+def test_the_factored_lattice_is_the_dense_route(rels, every, data):
+    """Against one ``snf`` of every relation row, with unit pivots
+    eliminated first or not: the same invariants, the same first row
+    outside the lattice, representatives that differ from their element
+    by a relation and do not depend on the coset's member, the same
+    elements, and, where the dense route is plain (its ``V`` the
+    identity), the same representatives."""
+    n = rels.cols
+    with eliminating(every):
+        g = group(n, rels)
+    dense = DenseGroup(n, rels)
+    assert (g.invariant_factors, g.free_rank) == (dense.invariant_factors, dense.free_rank)
+    assert g._plain or not dense.plain
+    m = data.draw(kernel_matrices(data.draw(st.integers(0, 4)), n))
+    lattice = data.draw(matrices(m.rows, rels.rows)) @ rels
+    m = vstack(m, lattice)  # rows in the lattice too, so that some tests find no row
+    assert g._first_nonzero_row(m) == dense.first_nonzero_row(m)
+    reduced = g._reduce_rows(m)
+    for x, y, r in zip(m.data, reduced.data, lattice.data + lattice.data):
+        assert g.reduce(x) == y
+        assert dense.first_nonzero_row(Mat([[a - b for a, b in zip(x, y)]], cols=n)) is None
+        assert g.reduce(tuple(a + b for a, b in zip(x, r))) == y
+        if dense.plain:
+            assert y == dense.reduce(x)
+    if g.is_finite() and g.order() <= 100:
+        elements = g.elements()
+        assert sorted(map(g.reduce, dense.elements())) == elements == sorted(set(elements))
+        assert elements == sorted(map(g.reduce, elements))
+        if dense.plain:
+            assert elements == dense.elements()
+
+
+def test_a_group_factors_distinct_rows_after_its_unit_pivots(monkeypatch):
+    """``FgAbGroup`` hands ``snf`` only its residue: no zero row, no row
+    twice and no eliminated generator; a lattice of units alone makes no
+    call.  Below ``_ELIMINATION_CELLS`` cells, ``snf`` takes the unit
+    pivots itself."""
+    real, seen = fgab.snf, []
+    monkeypatch.setattr(fgab, "snf", lambda m, u_cols=None: seen.append(m) or real(m, u_cols))
+    monkeypatch.setattr(fgab, "_ELIMINATION_CELLS", 0)
+    g = group(4, [[2, 1, 0, 0], [0, 0, 0, 0], [4, 1, 0, 0], [0, 0, 6, 2],
+                  [2, 1, 0, 0], [0, 0, 6, 2], [0, 0, 4, 0]])
+    assert seen == [Mat([[2, 0, 0], [0, 6, 2], [0, 4, 0]])]
+    assert (g.invariant_factors, g.free_rank) == ((2, 2, 4), 0)
+    seen.clear()
+    assert group(3, [[1, 2, 0], [0, 1, -1], [1, 2, 0]]).free_rank == 1
+    assert seen == []
+    monkeypatch.undo()
+    monkeypatch.setattr(fgab, "snf", lambda m, u_cols=None: seen.append(m) or real(m, u_cols))
+    assert group(3, [[1, 2, 0], [0, 0, 0], [0, 1, -1], [1, 2, 0]]).free_rank == 1
+    assert seen == [Mat([[1, 2, 0], [0, 1, -1]])]

@@ -15,7 +15,7 @@ from hypothesis import given, settings
 
 import thrcalc.thr_pi0 as thr_pi0
 from conftest import abelian_groups
-from thrcalc.fgab import Mat, group, kron, tensor
+from thrcalc.fgab import Mat, group, kron
 from thrcalc.involutive_algebra import (
     frobenius,
     ring_dual_numbers_F2,
@@ -40,6 +40,7 @@ from helpers import (
     loop_pi0_thr,
     loop_tensor_relations,
     loop_twisted_rows,
+    tensor,
 )
 from test_thr_pi0 import SMALL_RINGS
 

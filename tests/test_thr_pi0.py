@@ -1,12 +1,14 @@
 """Tests for the zeroth homotopy Mackey functor computations."""
 
+import sys
+
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from thrcalc import thr_pi0
+from thrcalc import cli, fgab, mackey, thr_pi0
 from thrcalc.errors import CertificateError, SpecError
-from thrcalc.fgab import Mat, group, solve_left, tensor, vstack
+from thrcalc.fgab import Mat, group, solve_left, vstack
 from thrcalc.involutive_algebra import (
     _unit_vec,
     make_ring,
@@ -29,7 +31,7 @@ from thrcalc.thr_pi0 import (
     verify_base_change,
 )
 
-from helpers import is_surjective_on_finite, pure_tensor, ring_gaussian_integers
+from helpers import is_surjective_on_finite, pure_tensor, ring_gaussian_integers, tensor
 
 
 def test_integers_give_the_constant_mackey_functor():
@@ -223,3 +225,28 @@ def test_frobenius_cokernel_route_matches_the_enumeration(ring):
 def test_frobenius_of_truncated_polynomials_is_onto_only_without_t(m, k):
     _, phi = thr_pi0.mod2_frobenius(truncated_polynomials(m, k))
     assert thr_pi0._is_onto(phi) == is_surjective_on_finite(phi) == (m % 2 == 1 or k == 1)
+
+
+def test_pi0thr_builds_no_tensor_group_and_factors_no_repeated_row(monkeypatch, capsys):
+    """``pi0thr`` of a catalog ring makes no ``snf`` call from inside a
+    tensor builder, and every group hands ``snf`` distinct nonzero rows."""
+    real, seen = fgab.snf, []
+
+    def recording(m, u_cols=None):
+        frame, callers = sys._getframe(1), []
+        while frame is not None:
+            callers.append(frame.f_code)
+            frame = frame.f_back
+        seen.append((callers, m))
+        return real(m, u_cols)
+
+    monkeypatch.setattr(fgab, "snf", recording)
+    assert cli.main(["pi0thr", "tests/data/ring_f4.yaml"]) == 0
+    monkeypatch.undo()
+    capsys.readouterr()
+    builders = {fgab.tensor_relations.__code__, mackey._tensor_level.__code__}
+    assert seen and not any(builders.intersection(callers) for callers, _ in seen)
+    factored = [m for callers, m in seen if callers[0] is fgab.FgAbGroup.__init__.__code__]
+    assert factored
+    for m in factored:
+        assert all(map(any, m.data)) and len(set(m.data)) == m.rows
