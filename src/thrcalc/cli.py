@@ -133,8 +133,6 @@ def cmd_pi0thr(args):
     ses = ses_check(result, frob)
     mk = result.mackey
     payload = {
-        "schema_version": SCHEMA_VERSION,
-        "command": "pi0thr",
         "input": path,
         "e_level": _encode_group(mk.e),
         "g_level": _encode_group(mk.g),
@@ -168,8 +166,6 @@ def cmd_basechange(args):
     f = ring_map_from_description(_load(map_path), source, target, where=map_path)
     report = verify_base_change(f)
     payload = {
-        "schema_version": SCHEMA_VERSION,
-        "command": "basechange",
         "source": src_path,
         "target": tgt_path,
         "map": map_path,
@@ -220,8 +216,6 @@ def cmd_nerve(args):
     counts = [piece.count(q) for q in range(q_max + 1)]
     nondeg = list(piece.nondegenerate_counts())
     payload = {
-        "schema_version": SCHEMA_VERSION,
-        "command": "nerve",
         "input": path,
         "weight": list(weight),
         "q_max": q_max,
@@ -287,8 +281,6 @@ def cmd_projective(args):
         report = psigma_report()
         ok = report.cartesian and report.mutation_breaks
         payload = {
-            "schema_version": SCHEMA_VERSION,
-            "command": "projective",
             "n": "sigma",
             "cartesian": report.cartesian,
             "mutation_breaks": report.mutation_breaks,
@@ -322,8 +314,6 @@ def cmd_projective(args):
         _progress(f"analysing weights -{window}..{window} of the line ...")
         report = p1_report(window)
         payload = {
-            "schema_version": SCHEMA_VERSION,
-            "command": "projective",
             "n": "1",
             "window": window,
             "entries": [_weight_entry_payload(e) for e in report.entries],
@@ -347,8 +337,6 @@ def cmd_projective(args):
     report = pn_report(dim, window)
     origin = report.origin
     payload = {
-        "schema_version": SCHEMA_VERSION,
-        "command": "projective",
         "n": n,
         "window": window,
         "entries": [_weight_entry_payload(e) for e in report.entries],
@@ -383,8 +371,6 @@ def cmd_selftest(args):
     outcomes = run_all(progress=_progress)
     ok = all(o.ok for o in outcomes)
     payload = {
-        "schema_version": SCHEMA_VERSION,
-        "command": "selftest",
         "criteria": [
             {
                 "number": o.number,
@@ -496,6 +482,7 @@ def main(argv=None):
         print(f"certificate failure: {exc}", file=sys.stderr)
         return 4
     if args.format == "structured":
+        payload.update(schema_version=SCHEMA_VERSION, command=args.subcommand)
         sys.stdout.write(
             json.dumps(payload, sort_keys=True, separators=(",", ":")) + "\n"
         )

@@ -37,7 +37,10 @@ Conventions
 * Tensor coordinates are ``kron``'s, for groups and complexes alike: on
   generators ``x_0, ..., x_{m-1}`` and ``y_0, ..., y_{n-1}``, the pair
   ``x_i (x) y_j`` is generator ``i * n + j``.  A map or relation built
-  from a tensor of matrices is the ``kron`` of those matrices.
+  from a tensor of matrices is the ``kron`` of those matrices.  Every
+  tensor product of groups is one ``balanced_tensor``: ``G (x) H`` modulo
+  the slides ``l x (x) y - x (x) r y`` of its pairs ``(l, r)``, built as
+  one group.
 * Block matrices of complexes and chain maps are assembled on sparse rows
   in ``homology``; a direct sum here pads its two summands itself.
 * Integer rows are worked on whole.  A row combination starts from its
@@ -69,6 +72,7 @@ import itertools
 from collections import defaultdict
 from heapq import heapify, heappop, heappush
 from operator import add, floordiv, mod, mul, neg, sub
+from typing import NamedTuple
 
 from .errors import SpecError
 
@@ -148,9 +152,6 @@ class Mat:
 
     def row(self, i):
         return self.data[i]
-
-    def is_zero(self):
-        return all(x == 0 for row in self.data for x in row)
 
     def __matmul__(self, other):
         if self.cols != other.rows:
@@ -822,9 +823,6 @@ class FgAbGroup:
     def same_element(self, x, y):
         return self.reduce(x) == self.reduce(y)
 
-    def zero(self):
-        return (0,) * self.n_gens
-
     def is_finite(self):
         return self.free_rank == 0
 
@@ -862,17 +860,18 @@ class FgAbGroup:
     def __hash__(self):
         return hash((self.invariant_factors, self.free_rank))
 
-    def __str__(self):
+    def _show(self, free_first):
         parts = [f"Z/{d}" for d in self.invariant_factors]
         if self.free_rank:
-            parts.insert(0, f"Z^{self.free_rank}" if self.free_rank > 1 else "Z")
+            parts.insert(0 if free_first else len(parts),
+                         f"Z^{self.free_rank}" if self.free_rank > 1 else "Z")
         return " + ".join(parts) if parts else "0"
 
+    def __str__(self):
+        return self._show(True)
+
     def __repr__(self):
-        parts = [f"Z/{d}" for d in self.invariant_factors]
-        if self.free_rank:
-            parts.append(f"Z^{self.free_rank}" if self.free_rank > 1 else "Z")
-        return " + ".join(parts) if parts else "0"
+        return self._show(False)
 
 
 def _unimodular_inverse(v):
@@ -949,9 +948,6 @@ class GroupHom:
         return GroupHom(self.source, self.target, self.matrix - other.matrix,
                         _checked=True)
 
-    def __neg__(self):
-        return GroupHom(self.source, self.target, -self.matrix, _checked=True)
-
     def equal(self, other):
         """Equality as maps into the common target (matrices may differ)."""
         if self.matrix.rows != other.matrix.rows:
@@ -1004,33 +1000,15 @@ def _kernel_lattice(f):
     return Mat._of(ker.data + src.relations.data, src.n_gens)
 
 
-class ExactnessReport:
+class ExactnessReport(NamedTuple):
     """Result of an exactness check; truthy iff exact, with a certificate
     string describing the first failure otherwise."""
 
-    __slots__ = ("ok", "detail")
-
-    def __init__(self, ok, detail):
-        self.ok = ok
-        self.detail = detail
+    ok: bool
+    detail: str
 
     def __bool__(self):
         return self.ok
-
-    def __repr__(self):
-        return f"ExactnessReport(ok={self.ok}, detail={self.detail!r})"
-
-
-def _first_outside(m, rows):
-    """Index of the first row of the matrix ``rows`` outside the row lattice
-    of ``m``, or None.
-
-    A row lies in the lattice iff it is zero in ``Z^cols / (rows of m)``,
-    which a group on the rows of ``m`` tests (and does not build when
-    ``rows`` has no row)."""
-    if not rows.rows:
-        return None
-    return FgAbGroup(m.cols, m)._first_nonzero_row(rows)
 
 
 def is_exact(seq):
@@ -1039,8 +1017,10 @@ def is_exact(seq):
     At a joint ``a`` then ``b``, a zero composite puts every row of
     ``a.matrix`` in the kernel lattice of ``b``, which holds the relations
     of the middle group outright: the image lies in the kernel.  What is
-    left is the other direction, every kernel row in the image lattice, one
-    ``snf`` of that lattice that tracks no column of U.
+    left is the other direction, every kernel row in the image lattice: a
+    row lies there iff it is zero in ``Z^n / image``, which one group on
+    the image rows tests, one ``snf`` that tracks no column of U (none
+    when the kernel has no row).
 
     ``a.target`` and ``b.source`` must be one presentation, the same
     object or equal relations, since each direction reads the middle
@@ -1078,8 +1058,10 @@ def is_exact(seq):
         if not comp.is_zero_map():
             return ExactnessReport(False, "composite is nonzero")
         ker_rows = _kernel_lattice(b)
-        im_rows = vstack(a.matrix, mid.relations)
-        bad = _first_outside(im_rows, ker_rows)
+        if not ker_rows.rows:
+            continue
+        image = FgAbGroup(mid.n_gens, vstack(a.matrix, mid.relations))
+        bad = image._first_nonzero_row(ker_rows)
         if bad is not None:
             return ExactnessReport(
                 False, f"kernel element {tuple(ker_rows.data[bad])} is not in the image")
@@ -1153,15 +1135,25 @@ def direct_sum(g, h):
     return s, i1, i2, p1, p2
 
 
-def tensor_relations(g, h):
-    """Relations of the tensor product over Z of two presented groups, on
-    generator pairs in ``kron``'s coordinates: each relation of ``g``
-    tensored with each generator of ``h``, then each generator of ``g``
-    with each relation of ``h``.
+def balanced_tensor(g, h, slides):
+    """The tensor product over Z of two presented groups modulo slides,
+    ``G (x) H / (l x (x) y - x (x) r y)``, as one group on generator pairs
+    in ``kron``'s coordinates.
 
-    >>> rels = tensor_relations(group(1, [[4]]), group(1, [[6]]))
-    >>> rels.data, group(1, rels) == group(1, [[2]])
+    Its relations are each relation of ``g`` tensored with each generator
+    of ``h``, then each generator of ``g`` with each relation of ``h``,
+    then one block ``kron(l, I) - kron(I, r)`` for each pair ``(l, r)`` of
+    endomorphism matrices of ``g`` and ``h`` in ``slides``, in order.
+
+    >>> t = balanced_tensor(group(1, [[4]]), group(1, [[6]]), ())
+    >>> t.relations.data, t == group(1, [[2]])
     (((4,), (6,)), True)
+    >>> z = free_group(1)
+    >>> balanced_tensor(z, z, [(Mat([[3]]), Mat([[1]]))]).relations.data
+    ((2,),)
     """
-    return vstack(kron(g.relations, Mat.identity(h.n_gens)),
-                  kron(Mat.identity(g.n_gens), h.relations))
+    ident_g, ident_h = Mat.identity(g.n_gens), Mat.identity(h.n_gens)
+    rows = kron(g.relations, ident_h).data + kron(ident_g, h.relations).data
+    for left, right in slides:
+        rows += (kron(left, ident_h) - kron(ident_g, right)).data
+    return group(g.n_gens * h.n_gens, Mat._of(rows, g.n_gens * h.n_gens))

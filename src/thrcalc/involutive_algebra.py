@@ -326,8 +326,7 @@ def ring_F4():
 def mod2(ring):
     """Reduction of a ring modulo 2, with the induced table and involution."""
     n = ring.add.n_gens
-    rels = vstack(ring.add.relations, Mat.identity(n).scale(2))
-    add2 = group(n, [rels.row(i) for i in range(rels.rows)])
+    add2 = group(n, vstack(ring.add.relations, Mat.identity(n).scale(2)))
     return make_ring(
         add2,
         ring.table,
@@ -624,8 +623,27 @@ class _FiberSearch:
     Nothing is kept when :func:`_weight_data` raises, so every search
     raises its ``InfeasibleError`` again.
 
-    Calling the search with a target weight ``v`` returns what
-    :func:`_enumerate_fiber` returns.
+    Calling the search with a target weight ``v`` returns all monoid
+    elements of that weight, as ``(vector, certificate)`` pairs,
+    deduplicated and sorted lexicographically by vector.  ``limit`` stops
+    the search early once that many distinct vectors are found (used for
+    membership tests).  An :class:`AffineMonoid` keeps one search per
+    tuple length, so the weight data is computed once per length.
+
+    The search runs over the counts of the pointed generators, in
+    lexicographic order, and settles the rest of the weight in the unit
+    lattice.  The functional ``lam`` of :func:`_weight_data` vanishes on
+    the weights of the units, so every element found spends exactly the
+    budget ``lam . v``: the costs and the budget are integers scaled by
+    one common denominator (:func:`_scaled`), each count but the last runs
+    up to ``remaining // cost``, and the last is ``remaining / cost`` when
+    that divides.  The first certificate found for a vector is kept.  On
+    ``N`` generated by 2 and 3, ``lam = (1/2,)`` scales to ``(1,)``, the
+    costs ``1`` and ``3/2`` to ``2`` and ``3``, and the budget of weight 7
+    to ``7``:
+
+    >>> _FiberSearch(((2,), (3,)), Mat.identity(1))((7,))
+    [((7,), (2, 1))]
     """
 
     __slots__ = ("gens", "weight", "_plan")
@@ -720,36 +738,6 @@ class _FiberSearch:
         elif budget >= 0:
             rec(0, budget, tuple([0] * rank), [0] * len(gens))
         return sorted(found.items())
-
-
-def _enumerate_fiber(gens, weight, v, limit=None):
-    """All monoid elements of a given weight, as ``(vector, certificate)``
-    pairs, deduplicated and sorted lexicographically by vector.
-
-    ``gens`` are ambient integer vectors, ``weight`` an integer matrix
-    mapping the ambient lattice to ``Z^m``, ``v`` the target weight.
-    ``limit`` stops the search early once that many distinct vectors are
-    found (used for membership tests).
-
-    The search runs over the counts of the pointed generators, in
-    lexicographic order, and settles the rest of the weight in the unit
-    lattice.  The functional ``lam`` of :func:`_weight_data` vanishes on
-    the weights of the units, so every element found spends exactly the
-    budget ``lam . v``: the costs and the budget are integers scaled by
-    one common denominator (:func:`_scaled`), each count but the last runs
-    up to ``remaining // cost``, and the last is ``remaining / cost`` when
-    that divides.  The first certificate found for a vector is kept.  On
-    ``N`` generated by 2 and 3, ``lam = (1/2,)`` scales to ``(1,)``, the
-    costs ``1`` and ``3/2`` to ``2`` and ``3``, and the budget of weight 7
-    to ``7``:
-
-    >>> _enumerate_fiber(((2,), (3,)), Mat.identity(1), (7,))
-    [((7,), (2, 1))]
-
-    Each call computes the weight data afresh; an :class:`AffineMonoid`
-    keeps one :class:`_FiberSearch` per tuple length instead.
-    """
-    return _FiberSearch(gens, weight)(v, limit)
 
 
 def weight_tuples(monoid, v, length):

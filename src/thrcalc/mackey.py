@@ -28,6 +28,7 @@ from .fgab import (
     FgAbGroup,
     GroupHom,
     Mat,
+    balanced_tensor,
     direct_sum,
     group,
     hom,
@@ -36,8 +37,6 @@ from .fgab import (
     kernel,
     kron,
     lift_through,
-    tensor_relations,
-    vstack,
 )
 from .involutive_algebra import _unit_vec
 
@@ -266,17 +265,12 @@ def _images(f):
     return Mat([f.target.reduce(row) for row in f.matrix.data], cols=f.target.n_gens)
 
 
-def _tensor_level(grp, acts, ring_map):
-    """Present ``grp (x)_A B`` for a level with an A-action: besides the
-    relations of ``grp (x) B``, the rows of ``a x (x) y - x (x) f(a) y`` for
-    each generator ``a`` of A, one ``kron`` block per ``a``."""
-    b = ring_map.target
-    ident_grp, ident_b = Mat.identity(grp.n_gens), Mat.identity(b.n_gens)
-    rels = tensor_relations(grp, b.add)
-    for act, fa in zip(acts, _images(ring_map.add_hom).data):
-        mult = b.multiplication_by(fa).matrix
-        rels = vstack(rels, kron(_images(act), ident_b) - kron(ident_grp, mult))
-    return group(grp.n_gens * b.n_gens, rels)
+def _right_action(level, n_left, mults):
+    """The endomorphisms ``x (x) y -> x (x) m y`` of a tensor ``level``
+    whose left factor has ``n_left`` generators, one for each matrix ``m``
+    in ``mults``."""
+    ident = Mat.identity(n_left)
+    return tuple(hom(level, level, kron(ident, m)) for m in mults)
 
 
 def base_change(ms, ring_map):
@@ -292,22 +286,19 @@ def base_change(ms, ring_map):
     b = ring_map.target
     ident_b = Mat.identity(b.n_gens)
     m = ms.mackey
-    e_new = _tensor_level(m.e, ms.act_e, ring_map)
-    g_new = _tensor_level(m.g, ms.act_g, ring_map)
+    # in ``L (x)_A B`` each generator a of A slides from its action on L to f(a) on B
+    f_mults = [b.multiplication_by(fa).matrix for fa in _images(ring_map.add_hom).data]
+    e_new = balanced_tensor(m.e, b.add, [(_images(a), r) for a, r in zip(ms.act_e, f_mults)])
+    g_new = balanced_tensor(m.g, b.add, [(_images(a), r) for a, r in zip(ms.act_g, f_mults)])
 
     w_new = hom(e_new, e_new, kron(_images(m.w), _images(b.w)))
     res_new = hom(g_new, e_new, kron(_images(m.res), ident_b))
     tran_new = hom(e_new, g_new, kron(_images(m.tran), ident_b))
     mk = make_mackey(e_new, g_new, w_new, res_new, tran_new, where="base change")
 
-    def act_rows(grp_old, level_new):
-        ident = Mat.identity(grp_old.n_gens)
-        return tuple(
-            hom(level_new, level_new, kron(ident, b.multiplication_by(e).matrix))
-            for e in ident_b.data
-        )
-
+    b_mults = [b.multiplication_by(e).matrix for e in ident_b.data]
     module = module_structure(
-        b, mk, act_rows(m.e, e_new), act_rows(m.g, g_new), where="base change"
+        b, mk, _right_action(e_new, m.e.n_gens, b_mults),
+        _right_action(g_new, m.g.n_gens, b_mults), where="base change"
     )
     return BaseChangeResult(mk, module)

@@ -7,10 +7,12 @@ is the subgroup generated by
 
     ``x (x) a^2 y  -  a^2 x (x) y``      and      ``x (x) 2a y  -  2a x (x) y``
 
-for ``a, x, y in A``; restriction multiplies the two tensor factors and
-transfer sends ``a`` to ``2a (x) 1``.  Because the two kinds of relation are
-additive in ``a`` after expanding squares (the cross terms are exactly the
-doubled relations), spanning over generator triples is enough; a unit test
+for ``a, x, y in A``: the slides ``c x (x) y - x (x) c y`` of ``c = -a^2``
+and ``c = -2a``, so the fixed level is one ``balanced_tensor``.
+Restriction multiplies the two tensor factors and transfer sends ``a`` to
+``2a (x) 1``.  Because the two kinds of relation are additive in ``a``
+after expanding squares (the cross terms are exactly the doubled
+relations), spanning over generator triples is enough; a unit test
 compares against the span over all element triples for small rings.
 
 The fixed level sits in a short exact sequence
@@ -32,6 +34,7 @@ from .errors import CertificateError, SpecError
 from .fgab import (
     ExactnessReport,
     Mat,
+    balanced_tensor,
     free_group,
     group,
     hom,
@@ -40,7 +43,6 @@ from .fgab import (
     is_exact,
     kernel,
     kron,
-    tensor_relations,
     vstack,
 )
 from .involutive_algebra import (
@@ -54,33 +56,13 @@ from .mackey import (
     MackeyZ2,
     ModuleStructure,
     _images,
+    _right_action,
     base_change,
     constant_mackey,
     mackey_hom,
     make_mackey,
     module_structure,
 )
-
-
-def _slide_rows(ring, coeffs):
-    """The rows of ``c x (x) y - x (x) c y`` over generator pairs
-    ``(x, y)``, one ``kron`` block per ``c`` in ``coeffs``."""
-    ident = Mat.identity(ring.n_gens)
-    rows = Mat([], cols=ring.n_gens ** 2)
-    for c in coeffs:
-        mult = ring.multiplication_by(c).matrix
-        rows = vstack(rows, kron(mult, ident) - kron(ident, mult))
-    return rows
-
-
-def t_span_rows(ring):
-    """Generators of the relation subgroup ``T`` inside ``A (x) A``, in
-    tensor coordinates over generator triples ``(a, x, y)``: the rows of
-    ``x (x) c y - c x (x) y`` for ``c`` in ``(a^2, 2a)``."""
-    n = ring.n_gens
-    coeffs = [c for i in range(n)
-              for c in (ring.table[i][i], tuple(2 * x for x in _unit_vec(n, i)))]
-    return -_slide_rows(ring, coeffs)
 
 
 class Pi0Thr(NamedTuple):
@@ -112,15 +94,20 @@ def pi0_thr(ring):
         )
     a = ring.add
     n = ring.n_gens
-    g = group(n * n, vstack(tensor_relations(a, a), t_span_rows(ring)))
+    # T over generator triples: the slides of -a^2 and -2a for each generator a
+    slides = []
+    for i in range(n):
+        for c in (ring.table[i][i], tuple(2 * x for x in _unit_vec(n, i))):
+            minus_c = -ring.multiplication_by(c).matrix
+            slides.append((minus_c, minus_c))
+    g = balanced_tensor(a, a, slides)
 
     res = hom(g, a, [ring.table[i][j] for i in range(n) for j in range(n)])
-    ident = Mat.identity(n)
-    tran = hom(a, g, kron(ident, Mat.row_vector(ring.one)).scale(2))
+    tran = hom(a, g, kron(Mat.identity(n), Mat.row_vector(ring.one)).scale(2))
     mk = make_mackey(a, g, identity_hom(a), res, tran, where="pi0_thr")
 
     act_e = [ring.multiplication_by(_unit_vec(n, i)) for i in range(n)]
-    act_g = [hom(g, g, kron(ident, f.matrix)) for f in act_e]
+    act_g = _right_action(g, n, [f.matrix for f in act_e])
     ms = module_structure(ring, mk, act_e, act_g, where="pi0_thr module")
     return Pi0Thr(ring, mk, ms)
 
@@ -159,8 +146,8 @@ def frobenius_twisted_square(ring, frob=None):
     presented on the same tensor generators as ``A/2 (x) A/2``.
     """
     r2, phi = frob or mod2_frobenius(ring)
-    moved = _slide_rows(r2, _images(phi).data)
-    return r2, group(r2.n_gens ** 2, vstack(tensor_relations(r2.add, r2.add), moved))
+    mults = (r2.multiplication_by(c).matrix for c in _images(phi).data)
+    return r2, balanced_tensor(r2.add, r2.add, [(m, m) for m in mults])
 
 
 class SesReport(NamedTuple):

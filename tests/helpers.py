@@ -32,11 +32,11 @@ from thrcalc.fgab import (
     _xgcd,
     group,
     hom,
+    balanced_tensor,
     kron,
     row_kernel,
     snf,
     solve_left,
-    tensor_relations,
     vstack,
 )
 from thrcalc.homology import (
@@ -53,7 +53,7 @@ from thrcalc.involutive_algebra import (
     AffineMonoid,
     InvolutiveRing,
     RingHom,
-    _enumerate_fiber,
+    _FiberSearch,
     _unit_vec,
     _weight_data,
     elements_in_ball,
@@ -129,7 +129,13 @@ def elements_of_weight(monoid, weight, v):
     as :class:`MonoidElement` values with membership certificates."""
     weight = Mat.identity(monoid.rank) if weight is None else Mat(weight)
     return [MonoidElement(x, cert)
-            for x, cert in _enumerate_fiber(monoid.generators, weight, v)]
+            for x, cert in enumerate_fiber(monoid.generators, weight, v)]
+
+
+def enumerate_fiber(gens, weight, v, limit=None):
+    """What a :class:`_FiberSearch` returns for the weight ``v``, from a
+    search of its own: the weight data is computed afresh on each call."""
+    return _FiberSearch(gens, weight)(v, limit)
 
 
 # ---------------------------------------------------------------------------
@@ -190,6 +196,16 @@ def loop_tensor_relations(g, h):
     rows = [pure_tensor(nh, r, _unit_vec(nh, j)) for r in g.relations.data for j in range(nh)]
     rows += [pure_tensor(nh, _unit_vec(ng, i), r) for r in h.relations.data for i in range(ng)]
     return rows
+
+
+def loop_slide_rows(g, h, slides):
+    """Rows of ``l x (x) y - x (x) r y`` over generator pairs ``(x, y)`` of
+    ``g`` and ``h``, for each pair ``(l, r)`` of matrices in ``slides``."""
+    nh = h.n_gens
+    return [_difference(pure_tensor(nh, _vecmat(x, left), y), pure_tensor(nh, x, _vecmat(y, right)))
+            for left, right in slides
+            for x in _units(g.n_gens)
+            for y in _units(nh)]
 
 
 def loop_pi0_thr(ring):
@@ -477,7 +493,7 @@ def is_surjective_on_finite(f):
 
 
 def fraction_enumerate_fiber(gens, weight, v, limit=None):
-    """``_enumerate_fiber`` in ``Fraction`` arithmetic, statement for
+    """``enumerate_fiber`` in ``Fraction`` arithmetic, statement for
     statement as it was, except that each settle calls ``solve_left``
     (the same solutions, from a factorization of its own)."""
     v = tuple(v)
@@ -788,9 +804,9 @@ class DenseGroup:
 
 
 def tensor(g, h):
-    """The tensor product over Z of two presented groups, as a group on
-    ``fgab.tensor_relations``."""
-    return group(g.n_gens * h.n_gens, tensor_relations(g, h))
+    """The tensor product over Z of two presented groups: a
+    ``balanced_tensor`` with no slides."""
+    return balanced_tensor(g, h, ())
 
 
 def full_chains(x):

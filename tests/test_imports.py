@@ -1,6 +1,6 @@
 """Every name a module of the package imports is used in that module, the
 package starts up without the modules that generate code or inspect it,
-every public name of the package is reached from the command line, and
+every top-level name of the package is reached from the command line, and
 every field of a package class is read somewhere."""
 
 import ast
@@ -104,9 +104,10 @@ def _relative_imports(nodes):
 
 
 def unreached(sources):
-    """The public top-level names of the modules in ``sources`` (``{module
-    name: source}``) that nothing reaches from ``cli.main`` and the
-    module-level statements of ``cli`` and ``selftest``.
+    """The top-level names of the modules in ``sources`` (``{module name:
+    source}``), public and private but not dunders such as ``__version__``,
+    that nothing reaches from ``cli.main`` and the module-level statements
+    of ``cli`` and ``selftest``.
 
     A reached function, class or assignment reaches the names its body
     reads, resolved through its module's own definitions and relative
@@ -152,7 +153,8 @@ def unreached(sources):
                 reached.add(key)
                 todo.append((key[0], defs[key[0]][key[1]]))
     return sorted((mod, name) for mod in defs for name in defs[mod]
-                  if not name.startswith("_") and (mod, name) not in reached)
+                  if not (name.startswith("__") and name.endswith("__"))
+                  and (mod, name) not in reached)
 
 
 def test_the_scan_finds_an_unreached_name():
@@ -161,10 +163,12 @@ def test_the_scan_finds_an_unreached_name():
         "lib": ("def run():\n    image = 1\n    return helper(image)\n\n"
                 "def helper(x):\n    return x\n\n"
                 "def image():\n    return 0\n\n"
-                "def _private():\n    return 0\n"),
+                "def _private():\n    return 0\n\n"
+                "__version__ = '1'\n"),
     }
-    # ``run``'s local ``image`` is not the module's ``image``
-    assert unreached(sources) == [("lib", "image")]
+    # ``run``'s local ``image`` is not the module's ``image``; a private
+    # name counts, a dunder does not
+    assert unreached(sources) == [("lib", "_private"), ("lib", "image")]
 
 
 def test_every_public_name_is_reached_from_the_cli_or_selftest():

@@ -16,7 +16,6 @@ from thrcalc.fgab import FgAbGroup, Mat, group, kron
 from thrcalc.involutive_algebra import (
     AffineMonoid,
     InvolutiveRing,
-    _enumerate_fiber,
     _unit_vec,
     _weight_data,
     elements_in_ball,
@@ -40,6 +39,7 @@ from thrcalc.involutive_algebra import (
 from helpers import (
     MonoidElement,
     elements_of_weight,
+    enumerate_fiber,
     fraction_contains,
     fraction_enumerate_fiber,
     fraction_weight_tuples,
@@ -528,7 +528,7 @@ def _outcome(search, *args):
 def test_fiber_search_matches_the_fraction_search(spec, data):
     """The integer search gives what the ``Fraction`` search of
     ``tests/helpers.py`` gives: the sorted ``(vector, certificate)`` pairs
-    and the ``limit=1`` certificate of ``_enumerate_fiber`` under a small
+    and the ``limit=1`` certificate of ``enumerate_fiber`` under a small
     weight map, ``weight_tuples`` at several lengths and ``contains`` on
     one monoid (so its memoized searches are read again), the pointedness
     functional, and each ``InfeasibleError`` message."""
@@ -542,7 +542,7 @@ def test_fiber_search_matches_the_fraction_search(spec, data):
     ]))
     v = data.draw(st.tuples(*[st.integers(-2, 3)] * weight.cols))
     for limit in (None, 1):
-        assert _outcome(_enumerate_fiber, gens, weight, v, limit) == _outcome(
+        assert _outcome(enumerate_fiber, gens, weight, v, limit) == _outcome(
             fraction_enumerate_fiber, gens, weight, v, limit)
 
     try:

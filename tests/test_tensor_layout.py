@@ -1,7 +1,8 @@
 """The ``kron``-built tensor presentations against loops over pure tensors.
 
-``pi0_thr``, its reports, ``base_change`` and ``verify_base_change`` build
-every tensor-coordinate matrix as a ``kron`` of multiplication and hom
+``balanced_tensor`` builds every tensor product of groups, and ``pi0_thr``,
+its reports, ``base_change`` and ``verify_base_change`` build every
+tensor-coordinate matrix as a ``kron`` of multiplication and hom
 matrices.  The loops in ``helpers`` build the same matrices one pure tensor
 of unit vectors at a time.  Hom matrices must agree entry for entry;
 relation matrices must have the same rows, in any order, and present the
@@ -12,10 +13,11 @@ from collections import Counter
 
 import pytest
 from hypothesis import given, settings
+from hypothesis import strategies as st
 
 import thrcalc.thr_pi0 as thr_pi0
 from conftest import abelian_groups
-from thrcalc.fgab import Mat, group, kron
+from thrcalc.fgab import Mat, balanced_tensor, group, kron
 from thrcalc.involutive_algebra import (
     frobenius,
     ring_dual_numbers_F2,
@@ -29,7 +31,6 @@ from thrcalc.thr_pi0 import (
     alpha_report,
     frobenius_twisted_square,
     pi0_thr,
-    t_span_rows,
     unit_comparison,
     verify_base_change,
 )
@@ -38,6 +39,7 @@ from helpers import (
     loop_base_change,
     loop_comparison,
     loop_pi0_thr,
+    loop_slide_rows,
     loop_tensor_relations,
     loop_twisted_rows,
     tensor,
@@ -64,14 +66,32 @@ def test_tensor_matches_the_loop_presentation(g, h):
     assert_same_relations(tensor(g, h).relations, loop_tensor_relations(g, h), n)
 
 
+def square_matrices(n):
+    return st.lists(st.lists(st.integers(-3, 3), min_size=n, max_size=n),
+                    min_size=n, max_size=n).map(lambda rows: Mat(rows, cols=n))
+
+
+@settings(max_examples=60, deadline=None)
+@given(abelian_groups(), abelian_groups(), st.data())
+def test_balanced_tensor_matches_the_loop_presentation(g, h, data):
+    slides = data.draw(st.lists(st.tuples(square_matrices(g.n_gens), square_matrices(h.n_gens)),
+                                max_size=3))
+    n = g.n_gens * h.n_gens
+    quotient = balanced_tensor(g, h, slides)
+    slid = loop_slide_rows(g, h, slides)
+    assert_same_relations(quotient.relations, loop_tensor_relations(g, h) + slid, n)
+    # the slide blocks come last, in the order of ``slides`` and of ``kron``
+    assert quotient.relations.data[quotient.relations.rows - len(slid):] == tuple(slid)
+
+
 @pytest.mark.parametrize("ring", SMALL_RINGS, ids=lambda r: repr(r.add))
 def test_pi0_thr_matrices_match_the_loops(ring, monkeypatch):
     n = ring.n_gens
     loops = loop_pi0_thr(ring)
-    assert_same_relations(t_span_rows(ring), loops["t_span"], n * n)
-
     result = pi0_thr(ring)
     g = result.mackey.g
+    t_span = g.relations.data[g.relations.rows - len(loops["t_span"]):]
+    assert_same_relations(Mat(t_span, cols=n * n), loops["t_span"], n * n)
     assert_same_relations(
         g.relations, loop_tensor_relations(ring.add, ring.add) + loops["t_span"], n * n)
     assert_same_matrix(result.mackey.tran.matrix, loops["tran"])

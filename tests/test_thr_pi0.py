@@ -8,7 +8,7 @@ from hypothesis import strategies as st
 
 from thrcalc import cli, fgab, mackey, thr_pi0
 from thrcalc.errors import CertificateError, SpecError
-from thrcalc.fgab import Mat, group, solve_left, vstack
+from thrcalc.fgab import Mat, group, solve_left
 from thrcalc.involutive_algebra import (
     _unit_vec,
     make_ring,
@@ -26,12 +26,11 @@ from thrcalc.thr_pi0 import (
     frobenius_twisted_square,
     pi0_thr,
     ses_check,
-    t_span_rows,
     unit_comparison,
     verify_base_change,
 )
 
-from helpers import is_surjective_on_finite, pure_tensor, ring_gaussian_integers, tensor
+from helpers import is_surjective_on_finite, pure_tensor, ring_gaussian_integers
 
 
 def test_integers_give_the_constant_mackey_functor():
@@ -145,8 +144,7 @@ def test_generator_span_equals_element_span(ring):
     """The relation subgroup spanned over generator triples contains the
     relations for every element triple (the additivity argument)."""
     n = ring.n_gens
-    t = tensor(ring.add, ring.add)
-    span = vstack(t.relations, t_span_rows(ring))
+    span = pi0_thr(ring).mackey.g.relations
     elements = ring.elements()
     for a in elements:
         square = ring.square(a)
@@ -227,26 +225,41 @@ def test_frobenius_of_truncated_polynomials_is_onto_only_without_t(m, k):
     assert thr_pi0._is_onto(phi) == is_surjective_on_finite(phi) == (m % 2 == 1 or k == 1)
 
 
-def test_pi0thr_builds_no_tensor_group_and_factors_no_repeated_row(monkeypatch, capsys):
-    """``pi0thr`` of a catalog ring makes no ``snf`` call from inside a
-    tensor builder, and every group hands ``snf`` distinct nonzero rows."""
-    real, seen = fgab.snf, []
+def test_each_balanced_quotient_builds_one_group(monkeypatch, capsys):
+    """The fixed level, the twisted square and each base-changed level is
+    one ``balanced_tensor`` call that builds exactly one group, the
+    quotient, and every group hands ``snf`` distinct nonzero rows."""
+    real_init, real_snf = fgab.FgAbGroup.__init__, fgab.snf
+    built, factored, calls = [], [], []
 
-    def recording(m, u_cols=None):
-        frame, callers = sys._getframe(1), []
-        while frame is not None:
-            callers.append(frame.f_code)
-            frame = frame.f_back
-        seen.append((callers, m))
-        return real(m, u_cols)
+    def counting_init(self, n_gens, relations):
+        real_init(self, n_gens, relations)
+        built.append(self)
 
-    monkeypatch.setattr(fgab, "snf", recording)
+    def recording_snf(m, u_cols=None):
+        if sys._getframe(1).f_code is real_init.__code__:
+            factored.append(m)
+        return real_snf(m, u_cols)
+
+    monkeypatch.setattr(fgab.FgAbGroup, "__init__", counting_init)
+    monkeypatch.setattr(fgab, "snf", recording_snf)
+    for module in (thr_pi0, mackey):
+        def recording(g, h, slides, real=module.balanced_tensor):
+            before = len(built)
+            quotient = real(g, h, slides)
+            one = len(built) == before + 1 and built[-1] is quotient
+            calls.append((sys._getframe(1).f_code.co_name, one))
+            return quotient
+
+        monkeypatch.setattr(module, "balanced_tensor", recording)
     assert cli.main(["pi0thr", "tests/data/ring_f4.yaml"]) == 0
+    assert cli.main(["basechange", "tests/data/ring_f2.yaml", "tests/data/ring_f2t.yaml",
+                     "tests/data/map_f2_to_f4.yaml"]) == 0
     monkeypatch.undo()
     capsys.readouterr()
-    builders = {fgab.tensor_relations.__code__, mackey._tensor_level.__code__}
-    assert seen and not any(builders.intersection(callers) for callers, _ in seen)
-    factored = [m for callers, m in seen if callers[0] is fgab.FgAbGroup.__init__.__code__]
+    assert {caller for caller, _ in calls} == {
+        "pi0_thr", "frobenius_twisted_square", "base_change"}
+    assert all(one for _, one in calls)
     assert factored
     for m in factored:
         assert all(map(any, m.data)) and len(set(m.data)) == m.rows
