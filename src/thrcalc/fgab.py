@@ -18,11 +18,13 @@ Conventions
   for invariant factors and lattice membership, which need only S and V.
 * A product computes each distinct row of its left factor once and keeps
   nothing past that product.
-* A group factors the lattice its relations span, not the list of rows:
-  zero and repeated rows are dropped, unit pivots of a large enough matrix
-  are eliminated on sparse rows (``_eliminate``, the one elimination here,
-  which the elementary divisors of ``homology`` also use), and only the
-  residue goes to ``snf``.  A group is plain when its relations are zero read in
+* A group is the lattice its relations span, not the list of rows it was
+  given: ``relations`` holds the distinct nonzero rows, in the order they
+  first occur, and is the one relation matrix every caller reads.  Unit
+  pivots of a large enough matrix are eliminated on sparse rows
+  (``_eliminate``, the one elimination here, which the elementary divisors
+  of ``homology`` also use), and only the residue goes to ``snf``.  A
+  group is plain when its relations are zero read in
   generator coordinates; then ``reduce`` takes each coordinate modulo its
   Smith diagonal entry.  Only the representatives of plain groups are
   fixed by the lattice alone; any other group's follow the elimination
@@ -679,11 +681,11 @@ _ELIMINATION_CELLS = 400
 class FgAbGroup:
     """A finitely generated abelian group Z^n_gens / (row lattice of relations).
 
-    The group factors the lattice its relations span, not the list of
-    rows.  Zero and repeated rows are dropped; in a matrix of at least
-    ``_ELIMINATION_CELLS`` cells, unit pivots are eliminated on sparse rows
-    by ``_eliminate`` (each eliminated generator becomes a substitution in
-    the kept ones); and only the residue goes to ``snf``.
+    ``relations`` is the lattice's distinct nonzero rows: the rows given,
+    in the order they first occur, without zeros or repeats.  In a matrix
+    of at least ``_ELIMINATION_CELLS`` cells, unit pivots are eliminated
+    on sparse rows by ``_eliminate`` (each eliminated generator becomes a
+    substitution in the kept ones); and only the residue goes to ``snf``.
     The invariant factors (each >= 2, each dividing the next) and the free
     rank are computed once and cached; equality compares exactly these.
 
@@ -709,8 +711,8 @@ class FgAbGroup:
         if relations.cols != n_gens:
             raise ValueError("relations width != n_gens")
         self.n_gens = n_gens
-        self.relations = relations
-        rows = Mat._of(tuple(row for row in dict.fromkeys(relations.data) if any(row)), n_gens)
+        self.relations = rows = Mat._of(
+            tuple(row for row in dict.fromkeys(relations.data) if any(row)), n_gens)
         self._plain, self._to, self._v, self._kept, self._back = True, None, None, None, None
         if _in_smith_form(rows):
             self._read_diagonal(tuple(rows.data[i][i] if i < rows.rows else 0
@@ -993,11 +995,11 @@ def kernel(f):
 
 
 def _kernel_lattice(f):
-    """Rows spanning {x in Z^n_src : f(x) == 0 in target} (includes source
-    relations)."""
-    src, tgt = f.source, f.target
-    ker = row_kernel(vstack(f.matrix, tgt.relations), src.n_gens)
-    return Mat._of(ker.data + src.relations.data, src.n_gens)
+    """Rows spanning {x in Z^n_src : f(x) == 0 in target}: the row kernel
+    of ``f.matrix`` stacked on the target relations, cut to the source
+    coordinates.  The span holds the source relations, as ``f`` is well
+    defined, so none is appended."""
+    return row_kernel(vstack(f.matrix, f.target.relations), f.source.n_gens)
 
 
 class ExactnessReport(NamedTuple):
@@ -1015,8 +1017,8 @@ def is_exact(seq):
     """Exactness of a composable sequence of GroupHoms at every inner joint.
 
     At a joint ``a`` then ``b``, a zero composite puts every row of
-    ``a.matrix`` in the kernel lattice of ``b``, which holds the relations
-    of the middle group outright: the image lies in the kernel.  What is
+    ``a.matrix`` in the kernel lattice of ``b``, whose span holds the
+    relations of the middle group: the image lies in the kernel.  What is
     left is the other direction, every kernel row in the image lattice: a
     row lies there iff it is zero in ``Z^n / image``, which one group on
     the image rows tests, one ``snf`` that tracks no column of U (none
@@ -1111,8 +1113,7 @@ def lift_through(incl, h):
     g = GroupHom(h.source, k, mat)
     if not g.then(incl).equal(h):
         raise ValueError("factorization check failed")
-    kk, _ = kernel(incl)
-    if not kk.is_trivial():
+    if k._first_nonzero_row(_kernel_lattice(incl)) is not None:
         raise ValueError("inclusion is not injective; lift not unique")
     return g
 
@@ -1140,10 +1141,11 @@ def balanced_tensor(g, h, slides):
     ``G (x) H / (l x (x) y - x (x) r y)``, as one group on generator pairs
     in ``kron``'s coordinates.
 
-    Its relations are each relation of ``g`` tensored with each generator
+    It is presented by each relation of ``g`` tensored with each generator
     of ``h``, then each generator of ``g`` with each relation of ``h``,
     then one block ``kron(l, I) - kron(I, r)`` for each pair ``(l, r)`` of
-    endomorphism matrices of ``g`` and ``h`` in ``slides``, in order.
+    endomorphism matrices of ``g`` and ``h`` in ``slides``, in order; its
+    ``relations`` are the distinct nonzero rows of that stack.
 
     >>> t = balanced_tensor(group(1, [[4]]), group(1, [[6]]), ())
     >>> t.relations.data, t == group(1, [[2]])

@@ -75,24 +75,6 @@ class InvolutiveRing:
     def n_gens(self):
         return self.add.n_gens
 
-    def mul(self, x, y):
-        """Product of two elements given as coefficient vectors."""
-        n = self.add.n_gens
-        acc = [0] * n
-        for i, xi in enumerate(x):
-            if xi == 0:
-                continue
-            for j, yj in enumerate(y):
-                if yj == 0:
-                    continue
-                tij = self.table[i][j]
-                for k in range(n):
-                    acc[k] += xi * yj * tij[k]
-        return self.add.reduce(tuple(acc))
-
-    def square(self, x):
-        return self.mul(x, x)
-
     def apply_w(self, x):
         return self.w.apply(x)
 
@@ -234,7 +216,7 @@ def _times_generators(xs, table):
 
 
 def _products(add, flat, xs, ys):
-    """``mul(x, y)`` for every row ``x`` of ``xs`` and ``y`` of ``ys``, in
+    """The product ``x y`` for every row ``x`` of ``xs`` and ``y`` of ``ys``, in
     ``kron`` order (``x`` major): each pure tensor times the flattened
     table, reduced."""
     return add._reduce_rows(kron(xs, ys) @ flat)

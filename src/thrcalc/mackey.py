@@ -262,7 +262,7 @@ class BaseChangeResult(NamedTuple):
 def _images(f):
     """The matrix of ``f`` with row ``i`` reduced as ``f.apply`` reduces the
     image of generator ``i``."""
-    return Mat([f.target.reduce(row) for row in f.matrix.data], cols=f.target.n_gens)
+    return f.target._reduce_rows(f.matrix)
 
 
 def _right_action(level, n_left, mults):

@@ -34,6 +34,7 @@ from .errors import CertificateError, SpecError
 from .fgab import (
     ExactnessReport,
     Mat,
+    _kernel_lattice,
     balanced_tensor,
     free_group,
     group,
@@ -41,7 +42,6 @@ from .fgab import (
     identity_hom,
     inverse,
     is_exact,
-    kernel,
     kron,
     vstack,
 )
@@ -59,6 +59,7 @@ from .mackey import (
     _right_action,
     base_change,
     constant_mackey,
+    is_mackey_iso,
     mackey_hom,
     make_mackey,
     module_structure,
@@ -180,7 +181,8 @@ def ses_check(result, frob=None):
 
     # Present the doubled ideal as A / ker(mult by 2); the transfer matrix
     # a -> 2a (x) 1 then descends to its embedding into the fixed level.
-    two_a = group(n, vstack(a.relations, Mat(_kernel_rows(ring), cols=n)))
+    double = ring.multiplication_by(tuple(2 * c for c in ring.one))
+    two_a = group(n, vstack(a.relations, _kernel_lattice(double)))
     _, twisted = frobenius_twisted_square(ring, frob)
     report = is_exact([
         hom(zero, two_a, Mat.zeros(0, n)),
@@ -193,13 +195,6 @@ def ses_check(result, frob=None):
             f"0 -> 2A -> fixed level -> twisted square -> 0 is not exact: {report.detail}"
         )
     return SesReport(two_a, twisted, report)
-
-
-def _kernel_rows(ring):
-    """Rows presenting ker(mult by 2) on the ring's additive generators."""
-    double = ring.multiplication_by(tuple(2 * c for c in ring.one))
-    k, incl = kernel(double)
-    return [incl.matrix.row(i) for i in range(incl.matrix.rows)]
 
 
 class AlphaReport(NamedTuple):
@@ -289,9 +284,8 @@ def verify_base_change(ring_map):
     comparison = mackey_hom(
         bc.mackey, tgt.mackey, f_e, f_g, where="base change comparison"
     )
-    is_iso = inverse(f_e) is not None and inverse(f_g) is not None
     return BaseChangeReport(
-        is_iso,
+        is_mackey_iso(comparison),
         comparison,
         (bc.mackey.e, bc.mackey.g),
         (tgt.mackey.e, tgt.mackey.g),

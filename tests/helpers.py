@@ -164,6 +164,33 @@ def tensor_chain_map(f, g):
 
 
 # ---------------------------------------------------------------------------
+# ring elements, one table entry at a time
+# ---------------------------------------------------------------------------
+
+
+def ring_mul(ring, x, y):
+    """The product of two elements of ``ring``, given as coefficient
+    vectors, one table entry at a time and reduced in the additive group;
+    the library multiplies through one stacked product with the table."""
+    n = ring.add.n_gens
+    acc = [0] * n
+    for i, xi in enumerate(x):
+        if xi == 0:
+            continue
+        for j, yj in enumerate(y):
+            if yj == 0:
+                continue
+            tij = ring.table[i][j]
+            for k in range(n):
+                acc[k] += xi * yj * tij[k]
+    return ring.add.reduce(tuple(acc))
+
+
+def ring_square(ring, x):
+    return ring_mul(ring, x, x)
+
+
+# ---------------------------------------------------------------------------
 # tensor presentations, one pure tensor of unit vectors at a time
 # ---------------------------------------------------------------------------
 #
@@ -198,6 +225,12 @@ def loop_tensor_relations(g, h):
     return rows
 
 
+def lattice_rows(rows):
+    """The distinct nonzero ``rows``, as tuples in the order they first
+    occur: what a group built on ``rows`` keeps as its ``relations``."""
+    return tuple(row for row in dict.fromkeys(map(tuple, rows)) if any(row))
+
+
 def loop_slide_rows(g, h, slides):
     """Rows of ``l x (x) y - x (x) r y`` over generator pairs ``(x, y)`` of
     ``g`` and ``h``, for each pair ``(l, r)`` of matrices in ``slides``."""
@@ -217,7 +250,8 @@ def loop_pi0_thr(ring):
     n = ring.n_gens
     units = _units(n)
     t_span = [
-        _difference(pure_tensor(n, x, ring.mul(c, y)), pure_tensor(n, ring.mul(c, x), y))
+        _difference(pure_tensor(n, x, ring_mul(ring, c, y)),
+                    pure_tensor(n, ring_mul(ring, c, x), y))
         for i in range(n)
         for x in units
         for y in units
@@ -228,7 +262,7 @@ def loop_pi0_thr(ring):
         "tran": [tuple(2 * c for c in pure_tensor(n, x, ring.one)) for x in units],
         "unit": [pure_tensor(n, x, ring.one) for x in units],
         "alpha": [pure_tensor(n, ring.one, x) for x in units],
-        "act_g": [[pure_tensor(n, x, ring.mul(a, y)) for x in units for y in units]
+        "act_g": [[pure_tensor(n, x, ring_mul(ring, a, y)) for x in units for y in units]
                   for a in units],
     }
 
@@ -239,7 +273,8 @@ def loop_twisted_rows(r2, phi):
     n = r2.n_gens
     units = _units(n)
     return [
-        _difference(pure_tensor(n, r2.mul(pc, x), y), pure_tensor(n, x, r2.mul(pc, y)))
+        _difference(pure_tensor(n, ring_mul(r2, pc, x), y),
+                    pure_tensor(n, x, ring_mul(r2, pc, y)))
         for pc in map(phi.apply, units)
         for x in units
         for y in units
@@ -260,7 +295,7 @@ def loop_base_change(ms, ring_map):
         units = _units(grp.n_gens)
         return loop_tensor_relations(grp, b.add) + [
             _difference(pure_tensor(nb, act.apply(x), y),
-                        pure_tensor(nb, x, b.mul(ring_map.apply(ai), y)))
+                        pure_tensor(nb, x, ring_mul(b, ring_map.apply(ai), y)))
             for act, ai in zip(acts, _units(a.n_gens))
             for x in units
             for y in b_units
@@ -273,7 +308,7 @@ def loop_base_change(ms, ring_map):
 
     def action(grp):
         units = _units(grp.n_gens)
-        return [[pure_tensor(nb, x, b.mul(c, y)) for x in units for y in b_units]
+        return [[pure_tensor(nb, x, ring_mul(b, c, y)) for x in units for y in b_units]
                 for c in b_units]
 
     return {
@@ -294,8 +329,8 @@ def loop_comparison(ring_map):
     a, b = ring_map.source, ring_map.target
     images = [ring_map.apply(x) for x in _units(a.n_gens)]
     b_units = _units(b.n_gens)
-    rows_e = [b.mul(fx, y) for fx in images for y in b_units]
-    rows_g = [pure_tensor(b.n_gens, fx, b.mul(fy, z))
+    rows_e = [ring_mul(b, fx, y) for fx in images for y in b_units]
+    rows_g = [pure_tensor(b.n_gens, fx, ring_mul(b, fy, z))
               for fx in images for fy in images for z in b_units]
     return rows_e, rows_g
 
@@ -391,14 +426,14 @@ def loop_make_ring(add, table, one, w_matrix, names=None, where="ring"):
 
     for i in range(n):
         e = _unit_vec(n, i)
-        if not add.same_element(ring.mul(one, e), e):
+        if not add.same_element(ring_mul(ring, one, e), e):
             raise SpecError(f"{where}: unit is not neutral on generator {names[i]}")
 
     for i in range(n):
         for j in range(n):
             for k in range(n):
-                left = ring.mul(table[i][j], _unit_vec(n, k))
-                right = ring.mul(_unit_vec(n, i), table[j][k])
+                left = ring_mul(ring, table[i][j], _unit_vec(n, k))
+                right = ring_mul(ring, _unit_vec(n, i), table[j][k])
                 if not add.same_element(left, right):
                     raise SpecError(
                         f"{where}: multiplication is not associative at "
@@ -424,7 +459,7 @@ def loop_make_ring(add, table, one, w_matrix, names=None, where="ring"):
     for i in range(n):
         for j in range(n):
             lhs = w.apply(table[i][j])
-            rhs = ring.mul(w.apply(_unit_vec(n, i)), w.apply(_unit_vec(n, j)))
+            rhs = ring_mul(ring, w.apply(_unit_vec(n, i)), w.apply(_unit_vec(n, j)))
             if not add.same_element(lhs, rhs):
                 raise SpecError(
                     f"{where}: involution is not multiplicative at "
@@ -446,7 +481,7 @@ def loop_ring_hom(source, target, rows, where="ring map"):
     for i in range(n):
         for j in range(n):
             lhs = f.apply(source.table[i][j])
-            rhs = target.mul(f.apply(_unit_vec(n, i)), f.apply(_unit_vec(n, j)))
+            rhs = ring_mul(target, f.apply(_unit_vec(n, i)), f.apply(_unit_vec(n, j)))
             if not target.add.same_element(lhs, rhs):
                 raise SpecError(
                     f"{where}: not multiplicative at generators ({i}, {j})"
@@ -473,7 +508,7 @@ def loop_frobenius(ring2):
     phi = hom(ring2.add, ring2.add, rows)
     if ring2.is_finite() and ring2.add.order() <= 256:
         for x in ring2.elements():
-            if not ring2.add.same_element(phi.apply(x), ring2.square(x)):
+            if not ring2.add.same_element(phi.apply(x), ring_square(ring2, x)):
                 raise SpecError(
                     f"frobenius: matrix disagrees with squaring at {x}"
                 )

@@ -1,6 +1,7 @@
 import io
 import itertools
 import random
+import re
 import sys
 from unittest import mock
 from collections import Counter
@@ -328,6 +329,12 @@ def test_lift_through():
     incl = hom(z, z, [[3]])
     lifted = lift_through(incl, hom(z, z, [[12]]))
     assert lifted.matrix.data == ((4,),)
+    # Z/2 -> Z/4 by 2 is injective: its kernel lattice (2) is zero in Z/2
+    z2, z4 = group(1, [[2]]), group(1, [[4]])
+    assert lift_through(hom(z2, z4, [[2]]), hom(z2, z4, [[2]])).equal(identity_hom(z2))
+    # Z^2 -> Z by (1, 1) factors the identity but kills (1, -1)
+    with pytest.raises(ValueError, match="inclusion is not injective; lift not unique"):
+        lift_through(hom(free_group(2), z, [[1], [1]]), identity_hom(z))
 
 
 def test_direct_sum():
@@ -1001,6 +1008,55 @@ def test_the_factored_lattice_is_the_dense_route(rels, every, data):
         assert elements == sorted(map(g.reduce, elements))
         if dense.plain:
             assert elements == dense.elements()
+
+
+@st.composite
+def raw_relations(draw):
+    """The relation rows of a group with units, invariant factors and a
+    free part, with zero rows and repeats of its rows put in anywhere."""
+    g = draw(groups_with_every_part())
+    rows = list(g.relations.data)
+    for _ in range(draw(st.integers(1, 4))):
+        extra = draw(st.sampled_from(rows)) if draw(st.booleans()) else (0,) * g.n_gens
+        rows.insert(draw(st.integers(0, len(rows))), extra)
+    return Mat(rows, cols=g.n_gens)
+
+
+@settings(max_examples=150, deadline=None)
+@given(raw_relations(), st.booleans(), st.data())
+def test_relations_are_the_distinct_nonzero_rows(raw, every, data):
+    """A group keeps the distinct nonzero rows of the rows it is given, in
+    the order they first occur, as its one relation matrix.  Against one
+    ``snf`` of the raw rows: the same invariants, the same first row
+    outside the lattice, representatives that differ from their element by
+    a relation (the same ones where the dense route is plain) and that a
+    group on its own relations repeats, and a ``hom`` from it that names
+    the first raw row mapping outside the target lattice."""
+    n = raw.cols
+    with eliminating(every):
+        g = group(n, raw)
+        again = group(n, g.relations)
+    assert g.relations.data == tuple(row for row in dict.fromkeys(raw.data) if any(row))
+    dense = DenseGroup(n, raw)
+    assert (g.invariant_factors, g.free_rank) == (dense.invariant_factors, dense.free_rank)
+    m = vstack(data.draw(kernel_matrices(data.draw(st.integers(0, 4)), n)), raw)
+    assert g._first_nonzero_row(m) == dense.first_nonzero_row(m)
+    reduced = g._reduce_rows(m)
+    assert reduced == again._reduce_rows(m)
+    for x, y in zip(m.data, reduced.data):
+        assert dense.first_nonzero_row(Mat([[a - b for a, b in zip(x, y)]], cols=n)) is None
+        if dense.plain:
+            assert y == dense.reduce(x)
+    target = data.draw(abelian_groups())
+    mat = data.draw(matrices(n, target.n_gens))
+    if data.draw(st.booleans()):  # a target in which every relation lands
+        target = group(target.n_gens, vstack(target.relations, raw @ mat))
+    bad = DenseGroup(target.n_gens, target.relations).first_nonzero_row(raw @ mat)
+    if bad is None:
+        hom(g, target, mat)  # well defined: no relation maps outside
+    else:
+        with pytest.raises(ValueError, match=re.escape(f"relation {raw.data[bad]} maps outside")):
+            hom(g, target, mat)
 
 
 def test_a_group_factors_distinct_rows_after_its_unit_pivots(monkeypatch):

@@ -1,7 +1,8 @@
 """Every name a module of the package imports is used in that module, the
 package starts up without the modules that generate code or inspect it,
-every top-level name of the package is reached from the command line, and
-every field of a package class is read somewhere."""
+every top-level name of the package is reached from the command line,
+every method of a package class is read in the package, and every field of
+a package class is read somewhere."""
 
 import ast
 import subprocess
@@ -174,6 +175,44 @@ def test_the_scan_finds_an_unreached_name():
 def test_every_public_name_is_reached_from_the_cli_or_selftest():
     sources = {path.stem: path.read_text() for path in PACKAGE.glob("*.py")}
     assert unreached(sources) == []
+
+
+# Methods that only the tests read, each with its reason.
+UNREAD_METHODS = {
+    # the tests pin laziness through it, and a tracer of the nerve stages
+    # is to read it
+    "SimplexLevels.built",
+}
+
+
+def unread_methods(package):
+    """``Class.method`` for every method of the classes in the ``package``
+    sources, dunders aside, that no source in ``package`` reads as an
+    attribute; the match is by name alone."""
+    trees = [ast.parse(source) for source in package]
+    read = {n.attr for tree in trees for n in ast.walk(tree)
+            if isinstance(n, ast.Attribute) and isinstance(n.ctx, ast.Load)}
+    return sorted(f"{cls.name}.{f.name}" for tree in trees for cls in ast.walk(tree)
+                  if isinstance(cls, ast.ClassDef)
+                  for f in cls.body if isinstance(f, ast.FunctionDef)
+                  and not (f.name.startswith("__") and f.name.endswith("__"))
+                  and f.name not in read)
+
+
+def test_the_scan_finds_an_unread_method():
+    package = ("class Ring:\n    def mul(self, x, y):\n        return x * y\n\n"
+               "    def square(self, x):\n        return self.mul(x, x)\n\n"
+               "    def __repr__(self):\n        return 'Ring'\n\n"
+               "    @property\n    def size(self):\n        return 0\n\n"
+               "def order(ring):\n    return ring.size\n")
+    # ``mul`` is read by ``square``, ``size`` by ``order``; a dunder does
+    # not count, and neither does a function outside a class
+    assert unread_methods([package]) == ["Ring.square"]
+
+
+def test_every_method_is_read_in_the_package():
+    package = [path.read_text() for path in PACKAGE.glob("*.py")]
+    assert set(unread_methods(package)) == UNREAD_METHODS
 
 
 def _name(node):

@@ -4,9 +4,9 @@
 its reports, ``base_change`` and ``verify_base_change`` build every
 tensor-coordinate matrix as a ``kron`` of multiplication and hom
 matrices.  The loops in ``helpers`` build the same matrices one pure tensor
-of unit vectors at a time.  Hom matrices must agree entry for entry;
-relation matrices must have the same rows, in any order, and present the
-same group.
+of unit vectors at a time.  Hom matrices must agree entry for entry; a
+group's relations must be the distinct nonzero rows of the loop's, in any
+order, each once, and present the same group.
 """
 
 from collections import Counter
@@ -36,6 +36,7 @@ from thrcalc.thr_pi0 import (
 )
 
 from helpers import (
+    lattice_rows,
     loop_base_change,
     loop_comparison,
     loop_pi0_thr,
@@ -48,11 +49,20 @@ from test_thr_pi0 import SMALL_RINGS
 
 
 def assert_same_relations(rels, rows, n_gens):
-    """``rels`` (a ``Mat``) has the rows ``rows`` as a multiset and presents
-    the same group on ``n_gens`` generators."""
+    """``rels`` (a ``Mat``) has the distinct nonzero rows of ``rows``, each
+    once, and presents the same group on ``n_gens`` generators."""
     assert rels.cols == n_gens
-    assert Counter(rels.data) == Counter(map(tuple, rows))
+    assert Counter(rels.data) == Counter(lattice_rows(rows))
     assert group(n_gens, rels) == group(n_gens, Mat(rows, cols=n_gens))
+
+
+def last_rows(rels, rows, before):
+    """The rows that ``rels`` ends with when ``rows`` are stacked after
+    ``before``: the distinct nonzero ``rows`` that no row of ``before``
+    repeats, as many as there are of them."""
+    seen = set(map(tuple, before))
+    tail = tuple(row for row in lattice_rows(rows) if row not in seen)
+    return rels.data[rels.rows - len(tail):], tail
 
 
 def assert_same_matrix(mat, rows):
@@ -78,10 +88,11 @@ def test_balanced_tensor_matches_the_loop_presentation(g, h, data):
                                 max_size=3))
     n = g.n_gens * h.n_gens
     quotient = balanced_tensor(g, h, slides)
-    slid = loop_slide_rows(g, h, slides)
-    assert_same_relations(quotient.relations, loop_tensor_relations(g, h) + slid, n)
+    tensor_rows, slid = loop_tensor_relations(g, h), loop_slide_rows(g, h, slides)
+    assert_same_relations(quotient.relations, tensor_rows + slid, n)
     # the slide blocks come last, in the order of ``slides`` and of ``kron``
-    assert quotient.relations.data[quotient.relations.rows - len(slid):] == tuple(slid)
+    got, want = last_rows(quotient.relations, slid, tensor_rows)
+    assert got == want
 
 
 @pytest.mark.parametrize("ring", SMALL_RINGS, ids=lambda r: repr(r.add))
@@ -90,10 +101,10 @@ def test_pi0_thr_matrices_match_the_loops(ring, monkeypatch):
     loops = loop_pi0_thr(ring)
     result = pi0_thr(ring)
     g = result.mackey.g
-    t_span = g.relations.data[g.relations.rows - len(loops["t_span"]):]
-    assert_same_relations(Mat(t_span, cols=n * n), loops["t_span"], n * n)
-    assert_same_relations(
-        g.relations, loop_tensor_relations(ring.add, ring.add) + loops["t_span"], n * n)
+    tensor_rows = loop_tensor_relations(ring.add, ring.add)
+    got, want = last_rows(g.relations, loops["t_span"], tensor_rows)
+    assert_same_relations(Mat(got, cols=n * n), want, n * n)
+    assert_same_relations(g.relations, tensor_rows + loops["t_span"], n * n)
     assert_same_matrix(result.mackey.tran.matrix, loops["tran"])
     for act, rows in zip(result.module.act_g, loops["act_g"], strict=True):
         assert_same_matrix(act.matrix, rows)
