@@ -22,7 +22,7 @@ from typing import NamedTuple
 
 from .dihedral import circle_model, dihedral_nerve_piece, pointedness_bound
 from .errors import CertificateError, SpecError
-from .fgab import Mat, free_group, row_kernel, solve_left
+from .fgab import Mat, _LeftSolver, free_group, row_kernel
 from .homology import (
     ChainComplex,
     ChainMap,
@@ -691,19 +691,22 @@ def _unit_lattice(n, index_set):
 
 def origin_cube(n):
     """The reduced weight-zero chart cube: unit tori at every vertex with
-    the functorial exterior maps of the lattice inclusions."""
+    the functorial exterior maps of the lattice inclusions.  Each vertex
+    basis has one solver, which every edge into that vertex solves
+    through."""
     bases = {
         eps: _unit_lattice(n, frozenset(j + 1 for j in range(n + 1) if eps[j] == 0))
         for eps in _vertices(n + 1)
     }
+    solvers = {eps: _LeftSolver(basis) for eps, basis in bases.items()}
 
     def edge(source, target, eps, j):
-        dst_b = bases[_bump(eps, j)]
-        rows = solve_left(dst_b, bases[eps].data)
+        dst = _bump(eps, j)
+        rows = solvers[dst].solve(bases[eps].data)
         if None in rows:
             raise CertificateError("unit lattice does not include into its neighbour")
         return ChainMap(
-            source, target, _compound_matrices(Mat(rows, cols=dst_b.rows), reduced=True)
+            source, target, _compound_matrices(Mat(rows, cols=bases[dst].rows), reduced=True)
         )
 
     return CubeDiagram(n + 1, lambda eps: torus_model(bases[eps].rows, reduced=True), edge)

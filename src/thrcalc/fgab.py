@@ -10,12 +10,14 @@ Conventions
   sends x to x @ F, and row i of F is the image of generator i.
 * Group equality compares invariant factors and free rank only; two
   presentations of isomorphic groups compare equal.
-* Each integer matrix is factored once, at the width that is read:
-  ``solve_left`` takes every right-hand side at once and runs one ``snf``
-  for all of them (a ``_LeftSolver`` keeps that factorization for later
-  right-hand sides), and ``snf`` tracks only the leading columns of U that
-  the caller keeps: the solution or kernel coordinates it reads, and none
-  for invariant factors and lattice membership, which need only S and V.
+* Each integer matrix is factored once, at the width that is read: a
+  ``_LeftSolver`` is one factored row lattice, and every solution and
+  row kernel read from that lattice comes from it (``solve_left`` and
+  ``row_kernel`` use one solver once; ``lift_through``, and so
+  ``inverse``, reads its lift and its kernel from one).  ``snf`` tracks
+  only the leading columns of U that the caller keeps: the solution or
+  kernel coordinates it reads, and none for invariant factors and
+  lattice membership, which need only S and V.
 * A product computes each distinct row of its left factor once and keeps
   nothing past that product.
 * A group is the lattice its relations span, not the list of rows it was
@@ -470,7 +472,8 @@ def _least_entry(a, live):
 
 def row_kernel(m, keep=None):
     """Basis (as rows) of the lattice {v in Z^rows : v @ m == 0}, each row
-    cut to its leading ``keep`` coordinates (all of them by default).
+    cut to its leading ``keep`` coordinates (all of them by default): the
+    ``kernel`` of a ``_LeftSolver`` of ``m``.
 
     >>> row_kernel(Mat([[2], [1]])).rows
     1
@@ -479,18 +482,17 @@ def row_kernel(m, keep=None):
     >>> row_kernel(Mat([[2], [1]]), 1).data in {((1,),), ((-1,),)}
     True
     """
-    s, u, _ = snf(m, m.rows if keep is None else keep)
-    rank = sum(1 for i in range(min(m.rows, m.cols)) if s.data[i][i])
-    return Mat._of(u.data[rank:], u.cols)
+    return _LeftSolver(m, keep).kernel()
 
 
 class _LeftSolver:
-    """Integer solutions x of x @ m == y, each cut to its leading ``keep``
-    coordinates (all of them by default).
+    """The row lattice of ``m``, factored once: integer solutions x of
+    x @ m == y and the row kernel of ``m``, each row cut to its leading
+    ``keep`` coordinates (all of them by default).
 
-    ``m`` is factored by the first ``solve`` that has a row, by one ``snf``
-    that tracks only the ``keep`` columns of U that the solutions read, and
-    every later ``solve`` reuses that factorization."""
+    ``m`` is factored by the first ``kernel``, or the first ``solve`` that
+    has a row, by one ``snf`` that tracks only the ``keep`` columns of U
+    that the rows read, and every later call reuses that factorization."""
 
     __slots__ = ("m", "keep", "_factors")
 
@@ -499,6 +501,24 @@ class _LeftSolver:
         self.keep = m.rows if keep is None else keep
         self._factors = None
 
+    def _factored(self):
+        """``(units, free, torsion, U, V)`` of ``m``'s Smith form, where
+        the diagonal is ``units`` ones, then ``torsion``, then zeros from
+        index ``free`` on (the divisibility chain)."""
+        if self._factors is None:
+            m = self.m
+            s, u, v = snf(m, self.keep)
+            diag = tuple(s.data[i][i] for i in range(min(m.rows, m.cols)))
+            units, free = diag.count(1), len(diag) - diag.count(0)
+            self._factors = units, free, diag[units:free], u, v
+        return self._factors
+
+    def kernel(self):
+        """Basis (as rows) of {x : x @ m == 0}: the rows of U past the
+        rank."""
+        _, free, _, u, _ = self._factored()
+        return Mat._of(u.data[free:], u.cols)
+
     def solve(self, ys):
         """One solution tuple per row y of ys, in order, or None for a row
         outside the row lattice of m."""
@@ -506,13 +526,7 @@ class _LeftSolver:
         if not ys:
             return []
         m = self.m
-        if self._factors is None:
-            s, u, v = snf(m, self.keep)
-            diag = tuple(s.data[i][i] for i in range(min(m.rows, m.cols)))
-            # units, then factors >= 2, then zeros (the divisibility chain)
-            units, free = diag.count(1), len(diag) - diag.count(0)
-            self._factors = units, free, diag[units:free], u, v
-        units, free, torsion, u, v = self._factors
+        units, free, torsion, u, v = self._factored()
         pad = (0,) * (m.rows - free)
         ws = []
         for z in (Mat(ys, cols=m.cols) @ v).data:
@@ -779,13 +793,15 @@ class FgAbGroup:
 
     def _back_map(self):
         """From Smith coordinates back to generators: the inverse of the
-        residue's ``V``, its columns placed at the kept generators (zero at
+        residue's ``V`` (the one solution of ``x V = I``, as ``V`` is
+        unimodular), its columns placed at the kept generators (zero at
         the eliminated ones).  Built where it is first needed, and kept."""
         if self._back is None:
             kept, gens, zeros = self._kept, range(self.n_gens), itertools.repeat(0)
-            inv = Mat.identity(len(kept)) if self._v is None else _unimodular_inverse(self._v)
+            unit = Mat.identity(len(kept)).data
+            inv = unit if self._v is None else solve_left(self._v, unit)
             self._back = Mat._of(tuple(tuple(map(dict(zip(kept, row)).get, gens, zeros))
-                                       for row in inv.data), self.n_gens)
+                                       for row in inv), self.n_gens)
         return self._back
 
     def _reduce_rows(self, m):
@@ -876,16 +892,6 @@ class FgAbGroup:
         return self._show(False)
 
 
-def _unimodular_inverse(v):
-    """Inverse of a unimodular matrix, computed via SNF bookkeeping."""
-    s, u, w = snf(v)
-    n = v.rows
-    if any(s.data[i][i] != 1 for i in range(n)):
-        raise ValueError("matrix is not unimodular")
-    # u @ v @ w == I  =>  v^{-1} = w @ u
-    return w @ u
-
-
 def group(n_gens, relations):
     """Build an FgAbGroup from a generator count and relation rows.
 
@@ -934,6 +940,11 @@ class GroupHom:
 
     def apply(self, x):
         return self.target.reduce(_vecmat(x, self.matrix))
+
+    def apply_rows(self, xs):
+        """``apply`` of every row of ``xs``, as a ``Mat``; the identity
+        gives the reduced images of the generators."""
+        return self.target._reduce_rows(xs @ self.matrix)
 
     def then(self, other):
         """The composite 'self followed by other'."""
@@ -1002,6 +1013,12 @@ def _kernel_lattice(f):
     return row_kernel(vstack(f.matrix, f.target.relations), f.source.n_gens)
 
 
+def _same_presentation(g, h):
+    """Whether ``g`` and ``h`` are one presentation: the same object, or
+    the same relations (hence as many generators)."""
+    return g is h or g.relations == h.relations
+
+
 class ExactnessReport(NamedTuple):
     """Result of an exactness check; truthy iff exact, with a certificate
     string describing the first failure otherwise."""
@@ -1051,7 +1068,7 @@ def is_exact(seq):
         if a.target.n_gens != b.source.n_gens:
             return ExactnessReport(False, "sequence is not composable")
         mid = a.target
-        if mid is not b.source and mid.relations != b.source.relations:
+        if not _same_presentation(mid, b.source):
             raise SpecError(f"joint {n}: the maps meet in two different "
                             "presentations of the middle group")
         if mid.is_trivial():
@@ -1071,7 +1088,10 @@ def is_exact(seq):
 
 
 def inverse(f):
-    """Two-sided inverse of an isomorphism, or None.
+    """Two-sided inverse of an isomorphism, or None: the lift of the
+    identity of the target through ``f``.  Once ``g.then(f)`` is the
+    identity, ``f.then(g)`` is the identity exactly when ``f`` is
+    injective, which ``lift_through`` checks.
 
     >>> z = free_group(1)
     >>> inverse(hom(z, z, [[-1]])).matrix.data
@@ -1079,26 +1099,19 @@ def inverse(f):
     >>> inverse(hom(z, z, [[2]])) is None
     True
     """
-    src, tgt = f.source, f.target
-    sols = solve_left(vstack(f.matrix, tgt.relations), Mat.identity(tgt.n_gens).data,
-                      src.n_gens)
-    if None in sols:
-        return None
-    mat = Mat._of(tuple(sols), src.n_gens)
     try:
-        g = GroupHom(tgt, src, mat)
+        return lift_through(f, identity_hom(f.target))
     except ValueError:
         return None
-    if not f.then(g).equal(identity_hom(src)):
-        return None
-    if not g.then(f).equal(identity_hom(tgt)):
-        return None
-    return g
 
 
 def lift_through(incl, h):
     """Given incl: K -> M with trivial kernel and h: A -> M landing in the
     image of incl, return the unique g: A -> K with g.then(incl) == h.
+
+    One ``_LeftSolver`` of ``incl.matrix`` stacked on the relations of M
+    gives both the lift, cut to the coordinates of K, and the kernel
+    lattice of ``incl``, which must be zero in K.
 
     >>> z = free_group(1)
     >>> two = hom(z, z, [[2]])
@@ -1106,14 +1119,15 @@ def lift_through(incl, h):
     ((3,),)
     """
     k, m = incl.source, incl.target
-    sols = solve_left(vstack(incl.matrix, m.relations), h.matrix.data, k.n_gens)
+    solver = _LeftSolver(vstack(incl.matrix, m.relations), k.n_gens)
+    sols = solver.solve(h.matrix.data)
     if None in sols:
         raise ValueError("map does not factor through the inclusion")
     mat = Mat._of(tuple(sols), k.n_gens)
     g = GroupHom(h.source, k, mat)
     if not g.then(incl).equal(h):
         raise ValueError("factorization check failed")
-    if k._first_nonzero_row(_kernel_lattice(incl)) is not None:
+    if k._first_nonzero_row(solver.kernel()) is not None:
         raise ValueError("inclusion is not injective; lift not unique")
     return g
 

@@ -41,7 +41,6 @@ from .fgab import (
     hom,
     identity_hom,
     kron,
-    row_kernel,
     vstack,
 )
 
@@ -75,21 +74,12 @@ class InvolutiveRing:
     def n_gens(self):
         return self.add.n_gens
 
-    def apply_w(self, x):
-        return self.w.apply(x)
-
     def multiplication_by(self, a):
         """Multiplication by the fixed element ``a`` as an additive
         endomorphism of the underlying group: its row ``i`` is ``a g_i``,
         all of them from one product with the table."""
         return hom(self.add, self.add,
                    self.add._reduce_rows(_times_generators(Mat([a]), self.table)))
-
-    def elements(self):
-        return self.add.elements()
-
-    def is_finite(self):
-        return self.add.is_finite()
 
     def has_trivial_involution(self):
         return self.w.equal(identity_hom(self.add))
@@ -180,15 +170,15 @@ def make_ring(add, table, one, w_matrix, names=None, where="ring"):
         w = hom(add, add, w_matrix)
     except ValueError as exc:
         raise SpecError(f"{where}: involution is not additively well defined: {exc}")
-    images = _apply(w, ident)  # w(g_i)
-    bad = add._first_nonzero_row(_apply(w, images) - ident)
+    images = w.apply_rows(ident)  # w(g_i)
+    bad = add._first_nonzero_row(w.apply_rows(images) - ident)
     if bad is not None:
         raise SpecError(
             f"{where}: involution does not square to the identity on {names[bad]}"
         )
-    if add._first_nonzero_row(_apply(w, one_row) - one_row) is not None:
+    if add._first_nonzero_row(w.apply_rows(one_row) - one_row) is not None:
         raise SpecError(f"{where}: involution does not fix the unit")
-    bad = add._first_nonzero_row(_apply(w, flat) - _products(add, flat, images, images))
+    bad = add._first_nonzero_row(w.apply_rows(flat) - _products(add, flat, images, images))
     if bad is not None:
         raise SpecError(
             f"{where}: involution is not multiplicative at "
@@ -222,20 +212,12 @@ def _products(add, flat, xs, ys):
     return add._reduce_rows(kron(xs, ys) @ flat)
 
 
-def _apply(f, xs):
-    """``f.apply`` of every row of ``xs``."""
-    return f.target._reduce_rows(xs @ f.matrix)
-
-
 class RingHom(NamedTuple):
     """A checked homomorphism of rings with involution."""
 
     source: InvolutiveRing
     target: InvolutiveRing
     add_hom: GroupHom
-
-    def apply(self, x):
-        return self.add_hom.apply(x)
 
 
 def ring_hom(source, target, rows, where="ring map"):
@@ -250,16 +232,16 @@ def ring_hom(source, target, rows, where="ring map"):
         raise SpecError(f"{where}: does not send the unit to the unit")
     n = source.n_gens
     ident = Mat.identity(n)
-    images = _apply(f, ident)  # f(g_i)
+    images = f.apply_rows(ident)  # f(g_i)
     flat = _flat(target.table, target.n_gens)
-    bad = add._first_nonzero_row(_apply(f, _flat(source.table, n))
+    bad = add._first_nonzero_row(f.apply_rows(_flat(source.table, n))
                                  - _products(add, flat, images, images))
     if bad is not None:
         raise SpecError(
             f"{where}: not multiplicative at generators ({bad // n}, {bad % n})"
         )
-    bad = add._first_nonzero_row(_apply(f, _apply(source.w, ident))
-                                 - _apply(target.w, images))
+    bad = add._first_nonzero_row(f.apply_rows(source.w.apply_rows(ident))
+                                 - target.w.apply_rows(images))
     if bad is not None:
         raise SpecError(
             f"{where}: does not commute with the involutions at generator {bad}"
@@ -333,11 +315,11 @@ def frobenius(ring2):
         raise SpecError("frobenius: ring does not satisfy 2 = 0")
     rows = [ring2.table[i][i] for i in range(n)]
     phi = hom(add, add, rows)
-    if ring2.is_finite() and add.order() <= 256:
-        xs = Mat(ring2.elements(), cols=n)
+    if add.is_finite() and add.order() <= 256:
+        xs = Mat(add.elements(), cols=n)
         pure = Mat([[a * b for a in x for b in x] for x in xs.data], cols=n * n)
         squares = add._reduce_rows(pure @ _flat(ring2.table, n))
-        bad = add._first_nonzero_row(_apply(phi, xs) - squares)
+        bad = add._first_nonzero_row(phi.apply_rows(xs) - squares)
         if bad is not None:
             raise SpecError(
                 f"frobenius: matrix disagrees with squaring at {xs.row(bad)}"
@@ -517,16 +499,18 @@ def _weight_data(gens, weight):
     """Split generators into unit pairs and the pointed remainder, and find
     a positive rational functional certifying finite fibers.
 
-    Returns ``(unit_idx, partner, point_idx, lam)`` where ``lam`` is a
-    tuple of Fractions on the weight target with ``lam . (g W) >= 1`` for
-    every pointed generator and ``lam`` vanishing on the weight images of
-    the units.  A :class:`_FiberSearch` computes it once, and an
-    :class:`AffineMonoid` keeps one search per tuple length, so each
-    monoid computes it once per length.  The search scales ``lam`` to
-    integers (:func:`_scaled`); on ``N`` generated by 2 and 3 it is
-    ``(1/2,)``, which scales to ``(1,)``:
+    Returns ``(unit_idx, partner, point_idx, lam, unit_solver)`` where
+    ``lam`` is a tuple of Fractions on the weight target with
+    ``lam . (g W) >= 1`` for every pointed generator and ``lam`` vanishing
+    on the weight images of the units, and ``unit_solver`` is the
+    ``_LeftSolver`` of those weight images, factored once for the kernel
+    test here and every later solve.  A :class:`_FiberSearch` computes it
+    once, and an :class:`AffineMonoid` keeps one search per tuple length,
+    so each monoid computes it once per length.  The search scales
+    ``lam`` to integers (:func:`_scaled`); on ``N`` generated by 2 and 3
+    it is ``(1/2,)``, which scales to ``(1,)``:
 
-    >>> _weight_data(((2,), (3,)), Mat.identity(1))
+    >>> _weight_data(((2,), (3,)), Mat.identity(1))[:4]
     ([], {}, [0, 1], (Fraction(1, 2),))
 
     Raises:
@@ -546,7 +530,8 @@ def _weight_data(gens, weight):
 
     unit_rows = [gens[i] for i in unit_idx]
     bw = Mat([_vecmat(g, weight) for g in unit_rows], cols=m)
-    bw_kernel = row_kernel(bw)
+    unit_solver = _LeftSolver(bw)
+    bw_kernel = unit_solver.kernel()
     for crow in range(bw_kernel.rows):
         c = bw_kernel.row(crow)
         u = [0] * len(gens[0])
@@ -576,7 +561,7 @@ def _weight_data(gens, weight):
         sum(mu[k] * basis[k][t] for k in range(len(basis))) if basis else Fraction(0)
         for t in range(m)
     )
-    return unit_idx, partner, point_idx, lam
+    return unit_idx, partner, point_idx, lam, unit_solver
 
 
 def _scaled(lam):
@@ -641,12 +626,10 @@ class _FiberSearch:
         cost of each generator of ``point_idx``, in order."""
         if self._plan is None:
             gens, weight = self.gens, self.weight
-            unit_idx, partner, point_idx, lam = _weight_data(gens, weight)
-            bw = Mat([_vecmat(gens[i], weight) for i in unit_idx], cols=weight.cols)
+            unit_idx, partner, point_idx, lam, unit_solver = _weight_data(gens, weight)
             scaled = _scaled(lam)
             costs = [sum(map(mul, scaled, _vecmat(gens[i], weight))) for i in point_idx]
-            # bw is factored by the first settle that solves, for every later one
-            self._plan = (unit_idx, partner, point_idx, lam, scaled, costs, _LeftSolver(bw))
+            self._plan = (unit_idx, partner, point_idx, lam, scaled, costs, unit_solver)
         return self._plan
 
     def __call__(self, v, limit=None):

@@ -28,6 +28,7 @@ from .fgab import (
     FgAbGroup,
     GroupHom,
     Mat,
+    _same_presentation,
     balanced_tensor,
     direct_sum,
     group,
@@ -65,15 +66,11 @@ def make_mackey(e, g, w, res, tran, where="mackey"):
             for ``(Z, Z, id, id, id)`` where ``res(tran(x)) = x != 2x``.
     """
     global double_coset_verifications
-
-    def same(x, y):
-        return x is y or (x.n_gens == y.n_gens and x.relations == y.relations)
-
-    if not (same(w.source, e) and same(w.target, e)):
+    if not (_same_presentation(w.source, e) and _same_presentation(w.target, e)):
         raise SpecError(f"{where}: involution is not an endomorphism of the e level")
-    if not (same(res.source, g) and same(res.target, e)):
+    if not (_same_presentation(res.source, g) and _same_presentation(res.target, e)):
         raise SpecError(f"{where}: restriction must map g to e")
-    if not (same(tran.source, e) and same(tran.target, g)):
+    if not (_same_presentation(tran.source, e) and _same_presentation(tran.target, g)):
         raise SpecError(f"{where}: transfer must map e to g")
     if not w.then(w).equal(identity_hom(e)):
         raise SpecError(f"{where}: involution does not square to the identity")
@@ -242,7 +239,7 @@ def module_structure(ring, mackey, rows_e, rows_g, where="module"):
         if not act_e[i].then(mackey.tran).equal(mackey.tran.then(act_g[i])):
             raise SpecError(f"{where}: transfer is not linear at generator {i}")
         gi = _unit_vec(n, i)
-        twisted = ms.action("e", ring.apply_w(gi))
+        twisted = ms.action("e", ring.w.apply(gi))
         if not act_e[i].then(mackey.w).equal(mackey.w.then(twisted)):
             raise SpecError(
                 f"{where}: involution does not intertwine the action at "
@@ -257,12 +254,6 @@ class BaseChangeResult(NamedTuple):
 
     mackey: MackeyZ2
     module: ModuleStructure
-
-
-def _images(f):
-    """The matrix of ``f`` with row ``i`` reduced as ``f.apply`` reduces the
-    image of generator ``i``."""
-    return f.target._reduce_rows(f.matrix)
 
 
 def _right_action(level, n_left, mults):
@@ -284,16 +275,21 @@ def base_change(ms, ring_map):
     if ring_map.source is not ms.ring:
         raise SpecError("base change: ring map source does not act on the module")
     b = ring_map.target
-    ident_b = Mat.identity(b.n_gens)
     m = ms.mackey
+    # each map enters by its reduced generator images
+    ident_a, ident_b = Mat.identity(ms.ring.n_gens), Mat.identity(b.n_gens)
+    ident_e, ident_g = Mat.identity(m.e.n_gens), Mat.identity(m.g.n_gens)
     # in ``L (x)_A B`` each generator a of A slides from its action on L to f(a) on B
-    f_mults = [b.multiplication_by(fa).matrix for fa in _images(ring_map.add_hom).data]
-    e_new = balanced_tensor(m.e, b.add, [(_images(a), r) for a, r in zip(ms.act_e, f_mults)])
-    g_new = balanced_tensor(m.g, b.add, [(_images(a), r) for a, r in zip(ms.act_g, f_mults)])
+    f_mults = [b.multiplication_by(fa).matrix
+               for fa in ring_map.add_hom.apply_rows(ident_a).data]
+    e_new = balanced_tensor(m.e, b.add, [(a.apply_rows(ident_e), r)
+                                         for a, r in zip(ms.act_e, f_mults)])
+    g_new = balanced_tensor(m.g, b.add, [(a.apply_rows(ident_g), r)
+                                         for a, r in zip(ms.act_g, f_mults)])
 
-    w_new = hom(e_new, e_new, kron(_images(m.w), _images(b.w)))
-    res_new = hom(g_new, e_new, kron(_images(m.res), ident_b))
-    tran_new = hom(e_new, g_new, kron(_images(m.tran), ident_b))
+    w_new = hom(e_new, e_new, kron(m.w.apply_rows(ident_e), b.w.apply_rows(ident_b)))
+    res_new = hom(g_new, e_new, kron(m.res.apply_rows(ident_g), ident_b))
+    tran_new = hom(e_new, g_new, kron(m.tran.apply_rows(ident_e), ident_b))
     mk = make_mackey(e_new, g_new, w_new, res_new, tran_new, where="base change")
 
     b_mults = [b.multiplication_by(e).matrix for e in ident_b.data]

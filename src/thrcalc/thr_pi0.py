@@ -55,7 +55,6 @@ from .mackey import (
     MackeyHom,
     MackeyZ2,
     ModuleStructure,
-    _images,
     _right_action,
     base_change,
     constant_mackey,
@@ -147,7 +146,8 @@ def frobenius_twisted_square(ring, frob=None):
     presented on the same tensor generators as ``A/2 (x) A/2``.
     """
     r2, phi = frob or mod2_frobenius(ring)
-    mults = (r2.multiplication_by(c).matrix for c in _images(phi).data)
+    mults = (r2.multiplication_by(c).matrix
+             for c in phi.apply_rows(Mat.identity(r2.n_gens)).data)
     return r2, balanced_tensor(r2.add, r2.add, [(m, m) for m in mults])
 
 
@@ -274,7 +274,7 @@ def verify_base_change(ring_map):
     bc = base_change(src.module, ring_map)
 
     b = ring_map.target
-    images = _images(ring_map.add_hom)
+    images = ring_map.add_hom.apply_rows(Mat.identity(ring_map.source.n_gens))
     # Row (i, j) of ``mult`` is f(a_i) b_j: the map on underlying levels.
     mult = Mat([row for fa in images.data for row in b.multiplication_by(fa).matrix.data],
                cols=b.n_gens)

@@ -27,7 +27,6 @@ from thrcalc.errors import SpecError
 from thrcalc.fgab import (
     ExactnessReport,
     Mat,
-    _unimodular_inverse,
     _vecmat,
     _xgcd,
     group,
@@ -295,7 +294,7 @@ def loop_base_change(ms, ring_map):
         units = _units(grp.n_gens)
         return loop_tensor_relations(grp, b.add) + [
             _difference(pure_tensor(nb, act.apply(x), y),
-                        pure_tensor(nb, x, ring_mul(b, ring_map.apply(ai), y)))
+                        pure_tensor(nb, x, ring_mul(b, ring_map.add_hom.apply(ai), y)))
             for act, ai in zip(acts, _units(a.n_gens))
             for x in units
             for y in b_units
@@ -327,7 +326,7 @@ def loop_comparison(ring_map):
     on underlying levels, ``(x (x) y) (x) b -> f(x) (x) f(y) b`` on fixed
     levels."""
     a, b = ring_map.source, ring_map.target
-    images = [ring_map.apply(x) for x in _units(a.n_gens)]
+    images = [ring_map.add_hom.apply(x) for x in _units(a.n_gens)]
     b_units = _units(b.n_gens)
     rows_e = [ring_mul(b, fx, y) for fx in images for y in b_units]
     rows_g = [pure_tensor(b.n_gens, fx, ring_mul(b, fy, z))
@@ -506,8 +505,8 @@ def loop_frobenius(ring2):
             raise SpecError("frobenius: ring does not satisfy 2 = 0")
     rows = [ring2.table[i][i] for i in range(n)]
     phi = hom(ring2.add, ring2.add, rows)
-    if ring2.is_finite() and ring2.add.order() <= 256:
-        for x in ring2.elements():
+    if ring2.add.is_finite() and ring2.add.order() <= 256:
+        for x in ring2.add.elements():
             if not ring2.add.same_element(phi.apply(x), ring_square(ring2, x)):
                 raise SpecError(
                     f"frobenius: matrix disagrees with squaring at {x}"
@@ -542,7 +541,7 @@ def fraction_enumerate_fiber(gens, weight, v, limit=None):
     if not gens:
         return [(tuple([0] * rank), ())] if not any(v) else []
 
-    unit_idx, partner, point_idx, lam = _weight_data(gens, weight)
+    unit_idx, partner, point_idx, lam, _ = _weight_data(gens, weight)
     unit_rows = [gens[i] for i in unit_idx]
     bw = Mat([_vecmat(g, weight) for g in unit_rows], cols=m)
     images = {i: _vecmat(gens[i], weight) for i in point_idx}
@@ -773,6 +772,16 @@ def generator_reduce(g, x):
     return generator_reduce_rows(g, Mat.row_vector(x)).data[0]
 
 
+def _unimodular_inverse(v):
+    """Inverse of a unimodular matrix, computed via SNF bookkeeping."""
+    s, u, w = snf(v)
+    n = v.rows
+    if any(s.data[i][i] != 1 for i in range(n)):
+        raise ValueError("matrix is not unimodular")
+    # u @ v @ w == I  =>  v^{-1} = w @ u
+    return w @ u
+
+
 def _mod_diagonal(rows, diag):
     return tuple(tuple(a % d if d else a for a, d in zip(row, diag)) for row in rows)
 
@@ -781,8 +790,9 @@ def generator_reduce_rows(g, m):
     """``FgAbGroup._reduce_rows`` through explicit products: into Smith
     coordinates by ``_to`` (not at all in a plain group), each entry
     modulo the diagonal, and back by the inverse of the residue's basis
-    change (from ``snf`` bookkeeping, as ``fgab`` does) with its columns
-    placed at the kept generators."""
+    change (from ``snf`` bookkeeping, where ``fgab`` solves ``x V = I``:
+    a unimodular matrix has one inverse) with its columns placed at the
+    kept generators."""
     if g._plain:
         return Mat._of(_mod_diagonal(m.data, g._diag), g.n_gens)
     rows = generator_product(m, g._to)

@@ -12,7 +12,8 @@ from math import gcd
 import pytest
 from hypothesis import given, settings, strategies as st
 
-from thrcalc import fgab, homology, selftest, thr_pi0
+from thrcalc import cubes, fgab, homology, selftest, thr_pi0
+from thrcalc import involutive_algebra as ia
 from thrcalc.fgab import (
     Mat, snf, solve_left, group, free_group, hom, identity_hom,
     kernel, is_exact, inverse,
@@ -714,7 +715,6 @@ _KEPT = {
     fgab._elementary_divisors.__code__: lambda local: 0,
     fgab.kernel.__code__: lambda local: local["sub"].rows,
     fgab._kernel_lattice.__code__: lambda local: local["f"].source.n_gens,
-    fgab.inverse.__code__: lambda local: local["f"].source.n_gens,
     fgab.lift_through.__code__: lambda local: local["incl"].source.n_gens,
 }
 # The callers that keep every coordinate of the solutions or kernel rows
@@ -722,20 +722,22 @@ _KEPT = {
 # functions).
 _KEEP_ALL = {
     ("thrcalc.homology", "_presentation"), ("thrcalc.homology", "induced_hom"),
-    ("thrcalc.homology", "connecting_hom"), ("thrcalc.cubes", "_unit_lattice"),
+    ("thrcalc.homology", "connecting_hom"), ("thrcalc.fgab", "_back_map"),
+    ("thrcalc.cubes", "_unit_lattice"),
     ("thrcalc.cubes", "edge"), ("thrcalc.involutive_algebra", "_weight_data"),
     ("thrcalc.involutive_algebra", "settle"),
 }
 # The callers that read U as a whole matrix.
-_FULL_U = {selftest._snf_sweep.__code__, fgab._unimodular_inverse.__code__}
+_FULL_U = {selftest._snf_sweep.__code__}
 
 
 def test_no_caller_tracks_more_of_u_than_it_keeps(monkeypatch):
-    """Under ``selftest.run_all()``, only the SNF sweep and the unimodular
-    inverse ask for the full U; every other call tracks exactly the columns
-    of U that its caller keeps."""
+    """Under ``selftest.run_all()``, only the SNF sweep asks for the full
+    U; every other call tracks exactly the columns of U that its caller
+    keeps."""
     relay = {fgab.row_kernel.__code__, fgab.solve_left.__code__,
-             fgab._LeftSolver.solve.__code__}
+             fgab._LeftSolver.solve.__code__, fgab._LeftSolver.kernel.__code__,
+             fgab._LeftSolver._factored.__code__}
     real = fgab.snf
     seen = []
 
@@ -772,6 +774,56 @@ def test_no_caller_tracks_more_of_u_than_it_keeps(monkeypatch):
             assert (module_name, code.co_name) in _KEEP_ALL and u_cols == rows, where
     assert askers >= _FULL_U
     assert narrowed == set(_KEPT)
+
+
+def test_each_lattice_is_factored_once_per_lift_search_and_cube(monkeypatch):
+    """Under ``selftest.run_all()``, a lift into ``(Z/2)^2`` and a weight
+    fiber of ``Z`` with the sign, no ``snf`` call inside one
+    ``lift_through``, one ``_FiberSearch`` (its weight data and every
+    settle) or the edges of one ``origin_cube`` gets a ``(matrix, u_cols)``
+    that an earlier call there already got.  The unit lattices of the cube
+    are left out: the constraints of ``M_{1..n}`` are the identity, which
+    is also the basis of the vertex with none, and each is a Smith form
+    that ``snf`` returns at once."""
+    search = {ia._FiberSearch.plan.__code__, ia._FiberSearch.__call__.__code__}
+    edge = next(c for c in cubes.origin_cube.__code__.co_consts
+                if getattr(c, "co_name", None) == "edge")
+    real = fgab.snf
+    held = []  # every scope, kept alive so that no id is reused
+    factored, repeats, kinds = {}, [], set()
+
+    def scope(frame):
+        while frame is not None:
+            code = frame.f_code
+            if code is fgab.lift_through.__code__:
+                return "lift_through", frame
+            if code in search:
+                return "_FiberSearch", frame.f_locals["self"]
+            if code is edge:
+                return "origin_cube", frame.f_locals["bases"]
+            frame = frame.f_back
+        return None, None
+
+    def recording(m, u_cols=None):
+        kind, where = scope(sys._getframe(1))
+        if where is not None:
+            held.append(where)
+            kinds.add(kind)
+            seen = factored.setdefault(id(where), set())
+            if (m, u_cols) in seen:
+                repeats.append((kind, m.rows, m.cols, u_cols))
+            seen.add((m, u_cols))
+        return real(m, u_cols)
+
+    monkeypatch.setattr(fgab, "snf", recording)
+    with redirect_stdout(io.StringIO()):
+        assert all(outcome.ok for outcome in selftest.run_all())
+    a = group(2, [[2, 0], [0, 2]])
+    fixed_point_mackey(a, hom(a, a, [[0, 1], [1, 0]]))
+    assert ia.weight_tuples(ia.monoid_int_sigma(), (1,), 1) == [((1,),)]
+    monkeypatch.undo()
+    assert kinds == {"lift_through", "_FiberSearch", "origin_cube"}
+    assert repeats == []
 
 
 # ---------------------------------------------------------------------------

@@ -1,8 +1,9 @@
 """Every name a module of the package imports is used in that module, the
 package starts up without the modules that generate code or inspect it,
 every top-level name of the package is reached from the command line,
-every method of a package class is read in the package, and every field of
-a package class is read somewhere."""
+every method of a package class is read in the package and does more
+than forward its arguments to a method of an attribute, and every field
+of a package class is read somewhere."""
 
 import ast
 import subprocess
@@ -213,6 +214,54 @@ def test_the_scan_finds_an_unread_method():
 def test_every_method_is_read_in_the_package():
     package = [path.read_text() for path in PACKAGE.glob("*.py")]
     assert set(unread_methods(package)) == UNREAD_METHODS
+
+
+def forwarding_methods(package):
+    """``Class.method`` for every method of the classes in the ``package``
+    sources, dunders aside, whose body, a docstring aside, is one
+    ``return self.<attr>.<method>(...)`` of its own parameters, in order:
+    its callers can call that method themselves."""
+    out = []
+    for cls in (c for source in package for c in ast.walk(ast.parse(source))
+                if isinstance(c, ast.ClassDef)):
+        for f in cls.body:
+            if not isinstance(f, ast.FunctionDef) or (
+                    f.name.startswith("__") and f.name.endswith("__")):
+                continue
+            body = f.body
+            if isinstance(body[0], ast.Expr) and isinstance(body[0].value, ast.Constant):
+                body = body[1:]  # the docstring
+            call = body[0].value if len(body) == 1 and isinstance(body[0], ast.Return) else None
+            params = [a.arg for a in f.args.args]
+            if (isinstance(call, ast.Call) and not call.keywords
+                    and isinstance(call.func, ast.Attribute)
+                    and isinstance(call.func.value, ast.Attribute)
+                    and isinstance(call.func.value.value, ast.Name)
+                    and call.func.value.value.id == params[0]
+                    and [getattr(a, "id", None) for a in call.args] == params[1:]):
+                out.append(f"{cls.name}.{f.name}")
+    return sorted(out)
+
+
+def test_the_scan_finds_a_forwarding_method():
+    package = ("class Ring:\n"
+               "    def order(self):\n        \"\"\"The order.\"\"\"\n"
+               "        return self.add.order()\n\n"
+               "    def apply(self, x, y):\n        return self.w.apply(x, y)\n\n"
+               "    def swap(self, x, y):\n        return self.w.apply(y, x)\n\n"
+               "    def twice(self, x):\n        return self.w.apply(self.w.apply(x))\n\n"
+               "    def padded(self, x):\n        return self.w.apply(x, 0)\n\n"
+               "    def again(self, x, y):\n        return self.apply(x, y)\n\n"
+               "    def size(self):\n        return self.add.size\n\n"
+               "    def __len__(self):\n        return self.add.__len__()\n")
+    # arguments reordered, changed or added, a method of ``self`` itself,
+    # an attribute that is not called and a dunder do not count
+    assert forwarding_methods([package]) == ["Ring.apply", "Ring.order"]
+
+
+def test_no_method_only_forwards_its_arguments():
+    package = [path.read_text() for path in PACKAGE.glob("*.py")]
+    assert forwarding_methods(package) == []
 
 
 def _name(node):

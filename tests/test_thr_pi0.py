@@ -151,7 +151,7 @@ def test_generator_span_equals_element_span(ring):
     relations for every element triple (the additivity argument)."""
     n = ring.n_gens
     span = pi0_thr(ring).mackey.g.relations
-    elements = ring.elements()
+    elements = ring.add.elements()
     for a in elements:
         square = ring_square(ring, a)
         double = tuple(2 * c for c in a)
