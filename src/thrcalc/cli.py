@@ -36,9 +36,15 @@ Exit codes: 0 success; 2 invalid input; 3 infeasible computation (for
 example an infinite weight fiber requested without a window); 4 a failed
 certificate.  Structured output is one line of versioned JSON on stdout;
 progress and error messages go to stderr only.
+
+``main`` builds its parser once per process (``build_parser`` is
+cached) and every later call reuses it: the parser reads no input and
+holds no per-call state, since each ``parse_args`` call returns a fresh
+namespace.
 """
 
 import argparse
+import functools
 import json
 import os
 import sys
@@ -413,6 +419,7 @@ def _add_format(parser):
     )
 
 
+@functools.cache
 def build_parser():
     parser = argparse.ArgumentParser(
         prog="thrcalc",

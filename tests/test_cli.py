@@ -1,5 +1,6 @@
 """End-to-end tests of the command-line interface, run in-process."""
 
+import argparse
 import json
 import re
 import shlex
@@ -494,6 +495,70 @@ def test_missing_subcommand_exits_2():
     with pytest.raises(SystemExit) as exc:
         cli.main([])
     assert exc.value.code == 2
+
+
+# Calls that set every optional flag, calls that leave the same flags out,
+# usage errors and help, each with the terminal width it runs at (argparse
+# reads ``COLUMNS`` when it prints) and its exit code.
+REUSE_SEQUENCE = [
+    ("60", ["nerve", f"{DATA}/monoid_nat.yaml", "--weight", "2", "--q-max", "2",
+            "--window", "2", "--homology", "--fixed-pi0", "--validate",
+            "--format", "structured"], 0),
+    ("200", ["projective", "1", "--window", "2"], 0),
+    ("60", ["nerve", f"{DATA}/monoid_nat.yaml"], 2),
+    ("200", ["--help"], 0),
+    ("60", ["nerve", "--help"], 0),
+    ("200", ["nerve", f"{DATA}/monoid_nat.yaml", "--weight", "2"], 0),
+    ("60", ["projective", "1"], 0),
+    ("200", [], 2),
+    ("60", ["frobenius"], 2),
+    ("200", ["pi0thr", f"{DATA}/ring_z.yaml", "--format", "structured"], 0),
+    ("60", ["pi0thr", f"{DATA}/ring_z.yaml"], 0),
+]
+
+
+def _run_sequence(capsys, monkeypatch, sequence):
+    """``(exit code, stdout, stderr)`` of each call of ``sequence``, in
+    order, in this process; a usage error or help exits by ``SystemExit``."""
+    results = []
+    for columns, argv, _ in sequence:
+        monkeypatch.setenv("COLUMNS", columns)
+        try:
+            code = cli.main(list(argv))
+        except SystemExit as exc:
+            code = exc.code
+        captured = capsys.readouterr()
+        results.append((code, captured.out, captured.err))
+    return results
+
+
+@pytest.mark.parametrize("order", [1, -1], ids=["flags-first", "flags-last"])
+def test_the_reused_parser_leaks_no_state_between_calls(capsys, monkeypatch, order):
+    """Each call of a sequence prints and exits as it would on a parser
+    built for it alone, whichever calls ran before it in the process."""
+    sequence = REUSE_SEQUENCE[::order]
+    reused = _run_sequence(capsys, monkeypatch, sequence)
+    assert [code for code, _, _ in reused] == [code for _, _, code in sequence]
+    monkeypatch.setattr(cli, "build_parser", cli.build_parser.__wrapped__)
+    assert _run_sequence(capsys, monkeypatch, sequence) == reused
+
+
+def test_one_process_builds_its_parsers_once(capsys, monkeypatch):
+    built = []
+    real = argparse.ArgumentParser.__init__
+
+    def recording(self, *args, **kwargs):
+        built.append(kwargs.get("prog"))
+        real(self, *args, **kwargs)
+
+    monkeypatch.setattr(argparse.ArgumentParser, "__init__", recording)
+    cli.build_parser.cache_clear()
+    for _ in range(3):
+        assert cli.main(["nerve", f"{DATA}/monoid_nat.yaml", "--weight", "0"]) == 0
+    capsys.readouterr()
+    # the top-level parser and one per subcommand
+    assert len(built) == 1 + len(cli._DISPATCH)
+    assert cli.build_parser() is cli.build_parser()
 
 
 def test_structured_output_is_one_json_line(capsys):

@@ -2,8 +2,9 @@
 package starts up without the modules that generate code or inspect it,
 every top-level name of the package is reached from the command line,
 every method of a package class is read in the package and does more
-than forward its arguments to a method of an attribute, and every field
-of a package class is read somewhere."""
+than forward its arguments to a method of an attribute, every field of a
+package class is read somewhere, and no memo or ``global`` but the listed
+ones outlives a call."""
 
 import ast
 import subprocess
@@ -91,6 +92,18 @@ def test_importing_the_cli_adds_no_startup_heavy_module():
     added = set(run.stdout.split())
     assert "thrcalc.cli" in added
     assert added & STARTUP_HEAVY == set()
+
+
+def test_importing_the_cli_builds_no_parser():
+    # ``main`` builds the parser on its first call, so set-up pays only
+    # the import
+    code = ("import sys\n"
+            f"sys.path.insert(0, {str(PACKAGE.parent)!r})\n"
+            "import thrcalc.cli\n"
+            "print(thrcalc.cli.build_parser.cache_info().currsize)\n")
+    run = subprocess.run([sys.executable, "-c", code], capture_output=True,
+                         text=True, check=True)
+    assert run.stdout.split() == ["0"]
 
 
 def _relative_imports(nodes):
@@ -315,3 +328,53 @@ def test_every_field_is_read():
     readers += [p.read_text() for p in (ROOT / "perfbench").glob("*.py")]
     package = [p.read_text() for p in PACKAGE.glob("*.py")]
     assert unread_fields(package, readers) == []
+
+
+# State that outlives one call, each with its reason.
+OUTLIVING_STATE = {
+    # the parser reads no input and every ``parse_args`` call returns a
+    # fresh namespace, so one per process serves every ``cli.main`` call
+    "cli.build_parser",
+    # criterion 4 and ``test_mackey`` read this counter; a stats registry
+    # is to absorb it (ROADMAP item 7)
+    "mackey.double_coset_verifications",
+}
+MEMOS = {"cache", "lru_cache", "cached_property"}
+
+
+def outliving_state(sources):
+    """``module.name`` for every function or method of the ``sources``
+    (``{module name: source}``) decorated with a memo (``functools.cache``,
+    ``lru_cache`` or ``cached_property``, by name alone) and for every name
+    a ``global`` statement declares: state that outlives the call that
+    made it."""
+    out = set()
+    for mod, source in sources.items():
+        for node in ast.walk(ast.parse(source)):
+            if isinstance(node, ast.FunctionDef) and any(
+                    _name(d) in MEMOS for d in node.decorator_list):
+                out.add(f"{mod}.{node.name}")
+            elif isinstance(node, ast.Global):
+                out.update(f"{mod}.{name}" for name in node.names)
+    return sorted(out)
+
+
+def test_the_scan_finds_state_that_outlives_a_call():
+    sources = {
+        "lib": ("import functools\nfrom functools import cached_property, lru_cache\n\n"
+                "calls = 0\n\n"
+                "@functools.cache\ndef table():\n    return {}\n\n"
+                "@lru_cache(maxsize=None)\ndef rank(m):\n    return 0\n\n"
+                "def count():\n    global calls\n    calls += 1\n\n"
+                "def local():\n    seen = {}\n    return seen\n\n"
+                "class Ring:\n    @cached_property\n    def size(self):\n        return 0\n\n"
+                "    @property\n    def order(self):\n        return 0\n"),
+    }
+    # a memo decorator, called or not, and a ``global`` count; a local
+    # dict and a plain property do not
+    assert outliving_state(sources) == ["lib.calls", "lib.rank", "lib.size", "lib.table"]
+
+
+def test_no_memo_or_global_outlives_a_call_but_the_listed_ones():
+    sources = {path.stem: path.read_text() for path in PACKAGE.glob("*.py")}
+    assert set(outliving_state(sources)) == OUTLIVING_STATE
