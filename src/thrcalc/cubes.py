@@ -22,16 +22,12 @@ from typing import NamedTuple
 
 from .dihedral import circle_model, dihedral_nerve_piece, pointedness_bound
 from .errors import CertificateError, SpecError
-from .fgab import Mat, _LeftSolver, free_group, row_kernel
+from .fgab import Mat, _assemble, _LeftSolver, free_group, kron, row_kernel
 from .homology import (
     ChainComplex,
     ChainMap,
-    _assemble,
     _commutes,
     _homology_data,
-    _identity_rows,
-    _kron,
-    _stored,
     _tensor_matrices,
     fiber_les_report,
     fiber_map,
@@ -77,7 +73,7 @@ class CubeDiagram:
     flipped to 1, and is handed those two stored entries.  Each rule is
     called once per vertex or edge, and all squares are checked to commute
     on the nose at construction, degree by degree, as equal products of
-    the edge matrices on their sparse rows.  That is the only check of a
+    the edge matrices.  That is the only check of a
     square: a face is a view that reads the stored entries and edges.
     """
 
@@ -227,12 +223,12 @@ def punctured_limit(q_cube):
             p = q + sum(eps) - 1
             if eps in keys:
                 entries[eps, eps] = (-1 if (sum(eps) - 1) % 2 else 1,
-                                     _stored(q_cube.entry(eps), p))
+                                     q_cube.entry(eps).diff(p))
             for j in range(q_cube.dimension):
                 target = _bump(eps, j)
                 if not eps[j] and target in keys:
                     entries[eps, target] = (-1 if sum(eps[:j]) % 2 else 1,
-                                            _stored(q_cube.edge(eps, j), p))
+                                            q_cube.edge(eps, j).map(p))
         diffs[q] = _assemble(layout, below, entries)
     ranks = {q: sum(r for _, r in layout) for q, layout in summands.items()}
     return ChainComplex(ranks, diffs)
@@ -247,7 +243,7 @@ def comparison(q_cube):
     for q in initial.support:
         layout = _limit_summands(q_cube, q)
         edges = {
-            (origin, eps): (1, _stored(q_cube.edge(origin, eps.index(1)), q))
+            (origin, eps): (1, q_cube.edge(origin, eps.index(1)).map(q))
             for eps, _ in layout if sum(eps) == 1
         }
         mats[q] = _assemble([(origin, initial.rank(q))], layout, edges)
@@ -281,8 +277,7 @@ def _induced_fiber_map(q_cube, direction):
         back_layout = _limit_summands(back, q)
         keys = {eps for eps, _ in back_layout}
         limit_mats[q] = _assemble(layout, back_layout, {
-            (eps, eps): (1, _stored(q_cube.edge(front.embed(eps), direction),
-                                    q + sum(eps) - 1))
+            (eps, eps): (1, q_cube.edge(front.embed(eps), direction).map(q + sum(eps) - 1))
             for eps, _ in layout if eps in keys
         })
     phi_limit = ChainMap(c_front.target, c_back.target, limit_mats)
@@ -354,14 +349,13 @@ def _compound_matrices(a, reduced):
     """The degreewise matrices of ``torus_map(a)``, or from degree 1 up
     between reduced torus models when ``reduced``."""
     mats = {}
+    entries = [dict(row) for row in a.sparse]
     for q in range(1 if reduced else 0, a.rows + 1):
         rows = []
         for s in combinations(range(a.rows), q):
             row = []
             for t in combinations(range(a.cols), q):
-                minor = Mat(
-                    [tuple(a.data[i][j] for j in t) for i in s], cols=q
-                )
+                minor = Mat([[entries[i].get(j, 0) for j in t] for i in s], cols=q)
                 row.append(minor.det() if q else 1)
             rows.append(row)
         mats[q] = rows
@@ -507,10 +501,7 @@ def _copies(c, n):
 def _block_map(source, target, copy_mats, c):
     """Chain map acting on copies of ``c`` by the copy matrix
     ``copy_mats[q]`` in each degree ``q``."""
-    mats = {}
-    for q in c.support:
-        copies = [{j: a for j, a in enumerate(row) if a} for row in copy_mats[q]]
-        mats[q] = _kron(copies, _identity_rows(c.rank(q)), c.rank(q))
+    mats = {q: kron(Mat(copy_mats[q]), Mat.identity(c.rank(q))) for q in c.support}
     return ChainMap(source, target, mats)
 
 
@@ -674,9 +665,11 @@ def _substituted_weight_cube(n, v, positives, charts=None):
         raise CertificateError(f"weight {v} escaped its certified chart")
     piece = _nerve_piece_chains(monoid, v).complex
     zero = ChainComplex({}, {})
+    # every edge from piece to piece is one map between the same two objects
+    same = identity_chain_map(piece)
 
     def edge(source, target, eps, j):
-        return ChainMap(zero, target, {}) if source is zero else identity_chain_map(piece)
+        return ChainMap(zero, target, {}) if source is zero else same
 
     return CubeDiagram(n + 1, lambda eps: piece if eps[missing - 1] else zero, edge)
 
@@ -702,12 +695,10 @@ def origin_cube(n):
 
     def edge(source, target, eps, j):
         dst = _bump(eps, j)
-        rows = solvers[dst].solve(bases[eps].data)
-        if None in rows:
+        rows, bad = solvers[dst].solve(bases[eps])
+        if bad:
             raise CertificateError("unit lattice does not include into its neighbour")
-        return ChainMap(
-            source, target, _compound_matrices(Mat(rows, cols=bases[dst].rows), reduced=True)
-        )
+        return ChainMap(source, target, _compound_matrices(rows, reduced=True))
 
     return CubeDiagram(n + 1, lambda eps: torus_model(bases[eps].rows, reduced=True), edge)
 

@@ -57,7 +57,8 @@ from .involutive_algebra import (
 
 class SimplexLevels(Sequence):
     """The simplex levels of a truncation, each built by ``build(q)`` when
-    it is first read and kept from then on."""
+    it is first read and kept from then on; a slice is the tuple of its
+    levels, each built so."""
 
     __slots__ = ("_build", "_levels")
 
@@ -69,6 +70,8 @@ class SimplexLevels(Sequence):
         return len(self._levels)
 
     def __getitem__(self, q):
+        if isinstance(q, slice):
+            return tuple(map(self.__getitem__, range(len(self))[q]))
         level = self._levels[q]
         if level is None:
             level = self._levels[q] = self._build(range(len(self))[q])
@@ -87,9 +90,9 @@ class TruncDihedralSet:
     ``"simplicial"``, ``"real"`` (reflection with the real identities),
     ``"cyclic"`` (rotation), ``"dihedral"`` (both), or ``"levelwise"``
     (rotation/reflection merely commute with faces and degeneracies, as on
-    edgewise subdivisions).  ``certificate`` optionally records a proven
-    degree bound above which every simplex is degenerate, making the
-    truncation lossless for nondegenerate data.
+    edgewise subdivisions).  ``nondegenerate_bound``, an int or None,
+    optionally records a proven degree bound above which every simplex is
+    degenerate, making the truncation lossless for nondegenerate data.
 
     ``simplices`` is either the list of levels or a function ``q -> level``;
     a function's levels are built on first read.  Either way each level is
@@ -113,7 +116,7 @@ class TruncDihedralSet:
         "_invol",
         "flag",
         "cyclic_order",
-        "certificate",
+        "nondegenerate_bound",
         "_nondegenerate_levels",
         "_nondegenerate",
         "_level_count",
@@ -130,7 +133,7 @@ class TruncDihedralSet:
         invol=None,
         flag="simplicial",
         cyclic_order=None,
-        certificate=None,
+        nondegenerate_bound=None,
         nondegenerate_levels=None,
         level_count=None,
         fixed_levels=None,
@@ -155,7 +158,7 @@ class TruncDihedralSet:
         self._invol = invol
         self.flag = flag
         self.cyclic_order = cyclic_order
-        self.certificate = certificate
+        self.nondegenerate_bound = nondegenerate_bound
         self._nondegenerate_levels = nondegenerate_levels
         self._nondegenerate = [None] * (q_max + 1)
         self._fixed_levels = fixed_levels
@@ -695,15 +698,15 @@ def dihedral_nerve_piece(monoid, orbit, q_max, window=None):
     def invol(q, x):
         return (sigma(x[0]),) + tuple(sigma(e) for e in reversed(x[1:]))
 
-    certificate = None
+    bound = None
     has_units = any(
         tuple(-c for c in g) in set(monoid.generators) for g in monoid.generators
     )
     if window is None and not has_units:
         try:
-            certificate = ("nondegenerate-bound", pointedness_bound(monoid, orbit))
+            bound = pointedness_bound(monoid, orbit)
         except InfeasibleError:  # pragma: no cover - no functional, no bound
-            certificate = None
+            bound = None
 
     return TruncDihedralSet(
         q_max,
@@ -713,7 +716,7 @@ def dihedral_nerve_piece(monoid, orbit, q_max, window=None):
         rotate=rotate,
         invol=invol,
         flag="dihedral",
-        certificate=certificate,
+        nondegenerate_bound=bound,
         **generated,
     )
 
@@ -756,7 +759,7 @@ def circle_model(q_max=3):
         degeneracy,
         invol=invol,
         flag="real",
-        certificate=("nondegenerate-bound", 1),
+        nondegenerate_bound=1,
     )
 
 
@@ -953,7 +956,6 @@ def fixed_subset(x):
         x._degeneracy,
         invol=x._invol,
         flag="levelwise",
-        certificate=None,
         level_count=level_count,
     )
     if level_count is None:
@@ -1040,8 +1042,8 @@ def shuffle_iso_check(m, l, pair, q_max, window=None):
     rank_m, rank_l = m.rank, l.rank
     gens = ([g + (0,) * rank_l for g in m.generators]
             + [(0,) * rank_m + g for g in l.generators])
-    w = ([row + (0,) * rank_l for row in m.w.data]
-         + [(0,) * rank_m + row for row in l.w.data])
+    w = ([dict(row) for row in m.w.sparse]
+         + [{rank_m + j: a for j, a in row} for row in l.w.sparse])
     prod = AffineMonoid(gens, w=w, rank=rank_m + rank_l)
 
     lhs = dihedral_nerve_piece(prod, (v_m + v_l,), q_max, window=window)

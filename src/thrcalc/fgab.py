@@ -34,10 +34,15 @@ Conventions
 * Work is skipped only where its outcome is known: ``snf`` returns a
   matrix already in Smith form with the identity transforms its steps
   would build, and ``is_exact`` does not test a joint with a trivial middle.
-* ``Mat(...)`` converts every entry with ``int`` and checks the shape: it
-  is where loaders, user input and other modules enter.  A matrix derived
-  here from other ``Mat``s (products, sums, Smith forms, kernels)
-  is built by the trusted ``Mat._of``, which stores its rows as given.
+* One matrix form: a ``Mat`` keeps sparse rows, each the tuple of its
+  nonzero ``(col, coeff)`` pairs in column order, so equal rows compare
+  and hash equal however they were built; ``data`` is a dense view for
+  output.  ``Mat(...)``, the one parser of outside input, takes dense or
+  ``{col: coeff}`` rows, converts every entry with ``int``, drops zeros
+  and checks the shape.  A matrix derived here from ``Mat``s (products,
+  sums, Smith forms, kernels, blocks) is built by the trusted ``Mat._of``,
+  which stores its rows as given.  Only ``snf`` and ``det`` work on dense
+  copies.
 * Tensor coordinates are ``kron``'s, for groups and complexes alike: on
   generators ``x_0, ..., x_{m-1}`` and ``y_0, ..., y_{n-1}``, the pair
   ``x_i (x) y_j`` is generator ``i * n + j``.  A map or relation built
@@ -45,13 +50,13 @@ Conventions
   tensor product of groups is one ``balanced_tensor``: ``G (x) H`` modulo
   the slides ``l x (x) y - x (x) r y`` of its pairs ``(l, r)``, built as
   one group.
-* Block matrices of complexes and chain maps are assembled on sparse rows
-  in ``homology``; a direct sum here pads its two summands itself.
-* Integer rows are worked on whole.  A row combination starts from its
-  first nonzero term (the stored row itself for a coefficient 1) and adds
-  or subtracts a whole row for a ``±1`` multiple; only other coefficients
-  multiply entry by entry.  Sums, differences, negatives, multiples and
-  ``kron`` build each row with one ``map`` over an ``operator`` function.
+* Block matrices of complexes and chain maps are assembled by
+  ``_assemble`` from signed ``Mat`` blocks; a direct sum pads its two
+  summands itself.
+* A product is taken row by row (Gustavson): a row of the left factor
+  sums the rows of the right that its entries name, giving the stored row
+  itself for a lone coefficient 1 and adding or subtracting whole rows for
+  ``±1``; only other coefficients multiply entry by entry.
 * Membership reads the Smith diagonal in three slices, on Smith
   coordinates: the generator coordinates of a plain group, else the
   residue's, ``x _to``.  By the divisibility chain the diagonal lists the
@@ -75,7 +80,7 @@ from __future__ import annotations
 import itertools
 from collections import defaultdict
 from heapq import heapify, heappop, heappush
-from operator import add, floordiv, mod, mul, neg, sub
+from operator import itemgetter, sub
 from typing import NamedTuple
 
 from .errors import SpecError
@@ -102,96 +107,122 @@ def _xgcd(a, b):
     return old_r, old_s, old_t
 
 
-class Mat:
-    """Immutable integer matrix, stored row-major as a tuple of tuples.
+_coeff = itemgetter(1)
 
-    >>> m = Mat([[1, 2], [3, 4]])
-    >>> m.rows, m.cols
-    (2, 2)
-    >>> (m @ Mat.identity(2)) == m
-    True
-    >>> m.det()
-    -2
+
+class _Misfit(ValueError):
+    """Rows that fit no one width: ragged, not ``cols`` wide, or with no width."""
+
+
+class Mat:
+    """Immutable integer matrix, stored as sparse rows.
+
+    Row ``i`` of ``sparse`` is the tuple of ``(col, coeff)`` pairs of its
+    nonzero entries in column order, each ``coeff`` an ``int`` (never a
+    ``bool``); so equal rows compare and hash equal however they were
+    built.  ``data`` is the dense tuple-of-tuples view, built when read.
+
+    ``Mat(...)`` takes dense rows or ``{col: coeff}`` rows:
+
+    >>> m = Mat([[1, 2], {1: 4, 0: 3}])
+    >>> m.sparse, m @ Mat.identity(2) == m, m.det()
+    ((((0, 1), (1, 2)), ((0, 3), (1, 4))), True, -2)
     """
 
-    __slots__ = ("rows", "cols", "data")
+    __slots__ = ("rows", "cols", "sparse")
 
     def __init__(self, data, cols=None):
-        data = tuple(tuple(map(int, row)) for row in data)
-        self.rows = len(data)
-        if data:
-            widths = {len(row) for row in data}
-            if len(widths) != 1:
-                raise ValueError("ragged matrix")
-            self.cols = widths.pop()
-            if cols is not None and cols != self.cols:
-                raise ValueError("cols mismatch")
-        else:
-            if cols is None:
-                raise ValueError("cols required for a matrix with no rows")
-            self.cols = cols
-        self.data = data
+        sparse, widths, keys = [], set(), []
+        pairs = {}  # one shared object per distinct (col, coeff): chain matrices repeat them
+        for row in data:
+            if isinstance(row, dict):
+                keys.extend(row)
+                row = sorted(filter(_coeff, zip(map(int, row), map(int, row.values()))))
+            else:
+                row = tuple(map(int, row))
+                widths.add(len(row))
+                row = _nonzeros(row)
+            sparse.append(tuple(map(pairs.setdefault, row, row)))
+        if len(widths) > 1:
+            raise _Misfit("ragged matrix")
+        width = widths.pop() if widths else cols
+        if width is None:
+            raise _Misfit("cols required for sparse rows" if sparse
+                          else "cols required for a matrix with no rows")
+        if cols not in (None, width) or not all(map(range(width).__contains__, keys)):
+            raise _Misfit("cols mismatch")
+        self.rows = len(sparse)
+        self.cols = width
+        self.sparse = tuple(sparse)
 
     @staticmethod
-    def _of(data, cols):
-        """Trusted constructor: ``data`` is already a tuple of ``cols``-long
-        tuples of ``int`` (never ``bool``); nothing is converted or checked."""
+    def _of(sparse, cols):
+        """Trusted constructor: ``sparse`` is already a tuple of sparse rows
+        (``(col, coeff)`` pairs, columns increasing and below ``cols``, each
+        ``coeff`` a nonzero ``int``); nothing is converted or checked."""
         m = object.__new__(Mat)
-        m.rows = len(data)
+        m.rows = len(sparse)
         m.cols = cols
-        m.data = data
+        m.sparse = sparse
         return m
 
     @staticmethod
     def identity(n):
-        return Mat._of(tuple((0,) * i + (1,) + (0,) * (n - i - 1) for i in range(n)), n)
+        return Mat._of(tuple(((i, 1),) for i in range(n)), n)
 
     @staticmethod
     def zeros(r, c):
-        return Mat._of(((0,) * c,) * r, c)
+        return Mat._of(((),) * r, c)
 
     @staticmethod
     def row_vector(v):
         return Mat([list(v)], cols=len(v))
 
+    @property
+    def data(self):
+        """The dense rows, as a tuple of tuples: a view for output."""
+        return tuple(_dense(row, self.cols) for row in self.sparse)
+
     def row(self, i):
-        return self.data[i]
+        """Row ``i`` as a dense tuple."""
+        return _dense(self.sparse[i], self.cols)
 
     def __matmul__(self, other):
         if self.cols != other.rows:
             raise ValueError(f"shape mismatch {self.rows}x{self.cols} @ {other.rows}x{other.cols}")
-        odata, ocols = other.data, other.cols
-        products = dict.fromkeys(self.data)  # each distinct row once
+        orows = other.sparse
+        products = dict.fromkeys(self.sparse)  # each distinct row once
         for row in products:
-            products[row] = _combine(row, odata, ocols)
-        return Mat._of(tuple(map(products.__getitem__, self.data)), ocols)
+            products[row] = _combine(row, orows)
+        return Mat._of(tuple(map(products.__getitem__, self.sparse)), other.cols)
 
     def __add__(self, other):
         if (self.rows, self.cols) != (other.rows, other.cols):
             raise ValueError("shape mismatch")
-        return Mat._of(tuple(tuple(map(add, r1, r2)) for r1, r2 in zip(self.data, other.data)),
-                       self.cols)
+        return Mat._of(tuple(map(_add_rows, self.sparse, other.sparse)), self.cols)
 
     def __sub__(self, other):
         if (self.rows, self.cols) != (other.rows, other.cols):
             raise ValueError("shape mismatch")
-        return Mat._of(tuple(tuple(map(sub, r1, r2)) for r1, r2 in zip(self.data, other.data)),
+        return Mat._of(tuple(map(_add_rows, self.sparse, other.sparse, itertools.repeat(-1))),
                        self.cols)
 
     def __neg__(self):
-        return Mat._of(tuple(tuple(map(neg, row)) for row in self.data), self.cols)
+        return Mat._of(tuple(tuple((j, -a) for j, a in row) for row in self.sparse), self.cols)
 
     def scale(self, k):
-        data = tuple(tuple(map(mul, itertools.repeat(k), row)) for row in self.data)
         if type(k) is not int:  # a bool or another number: convert as Mat(...) does
-            return Mat(data, cols=self.cols)
-        return Mat._of(data, self.cols)
+            return Mat([{j: k * a for j, a in row} for row in self.sparse], cols=self.cols)
+        if not k:
+            return Mat.zeros(self.rows, self.cols)
+        return Mat._of(tuple(tuple((j, k * a) for j, a in row) for row in self.sparse),
+                       self.cols)
 
     def __eq__(self, other):
-        return isinstance(other, Mat) and self.cols == other.cols and self.data == other.data
+        return isinstance(other, Mat) and self.cols == other.cols and self.sparse == other.sparse
 
     def __hash__(self):
-        return hash((self.cols, self.data))
+        return hash((self.cols, self.sparse))
 
     def __repr__(self):
         return f"Mat({[list(r) for r in self.data]!r}, cols={self.cols})"
@@ -209,7 +240,7 @@ class Mat:
         n = self.rows
         if n == 0:
             return 1
-        a = [list(row) for row in self.data]
+        a = [list(_dense(row, n)) for row in self.sparse]
         sign = 1
         prev = 1
         for k in range(n - 1):
@@ -229,26 +260,55 @@ class Mat:
         return sign * a[n - 1][n - 1]
 
 
-def _combine(coeffs, rows, width):
-    """``sum(c * row)`` over paired ``coeffs`` and ``rows``, as a tuple of
-    ``width`` entries (all zero for no nonzero coefficient).
+def _nonzeros(row):
+    """The sparse row of a dense tuple of ints."""
+    return tuple(itertools.compress(enumerate(row), row))
 
-    A ``±1`` multiple adds or subtracts the whole row; the sum starts from
-    the first nonzero term, which is the stored row itself for ``c == 1``.
-    """
-    acc = None
-    for c, row in zip(coeffs, rows):
-        if not c:
-            continue
-        if acc is None:
-            acc = row if c == 1 else tuple(map(c.__mul__, row))
-        elif c == 1:
-            acc = list(map(add, acc, row))
+
+def _dense(row, width):
+    """The sparse ``row`` as a dense tuple of ``width`` ints."""
+    out = [0] * width
+    for j, a in row:
+        out[j] = a
+    return tuple(out)
+
+
+def _add_rows(r1, r2, sign=1):
+    """``r1 + sign * r2`` for two sparse rows and a sign of 1 or -1."""
+    if not r2:
+        return r1
+    if sign == -1 and r1 == r2:
+        return ()
+    acc = dict(r1)
+    get = acc.get
+    for j, a in r2:
+        acc[j] = get(j, 0) + sign * a
+    return tuple(sorted(filter(_coeff, acc.items())))
+
+
+def _combine(row, rows):
+    """The sparse ``row`` times the matrix of sparse ``rows`` (Gustavson):
+    ``sum(c * rows[j])`` over the entries ``(j, c)`` of ``row``, as a
+    sparse row.  A single entry ``(j, 1)`` gives the stored row itself, and
+    a ``±1`` multiple adds or subtracts a row without multiplying."""
+    if len(row) == 1:
+        j, c = row[0]
+        if c == 1:
+            return rows[j]
+        return tuple((k, c * b) for k, b in rows[j])
+    acc = {}
+    get = acc.get
+    for j, c in row:
+        if c == 1:
+            for k, b in rows[j]:
+                acc[k] = get(k, 0) + b
         elif c == -1:
-            acc = list(map(sub, acc, row))
+            for k, b in rows[j]:
+                acc[k] = get(k, 0) - b
         else:
-            acc = [a + c * b for a, b in zip(acc, row)]
-    return (0,) * width if acc is None else tuple(acc)
+            for k, b in rows[j]:
+                acc[k] = get(k, 0) + c * b
+    return tuple(sorted(filter(_coeff, acc.items())))
 
 
 def _vecmat(x, m):
@@ -262,7 +322,12 @@ def _vecmat(x, m):
     """
     if len(x) != m.rows:
         raise ValueError(f"shape mismatch 1x{len(x)} @ {m.rows}x{m.cols}")
-    return _combine(map(int, x), m.data, m.cols)
+    out = [0] * m.cols
+    for c, row in zip(map(int, x), m.sparse):
+        if c:
+            for k, b in row:
+                out[k] += c * b
+    return tuple(out)
 
 
 def kron(a, b):
@@ -272,14 +337,56 @@ def kron(a, b):
     >>> kron(Mat([[1, 2]]), Mat.identity(2))
     Mat([[1, 0, 2, 0], [0, 1, 0, 2]], cols=4)
     """
-    return Mat._of(tuple(tuple(itertools.starmap(mul, itertools.product(ra, rb)))
-                         for ra in a.data for rb in b.data), a.cols * b.cols)
+    w = b.cols
+    return Mat._of(tuple(tuple((j * w + k, x * y) for j, x in ra for k, y in rb)
+                         for ra in a.sparse for rb in b.sparse), a.cols * w)
 
 
 def vstack(a, b):
     if a.cols != b.cols:
         raise ValueError("col mismatch")
-    return Mat._of(a.data + b.data, a.cols)
+    return Mat._of(a.sparse + b.sparse, a.cols)
+
+
+def _offsets(summands):
+    """``{key: (offset, size)}`` and the total size of ordered summands."""
+    at, total = {}, 0
+    for key, size in summands:
+        at[key], total = (total, size), total + size
+    return at, total
+
+
+def _assemble(rows, cols, entries):
+    """Block matrix over ordered summands.
+
+    ``rows`` and ``cols`` list the block rows and block columns as
+    ``(key, size)`` pairs in order; ``entries`` maps ``(row key, col key)``
+    to ``(sign, block)``: a sign of 1 or -1, and a ``Mat`` of the row
+    block's size and the column block's width.  A block that does not fit
+    raises ValueError.  Missing blocks are zero.
+
+    >>> _assemble([("x", 1), ("y", 2)], [("u", 1), ("v", 2)],
+    ...           {("x", "u"): (1, Mat([[5]])), ("y", "v"): (-1, Mat([[1, 2], [0, 4]]))})
+    Mat([[5, 0, 0], [0, -1, -2], [0, 0, -4]], cols=3)
+    >>> _assemble([("x", 2)], [], {}).sparse
+    ((), ())
+    >>> _assemble([("x", 1)], [("u", 2)], {("x", "u"): (1, Mat.identity(2))})
+    Traceback (most recent call last):
+        ...
+    ValueError: block ('x', 'u') does not fit 1 x 2
+    """
+    (row_at, height), (col_at, width) = _offsets(rows), _offsets(cols)
+    out = [[] for _ in range(height)]
+    # blocks left to right, so that each row is built in column order
+    for (rkey, ckey), (sign, block) in sorted(entries.items(), key=lambda e: col_at[e[0][1]]):
+        top, h = row_at[rkey]
+        left, w = col_at[ckey]
+        if (block.rows, block.cols) != (h, w):
+            raise ValueError(f"block {(rkey, ckey)} does not fit {h} x {w}")
+        for i, row in enumerate(block.sparse, top):
+            if row:
+                out[i].extend((left + j, sign * a) for j, a in row)
+    return Mat._of(tuple(map(tuple, out)), width)
 
 
 def snf(m, u_cols=None):
@@ -323,22 +430,23 @@ def snf(m, u_cols=None):
     >>> s, u, v = snf(m, 1)
     >>> s == m, u, v == Mat.identity(3)
     (True, Mat([[1], [0]], cols=1), True)
-    >>> s, u, v = snf(Mat([[2, 0], [0, 3]]))
-    >>> [s.data[i][i] for i in range(2)]
-    [1, 6]
+    >>> _diagonal(snf(Mat([[2, 0], [0, 3]]))[0], 2)
+    (1, 6)
     >>> s2, u2, v2 = snf(Mat([[2, 4], [6, 8]]))
-    >>> [s2.data[i][i] for i in range(2)]
-    [2, 4]
+    >>> _diagonal(s2, 2)
+    (2, 4)
     >>> (u2 @ Mat([[2, 4], [6, 8]]) @ v2) == s2
     True
     >>> snf(Mat([[2, 4], [6, 8]]), 1)[1] == Mat([row[:1] for row in u2.data])
     True
+
+    The steps work on dense copies of the rows, read back sparse on exit.
     """
     r, c = m.rows, m.cols
     width = r if u_cols is None else min(u_cols, r)
     if _in_smith_form(m):
         return m, vstack(Mat.identity(width), Mat.zeros(r - width, width)), Mat.identity(c)
-    a = [list(row) for row in m.data]
+    a = [list(_dense(row, c)) for row in m.sparse]
     u = [[int(i == j) for j in range(width)] for i in range(r)]
     v = [[int(i == j) for j in range(c)] for i in range(c)]
     with_u = (a, u) if width else (a,)
@@ -426,8 +534,10 @@ def snf(m, u_cols=None):
         if a[i][i] < 0:
             for arr in with_u:
                 arr[i] = [-x for x in arr[i]]
-    return (Mat._of(tuple(map(tuple, a)), c), Mat._of(tuple(map(tuple, u)), width),
-            Mat._of(tuple(map(tuple, v)), c))
+    # S is diagonal now: its rows are read off the diagonal alone
+    s = tuple(((i, a[i][i]),) if i < c and a[i][i] else () for i in range(r))
+    return (Mat._of(s, c), Mat._of(tuple(map(_nonzeros, u)), width),
+            Mat._of(tuple(map(_nonzeros, v)), c))
 
 
 def _in_smith_form(m):
@@ -439,17 +549,27 @@ def _in_smith_form(m):
     [True, False, False]
     """
     prev = 1
-    for i, row in enumerate(m.data):
-        if not any(row):
+    for i, row in enumerate(m.sparse):
+        if not row:
             prev = 0
             continue
-        if not prev or i >= m.cols:
+        if not prev or len(row) != 1:
             return False
-        d = row[i]
-        if d <= 0 or d % prev or row.count(0) != m.cols - 1:
+        j, d = row[0]
+        if j != i or d <= 0 or d % prev:
             return False
         prev = d
     return True
+
+
+def _diagonal(s, n):
+    """The first ``n`` diagonal entries of ``s``, a matrix in Smith form,
+    zero past its last row."""
+    diag = [0] * n
+    for i, row in enumerate(s.sparse[:n]):
+        if row:
+            diag[i] = row[0][1]
+    return tuple(diag)
 
 
 def _least_entry(a, live):
@@ -508,7 +628,7 @@ class _LeftSolver:
         if self._factors is None:
             m = self.m
             s, u, v = snf(m, self.keep)
-            diag = tuple(s.data[i][i] for i in range(min(m.rows, m.cols)))
+            diag = _diagonal(s, min(m.rows, m.cols))
             units, free = diag.count(1), len(diag) - diag.count(0)
             self._factors = units, free, diag[units:free], u, v
         return self._factors
@@ -517,25 +637,30 @@ class _LeftSolver:
         """Basis (as rows) of {x : x @ m == 0}: the rows of U past the
         rank."""
         _, free, _, u, _ = self._factored()
-        return Mat._of(u.data[free:], u.cols)
+        return Mat._of(u.sparse[free:], u.cols)
 
     def solve(self, ys):
-        """One solution tuple per row y of ys, in order, or None for a row
-        outside the row lattice of m."""
-        ys = list(ys)
-        if not ys:
-            return []
+        """The solutions of the rows y of the ``Mat`` ``ys`` that lie in the
+        row lattice of m, as one ``Mat`` in the order of ``ys``, and the
+        list of the indices of the rows outside it."""
         m = self.m
+        width = min(self.keep, m.rows)
+        if not ys.rows:
+            return Mat.zeros(0, width), []
         units, free, torsion, u, v = self._factored()
-        pad = (0,) * (m.rows - free)
-        ws = []
-        for z in (Mat(ys, cols=m.cols) @ v).data:
-            if any(z[free:]) or any(map(mod, z[units:free], torsion)):
-                ws.append(None)
+        ws, bad = [], []
+        for i, z in enumerate((ys @ v).sparse):
+            w = []
+            for j, a in z:
+                if j >= units:
+                    if j >= free or a % torsion[j - units]:
+                        bad.append(i)
+                        break
+                    a //= torsion[j - units]
+                w.append((j, a))
             else:
-                ws.append(z[:units] + tuple(map(floordiv, z[units:free], torsion)) + pad)
-        xs = iter((Mat._of(tuple(w for w in ws if w is not None), m.rows) @ u).data)
-        return [None if w is None else next(xs) for w in ws]
+                ws.append(tuple(w))
+        return Mat._of(tuple(ws), m.rows) @ u, bad
 
 
 def solve_left(m, ys, keep=None):
@@ -543,8 +668,9 @@ def solve_left(m, ys, keep=None):
     to its leading ``keep`` coordinates (all of them by default).
 
     ``m`` is factored by a single ``snf`` call shared by all the rows (none
-    when ys is empty).  The result lists, in the order of ys, one solution
-    tuple per row, or None for a row outside the row lattice of m.
+    when ys is empty).  ``ys`` is a ``Mat`` or rows that ``Mat(...)`` reads.
+    The result lists, in the order of ys, one solution tuple per row, or
+    None for a row outside the row lattice of m.
 
     >>> solve_left(Mat([[2, 0], [0, 3]]), [(4, 6), (1, 0), (0, -3)])
     [(2, 2), None, (0, -1)]
@@ -555,26 +681,23 @@ def solve_left(m, ys, keep=None):
     >>> solve_left(Mat([[2]]), [])
     []
     """
-    return _LeftSolver(m, keep).solve(ys)
+    if not isinstance(ys, Mat):
+        ys = Mat(ys, cols=m.cols)
+    sols, bad = _LeftSolver(m, keep).solve(ys)
+    found, bad = iter(sols.sparse), set(bad)
+    return [None if i in bad else _dense(next(found), sols.cols) for i in range(ys.rows)]
 
 
-def _sparse(data):
-    """Dense integer rows as sparse rows ``{col: coeff}`` of their nonzero
-    entries."""
-    return [dict(zip(itertools.compress(itertools.count(), row), filter(None, row)))
-            for row in data]
-
-
-def _distinct_dense(rows, cols):
-    """The sparse ``rows`` over the columns ``cols``, in order, as a ``Mat``
-    that has each distinct row once."""
-    zeros = itertools.repeat(0)
-    return Mat._of(tuple(dict.fromkeys(tuple(map(row.get, cols, zeros)) for row in rows)),
-                   len(cols))
+def _distinct_rows(rows, cols):
+    """The rows ``{col: coeff}`` over the increasing columns ``cols``, in
+    order, as a ``Mat`` on those columns that has each distinct row once."""
+    at = {j: c for c, j in enumerate(cols)}
+    return Mat._of(tuple(dict.fromkeys(tuple((at[j], row[j]) for j in sorted(row))
+                                       for row in rows)), len(cols))
 
 
 def _eliminate(rows):
-    """Unit-pivot elimination on sparse rows ``{col: coeff}``
+    """Unit-pivot elimination on sparse rows, ``Mat``'s or ``{col: coeff}``
     (Kaczynski-Mrozek-Slusarek): each unit pivot contributes a divisor 1
     and leaves the Schur complement, which stays integral.  The row taken
     next is a shortest live row, its pivot the unit entry in its sparsest
@@ -582,10 +705,10 @@ def _eliminate(rows):
 
     Returns ``(steps, live)``.  ``steps`` lists the pivots in the order
     taken, each as ``(column, sign, rest)``: the pivot row was then ``sign``
-    (1 or -1) at the column plus the sparse row ``rest``, which is zero at
-    every earlier pivot column.  ``live`` lists the rows left without a
-    unit pivot, each nonzero and zero at every pivot column.  The rows of
-    the steps and ``live`` span the lattice of ``rows``.
+    (1 or -1) at the column plus ``rest``, zero at every earlier pivot
+    column.  ``live`` lists the rows left without a unit pivot, each
+    nonzero and zero at every pivot column; both are ``{col: coeff}``.
+    The rows of the steps and ``live`` span the lattice of ``rows``.
 
     >>> _eliminate([{0: 2, 1: 1}, {0: 4, 1: 1}])
     ([(1, 1, {0: 2})], [{0: 2}])
@@ -647,10 +770,8 @@ def _elementary_divisors(rows, pivots=None):
         pivots.update(p for p, _, _ in steps)
     residue = ()
     if live:
-        s = snf(_distinct_dense(live, sorted({j for row in live for j in row})), 0)[0]
-        residue = tuple(
-            d for d in (s.data[n][n] for n in range(min(s.rows, s.cols))) if d
-        )
+        s = snf(_distinct_rows(live, sorted({j for row in live for j in row})), 0)[0]
+        residue = tuple(d for d in _diagonal(s, min(s.rows, s.cols)) if d)
     return (1,) * len(steps) + residue
 
 
@@ -679,10 +800,9 @@ def _substitution(n, kept, steps):
             else:
                 acc[at[j]] = acc.get(at[j], 0) + a
         sub[p] = acc
-    k = len(kept)
-    unit, zeros = Mat.identity(k).data, itertools.repeat(0)
-    return Mat._of(tuple(unit[at[j]] if j in at else tuple(map(sub[j].get, range(k), zeros))
-                         for j in range(n)), k)
+    return Mat._of(tuple(((at[j], 1),) if j in at
+                         else tuple(sorted(filter(_coeff, sub[j].items()))) for j in range(n)),
+                   len(kept))
 
 
 # Below this many cells (distinct nonzero relation rows times generators),
@@ -726,24 +846,23 @@ class FgAbGroup:
             raise ValueError("relations width != n_gens")
         self.n_gens = n_gens
         self.relations = rows = Mat._of(
-            tuple(row for row in dict.fromkeys(relations.data) if any(row)), n_gens)
+            tuple(row for row in dict.fromkeys(relations.sparse) if row), n_gens)
         self._plain, self._to, self._v, self._kept, self._back = True, None, None, None, None
         if _in_smith_form(rows):
-            self._read_diagonal(tuple(rows.data[i][i] if i < rows.rows else 0
-                                      for i in range(n_gens)))
+            self._read_diagonal(_diagonal(rows, n_gens))
             return
         steps, residue, kept = [], rows, tuple(range(n_gens))
         if (rows.rows * n_gens >= _ELIMINATION_CELLS
-                and any(1 in row or -1 in row for row in rows.data)):
-            steps, live = _eliminate(_sparse(rows.data))
+                and any(a == 1 or a == -1 for row in rows.sparse for _, a in row)):
+            steps, live = _eliminate(rows.sparse)
             pivots = {p for p, _, _ in steps}
             kept = tuple(j for j in range(n_gens) if j not in pivots)
-            residue = _distinct_dense(live, kept)
+            residue = _distinct_rows(live, kept)
         k = len(kept)
         diag, v = (0,) * k, None
         if residue.rows:
             s, _, v = snf(residue, 0)
-            diag = tuple(s.data[i][i] if i < s.rows else 0 for i in range(k))
+            diag = _diagonal(s, k)
             if v == Mat.identity(k):
                 v = None
         self._read_diagonal((1,) * len(steps) + diag)
@@ -780,16 +899,23 @@ class FgAbGroup:
         """
         if len(x) != self.n_gens:
             raise ValueError("element length mismatch")
+        row = _nonzeros(tuple(map(int, x)))
         if self._plain:
-            return self._residue(tuple(map(int, x)))
-        return self._reduce_rows(Mat.row_vector(x)).data[0]
+            return _dense(self._residue(row), self.n_gens)
+        return self._reduce_rows(Mat._of((row,), self.n_gens)).row(0)
 
-    def _residue(self, y):
-        """``y`` (Smith coordinates, a tuple of ints) modulo the diagonal:
+    def _residue(self, row):
+        """The sparse ``row`` of Smith coordinates modulo the diagonal:
         zero on the units, each torsion entry modulo its factor, the free
         entries as they are."""
-        u, f = self._units, self._free
-        return (0,) * u + tuple(map(mod, y[u:f], self.invariant_factors)) + y[f:]
+        u, f, diag = self._units, self._free, self._diag
+        out = []
+        for j, a in row:
+            if j >= f:
+                out.append((j, a))
+            elif j >= u and a % diag[j]:
+                out.append((j, a % diag[j]))
+        return tuple(out)
 
     def _back_map(self):
         """From Smith coordinates back to generators: the inverse of the
@@ -797,11 +923,12 @@ class FgAbGroup:
         unimodular), its columns placed at the kept generators (zero at
         the eliminated ones).  Built where it is first needed, and kept."""
         if self._back is None:
-            kept, gens, zeros = self._kept, range(self.n_gens), itertools.repeat(0)
-            unit = Mat.identity(len(kept)).data
-            inv = unit if self._v is None else solve_left(self._v, unit)
-            self._back = Mat._of(tuple(tuple(map(dict(zip(kept, row)).get, gens, zeros))
-                                       for row in inv), self.n_gens)
+            kept = self._kept
+            inv = Mat.identity(len(kept)).sparse
+            if self._v is not None:
+                inv = map(_nonzeros, solve_left(self._v, Mat.identity(len(kept))))
+            self._back = Mat._of(tuple(tuple((kept[c], a) for c, a in row) for row in inv),
+                                 self.n_gens)
         return self._back
 
     def _reduce_rows(self, m):
@@ -809,9 +936,9 @@ class FgAbGroup:
         one product into Smith coordinates and one back (none for a plain
         group), each distinct row once."""
         if self._plain:
-            return Mat._of(tuple(map(self._residue, m.data)), self.n_gens)
+            return Mat._of(tuple(map(self._residue, m.sparse)), self.n_gens)
         rows = m @ self._to
-        return Mat._of(tuple(map(self._residue, rows.data)), rows.cols) @ self._back_map()
+        return Mat._of(tuple(map(self._residue, rows.sparse)), rows.cols) @ self._back_map()
 
     def _first_nonzero_row(self, m):
         """Index of the first row of ``m`` (``n_gens`` wide) that is not zero
@@ -822,24 +949,35 @@ class FgAbGroup:
         if m.cols != self.n_gens:
             raise ValueError(f"shape mismatch {m.rows}x{m.cols} @ {self.n_gens}x{self.n_gens}")
         tested = set()
-        u, f, torsion = self._units, self._free, self.invariant_factors
-        if not self._plain:
-            to, width = self._to.data, self._to.cols
-        for i, row in enumerate(m.data):
+        for i, row in enumerate(m.sparse):
             if row in tested:
                 continue
             tested.add(row)
-            if not self._plain:
-                row = _combine(row, to, width)
-            if any(row[f:]) or any(map(mod, row[u:f], torsion)):
+            if self._nonzero(row):
                 return i
         return None
 
+    def _nonzero(self, row):
+        """Whether the sparse ``row`` (generator coordinates) is not zero in
+        the group: in Smith coordinates (``x _to``, or ``x`` in a plain
+        group) it has a free entry, or a factor's entry it does not divide."""
+        if not self._plain:
+            row = _combine(row, self._to.sparse)
+        u, f, diag = self._units, self._free, self._diag
+        for j, a in row:
+            if j >= f or (j >= u and a % diag[j]):
+                return True
+        return False
+
     def is_zero(self, x):
-        return all(c == 0 for c in self.reduce(x))
+        if len(x) != self.n_gens:
+            raise ValueError("element length mismatch")
+        return not self._nonzero(_nonzeros(tuple(map(int, x))))
 
     def same_element(self, x, y):
-        return self.reduce(x) == self.reduce(y)
+        if len(x) != len(y):
+            raise ValueError("element length mismatch")
+        return self.is_zero(tuple(map(sub, map(int, x), map(int, y))))
 
     def is_finite(self):
         return self.free_rank == 0
@@ -932,7 +1070,7 @@ class GroupHom:
             if bad is not None:
                 raise ValueError(
                     "not a well-defined homomorphism: relation"
-                    f" {tuple(source.relations.data[bad])}"
+                    f" {source.relations.row(bad)}"
                     " maps outside the target relation lattice")
         self.source = source
         self.target = target
@@ -995,8 +1133,7 @@ def kernel(f):
     """
     src = f.source
     # Drop rows that are zero in the source (no information).
-    sub = Mat._of(tuple(row for row in _kernel_lattice(f).data if not src.is_zero(row)),
-                  src.n_gens)
+    sub = Mat._of(tuple(filter(src._nonzero, _kernel_lattice(f).sparse)), src.n_gens)
     if sub.rows == 0:
         k = group(0, Mat([], cols=0))
     else:
@@ -1083,7 +1220,7 @@ def is_exact(seq):
         bad = image._first_nonzero_row(ker_rows)
         if bad is not None:
             return ExactnessReport(
-                False, f"kernel element {tuple(ker_rows.data[bad])} is not in the image")
+                False, f"kernel element {ker_rows.row(bad)} is not in the image")
     return ExactnessReport(True, "exact at every joint")
 
 
@@ -1120,10 +1257,9 @@ def lift_through(incl, h):
     """
     k, m = incl.source, incl.target
     solver = _LeftSolver(vstack(incl.matrix, m.relations), k.n_gens)
-    sols = solver.solve(h.matrix.data)
-    if None in sols:
+    mat, bad = solver.solve(h.matrix)
+    if bad:
         raise ValueError("map does not factor through the inclusion")
-    mat = Mat._of(tuple(sols), k.n_gens)
     g = GroupHom(h.source, k, mat)
     if not g.then(incl).equal(h):
         raise ValueError("factorization check failed")
@@ -1140,9 +1276,10 @@ def direct_sum(g, h):
     (1, (2,))
     """
     m, n = g.n_gens, h.n_gens
-    unit = Mat.identity(m + n).data
-    s = group(m + n, Mat._of(tuple(r + (0,) * n for r in g.relations.data)
-                             + tuple((0,) * m + r for r in h.relations.data), m + n))
+    unit = Mat.identity(m + n).sparse
+    s = group(m + n, Mat._of(g.relations.sparse
+                             + tuple(tuple((m + j, a) for j, a in r) for r in h.relations.sparse),
+                             m + n))
     i1 = GroupHom(g, s, Mat._of(unit[:m], m + n), _checked=True)
     i2 = GroupHom(h, s, Mat._of(unit[m:], m + n), _checked=True)
     p1 = GroupHom(s, g, vstack(Mat.identity(m), Mat.zeros(n, m)), _checked=True)
@@ -1169,7 +1306,7 @@ def balanced_tensor(g, h, slides):
     ((2,),)
     """
     ident_g, ident_h = Mat.identity(g.n_gens), Mat.identity(h.n_gens)
-    rows = kron(g.relations, ident_h).data + kron(ident_g, h.relations).data
+    rows = kron(g.relations, ident_h).sparse + kron(ident_g, h.relations).sparse
     for left, right in slides:
-        rows += (kron(left, ident_h) - kron(ident_g, right)).data
+        rows += (kron(left, ident_h) - kron(ident_g, right)).sparse
     return group(g.n_gens * h.n_gens, Mat._of(rows, g.n_gens * h.n_gens))

@@ -2,14 +2,16 @@
 
 Chains are integer row vectors; the degree-``q`` differential is a matrix
 ``rank(q) x rank(q-1)`` acting by right multiplication.  Differentials and
-chain maps have one form: one parser reads them into sparse rows, on which
-every chain equation (``d d = 0``, ``d f = f d``, a commuting square) is
-checked at construction.  Fibers, tensor products and cube limits are
-assembled by ``_assemble`` from signed blocks of stored sparse rows (and
-their ``_kron``); a dense ``Mat`` is built only where homology reads one,
-through ``diff`` or ``map``.  Negative degrees are first class — mapping
-fibers shift below zero and nothing here assumes support in nonnegative
-degrees.
+chain maps are ``fgab.Mat``s, the package's one matrix form, which keeps
+sparse rows: a constructor keeps a ``Mat`` it is handed as it is and reads
+any other rows through ``Mat(...)``, and every chain equation (``d d = 0``,
+``d f = f d``, a commuting square) is checked at construction as an
+equality of ``Mat`` products.  Fibers, tensor products and cube limits are
+assembled by ``fgab._assemble`` from signed blocks of stored ``Mat``s (and
+their ``kron``), and ``diff`` and ``map`` return the stored ``Mat``, or a
+zero one.  No chain builder or check reads the dense view ``Mat.data``.
+Negative degrees are first class — mapping fibers shift below zero and
+nothing here assumes support in nonnegative degrees.
 
 Homology in each degree is a finitely generated abelian group read off
 the elementary divisors of the two differentials at that degree, found by
@@ -37,12 +39,16 @@ from typing import NamedTuple
 from .errors import CertificateError, SpecError
 from .fgab import (
     Mat,
+    _assemble,
     _LeftSolver,
     _elementary_divisors,
+    _Misfit,
     group,
     hom,
     is_exact,
+    kron,
     row_kernel,
+    vstack,
 )
 
 
@@ -50,37 +56,34 @@ class ChainComplex:
     """A degreewise finitely generated free complex, given by ranks and
     differentials ``diff(q): C_q -> C_{q-1}``.
 
-    A differential is read by :func:`_sparse_rows` and kept as sparse
-    rows, on which ``d d = 0`` is checked and :func:`homology` reduces it;
-    ``diff`` gives it as a ``Mat``, built on first use."""
+    A differential is read by :func:`_as_mat` and kept as a ``Mat`` (only
+    a nonzero one), on which ``d d = 0`` is checked and :func:`homology`
+    reduces it; ``diff`` returns it, or a zero ``Mat``."""
 
-    __slots__ = ("_ranks", "_rows", "_mats", "_divisors", "_presented")
+    __slots__ = ("_ranks", "_diffs", "_divisors", "_presented")
 
     def __init__(self, ranks, diffs):
         self._ranks = {q: r for q, r in ranks.items() if r}
         for q, r in self._ranks.items():
             if r < 0:
                 raise SpecError(f"negative rank {r} in degree {q}")
-        self._rows, self._mats = {}, {}
+        self._diffs = {}
         self._divisors = {}  # degree -> (divisors, unit pivots, F_2 pivots), see _divisors
         self._presented = {}  # degree -> (group, cycle basis, its solver), see _homology_data
         for q, m in diffs.items():
-            rows = _sparse_rows(m, self.rank(q), self.rank(q - 1),
-                                f"differential in degree {q}")
-            if any(rows):
-                self._rows[q] = rows
-        for q, rows in self._rows.items():
-            below = self._rows.get(q - 1)
-            if below is not None and any(
-                any(_times(row, below).values()) for row in rows
-            ):
+            m = _as_mat(m, self.rank(q), self.rank(q - 1), f"differential in degree {q}")
+            if any(m.sparse):
+                self._diffs[q] = m
+        for q, m in self._diffs.items():
+            below = self._diffs.get(q - 1)
+            if below is not None and any((m @ below).sparse):
                 raise SpecError(f"d d != 0 from degree {q}")
 
     def rank(self, q):
         return self._ranks.get(q, 0)
 
     def diff(self, q):
-        return _mat(self, q, self.rank(q), self.rank(q - 1))
+        return self._diffs.get(q) or Mat.zeros(self.rank(q), self.rank(q - 1))
 
     @property
     def support(self):
@@ -99,129 +102,26 @@ class ChainComplex:
         return f"ChainComplex(ranks={ranks})"
 
 
-def _sparse_rows(m, height, width, what):
-    """The matrix ``m``, a ``Mat`` or rows that are each dense or sparse
-    ``{col: coeff}``, as a tuple of sparse rows: every entry goes through
-    ``int`` and zeros are dropped.  Raises SpecError unless ``m`` is
-    ``height x width``."""
-    out, fits, cols = [], True, set(range(width))
-    try:
-        for row in m.data if isinstance(m, Mat) else m:
-            if isinstance(row, dict):
-                fits = fits and cols.issuperset(row)
-                entries = zip(map(int, row), map(int, row.values()))
-            else:
-                fits = fits and len(row) == width
-                entries = enumerate(map(int, row))
-            out.append({j: a for j, a in entries if a})
-    except (TypeError, ValueError) as exc:
-        raise SpecError(f"{what}: {exc}") from exc
-    if not fits or len(out) != height:
+def _as_mat(m, height, width, what):
+    """The matrix ``m`` of a chain constructor as a ``Mat``: a ``Mat`` as it
+    is, and rows (each dense or ``{col: coeff}``) read by ``Mat(...)``.
+    Raises SpecError unless it converts and is ``height x width``."""
+    if not isinstance(m, Mat):
+        try:
+            m = Mat(m, cols=width)
+        except _Misfit:
+            raise SpecError(f"{what} does not fit {height} x {width}") from None
+        except (TypeError, ValueError) as exc:
+            raise SpecError(f"{what}: {exc}") from exc
+    if (m.rows, m.cols) != (height, width):
         raise SpecError(f"{what} does not fit {height} x {width}")
-    return tuple(out)
-
-
-def _mat(x, q, height, width):
-    """The matrix of ``x`` (a complex or a chain map) in degree ``q``, as a
-    ``Mat`` built from its sparse rows on first use and kept."""
-    m = x._mats.get(q)
-    if m is None:
-        rows = x._rows.get(q, ({},) * height)
-        m = x._mats[q] = Mat([[row.get(j, 0) for j in range(width)] for row in rows],
-                             cols=width)
     return m
-
-
-def _product(a, b):
-    """The product of two matrices of sparse rows, as ``{i: row i}`` over
-    its nonzero rows, with zero entries dropped; None is a zero matrix.
-    ``d f = f d`` and every commuting square compare two of these."""
-    if a is None or b is None:
-        return {}
-    out = {}
-    for i, row in enumerate(a):
-        row = {k: v for k, v in _times(row, b).items() if v}
-        if row:
-            out[i] = row
-    return out
 
 
 def _commutes(a, b, c, d, q):
     """Whether the chain maps ``a`` then ``b`` and ``c`` then ``d`` agree in
-    degree ``q``, compared on sparse rows."""
-    return (_product(_stored(a, q), _stored(b, q))
-            == _product(_stored(c, q), _stored(d, q)))
-
-
-def _times(row, rows):
-    """The sparse row ``row`` times the matrix of sparse ``rows``, as a
-    sparse row that may hold zeros."""
-    acc = {}
-    for j, a in row.items():
-        for k, b in rows[j].items():
-            acc[k] = acc.get(k, 0) + a * b
-    return acc
-
-
-def _offsets(summands):
-    """``{key: (offset, size)}`` and the total size of ordered summands."""
-    at, total = {}, 0
-    for key, size in summands:
-        at[key], total = (total, size), total + size
-    return at, total
-
-
-def _assemble(rows, cols, entries):
-    """Block matrix over ordered summands, as sparse rows.
-
-    ``rows`` and ``cols`` list the block rows and block columns as
-    ``(key, size)`` pairs in order; ``entries`` maps ``(row key, col key)``
-    to ``(sign, block)``: a sign of 1 or -1, and sparse rows that fit the
-    row block's size and the column block's width, or None for zero.  A
-    block that does not fit raises ValueError.  Missing blocks are zero.
-
-    >>> _assemble([("x", 1), ("y", 2)], [("u", 1), ("v", 2)],
-    ...           {("x", "u"): (1, [{0: 5}]), ("y", "v"): (-1, [{0: 1, 1: 2}, {1: 4}])})
-    [{0: 5}, {1: -1, 2: -2}, {2: -4}]
-    >>> _assemble([("x", 2)], [], {})
-    [{}, {}]
-    >>> _assemble([("x", 1)], [("u", 2)], {("x", "u"): (1, [{0: 1}, {1: 1}])})
-    Traceback (most recent call last):
-        ...
-    ValueError: block ('x', 'u') does not fit 1 x 2
-    """
-    (row_at, height), (col_at, _) = _offsets(rows), _offsets(cols)
-    out = [{} for _ in range(height)]
-    for (rkey, ckey), (sign, block) in entries.items():
-        if block is None:
-            continue
-        top, h = row_at[rkey]
-        left, w = col_at[ckey]
-        if len(block) != h:
-            raise ValueError(f"block {(rkey, ckey)} does not fit {h} x {w}")
-        for i, row in enumerate(block, top):
-            if row and max(row) >= w:
-                raise ValueError(f"block {(rkey, ckey)} does not fit {h} x {w}")
-            out[i].update({left + j: sign * a for j, a in row.items()})
-    return out
-
-
-def _kron(a, b, width):
-    """``fgab.kron`` of two matrices of sparse rows, ``b`` being ``width``
-    wide; None, a zero matrix, gives None."""
-    if a is None or b is None:
-        return None
-    return [{j * width + l: x * y for j, x in ra.items() for l, y in rb.items()}
-            for ra in a for rb in b]
-
-
-def _identity_rows(n):
-    return [{i: 1} for i in range(n)]
-
-
-def _stored(x, q):
-    """The stored sparse rows of ``x`` in degree ``q``; None if zero."""
-    return x._rows.get(q)
+    degree ``q``."""
+    return a.map(q) @ b.map(q) == c.map(q) @ d.map(q)
 
 
 # ---------------------------------------------------------------------------
@@ -257,29 +157,11 @@ def _homology_data(c, q, shared=None):
 
 def _presentation_key(c, q):
     """All that ``_presentation(c, q)`` reads of ``c``, as a hashable key:
-    the ranks in degrees ``q - 1``, ``q`` and ``q + 1`` and the sparse rows
-    of ``d_q`` and ``d_{q+1}``; every degree of rank 0 has the one key
-    ``()``, since its presentation reads nothing."""
+    the ranks in degrees ``q - 1`` to ``q + 1`` and the stored ``Mat``s (not
+    copies) of ``d_q`` and ``d_{q+1}``, None if zero; ``()`` in rank 0."""
     if not c.rank(q):
         return ()
-    return (c.rank(q - 1), c.rank(q), c.rank(q + 1),
-            _frozen_rows(c, q), _frozen_rows(c, q + 1))
-
-
-def _frozen_rows(c, q):
-    """The stored sparse rows of ``d_q`` as one flat tuple, each row's
-    length and then its ``column, entry`` pairs in stored order (None if
-    zero).  Equal tuples mean equal rows; one flat tuple per matrix keeps
-    a key far smaller than a set per row would."""
-    rows = c._rows.get(q)
-    if rows is None:
-        return None
-    flat = []
-    for row in rows:
-        flat.append(len(row))
-        for item in row.items():
-            flat.extend(item)
-    return tuple(flat)
+    return (c.rank(q - 1), c.rank(q), c.rank(q + 1), c._diffs.get(q), c._diffs.get(q + 1))
 
 
 def _presentation(c, q):
@@ -293,14 +175,11 @@ def _presentation(c, q):
     else:
         cycles = Mat.identity(n)
     solver = _LeftSolver(cycles)
-    boundaries = c.diff(q + 1).data
-    rels = solver.solve(boundaries)
-    for row, coeffs in zip(boundaries, rels):
-        if coeffs is None:  # impossible once d d = 0 holds
-            raise SpecError(
-                f"boundary {tuple(row)} is not a cycle in degree {q}"
-            )
-    return group(cycles.rows, Mat(rels, cols=cycles.rows)), cycles, solver
+    boundaries = c.diff(q + 1)
+    rels, bad = solver.solve(boundaries)
+    if bad:  # impossible once d d = 0 holds
+        raise SpecError(f"boundary {boundaries.row(bad[0])} is not a cycle in degree {q}")
+    return group(cycles.rows, rels), cycles, solver
 
 
 def homology(c, q):
@@ -312,8 +191,7 @@ def homology(c, q):
     out, into = _divisors(c, q), _divisors(c, q + 1)
     torsion = [e for e in into if e >= 2]
     n = c.rank(q) - len(out) - len(into) + len(torsion)
-    return group(n, [[e if j == i else 0 for j in range(n)]
-                     for i, e in enumerate(torsion)])
+    return group(n, Mat([{i: e} for i, e in enumerate(torsion)], cols=n))
 
 
 def _divisors(c, q):
@@ -346,7 +224,7 @@ def _divisors(c, q):
         _, units, echelon = c._divisors.get(top + 1, ((), (), ()))
         reduced = []
         for p in range(top, q - 1, -1):
-            rows = c._rows.get(p, ())
+            rows = c.diff(p).sparse
             # each route drops the rows that its own pivots above paired
             kept = [row for i, row in enumerate(rows) if i not in units]
             kept2 = [row for i, row in enumerate(rows) if i not in echelon]
@@ -367,18 +245,18 @@ def _divisors(c, q):
 
 
 def _rank_mod2(rows, pivots=None):
-    """The rank over ``F_2`` of the matrix of sparse ``rows``, by
-    elimination on rows packed into Python ints; the pivot column of each
-    echelon row (its lowest column) is added to the set ``pivots`` when one
-    is given.
+    """The rank over ``F_2`` of the matrix of sparse ``rows`` (of ``Mat``),
+    by elimination on rows packed into Python ints; the pivot column of
+    each echelon row (its lowest column) is added to the set ``pivots``
+    when one is given.
 
-    >>> _rank_mod2([{0: 1, 1: 1}, {0: 1, 1: -1}])
+    >>> _rank_mod2(Mat([[1, 1], [1, -1]]).sparse)
     1
     """
     echelon = {}  # lowest set bit -> the row that has it
     for row in rows:
         bits = 0
-        for j, a in row.items():
+        for j, a in row:
             if a & 1:
                 bits |= 1 << j
         while bits:
@@ -412,35 +290,36 @@ def is_acyclic(c):
 class ChainMap:
     """A degreewise matrix ``C_q -> D_q`` commuting with the differentials.
 
-    A matrix is read by :func:`_sparse_rows` and kept as sparse rows, on
-    which ``d f = f d`` is checked at construction; ``map`` gives it as a
-    ``Mat``, built on first use."""
+    A matrix is read by :func:`_as_mat` and kept as a ``Mat`` (only a
+    nonzero one), on which ``d f = f d`` is checked at construction; ``map``
+    returns it, or a zero ``Mat``."""
 
-    __slots__ = ("source", "target", "_rows", "_mats")
+    __slots__ = ("source", "target", "_maps")
 
     def __init__(self, source, target, mats):
         self.source = source
         self.target = target
-        self._rows, self._mats = {}, {}
+        self._maps = {}
         for q, m in mats.items():
-            rows = _sparse_rows(m, source.rank(q), target.rank(q),
-                                f"chain map in degree {q}")
-            if any(rows):
-                self._rows[q] = rows
-        for q in set(source.support) | set(target.support):
-            if (_product(source._rows.get(q), self._rows.get(q - 1))
-                    != _product(self._rows.get(q), target._rows.get(q))):
+            m = _as_mat(m, source.rank(q), target.rank(q), f"chain map in degree {q}")
+            if any(m.sparse):
+                self._maps[q] = m
+        # a degree where neither side has two stored factors is 0 == 0
+        maps = self._maps
+        for q in sorted({q for q in source._diffs if q - 1 in maps}
+                        | {q for q in maps if q in target._diffs}):
+            if source.diff(q) @ self.map(q - 1) != self.map(q) @ target.diff(q):
                 raise SpecError(f"chain map does not commute with d in degree {q}")
 
     def map(self, q):
-        return _mat(self, q, self.source.rank(q), self.target.rank(q))
+        return self._maps.get(q) or Mat.zeros(self.source.rank(q), self.target.rank(q))
 
     def __repr__(self):
-        return f"ChainMap(degrees={sorted(self._rows)})"
+        return f"ChainMap(degrees={sorted(self._maps)})"
 
 
 def identity_chain_map(c):
-    return ChainMap(c, c, {q: _identity_rows(c.rank(q)) for q in c.support})
+    return ChainMap(c, c, {q: Mat.identity(c.rank(q)) for q in c.support})
 
 
 def induced_hom(f, q, shared=None):
@@ -448,14 +327,11 @@ def induced_hom(f, q, shared=None):
     ``shared`` is passed to ``_homology_data``."""
     hs, cycles_s, _ = _homology_data(f.source, q, shared)
     ht, cycles_t, solver = _homology_data(f.target, q, shared)
-    images = (cycles_s @ f.map(q)).data
-    rows = solver.solve(images) if cycles_t.rows else [()] * len(images)
-    for image, coeffs in zip(images, rows):
-        if coeffs is None:
-            raise SpecError(
-                f"chain map image {image} is not a cycle in degree {q}"
-            )
-    return hom(hs, ht, Mat(rows, cols=cycles_t.rows))
+    images = cycles_s @ f.map(q)
+    rows, bad = solver.solve(images) if cycles_t.rows else (Mat.zeros(images.rows, 0), [])
+    if bad:
+        raise SpecError(f"chain map image {images.row(bad[0])} is not a cycle in degree {q}")
+    return hom(hs, ht, rows)
 
 
 # ---------------------------------------------------------------------------
@@ -465,7 +341,7 @@ def induced_hom(f, q, shared=None):
 
 class MappingFiber(NamedTuple):
     """The fiber ``complex`` of ``map: C -> D``; ``proj``, its projection
-    to ``C``, is built from sparse identity rows on each read."""
+    to ``C``, is built from identity blocks on each read."""
 
     map: ChainMap
     complex: ChainComplex
@@ -474,7 +350,7 @@ class MappingFiber(NamedTuple):
     def proj(self):
         c, d = self.map.source, self.map.target
         return ChainMap(self.complex, c, {
-            q: _identity_rows(c.rank(q)) + [{}] * d.rank(q + 1)
+            q: vstack(Mat.identity(c.rank(q)), Mat.zeros(d.rank(q + 1), c.rank(q)))
             for q in self.complex.support
         })
 
@@ -493,9 +369,9 @@ def mapping_fiber(f):
     degrees = sorted(set(c.support) | {q - 1 for q in d.support})
     diffs = {
         q: _assemble(_fiber_summands(f, q), _fiber_summands(f, q - 1), {
-            ("c", "c"): (1, _stored(c, q)),
-            ("c", "d"): (1, _stored(f, q)),
-            ("d", "d"): (-1, _stored(d, q + 1)),
+            ("c", "c"): (1, c.diff(q)),
+            ("c", "d"): (1, f.map(q)),
+            ("d", "d"): (-1, d.diff(q + 1)),
         })
         for q in degrees
     }
@@ -511,12 +387,12 @@ def connecting_hom(fib, q, shared=None):
     f = fib.map
     ht, cycles_t, _ = _homology_data(f.target, q + 1, shared)
     hf, cycles_f, solver = _homology_data(fib.complex, q, shared)
-    pad = (0,) * f.source.rank(q)
-    vecs = [pad + row for row in cycles_t.data]
-    rows = solver.solve(vecs) if cycles_f.rows else [()] * len(vecs)
-    if None in rows:
+    k = cycles_t.rows
+    vecs = _assemble([("z", k)], _fiber_summands(f, q), {("z", "d"): (1, cycles_t)})
+    rows, bad = solver.solve(vecs) if cycles_f.rows else (Mat.zeros(k, 0), [])
+    if bad:
         raise SpecError(f"(0, z) is not a cycle in fiber degree {q}")
-    return hom(ht, hf, Mat(rows, cols=cycles_f.rows))
+    return hom(ht, hf, rows)
 
 
 def fiber_les_report(fib, shared=None):
@@ -538,15 +414,15 @@ def fiber_les_report(fib, shared=None):
 def fiber_map(fib_f, fib_g, phi_source, phi_target):
     """The chain map ``fib(f) -> fib(g)`` between two mapping fibers
     induced by a commuting square ``phi_target o f = g o phi_source``
-    (checked on sparse rows)."""
+    (checked by ``_commutes``)."""
     f, g = fib_f.map, fib_g.map
     for q in set(f.source.support) | set(f.target.support):
         if not _commutes(f, phi_target, phi_source, g, q):
             raise SpecError(f"square does not commute in degree {q}")
     mats = {
         q: _assemble(_fiber_summands(f, q), _fiber_summands(g, q), {
-            ("c", "c"): (1, _stored(phi_source, q)),
-            ("d", "d"): (1, _stored(phi_target, q + 1)),
+            ("c", "c"): (1, phi_source.map(q)),
+            ("d", "d"): (1, phi_target.map(q + 1)),
         })
         for q in fib_f.complex.support
     }
@@ -575,11 +451,10 @@ def tensor_complex(c, d):
         entries = {}
         for (a, b), _ in layout:
             if (a - 1, b) in keys:
-                entries[(a, b), (a - 1, b)] = (1, _kron(
-                    _stored(c, a), _identity_rows(d.rank(b)), d.rank(b)))
+                entries[(a, b), (a - 1, b)] = (1, kron(c.diff(a), Mat.identity(d.rank(b))))
             if (a, b - 1) in keys:
-                entries[(a, b), (a, b - 1)] = (-1 if a % 2 else 1, _kron(
-                    _identity_rows(c.rank(a)), _stored(d, b), d.rank(b - 1)))
+                entries[(a, b), (a, b - 1)] = (-1 if a % 2 else 1,
+                                               kron(Mat.identity(c.rank(a)), d.diff(b)))
         diffs[q] = _assemble(layout, below, entries)
     ranks = {q: sum(n for _, n in layout) for q, layout in summands.items()}
     return ChainComplex(ranks, diffs)
@@ -594,7 +469,7 @@ def _tensor_matrices(f, g):
         cols = _tensor_summands(f.target, g.target, q)
         keys = {key for key, _ in cols}
         mats[q] = _assemble(rows, cols, {
-            ((a, b), (a, b)): (1, _kron(_stored(f, a), _stored(g, b), g.target.rank(b)))
+            ((a, b), (a, b)): (1, kron(f.map(a), g.map(b)))
             for (a, b), _ in rows if (a, b) in keys
         })
     return mats
@@ -630,7 +505,7 @@ def _chains(x, bases):
                 if j is not None:
                     row[j] = row.get(j, 0) + sign
             rows.append(row)
-        diffs[q] = rows
+        diffs[q] = Mat(rows, cols=len(bases[q - 1]))
     return ChainComplex(ranks, diffs)
 
 
@@ -641,7 +516,6 @@ def normalized_chains(x):
     vanish above a bound within the truncation."""
     bases = [x.nondegenerate(q) for q in range(x.q_max + 1)]
     valid_hi = x.q_max - 1
-    cert = x.certificate
-    if cert is not None and cert[0] == "nondegenerate-bound" and cert[1] <= x.q_max:
+    if x.nondegenerate_bound is not None and x.nondegenerate_bound <= x.q_max:
         valid_hi = None
     return SimplicialChains(_chains(x, bases), tuple(bases), valid_hi)

@@ -36,6 +36,7 @@ from .fgab import (
     GroupHom,
     Mat,
     _LeftSolver,
+    _dense,
     _vecmat,
     group,
     hom,
@@ -78,8 +79,13 @@ class InvolutiveRing:
         """Multiplication by the fixed element ``a`` as an additive
         endomorphism of the underlying group: its row ``i`` is ``a g_i``,
         all of them from one product with the table."""
-        return hom(self.add, self.add,
-                   self.add._reduce_rows(_times_generators(Mat([a]), self.table)))
+        return hom(self.add, self.add, self.times_generators(Mat([a])))
+
+    def times_generators(self, xs):
+        """The reduced products ``x g_0, ..., x g_{n-1}`` for every row
+        ``x`` of ``xs``, stacked ``x`` major: the matrices of multiplication
+        by the rows of ``xs``, one under the other."""
+        return self.add._reduce_rows(_times_generators(xs, _flat(self.table, self.n_gens)))
 
     def has_trivial_involution(self):
         return self.w.equal(identity_hom(self.add))
@@ -134,7 +140,7 @@ def make_ring(add, table, one, w_matrix, names=None, where="ring"):
 
     # The table defines a map on the free group; it descends to `add` iff
     # every additive relation multiplies to zero against every generator.
-    bad = add._first_nonzero_row(_times_generators(add.relations, table))
+    bad = add._first_nonzero_row(_times_generators(add.relations, flat))
     if bad is not None:
         raise SpecError(
             f"{where}: multiplication table does not respect the additive "
@@ -142,17 +148,17 @@ def make_ring(add, table, one, w_matrix, names=None, where="ring"):
             f"{names[bad % n]}"
         )
 
-    bad = add._first_nonzero_row(add._reduce_rows(_times_generators(one_row, table))
+    bad = add._first_nonzero_row(add._reduce_rows(_times_generators(one_row, flat))
                                  - ident)
     if bad is not None:
         raise SpecError(f"{where}: unit is not neutral on generator {names[bad]}")
 
     # Row (i n + j) n + k of `triple` is (g_i g_j) g_k; the table is
     # commutative, so g_i (g_j g_k) is the same product as row (j n + k) n + i.
-    triple = add._reduce_rows(_times_generators(flat, table))
-    cycled = Mat([triple.row((j * n + k) * n + i)
-                  for i in range(n) for j in range(n) for k in range(n)], cols=n)
-    bad = add._first_nonzero_row(triple - cycled)
+    triple = add._reduce_rows(_times_generators(flat, flat))
+    cycle = Mat([{(j * n + k) * n + i: 1} for i in range(n) for j in range(n) for k in range(n)],
+                cols=n ** 3)
+    bad = add._first_nonzero_row(triple - cycle @ triple)
     if bad is not None:
         i, j, k = bad // (n * n), bad // n % n, bad % n
         raise SpecError(
@@ -163,7 +169,7 @@ def make_ring(add, table, one, w_matrix, names=None, where="ring"):
     if w_matrix is None:
         w_matrix = Mat.identity(n)
     elif not isinstance(w_matrix, Mat):
-        w_matrix = Mat([tuple(r) for r in w_matrix], cols=n)
+        w_matrix = Mat(w_matrix, cols=n)
     if w_matrix.rows != n:
         raise SpecError(f"{where}: involution matrix is not {n} x {n}")
     try:
@@ -195,14 +201,11 @@ def _flat(table, n):
     return Mat([v for row in table for v in row], cols=n)
 
 
-def _times_generators(xs, table):
+def _times_generators(xs, flat):
     """``x g_0, ..., x g_{n-1}`` for every row ``x`` of ``xs``, stacked
-    ``x`` major, before reduction: one product with the ``n x n^2`` matrix
-    whose row ``i`` lists ``g_i g_0, ..., g_i g_{n-1}``."""
-    n = len(table)
-    wide = Mat([sum(row, ()) for row in table], cols=n * n)
-    return Mat([row[c * n:(c + 1) * n] for row in (xs @ wide).data for c in range(n)],
-               cols=n)
+    ``x`` major, before reduction: the pure tensors ``x (x) g_c`` times the
+    flattened table ``flat``."""
+    return kron(xs, Mat.identity(flat.cols)) @ flat
 
 
 def _products(add, flat, xs, ys):
@@ -316,13 +319,14 @@ def frobenius(ring2):
     rows = [ring2.table[i][i] for i in range(n)]
     phi = hom(add, add, rows)
     if add.is_finite() and add.order() <= 256:
-        xs = Mat(add.elements(), cols=n)
-        pure = Mat([[a * b for a in x for b in x] for x in xs.data], cols=n * n)
+        elements = add.elements()
+        xs = Mat(elements, cols=n)
+        pure = Mat([[a * b for a in x for b in x] for x in elements], cols=n * n)
         squares = add._reduce_rows(pure @ _flat(ring2.table, n))
         bad = add._first_nonzero_row(phi.apply_rows(xs) - squares)
         if bad is not None:
             raise SpecError(
-                f"frobenius: matrix disagrees with squaring at {xs.row(bad)}"
+                f"frobenius: matrix disagrees with squaring at {elements[bad]}"
             )
     return phi
 
@@ -341,7 +345,7 @@ class AffineMonoid:
     generator).
     """
 
-    __slots__ = ("rank", "generators", "w", "_w_cols", "_searches")
+    __slots__ = ("rank", "generators", "w", "_searches")
 
     def __init__(self, generators, w=None, rank=None):
         generators = tuple(tuple(g) for g in generators)
@@ -359,7 +363,7 @@ class AffineMonoid:
         if w is None:
             w = Mat.identity(rank)
         elif not isinstance(w, Mat):
-            w = Mat([tuple(r) for r in w], cols=rank)
+            w = Mat(w, cols=rank)
         if w.rows != rank or w.cols != rank:
             raise SpecError(f"affine monoid: involution matrix is not {rank} x {rank}")
         if w @ w != Mat.identity(rank):
@@ -367,7 +371,6 @@ class AffineMonoid:
         self.rank = rank
         self.generators = generators
         self.w = w
-        self._w_cols = tuple(zip(*w.data))
         # tuple length -> the _FiberSearch of M^length summing to M, so each
         # length computes its weight data once; see _search
         self._searches = {}
@@ -381,13 +384,7 @@ class AffineMonoid:
 
     def apply_w(self, v):
         """The row vector ``v`` times ``w``."""
-        if len(v) != self.rank:
-            raise ValueError(
-                f"shape mismatch 1x{len(v)} @ {self.rank}x{self.rank}"
-            )
-        return tuple(
-            sum(x * c for x, c in zip(v, col)) for col in self._w_cols
-        )
+        return _vecmat(v, self.w)
 
     def contains(self, v):
         """A membership certificate for ``v``, or None."""
@@ -405,8 +402,9 @@ class AffineMonoid:
         slot's in turn) under the map that sums the slots."""
         search = self._searches.get(length)
         if search is None:
-            slots = Mat.identity(length)
-            gens = kron(slots, Mat(self.generators, cols=self.rank)).data
+            zero = (0,) * self.rank
+            gens = tuple(zero * s + g + zero * (length - 1 - s)
+                         for s in range(length) for g in self.generators)
             summing = kron(Mat([[1]] * length, cols=1), Mat.identity(self.rank))
             search = self._searches[length] = _FiberSearch(gens, summing)
         return search
@@ -528,24 +526,18 @@ def _weight_data(gens, weight):
             partner[i] = j
     point_idx = [i for i in range(len(gens)) if i not in partner]
 
-    unit_rows = [gens[i] for i in unit_idx]
-    bw = Mat([_vecmat(g, weight) for g in unit_rows], cols=m)
-    unit_solver = _LeftSolver(bw)
-    bw_kernel = unit_solver.kernel()
-    for crow in range(bw_kernel.rows):
-        c = bw_kernel.row(crow)
-        u = [0] * len(gens[0])
-        for ci, gi in zip(c, unit_rows):
-            for t in range(len(u)):
-                u[t] += ci * gi[t]
-        if any(u):
+    kill = [_vecmat(gens[i], weight) for i in unit_idx]
+    unit_solver = _LeftSolver(Mat(kill, cols=m))
+    # the unit combinations of weight zero, as vectors
+    combos = unit_solver.kernel() @ Mat([gens[i] for i in unit_idx], cols=weight.rows)
+    for u in combos.sparse:
+        if u:
             raise InfeasibleError(
                 "weight fiber is infinite: a nonzero unit combination "
-                f"{tuple(u)} has weight zero"
+                f"{_dense(u, combos.cols)} has weight zero"
             )
 
     images = [_vecmat(gens[i], weight) for i in point_idx]
-    kill = [bw.row(i) for i in range(bw.rows)]
     basis = _rational_null_space(kill, m)
     ineqs = []
     for y in images:
@@ -652,9 +644,10 @@ class _FiberSearch:
             cur_w = _vecmat(current, weight)
             z = tuple(a - b for a, b in zip(v, cur_w))
             if unit_idx:
-                coeffs = unit_solver.solve([z])[0]
-                if coeffs is None:
+                sols, bad = unit_solver.solve(Mat([z], cols=weight.cols))
+                if bad:
                     return
+                coeffs = sols.row(0)
             else:
                 if any(z):
                     return

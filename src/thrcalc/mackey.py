@@ -280,8 +280,8 @@ def base_change(ms, ring_map):
     ident_a, ident_b = Mat.identity(ms.ring.n_gens), Mat.identity(b.n_gens)
     ident_e, ident_g = Mat.identity(m.e.n_gens), Mat.identity(m.g.n_gens)
     # in ``L (x)_A B`` each generator a of A slides from its action on L to f(a) on B
-    f_mults = [b.multiplication_by(fa).matrix
-               for fa in ring_map.add_hom.apply_rows(ident_a).data]
+    images = ring_map.add_hom.apply_rows(ident_a)
+    f_mults = [b.multiplication_by(images.row(i)).matrix for i in range(images.rows)]
     e_new = balanced_tensor(m.e, b.add, [(a.apply_rows(ident_e), r)
                                          for a, r in zip(ms.act_e, f_mults)])
     g_new = balanced_tensor(m.g, b.add, [(a.apply_rows(ident_g), r)
@@ -292,7 +292,7 @@ def base_change(ms, ring_map):
     tran_new = hom(e_new, g_new, kron(m.tran.apply_rows(ident_e), ident_b))
     mk = make_mackey(e_new, g_new, w_new, res_new, tran_new, where="base change")
 
-    b_mults = [b.multiplication_by(e).matrix for e in ident_b.data]
+    b_mults = [b.multiplication_by(_unit_vec(b.n_gens, i)).matrix for i in range(b.n_gens)]
     module = module_structure(
         b, mk, _right_action(e_new, m.e.n_gens, b_mults),
         _right_action(g_new, m.g.n_gens, b_mults), where="base change"

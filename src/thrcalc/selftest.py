@@ -39,7 +39,7 @@ from .dihedral import (
     trivial_monoid,
     validate_structure,
 )
-from .fgab import Mat, free_group, group, hom, snf
+from .fgab import Mat, _diagonal, free_group, group, hom, snf
 from .homology import (
     ChainComplex,
     ChainMap,
@@ -374,11 +374,12 @@ def random_small_cubes(rng, count):
 
 def _determinantal_divisors(m):
     n = min(m.rows, m.cols)
+    entries = [dict(row) for row in m.sparse]
     divisors = []
     for k in range(1, n + 1):
         g = 0
         for rows, cols in product(combinations(range(m.rows), k), combinations(range(m.cols), k)):
-            sub = Mat([tuple(m.data[i][j] for j in cols) for i in rows], cols=k)
+            sub = Mat([[entries[i].get(j, 0) for j in cols] for i in rows], cols=k)
             g = gcd(g, sub.det())
             if g == 1:  # no later minor can change it
                 break
@@ -403,9 +404,10 @@ def _snf_sweep(rng, count):
         if abs(u.det()) != 1 or abs(v.det()) != 1:
             return False, f"matrix {index}: transforms are not unimodular"
         divisors = _determinantal_divisors(m)
+        diag = _diagonal(s, len(divisors))
         running = 1
         for k, expected in enumerate(divisors, start=1):
-            running = abs(running * s.data[k - 1][k - 1]) if running else 0
+            running = abs(running * diag[k - 1]) if running else 0
             if running != expected:
                 return False, (
                     f"matrix {index}: product of the first {k} diagonal "

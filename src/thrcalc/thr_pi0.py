@@ -146,8 +146,8 @@ def frobenius_twisted_square(ring, frob=None):
     presented on the same tensor generators as ``A/2 (x) A/2``.
     """
     r2, phi = frob or mod2_frobenius(ring)
-    mults = (r2.multiplication_by(c).matrix
-             for c in phi.apply_rows(Mat.identity(r2.n_gens)).data)
+    images = phi.apply_rows(Mat.identity(r2.n_gens))
+    mults = (r2.multiplication_by(images.row(i)).matrix for i in range(images.rows))
     return r2, balanced_tensor(r2.add, r2.add, [(m, m) for m in mults])
 
 
@@ -276,8 +276,7 @@ def verify_base_change(ring_map):
     b = ring_map.target
     images = ring_map.add_hom.apply_rows(Mat.identity(ring_map.source.n_gens))
     # Row (i, j) of ``mult`` is f(a_i) b_j: the map on underlying levels.
-    mult = Mat([row for fa in images.data for row in b.multiplication_by(fa).matrix.data],
-               cols=b.n_gens)
+    mult = b.times_generators(images)
     f_e = hom(bc.mackey.e, tgt.mackey.e, mult)
     f_g = hom(bc.mackey.g, tgt.mackey.g, kron(images, mult))
 

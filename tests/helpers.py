@@ -717,8 +717,8 @@ def reference_snf(m, u_cols=None):
         if a[i][i] < 0:
             for arr in with_u:
                 arr[i] = [-x for x in arr[i]]
-    return (Mat._of(tuple(map(tuple, a)), c), Mat._of(tuple(map(tuple, u)), width),
-            Mat._of(tuple(map(tuple, v)), c))
+    return (Mat(tuple(map(tuple, a)), c), Mat(tuple(map(tuple, u)), width),
+            Mat(tuple(map(tuple, v)), c))
 
 
 # The integer row kernels of ``fgab`` as they were before they ran on
@@ -737,33 +737,33 @@ def generator_combine(coeffs, rows, width):
 
 
 def generator_add(m, other):
-    return Mat._of(tuple(tuple(a + b for a, b in zip(r1, r2))
+    return Mat(tuple(tuple(a + b for a, b in zip(r1, r2))
                          for r1, r2 in zip(m.data, other.data)), m.cols)
 
 
 def generator_sub(m, other):
-    return Mat._of(tuple(tuple(a - b for a, b in zip(r1, r2))
+    return Mat(tuple(tuple(a - b for a, b in zip(r1, r2))
                          for r1, r2 in zip(m.data, other.data)), m.cols)
 
 
 def generator_neg(m):
-    return Mat._of(tuple(tuple(-a for a in row) for row in m.data), m.cols)
+    return Mat(tuple(tuple(-a for a in row) for row in m.data), m.cols)
 
 
 def generator_scale(m, k):
     if type(k) is not int:
         return Mat([[k * a for a in row] for row in m.data], cols=m.cols)
-    return Mat._of(tuple(tuple(k * a for a in row) for row in m.data), m.cols)
+    return Mat(tuple(tuple(k * a for a in row) for row in m.data), m.cols)
 
 
 def generator_kron(a, b):
-    return Mat._of(tuple(tuple(x * y for x in ra for y in rb)
+    return Mat(tuple(tuple(x * y for x in ra for y in rb)
                          for ra in a.data for rb in b.data), a.cols * b.cols)
 
 
 def generator_product(m, other):
     """``m @ other`` through :func:`generator_combine`."""
-    return Mat._of(tuple(generator_combine(row, other.data, other.cols) for row in m.data),
+    return Mat(tuple(generator_combine(row, other.data, other.cols) for row in m.data),
                    other.cols)
 
 
@@ -794,13 +794,13 @@ def generator_reduce_rows(g, m):
     a unimodular matrix has one inverse) with its columns placed at the
     kept generators."""
     if g._plain:
-        return Mat._of(_mod_diagonal(m.data, g._diag), g.n_gens)
+        return Mat(_mod_diagonal(m.data, g._diag), g.n_gens)
     rows = generator_product(m, g._to)
     k = rows.cols
     inv = Mat.identity(k) if g._v is None else _unimodular_inverse(g._v)
-    back = Mat._of(tuple(tuple(row[g._kept.index(j)] if j in g._kept else 0
+    back = Mat(tuple(tuple(row[g._kept.index(j)] if j in g._kept else 0
                                for j in range(g.n_gens)) for row in inv.data), g.n_gens)
-    return generator_product(Mat._of(_mod_diagonal(rows.data, g._diag), k), back)
+    return generator_product(Mat(_mod_diagonal(rows.data, g._diag), k), back)
 
 
 def generator_first_nonzero_row(g, m):
@@ -830,7 +830,7 @@ class DenseGroup:
         self.invariant_factors = tuple(d for d in self.diag if d > 1)
 
     def reduce_rows(self, m):
-        out = Mat._of(_mod_diagonal(generator_product(m, self.v).data, self.diag), self.n_gens)
+        out = Mat(_mod_diagonal(generator_product(m, self.v).data, self.diag), self.n_gens)
         return generator_product(out, _unimodular_inverse(self.v))
 
     def reduce(self, x):

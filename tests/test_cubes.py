@@ -273,11 +273,14 @@ def test_each_square_is_checked_once_and_no_fiber_builds_a_chain_map(monkeypatch
     """Under ``selftest.run_all()`` each cube square is checked once, where
     its cube is built, since a face reads its cube; and ``mapping_fiber``
     builds no chain map, since a fiber's projection is built when read."""
-    squares = []  # holds the recorded maps, so their ids are not reused
+    squares = []  # holds the recorded cubes, so their ids are not reused
     real_commutes = cubes._commutes
 
     def commutes(a, b, c, d, q):
-        squares.append((a, b, c, d, q))
+        # a square is its cube, its corner and its two directions: one map
+        # may be the edge of many squares of a cube
+        at = sys._getframe(1).f_locals
+        squares.append((at["self"], at["eps"], at["i"], at["j"], q))
         return real_commutes(a, b, c, d, q)
 
     builders = Counter()
@@ -387,7 +390,7 @@ def test_each_check_keeps_its_own_presentations(monkeypatch):
 
 def _fresh(c):
     """A new complex equal to ``c``, with no memo."""
-    return ChainComplex({q: c.rank(q) for q in c.support}, dict(c._rows))
+    return ChainComplex({q: c.rank(q) for q in c.support}, dict(c._diffs))
 
 
 def _scalar(c, k):

@@ -76,10 +76,23 @@ def test_degeneracy_criterion_matches_zero_entries():
 
 def test_truncation_certificate_bounds_nondegenerates():
     piece = dihedral_nerve_piece(NAT, ((3,),), 5)
-    kind, bound = piece.certificate
-    assert kind == "nondegenerate-bound" and bound == 3
+    bound = piece.nondegenerate_bound
+    assert bound == 3
     for q in range(bound + 1, 6):
         assert piece.nondegenerate(q) == ()
+
+
+def test_a_slice_of_simplex_levels_builds_each_level():
+    piece = dihedral_nerve_piece(monoid_nat(), ((2,),), 2)
+    levels = piece.simplices[0:2]
+    assert levels == (piece.simplices[0], piece.simplices[1])
+    assert all(type(level) is tuple and level for level in levels)
+    assert piece.simplices[::-1] == tuple(piece.simplices[q] for q in (2, 1, 0))
+    # a sliced level is checked against its count like any other
+    wrong = TruncDihedralSet(1, lambda q: [("v", i) for i in range(q + 1)],
+                             lambda q, i, x: x, lambda q, i, x: x, level_count=lambda q: 1)
+    with pytest.raises(CertificateError, match="degree 1: 2 simplices built but 1 counted"):
+        wrong.simplices[:]
 
 
 def test_infinite_fiber_is_rejected():

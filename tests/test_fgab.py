@@ -574,13 +574,13 @@ def test_shortcuts_skip_only_work_whose_outcome_is_known(monkeypatch):
 
 @pytest.fixture
 def combine_calls(monkeypatch):
-    """The coefficient rows ``fgab._combine`` is called with, in order."""
+    """The sparse rows ``fgab._combine`` is called with, in order."""
     real = fgab._combine
     calls = []
 
-    def counting(coeffs, rows, width):
-        calls.append(coeffs)
-        return real(coeffs, rows, width)
+    def counting(row, rows):
+        calls.append(row)
+        return real(row, rows)
 
     monkeypatch.setattr(fgab, "_combine", counting)
     return calls
@@ -591,7 +591,7 @@ def test_a_product_computes_each_distinct_row_once(combine_calls):
     right = Mat([[1, 0, 1], [0, 1, 1]])
     assert left @ right == Mat([[1, 2, 3], [0, 0, 0], [1, 2, 3],
                                 [3, 4, 7], [0, 0, 0], [3, 4, 7]])
-    assert sorted(combine_calls) == [(0, 0), (1, 2), (3, 4)]
+    assert sorted(combine_calls) == sorted(Mat([[0, 0], [1, 2], [3, 4]]).sparse)
 
 
 def test_first_nonzero_row_tests_each_distinct_row_once(combine_calls):
@@ -600,7 +600,7 @@ def test_first_nonzero_row_tests_each_distinct_row_once(combine_calls):
     combine_calls.clear()
     rows = Mat([[2, 4], [0, 0], [2, 4], [4, 8], [1, 2], [0, 0], [1, 2]])
     assert g._first_nonzero_row(rows) == 4
-    assert sorted(combine_calls) == [(0, 0), (1, 2), (2, 4), (4, 8)]
+    assert sorted(combine_calls) == sorted(Mat([[0, 0], [1, 2], [2, 4], [4, 8]]).sparse)
     # a failing row that repeats an earlier failing row: the first is reported
     assert g._first_nonzero_row(Mat([[0, 3], [2, 4], [0, 3], [0, 1]])) == 0
     assert g._first_nonzero_row(Mat([[2, 4], [0, 0], [2, 4], [-2, -4]])) is None
@@ -845,10 +845,20 @@ def kernel_matrices(rows, cols):
         lambda data: Mat(data, cols=cols))
 
 
+def assert_sparse_row(row, width):
+    """``row`` is a sparse row of a ``width``-column matrix: a tuple of
+    ``(col, coeff)`` pairs, columns increasing and in range, entries
+    nonzero ``int``s."""
+    assert type(row) is tuple and all(type(e) is tuple and len(e) == 2 for e in row)
+    cols = [j for j, _ in row]
+    assert cols == sorted(set(cols)) and all(type(j) is int and 0 <= j < width for j in cols)
+    assert all(type(a) is int and a for _, a in row)
+
+
 def assert_int_rows(m):
-    assert type(m.data) is tuple
-    assert all(type(row) is tuple and len(row) == m.cols for row in m.data)
-    assert all(type(x) is int for row in m.data for x in row)
+    assert type(m.sparse) is tuple and len(m.sparse) == m.rows
+    for row in m.sparse:
+        assert_sparse_row(row, m.cols)
 
 
 @st.composite
@@ -863,19 +873,23 @@ def combine_cases(draw):
 @given(combine_cases())
 def test_combine_is_the_entry_by_entry_sum(case):
     coeffs, rows, width = case
-    got = fgab._combine(coeffs, rows.data, width)
-    assert got == helpers.generator_combine(coeffs, rows.data, width)
-    assert type(got) is tuple and len(got) == width
-    assert all(type(x) is int for x in got)
+    got = fgab._combine(fgab._nonzeros(coeffs), rows.sparse)
+    assert Mat._of((got,), width) == Mat([helpers.generator_combine(coeffs, rows.data, width)],
+                                         cols=width)
+    assert_sparse_row(got, width)
 
 
 def test_combine_starts_from_the_stored_row():
-    rows = ((1, 2, 3), (4, 5, 6), (7, 8, 9))
-    assert fgab._combine((0, 1, 0), rows, 3) is rows[1]  # rows are immutable tuples
-    assert fgab._combine((0, -1, 0), rows, 3) == (-4, -5, -6)
-    assert fgab._combine((1, -1, 2), rows, 3) == (11, 13, 15)
-    assert fgab._combine((0, 0, 0), rows, 3) == (0, 0, 0)
-    assert fgab._combine((), (), 2) == (0, 0)
+    rows = Mat([[1, 2, 3], [4, 5, 6], [7, 8, 9]]).sparse
+
+    def sparse(*dense):
+        return Mat([dense]).sparse[0]
+
+    assert fgab._combine(((1, 1),), rows) is rows[1]  # rows are immutable tuples
+    assert fgab._combine(((1, -1),), rows) == sparse(-4, -5, -6)
+    assert fgab._combine(((0, 1), (1, -1), (2, 2)), rows) == sparse(11, 13, 15)
+    assert fgab._combine(((0, 1), (1, -2), (2, 1)), rows) == ()
+    assert fgab._combine((), ()) == ()
 
 
 @st.composite
@@ -912,6 +926,104 @@ def test_scale_converts_as_the_public_constructor_does():
         got = m.scale(k)
         assert got.data == want
         assert_int_rows(got)
+
+
+# ---------------------------------------------------------------------------
+# one matrix form: sparse rows, whatever the input rows were
+# ---------------------------------------------------------------------------
+
+# A dense shape draws any kernel entry; a sparse one is mostly zeros.
+shape_entries = st.sampled_from([
+    kernel_entries,
+    st.sampled_from([0] * 9 + [1, -1, 3]),
+])
+
+
+@st.composite
+def mixed_rows(draw, rows, cols):
+    """``rows x cols`` dense integer rows of a dense or a sparse shape, and
+    the same rows as ``Mat(...)`` input: each row dense or ``{col:
+    coeff}`` (explicit zeros kept in some), its entries ``int``s, or
+    ``Fraction``s and ``bool``s that ``int`` converts to them."""
+    entries = draw(shape_entries)
+    dense = [draw(st.lists(entries, min_size=cols, max_size=cols)) for _ in range(rows)]
+    given_rows = []
+    for row in dense:
+        if draw(st.booleans()):
+            row = [Fraction(a) if a not in (0, 1) else bool(a) for a in row]
+        form = draw(st.sampled_from(["dense", "sparse", "sparse with zeros"]))
+        if form == "dense":
+            given_rows.append(row)
+        else:
+            kept = [j for j, a in enumerate(row) if a or form == "sparse with zeros"]
+            given_rows.append({j: row[j] for j in draw(st.permutations(kept))})
+    return dense, given_rows
+
+
+@st.composite
+def mixed_matrix(draw, rows, cols):
+    dense, given_rows = draw(mixed_rows(rows, cols))
+    m = Mat(given_rows, cols=cols)
+    assert m == Mat(dense, cols=cols) and hash(m) == hash(Mat(dense, cols=cols))
+    assert m.data == tuple(map(tuple, dense))
+    assert_int_rows(m)
+    return m
+
+
+@st.composite
+def mixed_cases(draw):
+    r, c, k, p, q = (draw(st.integers(0, 4)) for _ in range(5))
+    a, b = draw(mixed_matrix(r, c)), draw(mixed_matrix(r, c))
+    return (a, b, draw(mixed_matrix(c, k)), draw(mixed_matrix(p, q)),
+            draw(st.lists(kernel_entries, min_size=r, max_size=r)),
+            draw(st.one_of(kernel_entries, st.booleans(),
+                           st.fractions(-4, 4, max_denominator=3))))
+
+
+@settings(max_examples=300, deadline=None)
+@given(mixed_cases())
+def test_one_matrix_form_matches_the_dense_oracles(case):
+    """Every ``Mat`` operation, on dense and sparse shapes read from dense
+    and ``{col: coeff}`` rows alike, is the dense oracle's, its result in
+    the sparse form and equal to (and hashing as) the oracle's matrix."""
+    a, b, d, e, x, k = case
+    for got, want in [(a @ d, helpers.generator_product(a, d)),
+                      (kron(a, e), helpers.generator_kron(a, e)),
+                      (kron(e, a), helpers.generator_kron(e, a)),
+                      (a + b, helpers.generator_add(a, b)),
+                      (a - b, helpers.generator_sub(a, b)),
+                      (-a, helpers.generator_neg(a)),
+                      (a.scale(k), helpers.generator_scale(a, k)),
+                      (vstack(a, b), Mat(a.data + b.data, cols=a.cols))]:
+        assert got == want and hash(got) == hash(want)
+        assert (got.rows, got.cols) == (want.rows, want.cols)
+        assert_int_rows(got)
+    got = fgab._vecmat(x, a)
+    assert got == helpers.generator_combine(x, a.data, a.cols)
+    assert type(got) is tuple and all(type(v) is int for v in got)
+    assert (a == b) == (a.data == b.data)
+
+
+@pytest.mark.parametrize("rows, cols, message", [
+    ([[1, 0, 2]], 2, "cols mismatch"),
+    ([{0: 1, 2: 2}], 2, "cols mismatch"),
+    ([[1]], 2, "cols mismatch"),
+    ([{-1: 1}], 3, "cols mismatch"),
+    ([{Fraction(1, 2): 1}], 2, "cols mismatch"),
+    ([[1, 0], {2: 1}], None, "cols mismatch"),
+    ([[1, 0], [1]], None, "ragged matrix"),
+    ([[1, 0], {0: 1}, [1]], None, "ragged matrix"),
+    ([], None, "cols required for a matrix with no rows"),
+    ([{0: 1}], None, "cols required for sparse rows"),
+], ids=["dense-too-wide", "sparse-too-wide", "dense-too-short", "sparse-negative",
+        "sparse-not-a-column", "sparse-past-dense", "ragged", "ragged-around-sparse",
+        "no-rows", "sparse-rows-only"])
+def test_the_public_constructor_rejects_misfits_in_either_row_form(rows, cols, message):
+    """A row that does not fit is refused with one message whether it is
+    dense or ``{col: coeff}``; the width comes from ``cols`` or from the
+    dense rows, and sparse rows alone do not give one."""
+    with pytest.raises(ValueError, match=f"^{re.escape(message)}$"):
+        Mat(rows, cols=cols)
 
 
 @st.composite

@@ -14,13 +14,12 @@ from thrcalc.errors import SpecError
 from thrcalc import cubes, fgab, selftest
 from thrcalc import homology as homology_module
 from thrcalc.cubes import CubeDiagram
-from thrcalc.fgab import Mat, group, free_group, kron
+from thrcalc.fgab import Mat, group, free_group
 from thrcalc.homology import (
     ChainComplex,
     ChainMap,
     MappingFiber,
     _assemble,
-    _kron,
     _tensor_matrices,
     connecting_hom,
     fiber_les_report,
@@ -246,28 +245,38 @@ def test_connecting_hom_realizes_the_boundary():
     assert not delta.is_zero_map()
 
 
+def record_dense_reads(monkeypatch, watched):
+    """Record every read of the dense view ``Mat.data``: the reads made
+    anywhere, and the reads below a call of a function whose code is in
+    ``watched``, by that function's name."""
+    seen, under = Counter(), Counter()
+    real = Mat.data
+
+    def data(self):
+        seen["Mat.data"] += 1
+        frame = sys._getframe(1)
+        while frame is not None:
+            if frame.f_code in watched:
+                under[frame.f_code.co_name] += 1
+            frame = frame.f_back
+        return real.fget(self)
+
+    monkeypatch.setattr(Mat, "data", property(data))
+    return seen, under
+
+
 def test_no_chain_equation_is_checked_with_a_dense_product(monkeypatch):
-    """Under ``selftest.run_all()``, ``d f = f d``, the cube squares and the
-    fiber-map square are checked on sparse rows: none of them multiplies
-    two ``Mat``s."""
-    real = Mat.__matmul__
-    callers = Counter()
-
-    def recording(self, other):
-        callers[sys._getframe(1).f_code] += 1
-        return real(self, other)
-
-    monkeypatch.setattr(Mat, "__matmul__", recording)
+    """Under ``selftest.run_all()``, ``d d = 0``, ``d f = f d``, the cube
+    squares and the fiber-map square are checked as equal ``Mat``
+    products: none of them reads the dense view ``Mat.data``."""
+    checks = {ChainComplex.__init__.__code__, ChainMap.__init__.__code__,
+              CubeDiagram.__init__.__code__, fiber_map.__code__}
+    seen, under = record_dense_reads(monkeypatch, checks)
     with redirect_stdout(io.StringIO()):
         assert all(outcome.ok for outcome in selftest.run_all())
     monkeypatch.undo()
-    assert callers[induced_hom.__code__]  # the recording sees dense products
-    checks = {
-        ChainMap.__init__.__code__: "ChainMap",
-        CubeDiagram.__init__.__code__: "CubeDiagram",
-        fiber_map.__code__: "fiber_map",
-    }
-    assert {checks[code]: n for code, n in callers.items() if code in checks} == {}
+    assert seen["Mat.data"]  # the recording sees dense reads
+    assert under == {}
 
 
 def test_fiber_map_functoriality():
@@ -468,10 +477,6 @@ def test_tensor_chain_map_is_functorial():
 # ---------------------------------------------------------------------------
 
 
-def _sparse(m):
-    return [{j: a for j, a in enumerate(row) if a} for row in m.data]
-
-
 @st.composite
 def block_layouts(draw):
     """Row and column layouts, with a random subset of blocks filled, each
@@ -501,71 +506,32 @@ def test_assemble_matches_explicit_concatenation(case):
             parts.append(m.scale(sign))
         for k in range(h):
             expected.append(sum((part.data[k] for part in parts), ()))
-    sparse = {key: (sign, _sparse(m)) for key, (sign, m) in entries.items()}
-    assert _assemble(rows, cols, sparse) == _sparse(Mat(expected, cols=sum(widths)))
+    assert _assemble(rows, cols, entries) == Mat(expected, cols=sum(widths))
 
 
 def test_assemble_rejects_a_block_of_the_wrong_shape():
     layout = [("x", 2), ("y", 1)]
     with pytest.raises(ValueError, match=r"block \('y', 'x'\) does not fit 1 x 2"):
-        _assemble(layout, layout, {("y", "x"): (1, _sparse(Mat.identity(2)))})
+        _assemble(layout, layout, {("y", "x"): (1, Mat.identity(2))})
     with pytest.raises(ValueError, match=r"block \('x', 'y'\) does not fit 2 x 1"):
-        _assemble(layout, layout, {("x", "y"): (-1, _sparse(Mat.identity(2)))})
-
-
-@st.composite
-def kron_pairs(draw):
-    n, k, p, l = (draw(st.integers(0, 3)) for _ in range(4))
-    return draw(matrices(n, k)), draw(matrices(p, l))
-
-
-@settings(max_examples=100, deadline=None)
-@given(kron_pairs())
-def test_sparse_kron_matches_kron(pair):
-    a, b = pair
-    assert _kron(_sparse(a), _sparse(b), b.cols) == _sparse(kron(a, b))
-    assert _kron(None, _sparse(b), b.cols) is None
+        _assemble(layout, layout, {("x", "y"): (-1, Mat.identity(2))})
 
 
 def test_no_chain_builder_reads_a_dense_matrix(monkeypatch):
     """Under ``selftest.run_all()`` and ``p1_report(4)``, every chain
-    builder assembles sparse rows: none reads ``diff`` or ``map`` or builds
-    a ``Mat``, anywhere below it."""
-    builders = {f.__code__ for f in (
+    builder assembles stored ``Mat``s, and no builder, no fiber map and no
+    chain check reads the dense view ``Mat.data``, anywhere below it."""
+    watched = {f.__code__ for f in (
         mapping_fiber, fiber_map, tensor_complex, _tensor_matrices,
-        cubes.punctured_limit, cubes.comparison, cubes._induced_fiber_map,
-        cubes._block_map)}
-    real_init, real_of, real_mat = Mat.__init__, Mat._of, homology_module._mat
-    seen, under = Counter(), Counter()
-
-    def record(what):
-        seen[what] += 1
-        frame = sys._getframe(2)
-        while frame is not None:
-            if frame.f_code in builders:
-                under[what, frame.f_code.co_name] += 1
-            frame = frame.f_back
-
-    def init(self, *args, **kwargs):
-        record("Mat")
-        real_init(self, *args, **kwargs)
-
-    def of(data, cols):
-        record("Mat")
-        return real_of(data, cols)
-
-    def mat(*args):
-        record("diff or map")
-        return real_mat(*args)
-
-    monkeypatch.setattr(Mat, "__init__", init)
-    monkeypatch.setattr(Mat, "_of", staticmethod(of))
-    monkeypatch.setattr(homology_module, "_mat", mat)
+        homology_module._chains, cubes.punctured_limit, cubes.comparison,
+        cubes._induced_fiber_map, cubes._block_map, ChainComplex.__init__,
+        ChainMap.__init__, CubeDiagram.__init__)}
+    seen, under = record_dense_reads(monkeypatch, watched)
     with redirect_stdout(io.StringIO()):
         assert all(outcome.ok for outcome in selftest.run_all())
         assert cubes.p1_report(4).ok
     monkeypatch.undo()
-    assert seen["Mat"] and seen["diff or map"]  # the recording sees both
+    assert seen["Mat.data"]  # the recording sees dense reads
     assert under == {}
 
 

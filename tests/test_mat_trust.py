@@ -1,9 +1,9 @@
 """The trusted ``Mat._of`` path, the vector kernel and the batched
 well-definedness check of ``GroupHom``, each against what it replaces.
 
-``Mat(...)`` converts and checks every entry; ``Mat._of`` stores its rows as
-given.  Here ``Mat._of`` is wrapped so that it checks what ``Mat(...)``
-enforces, and whole commands run under the wrapper.
+``Mat(...)`` converts and checks every entry; ``Mat._of`` stores its sparse
+rows as given.  Here ``Mat._of`` is wrapped so that it checks the sparse
+form that ``Mat(...)`` builds, and whole commands run under the wrapper.
 """
 
 from fractions import Fraction
@@ -21,18 +21,25 @@ DATA = "tests/data"
 TRUSTED_OF = Mat.__dict__["_of"].__func__
 
 
-def _violation(data, cols):
-    """What ``Mat(data, cols=cols)`` would reject or convert, or None."""
-    if type(data) is not tuple:
-        return f"data is a {type(data).__name__}, not a tuple"
-    for row in data:
+def _violation(sparse, cols):
+    """What breaks the sparse form that ``Mat(...)`` builds, or None: a
+    tuple of rows, each a tuple of ``(col, coeff)`` pairs with columns
+    increasing and below ``cols`` and each ``coeff`` a nonzero ``int``."""
+    if type(sparse) is not tuple:
+        return f"rows are a {type(sparse).__name__}, not a tuple"
+    for row in sparse:
         if type(row) is not tuple:
             return f"row {row!r} is a {type(row).__name__}, not a tuple"
-        if len(row) != cols:
-            return f"row {row!r} is not {cols} long"
-        for x in row:
-            if type(x) is not int:
-                return f"entry {x!r} is a {type(x).__name__}, not an int"
+        last = -1
+        for entry in row:
+            if type(entry) is not tuple or len(entry) != 2:
+                return f"entry {entry!r} of row {row!r} is not a (col, coeff) pair"
+            j, x = entry
+            if type(j) is not int or not last < j < cols:
+                return f"column {j!r} of row {row!r} is out of order or not below {cols}"
+            if type(x) is not int or not x:
+                return f"entry {x!r} is a {type(x).__name__}, not a nonzero int"
+            last = j
     return None
 
 
@@ -55,12 +62,14 @@ def check_trusted_constructions(monkeypatch):
 
 def test_the_wrapper_flags_what_mat_would_convert(monkeypatch):
     seen = check_trusted_constructions(monkeypatch)
-    Mat._of(((1, 2), (3, 4)), 2)
+    Mat._of((((0, 1), (1, 2)), ((1, 4),), ()), 2)
     assert seen == {"calls": 1, "violations": []}
-    for data, cols in [(((True,),), 1), (((1, 2), (3,)), 2), (([1],), 1),
-                       (((Fraction(2),),), 1), ([(1,)], 1)]:
+    bad = [((((0, True),),), 1), ((((1, 1), (0, 2)),), 2), ((((2, 1),),), 2),
+           ((((0, 0),),), 1), ((((0, Fraction(2)),),), 1), ((((0, 1, 2),),), 1),
+           (((1, 2),), 2), (([(0, 1)],), 1), ([((0, 1),)], 1)]
+    for data, cols in bad:
         Mat._of(data, cols)
-    assert len(seen["violations"]) == 5
+    assert len(seen["violations"]) == len(bad)
 
 
 @pytest.mark.parametrize("argv", [

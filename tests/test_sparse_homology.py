@@ -193,10 +193,6 @@ def test_random_torsion_complexes_agree_with_the_dense_route(drawn):
         assert homology(c, q) == h
 
 
-def _sparse(m):
-    return [{j: a for j, a in enumerate(row) if a} for row in m.data]
-
-
 @given(st.integers(0, 6), st.integers(0, 6), st.data())
 @settings(max_examples=200, deadline=None)
 def test_elementary_divisors_are_the_smith_diagonal(rows, cols, data):
@@ -205,8 +201,8 @@ def test_elementary_divisors_are_the_smith_diagonal(rows, cols, data):
                                min_size=rows, max_size=rows)), cols=cols)
     s = snf(m)[0]
     diagonal = tuple(d for d in (s.data[i][i] for i in range(min(rows, cols))) if d)
-    assert _elementary_divisors(_sparse(m)) == diagonal
-    assert _rank_mod2(_sparse(m)) == sum(d % 2 for d in diagonal)
+    assert _elementary_divisors(m.sparse) == diagonal
+    assert _rank_mod2(m.sparse) == sum(d % 2 for d in diagonal)
 
 
 # ---------------------------------------------------------------------------
@@ -313,7 +309,7 @@ def test_clearing_keeps_every_divisor_and_rank(c, rng):
     for q in degrees:
         homology(c, q)
     for q in degrees:
-        rows = c._rows.get(q, ())
+        rows = c.diff(q).sparse
         echelon = c._divisors[q + 1][2]
         assert c._divisors[q][0] == _elementary_divisors(rows)
         assert (_rank_mod2([row for i, row in enumerate(rows) if i not in echelon])
@@ -328,7 +324,7 @@ def _overclearing(real):
 
     def reduce(rows, pivots=None):
         found = real(rows, pivots)
-        unpaired = sorted({j for row in rows for j in row} - pivots)
+        unpaired = sorted({j for row in rows for j, _ in row} - pivots)
         if unpaired and not done:
             pivots.add(unpaired[0])
             done.append(unpaired[0])
